@@ -412,8 +412,6 @@ def main(argv=None) -> int:
             raw["system"] = {"name": args.system, "params": dict((raw.get("system") or {}).get("params") or {}) if isinstance(raw.get("system"), dict) else {}}
         if args.seed is not None:
             raw["seed"] = args.seed
-        elif "seed" not in raw:
-            raw.setdefault("seed", 0)
         if args.out is not None:
             raw["out"] = args.out
         if args.certificate is not None:

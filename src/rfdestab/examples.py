@@ -21,6 +21,7 @@ exercise complementary parts of the toolkit:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -148,7 +149,6 @@ def example_4_8(r: float = 0.5, u_max: float = 1.0) -> ExampleBundle:
         output=output,
         d_box=np.array([[-1.0, 1.0]]),
         u_box=np.array([[-u_max, u_max]]),
-        finite_dim_output_h=lambda t, x: np.asarray(x)[1:2],
         name="example-4.8",
         params={"r": r, "u_max": u_max},
     )
@@ -370,8 +370,6 @@ def example_5_2(r: float = 0.5, eps: float = 1.0, L: float | None = None) -> Exa
         output=lambda t, seg: seg,
         d_box=np.array([[-1.0, 1.0]]),
         u_box=None,
-        finite_dim_output_h=lambda t, x: np.asarray(x, dtype=float),
-        output_sandwich=(power(2.0, 0.25), exp_weight(1.0), power(2.0, 30.0)),
         name="example-5.2",
         params={"r": r, "eps": eps, "L": L_val},
     )
@@ -415,25 +413,22 @@ def example_5_2(r: float = 0.5, eps: float = 1.0, L: float | None = None) -> Exa
         params={"r": r},
     )
 
-    ensemble_cache: dict = {}
-
+    # the two trajectory certificates read the same ensemble, one after the other
+    @functools.lru_cache(maxsize=1)
     def _ensemble(seed: int, step: float, horizon: float, count: int):
-        key = (seed, step, horizon, count)
-        if key not in ensemble_cache:
-            rng = np.random.default_rng(seed)
-            # the output here is the whole window segment, so recording it at
-            # every node would hold ~window/step points per node in memory;
-            # the certificates only read times/states/history
-            opts = IntegrateOpts(step_req=step, record_output=False)
-            trajs = []
-            for _ in range(count):
-                x0 = sample_history(rng, r, 2, 1.0)
-                d_sig = sample_signal(
-                    SignalSpec(sys.d_box, horizon, 0.4, seed=int(rng.integers(2 ** 32)))
-                )
-                trajs.append(integrate(sys, 0.0, x0, None, d_sig, horizon, opts))
-            ensemble_cache[key] = trajs
-        return ensemble_cache[key]
+        rng = np.random.default_rng(seed)
+        # the output here is the whole window segment, so recording it at
+        # every node would hold ~window/step points per node in memory;
+        # the certificates only read times/states/history
+        opts = IntegrateOpts(step_req=step, record_output=False)
+        trajs = []
+        for _ in range(count):
+            x0 = sample_history(rng, r, 2, 1.0)
+            d_sig = sample_signal(
+                SignalSpec(sys.d_box, horizon, 0.4, seed=int(rng.integers(2 ** 32)))
+            )
+            trajs.append(integrate(sys, 0.0, x0, None, d_sig, horizon, opts))
+        return trajs
 
     def run_razumikhin(seed=None, samples=None, tolerance=None, step=None, horizon=None):
         spec = SamplerSpec(
@@ -558,8 +553,6 @@ def example_5_4(R: float = 1.0, r: float = 1.0, u_max: float = 1.0) -> ExampleBu
         output=output,
         d_box=np.array([[-R, R]]),
         u_box=np.array([[-u_max, u_max]]),
-        finite_dim_output_h=lambda t, x: dead_zone(np.asarray(x, dtype=float)),
-        output_sandwich=(power(2.0), constant(1.0), power(2.0)),
         name="example-5.4",
         params={"R": R, "r": r, "u_max": u_max},
     )

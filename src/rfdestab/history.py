@@ -222,6 +222,11 @@ def extend(segment: HistorySegment, v, step: float) -> HistorySegment:
     i0 = int(np.searchsorted(grid, lo, side="right"))
     keep = grid[i0:] - step          # in (-r, 0]; the 0 maps to -step
     keep_vals = segment.values[i0:]
+    if (keep[1:] <= keep[:-1]).any():
+        # neighbours closer than the rounding of the subtraction landed on
+        # one offset; keep the last, so the knot at -step still carries x(0)
+        last = np.append(keep[1:] > keep[:-1], True)
+        keep, keep_vals = keep[last], keep_vals[last]
 
     head_needed = keep.size == 0 or keep[0] != -r
     parts_g = []

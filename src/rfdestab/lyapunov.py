@@ -28,7 +28,7 @@ from .history import (
     sample_history,
     sup_norm,
 )
-from .simulator import IntegrateOpts, RfdeSystem, integrate, output_norm
+from .simulator import IntegrateOpts, RfdeSystem, _uniform_box, integrate, output_norm
 
 __all__ = [
     "LyapunovFunctional",
@@ -275,12 +275,6 @@ def _default_tol(has_analytic: bool, tolerance: float | None) -> tuple:
     return (1e-9, 1e-9) if has_analytic else (1e-6, 1e-6)
 
 
-def _uniform_box(rng: np.random.Generator, box: np.ndarray | None) -> np.ndarray:
-    if box is None or box.shape[0] == 0:
-        return np.zeros(0)
-    return rng.uniform(box[:, 0], box[:, 1])
-
-
 def _falsify(
     sys: RfdeSystem,
     spec: SamplerSpec,
@@ -344,6 +338,18 @@ def _falsify(
     )
 
 
+def _functional_residual(sys: RfdeSystem, V: LyapunovFunctional, rho: ComparisonFn, dini_opts):
+    """Residual of derivative(V) + rho(V) <= 0 at a sample, with its derivative."""
+
+    def residual_fn(t, seg, u, d):
+        v = np.asarray(sys.dynamics(t, seg, u, d), dtype=float)
+        val = float(V.evaluator(t, seg))
+        dv = dini_functional(V, t, seg, v, dini_opts)
+        return dv + float(rho(val)), dv
+
+    return residual_fn
+
+
 def check_lyapunov_decay(
     sys: RfdeSystem,
     V: LyapunovFunctional,
@@ -354,14 +360,7 @@ def check_lyapunov_decay(
 ) -> FalsificationReport:
     """Falsify derivative(V) + rho(V) <= 0 along the dynamics with zero input."""
     tol_abs, tol_rel = _default_tol(V.analytic_dini is not None, tolerance)
-
-    def residual_fn(t, seg, u, d):
-        v = np.asarray(sys.dynamics(t, seg, u, d), dtype=float)
-        val = float(V.evaluator(t, seg))
-        dv = dini_functional(V, t, seg, v, dini_opts)
-        return dv + float(rho(val)), dv
-
-    return _falsify(sys, spec, tol_abs, tol_rel, False, None, residual_fn)
+    return _falsify(sys, spec, tol_abs, tol_rel, False, None, _functional_residual(sys, V, rho, dini_opts))
 
 
 def check_lyapunov_ios(
@@ -386,13 +385,7 @@ def check_lyapunov_ios(
             V.evaluator(t, seg)
         )
 
-    def residual_fn(t, seg, u, d):
-        v = np.asarray(sys.dynamics(t, seg, u, d), dtype=float)
-        val = float(V.evaluator(t, seg))
-        dv = dini_functional(V, t, seg, v, dini_opts)
-        return dv + float(rho(val)), dv
-
-    return _falsify(sys, spec, tol_abs, tol_rel, True, guard, residual_fn)
+    return _falsify(sys, spec, tol_abs, tol_rel, True, guard, _functional_residual(sys, V, rho, dini_opts))
 
 
 def check_razumikhin(

@@ -43,7 +43,6 @@ __all__ = [
     "trajectory_to_csv",
 ]
 
-_EMPTY = np.zeros(0)
 _EXP_CAP = 709.0  # largest safe argument for math.exp
 
 
@@ -55,9 +54,6 @@ class RfdeSystem:
     [-delay_r, 0], the current input point, and the current disturbance
     point, and returns the state derivative.  ``output`` maps (t, window) to
     either a vector or a HistorySegment (for window-valued outputs).
-    ``finite_dim_output_h``, when present, is a pointwise map (t, x(t)) whose
-    sup over the window reproduces the output norm up to the declared
-    sandwich gains.
     """
 
     delay_r: float
@@ -67,8 +63,6 @@ class RfdeSystem:
     d_box: np.ndarray
     u_box: np.ndarray | None = None
     period_T: float | None = None
-    finite_dim_output_h: Callable | None = None
-    output_sandwich: tuple | None = None
     name: str = "system"
     params: dict = field(default_factory=dict)
 
@@ -128,9 +122,14 @@ class _Dense:
         self.DIN[0] = slopes[0]
         self.count = k0
         self.delay = x0.delay
+        # rounding K - tau (in [-delay, 0]) cannot merge knots further apart
+        self.tie_gap = 4.0 * float(np.spacing(x0.delay))
+        self.close_knots = bool(np.diff(self.K[:k0]).min() <= self.tie_gap)
 
     def append(self, t: float, x: np.ndarray, din: np.ndarray):
         c = self.count
+        if t - self.K[c - 1] <= self.tie_gap:
+            self.close_knots = True
         self.K[c] = t
         self.V[c] = x
         self.DIN[c] = din
@@ -187,11 +186,13 @@ class _Dense:
     def window_segment(self, tau: float, prov: np.ndarray | None = None) -> HistorySegment:
         """History snapshot on [tau - delay, tau].
 
-        Inner knots are the stored knots; the left endpoint is interpolated
-        when it falls between knots; ``prov`` appends a provisional state for
-        stage times beyond the last accepted node (the linear piece between
-        the last node and the stage is exactly the forward extension used by
-        the stage formulas).
+        Inner knots are the stored knots strictly below ``tau``; the left
+        endpoint is interpolated when it falls between knots.  The row at
+        offset 0 is ``prov`` when given, for ``tau`` at or beyond the newest
+        knot: a stage's provisional state (the linear piece between the last
+        node and the stage is exactly the forward extension used by the stage
+        formulas) or the newest node's own state.  Otherwise it is the dense
+        value at ``tau``.
         """
         r = self.delay
         c = self.count
@@ -204,27 +205,23 @@ class _Dense:
         while i0 < c and K[i0] - tau <= -r:
             head_row = i0
             i0 += 1
-        inner = c - i0
-        extra = 1 if prov is not None else 0
-        if prov is not None:
-            while inner and K[i0 + inner - 1] - tau >= 0.0:
-                inner -= 1  # the provisional row supersedes a knot at offset 0
-        size = 1 + inner + extra
+        if prov is None:
+            i1 = int(np.searchsorted(K[:c], tau, side="left"))
+        else:
+            i1 = c if K[c - 1] < tau else c - 1  # prov supersedes a knot at tau
+        size = i1 - i0 + 2
         grid = np.empty(size)
         vals = np.empty((size, self.n))
         grid[0] = -r
-        if head_row is not None:
-            vals[0] = self.V[head_row]
-        else:
-            vals[0] = self.eval_one(lo)
-        if inner:
-            grid[1 : 1 + inner] = K[i0 : i0 + inner] - tau
-            vals[1 : 1 + inner] = self.V[i0 : i0 + inner]
-        if prov is not None:
-            grid[-1] = 0.0
-            vals[-1] = prov
-        else:
-            grid[-1] = 0.0  # tau is the last stored knot
+        vals[0] = self.eval_one(lo) if head_row is None else self.V[head_row]
+        grid[1:-1] = K[i0:i1] - tau
+        vals[1:-1] = self.V[i0:i1]
+        grid[-1] = 0.0
+        vals[-1] = self.eval_one(tau) if prov is None else prov
+        if self.close_knots:
+            # keep the last knot of each run that rounded onto one offset
+            last = np.concatenate([[True], np.diff(grid[1:]) > 0.0, [True]])
+            grid, vals = grid[last], vals[last]
         grid.flags.writeable = False
         vals.flags.writeable = False
         return HistorySegment._trusted(r, grid, vals)
@@ -265,56 +262,14 @@ class Trajectory:
         return self._dense.eval_vec(np.asarray(ts, dtype=float))
 
     def history(self, t: float) -> HistorySegment:
-        """Window snapshot at ``t``; exact at stored knots."""
+        """Window snapshot at ``t``; exact at stored knots.
+
+        At a node time this is exactly the window the integrator handed to the
+        dynamics there.
+        """
         if t < self.t0 - 1e-12 or t > self.t_end + 1e-12:
             raise ValueError(f"time {t!r} outside [{self.t0!r}, {self.t_end!r}]")
-        t = min(max(t, self.t0), self.t_end)
-        dense = self._dense
-        r = dense.delay
-        K = dense.K[: dense.count]
-        lo, hi = t - r, t
-        i0 = int(np.searchsorted(K, lo, side="right"))
-        i1 = int(np.searchsorted(K, hi, side="left"))
-        idx = np.arange(i0, i1)
-        # subtracting t can round an interior knot onto an endpoint offset (or
-        # collapse two neighbours); filter in offset space to keep the grid
-        # strictly increasing
-        off = K[idx] - t
-        keep = (off > -r) & (off < 0.0)
-        off, idx = off[keep], idx[keep]
-        if off.size:
-            tie = np.concatenate([[True], np.diff(off) > 0.0])
-            off, idx = off[tie], idx[tie]
-        grid = np.concatenate([[-r], off, [0.0]])
-        # interior knots carry their stored rows; only the endpoints need the
-        # dense interpolant
-        vals = np.empty((grid.size, dense.V.shape[1]))
-        vals[0] = dense.eval_one(lo)
-        vals[1:-1] = dense.V[idx]
-        vals[-1] = dense.eval_one(hi)
-        return HistorySegment(r, grid, vals)
-
-    def window_norms(self) -> np.ndarray:
-        """sup of |x| over the trailing window at every node time."""
-        dense = self._dense
-        K = dense.K[: dense.count]
-        norms = np.linalg.norm(dense.V[: dense.count], axis=1)
-        out = np.empty(self.times.size)
-        r = dense.delay
-        dq: deque = deque()
-        node_idx = np.searchsorted(K, self.times, side="left")
-        ptr = 0
-        for k, t in enumerate(self.times):
-            hi = node_idx[k]
-            while ptr <= hi:
-                while dq and norms[dq[-1]] <= norms[ptr]:
-                    dq.pop()
-                dq.append(ptr)
-                ptr += 1
-            while dq and K[dq[0]] < t - r - 1e-12:
-                dq.popleft()
-            out[k] = norms[dq[0]]
-        return out
+        return self._dense.window_segment(min(max(t, self.t0), self.t_end))
 
     def output_norms(self) -> np.ndarray:
         if self.outputs is None:
@@ -418,7 +373,7 @@ def integrate(
             break
 
         dense.append(tb, x_next, k4)
-        seg_b = dense.window_segment(tb)
+        seg_b = dense.window_segment(tb, x_next)
         f_end = np.asarray(f(tb, seg_b, uk, dk), dtype=float)
         if not np.isfinite(f_end).all():
             status = "step_failure"
@@ -467,6 +422,20 @@ def integrate(
     )
 
 
+def _trailing_window_max(ts: np.ndarray, vals: np.ndarray, width: float) -> np.ndarray:
+    """Running max of ``vals`` over the trailing time window ``[t - width, t]``."""
+    out = np.empty(vals.size)
+    dq: deque = deque()
+    for k in range(vals.size):
+        while dq and vals[dq[-1]] <= vals[k]:
+            dq.pop()
+        dq.append(k)
+        while ts[dq[0]] < ts[k] - width - 1e-12:
+            dq.popleft()
+        out[k] = vals[dq[0]]
+    return out
+
+
 # -- empirical Lipschitz moduli -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -496,9 +465,9 @@ class LipschitzModuli:
         }
 
 
-def _uniform_box(rng: np.random.Generator, box: np.ndarray) -> np.ndarray:
-    if box.shape[0] == 0:
-        return _EMPTY
+def _uniform_box(rng: np.random.Generator, box: np.ndarray | None) -> np.ndarray:
+    if box is None or box.shape[0] == 0:
+        return np.zeros(0)
     return rng.uniform(box[:, 0], box[:, 1])
 
 
@@ -534,8 +503,8 @@ def estimate_lipschitz_moduli(
         else:
             y = sample_history(rng, r, n, region.norm_bound)
         dpt = _uniform_box(rng, system.d_box)
-        upt = _uniform_box(rng, system.u_box) if system.u_box is not None else _EMPTY
-        vpt = _uniform_box(rng, system.u_box) if system.u_box is not None else _EMPTY
+        upt = _uniform_box(rng, system.u_box)
+        vpt = _uniform_box(rng, system.u_box)
 
         dist = history_distance(x, y)
         fx = np.asarray(system.dynamics(t, x, upt, dpt), dtype=float)
@@ -622,26 +591,15 @@ def check_continuity_bound(
     diff = ta._dense.eval_vec(knots) - tb._dense.eval_vec(knots)
     dn = np.linalg.norm(diff, axis=1)
 
-    r = system.delay_r
+    node_idx = np.searchsorted(knots, ta.times, side="right") - 1
+    window_dist = _trailing_window_max(knots, dn, system.delay_r)[node_idx]
     L = moduli.one_sided_state
     d0 = None
     worst_ratio = 0.0
     worst_time = t0
     passed = True
     overflow = False
-    dq: deque = deque()
-    ptr = 0
-    node_idx = np.searchsorted(knots, ta.times, side="right") - 1
-    for k, t in enumerate(ta.times):
-        hi = node_idx[k]
-        while ptr <= hi:
-            while dq and dn[dq[-1]] <= dn[ptr]:
-                dq.pop()
-            dq.append(ptr)
-            ptr += 1
-        while dq and knots[dq[0]] < t - r - 1e-12:
-            dq.popleft()
-        lhs = dn[dq[0]]
+    for t, lhs in zip(ta.times, window_dist):
         if d0 is None:
             d0 = lhs  # window distance at t0 is the initial distance
         arg = L * (t - t0)

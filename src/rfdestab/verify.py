@@ -14,7 +14,6 @@ and an empirical envelope fitter.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -28,6 +27,7 @@ from .simulator import (
     IntegrateOpts,
     RfdeSystem,
     Trajectory,
+    _trailing_window_max,
     integrate,
     output_norm,
 )
@@ -88,15 +88,54 @@ class EnvelopeCheck:
         }
 
 
-def _finish_envelope(slacks, witness, tolerance) -> EnvelopeCheck:
-    verdict = "pass" if all(s >= -tolerance for s in slacks) else "fail"
-    return EnvelopeCheck(verdict=verdict, slacks=slacks, tolerance=tolerance, witness=witness)
+def _envelope_check(trajs: Sequence[Trajectory], series: Callable, tolerance: float) -> EnvelopeCheck:
+    """Compare observed values with allowed ones along every trajectory.
+
+    ``series(traj)`` returns (times, observed, allowed) for a completed
+    trajectory.  Its slack is the minimum of allowed minus observed (+inf
+    when there is nothing to compare); a trajectory that did not complete
+    gets -inf and its truncation point as witness.  The worst sample is the
+    witness, kept only when the check fails.
+    """
+    slacks = []
+    witness = None
+    worst = math.inf
+    for i, traj in enumerate(trajs):
+        if traj.status != "completed":
+            slacks.append(-math.inf)
+            witness = (i, traj.t_event or traj.t0, math.inf, 0.0)
+            continue
+        times, observed, allowed = series(traj)
+        if observed.size == 0:
+            slacks.append(math.inf)
+            continue
+        slack_arr = allowed - observed
+        k = int(np.argmin(slack_arr))
+        slacks.append(float(slack_arr[k]))
+        if slack_arr[k] < worst:
+            worst = float(slack_arr[k])
+            witness = (i, float(times[k]), float(observed[k]), float(allowed[k]))
+    passed = all(s >= -tolerance for s in slacks)
+    return EnvelopeCheck("pass" if passed else "fail", slacks, tolerance, None if passed else witness)
 
 
 def _observed_series(traj: Trajectory, observe: Callable | None) -> np.ndarray:
     if observe is not None:
         return np.asarray([float(observe(traj, k)) for k in range(traj.times.size)])
     return traj.output_norms()
+
+
+def _input_levels(traj: Trajectory, gain: ComparisonFn, weight: ComparisonFn) -> np.ndarray:
+    """gain(weight(t)|u(t)|) at every node; zero without an input signal.
+
+    The input is piecewise constant and every switch inside the horizon is a
+    grid node, so the nodes see every level the input takes.
+    """
+    if traj.u is None:
+        return np.zeros(traj.times.size)
+    return np.array(
+        [float(gain(float(weight(t)) * float(np.linalg.norm(traj.u.eval(t))))) for t in traj.times]
+    )
 
 
 def verify_rgaos_envelope(
@@ -113,43 +152,13 @@ def verify_rgaos_envelope(
     recorded output norm).  A trajectory that did not complete fails with its
     truncation point as witness.
     """
-    slacks = []
-    witness = None
-    worst = math.inf
-    for i, traj in enumerate(trajs):
-        if traj.status != "completed":
-            slacks.append(-math.inf)
-            witness = (i, traj.t_event or traj.t0, math.inf, 0.0)
-            continue
+
+    def series(traj):
         s0 = float(beta(traj.t0)) * sup_norm(traj.initial)
         vals = _observed_series(traj, observe)
-        env = sigma.eval_t_array(s0, traj.times - traj.t0)
-        slack_arr = env - vals
-        k = int(np.argmin(slack_arr))
-        slacks.append(float(slack_arr[k]))
-        if slack_arr[k] < worst:
-            worst = float(slack_arr[k])
-            witness = (i, float(traj.times[k]), float(vals[k]), float(env[k]))
-    if all(s >= -tolerance for s in slacks):
-        witness = None
-    return _finish_envelope(slacks, witness, tolerance)
+        return traj.times, vals, sigma.eval_t_array(s0, traj.times - traj.t0)
 
-
-def _gain_running_sup(traj: Trajectory, gamma: ComparisonFn, delta: ComparisonFn) -> np.ndarray:
-    """Running sup of gamma(delta(tau)|u(tau)|) along the grid.
-
-    The input signal is piecewise constant and every switch inside the
-    horizon is a grid node, so evaluating at nodes captures the sup exactly
-    (for the left-closed pieces the node at the switch carries the incoming
-    value through the previous node).
-    """
-    if traj.u is None:
-        return np.zeros(traj.times.size)
-    vals = np.empty(traj.times.size)
-    for k, t in enumerate(traj.times):
-        uv = traj.u.eval(t)
-        vals[k] = float(gamma(float(delta(t)) * float(np.linalg.norm(uv))))
-    return np.maximum.accumulate(vals)
+    return _envelope_check(trajs, series, tolerance)
 
 
 def verify_ios_envelope(
@@ -162,27 +171,15 @@ def verify_ios_envelope(
     tolerance: float = 1e-9,
 ) -> EnvelopeCheck:
     """Check output norms against max{decay envelope, running weighted gain}."""
-    slacks = []
-    witness = None
-    worst = math.inf
-    for i, traj in enumerate(trajs):
-        if traj.status != "completed":
-            slacks.append(-math.inf)
-            witness = (i, traj.t_event or traj.t0, math.inf, 0.0)
-            continue
+
+    def series(traj):
         s0 = float(beta(traj.t0)) * sup_norm(traj.initial)
         vals = _observed_series(traj, observe)
         env = sigma.eval_t_array(s0, traj.times - traj.t0)
-        env = np.maximum(env, _gain_running_sup(traj, gamma, delta))
-        slack_arr = env - vals
-        k = int(np.argmin(slack_arr))
-        slacks.append(float(slack_arr[k]))
-        if slack_arr[k] < worst:
-            worst = float(slack_arr[k])
-            witness = (i, float(traj.times[k]), float(vals[k]), float(env[k]))
-    if all(s >= -tolerance for s in slacks):
-        witness = None
-    return _finish_envelope(slacks, witness, tolerance)
+        gain = np.maximum.accumulate(_input_levels(traj, gamma, delta))
+        return traj.times, vals, np.maximum(env, gain)
+
+    return _envelope_check(trajs, series, tolerance)
 
 
 def verify_v_decay_estimate(
@@ -203,48 +200,16 @@ def verify_v_decay_estimate(
     t - tau)}.  ``sigma`` must come from ``kl_from_rate`` so the second term
     can reuse the flow's evolution property.
     """
-    slacks = []
-    witness = None
-    worst = math.inf
-    for i, traj in enumerate(trajs):
-        if traj.status != "completed":
-            slacks.append(-math.inf)
-            witness = (i, traj.t_event or traj.t0, math.inf, 0.0)
-            continue
+
+    def series(traj):
         s0 = float(a(float(beta(traj.t0)) * sup_norm(traj.initial)))
         env = sigma.eval_t_array(s0, traj.times - traj.t0)
         if traj.u is not None and zeta is not None and delta is not None:
-            u_level = np.empty(traj.times.size)
-            for k, t in enumerate(traj.times):
-                uv = traj.u.eval(t)
-                u_level[k] = float(zeta(float(delta(t)) * float(np.linalg.norm(uv))))
-            env = np.maximum(env, fading_sup(sigma, u_level, traj.times))
-        vals = np.array(
-            [float(V.evaluator(t, traj.history(t))) for t in traj.times]
-        )
-        slack_arr = env - vals
-        k = int(np.argmin(slack_arr))
-        slacks.append(float(slack_arr[k]))
-        if slack_arr[k] < worst:
-            worst = float(slack_arr[k])
-            witness = (i, float(traj.times[k]), float(vals[k]), float(env[k]))
-    if all(s >= -tolerance for s in slacks):
-        witness = None
-    return _finish_envelope(slacks, witness, tolerance)
+            env = np.maximum(env, fading_sup(sigma, _input_levels(traj, zeta, delta), traj.times))
+        vals = np.array([float(V.evaluator(t, traj.history(t))) for t in traj.times])
+        return traj.times, vals, env
 
-
-def _trailing_window_max(ts: np.ndarray, vals: np.ndarray, width: float) -> np.ndarray:
-    """Running max of ``vals`` over the trailing time window ``[t - width, t]``."""
-    out = np.empty(vals.size)
-    dq: deque = deque()
-    for k in range(vals.size):
-        while dq and vals[dq[-1]] <= vals[k]:
-            dq.pop()
-        dq.append(k)
-        while ts[dq[0]] < ts[k] - width - 1e-12:
-            dq.popleft()
-        out[k] = vals[dq[0]]
-    return out
+    return _envelope_check(trajs, series, tolerance)
 
 
 def check_monotone_decay(
@@ -263,41 +228,20 @@ def check_monotone_decay(
     ``w1 > w0 + rel_slack * (1 + |w0|)``; per-trajectory slacks record the
     worst margin and the report's witness is the worst offending node.
     """
-    slacks = []
-    witness = None
-    worst = math.inf
-    for i, traj in enumerate(trajs):
-        if traj.status != "completed":
-            slacks.append(-math.inf)
-            witness = (i, traj.t_event or traj.t0, math.inf, 0.0)
-            continue
-        if window_delay is not None:
+
+    def series(traj):
+        if window_delay is None:
+            w = np.asarray(values_fn(traj.times, traj.states), dtype=float)
+        else:
             pre_t = traj.t0 + traj.initial.grid[:-1]
             ts = np.concatenate([pre_t, traj.times])
             states = np.vstack([traj.initial.values[:-1], traj.states])
-            series = _trailing_window_max(
+            w = _trailing_window_max(
                 ts, np.asarray(values_fn(ts, states), dtype=float), window_delay
             )[pre_t.size:]
-        else:
-            series = np.asarray(values_fn(traj.times, traj.states), dtype=float)
-        if series.size < 2:
-            slacks.append(math.inf)
-            continue
-        allowance = rel_slack * (1.0 + np.abs(series[:-1]))
-        slack_arr = series[:-1] + allowance - series[1:]
-        k = int(np.argmin(slack_arr))
-        slacks.append(float(slack_arr[k]))
-        if slack_arr[k] < worst:
-            worst = float(slack_arr[k])
-            witness = (
-                i,
-                float(traj.times[k + 1]),
-                float(series[k + 1]),
-                float(series[k] + allowance[k]),
-            )
-    if all(s >= 0.0 for s in slacks):
-        witness = None
-    return _finish_envelope(slacks, witness, 0.0)
+        return traj.times[1:], w[1:], w[:-1] + rel_slack * (1.0 + np.abs(w[:-1]))
+
+    return _envelope_check(trajs, series, 0.0)
 
 
 # -- scalar comparison principle -------------------------------------------------
@@ -513,8 +457,6 @@ def iosify_system(
         d_box=new_dbox,
         u_box=None,
         period_T=sys.period_T,
-        finite_dim_output_h=sys.finite_dim_output_h,
-        output_sandwich=sys.output_sandwich,
         name=sys.name + "+embedded-input",
         params=dict(sys.params, embedding_mode=mode),
     )

@@ -510,7 +510,7 @@ class TestDeterminism:
         second = read_tree(out)
         assert first == second
 
-    def test_default_seed_is_zero_and_seed_matters(self, tmp_path):
+    def test_missing_seed_exits_2_and_seed_matters(self, tmp_path, capsys):
         def run_into(out, extra):
             cfg = write_config(
                 tmp_path,
@@ -523,16 +523,19 @@ class TestDeterminism:
                     "simulate": {"initial": {"kind": "random", "norm_bound": 1.0}},
                 },
             )
-            assert main(["--config", cfg] + extra) == 0
-            return (out / "trajectory.csv").read_bytes()
+            return main(["--config", cfg] + extra)
 
-        implicit = run_into(tmp_path / "a", [])
-        explicit = run_into(tmp_path / "b", ["--seed", "0"])
-        other = run_into(tmp_path / "c", ["--seed", "1"])
-        assert implicit == explicit
-        assert implicit != other
-        manifest = load_json(tmp_path / "a", "manifest.json")
-        assert manifest["config"]["seed"] == 0
+        # neither the flag nor the config gives a seed: no silent default
+        assert run_into(tmp_path / "a", []) == 2
+        assert "explicit seed" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+        assert main(["simulate", "example-5.4", "--out", str(tmp_path / "d")]) == 2
+        assert "explicit seed" in capsys.readouterr().err
+        assert run_into(tmp_path / "b", ["--seed", "0"]) == 0
+        assert run_into(tmp_path / "c", ["--seed", "1"]) == 0
+        zero = (tmp_path / "b" / "trajectory.csv").read_bytes()
+        assert zero != (tmp_path / "c" / "trajectory.csv").read_bytes()
+        assert load_json(tmp_path / "b", "manifest.json")["config"]["seed"] == 0
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "art"

@@ -1,0 +1,191 @@
+"""Property tests for the invariants of windows, the dense store and signals."""
+
+import numpy as np
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from rfdestab import (
+    HistorySegment,
+    IntegrateOpts,
+    PiecewiseSignal,
+    RfdeSystem,
+    extend,
+    integrate,
+    sample_history,
+)
+from rfdestab.simulator import _trailing_window_max
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def segments(draw, max_knots=12, dim=2):
+    delay = draw(st.floats(1e-3, 1e3))
+    cuts = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=max_knots))
+    grid = np.unique(np.concatenate([[-delay], -delay * np.asarray(cuts, dtype=float), [0.0]]))
+    assume(np.all(np.diff(grid) > 0.0))
+    rows = draw(st.lists(st.lists(finite, min_size=dim, max_size=dim), min_size=grid.size, max_size=grid.size))
+    return HistorySegment(delay, grid, np.asarray(rows))
+
+
+class TestSegmentEvaluation:
+    @SETTINGS
+    @given(segments())
+    def test_eval_and_eval_many_are_exact_at_grid_offsets(self, seg):
+        many = seg.eval_many(seg.grid)
+        assert np.array_equal(many, seg.values)
+        for k, theta in enumerate(seg.grid):
+            assert np.array_equal(seg.eval(theta), seg.values[k])
+
+    @SETTINGS
+    @given(segments(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    def test_eval_matches_eval_many_between_offsets(self, seg, fracs):
+        thetas = -seg.delay * np.asarray(fracs)
+        many = seg.eval_many(thetas)
+        for k, theta in enumerate(thetas):
+            assert np.array_equal(seg.eval(theta), many[k])
+
+
+class TestExtend:
+    @SETTINGS
+    @given(segments(), st.lists(finite, min_size=2, max_size=2))
+    def test_zero_step_returns_the_same_segment(self, seg, v):
+        assert extend(seg, v, 0.0) is seg
+
+    @SETTINGS
+    @given(segments(), st.lists(finite, min_size=2, max_size=2), st.floats(1e-3, 0.999))
+    @example(  # two knots closer than the rounding of the shift by -step
+        HistorySegment(1.0, np.array([-1.0, -1.17549435e-38, 0.0]), np.array([[0.0, 0], [0, 0], [0, 1]])),
+        [0.0, 0.0],
+        0.5,
+    )
+    def test_both_pieces_agree_at_minus_step(self, seg, v, frac):
+        step = frac * seg.delay
+        v = np.asarray(v)
+        out = extend(seg, v, step)
+        assert out.grid[0] == -seg.delay and out.grid[-1] == 0.0
+        # the shifted old window and the appended ramp meet at the knot -step,
+        # where both give the old head value
+        assert np.array_equal(out.eval(-step), seg.values[-1])
+        # just either side of -step each piece follows its own formula; the
+        # shifted knots are rounded, which moves values by up to slope * ulp(r)
+        eps = 1e-6 * step
+        scale = 1e-9 * (1.0 + np.abs(seg.values).max() + np.abs(v).max() * seg.delay)
+        with np.errstate(over="ignore"):  # knots a subnormal apart: any error goes
+            slope = np.abs(np.diff(seg.values, axis=0)).max() / np.diff(seg.grid).min()
+            shift_err = slope * 4.0 * np.finfo(float).eps * seg.delay
+        assert np.abs(out.eval(-step - eps) - seg.eval(-eps)).max() <= scale + shift_err
+        assert np.abs(out.eval(-step + eps) - (seg.values[-1] + eps * v)).max() <= scale
+
+
+def _window_run(r, steps_per_delay, t0, span, fracs, levels, seed):
+    """A scalar run with d-switches inside the horizon; every window the
+    dynamics saw is recorded."""
+    t_end = t0 + span * r
+    switches = np.unique(t0 + np.asarray(fracs) * (t_end - t0))
+    switches = switches[(switches > t0) & (switches < t_end)]
+    d = PiecewiseSignal(switches, np.asarray(levels[: switches.size + 1])[:, None], [[-1.0, 1.0]])
+    seen = []
+
+    def dynamics(t, seg, u, dd):
+        seen.append((t, seg))
+        return dd[0] * seg.values[0] - seg.values[-1]
+
+    system = RfdeSystem(r, 1, dynamics, lambda t, seg: seg.values[-1], np.array([[-1.0, 1.0]]))
+    x0 = sample_history(np.random.default_rng(seed), r, 1, 1.0)
+    traj = integrate(system, t0, x0, None, d, t_end, IntegrateOpts(step_req=r / steps_per_delay))
+    return traj, seen
+
+
+def _check_window(seg, t, r, K, V):
+    """Endpoints exact, grid strictly increasing, and the interior is the
+    stored knots after t - r and before t whose offsets stay above -r."""
+    grid = seg.grid
+    assert grid[0] == -r and grid[-1] == 0.0
+    assert np.all(np.diff(grid) > 0.0), f"grid not strictly increasing at t={t!r}"
+    off = K - t
+    inside = np.nonzero((K > t - r) & (K < t) & (off > -r))[0]
+    # knots whose offsets round together appear once, as the last of the run
+    inside = inside[np.append(np.diff(off[inside]) > 0.0, True)]
+    assert np.array_equal(grid[1:-1], off[inside])
+    assert np.array_equal(seg.values[1:-1], V[inside])
+
+
+class TestDenseWindows:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        r=st.floats(0.05, 2.0),
+        steps_per_delay=st.integers(2, 30),
+        t0=st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(1e3, 1e6)),
+        span=st.floats(0.3, 3.0),
+        fracs=st.lists(st.floats(0.0, 1.0), max_size=4),
+        levels=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+        queries=st.lists(st.floats(0.0, 1.0), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(  # a switch node so close to t0 that both land on one offset
+        r=1.0, steps_per_delay=2, t0=0.0, span=1.0, fracs=[1.6567910543969661e-261],
+        levels=[0.0] * 5, queries=[], seed=0,
+    )
+    def test_windows_are_exact_slices_of_the_store(
+        self, r, steps_per_delay, t0, span, fracs, levels, queries, seed
+    ):
+        traj, seen = _window_run(r, steps_per_delay, t0, span, fracs, levels, seed)
+        assert traj.status == "completed"
+        dense = traj._dense
+        K, V = dense.K[: dense.count], dense.V[: dense.count]
+        for t, seg in seen:
+            _check_window(seg, t, r, K, V)
+        off_nodes = traj.t0 + np.asarray(queries) * (traj.t_end - traj.t0)
+        for t in np.concatenate([traj.times, off_nodes]):
+            seg = traj.history(t)
+            _check_window(seg, t, r, K, V)
+            assert np.array_equal(seg.values[-1], traj.state(t))
+            # a knot at t - r, or one whose offset rounds onto -r, gives the row at -r
+            folded = np.nonzero((K == t - r) | ((K > t - r) & (K - t <= -r)))[0]
+            tail = V[folded[-1]] if folded.size else dense.eval_one(t - r)
+            assert np.array_equal(seg.values[0], tail)
+
+
+class TestShiftedSignal:
+    @SETTINGS
+    @given(
+        gaps=st.lists(st.floats(1e-3, 5.0), max_size=8),
+        levels=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+        a=st.floats(0.0, 20.0),
+        t=st.floats(0.0, 20.0),
+    )
+    @example(gaps=[1.773], levels=[0.0, 1.0] + [0.0] * 7, a=0.715, t=1.0579999999999998)
+    def test_shifted_reads_ahead(self, gaps, levels, a, t):
+        switches = np.cumsum(gaps)
+        sig = PiecewiseSignal(switches, np.asarray(levels[: switches.size + 1])[:, None], [[-1.0, 1.0]])
+        got = sig.shifted(a).eval(t)
+        # the shifted switch s - a is rounded, so t + a can land one rounding
+        # short of s where the shifted signal has already switched; there
+        # either neighbouring level is the reading
+        across = np.abs(switches - (t + a)) <= 4.0 * np.spacing(switches)
+        if across.any():
+            j = int(np.argmax(across))
+            assert any(np.array_equal(got, level) for level in sig.values[j : j + 2])
+        else:
+            assert np.array_equal(got, sig.eval(t + a))
+
+
+class TestTrailingWindowMax:
+    @SETTINGS
+    @given(
+        gaps=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=60),
+        vals=st.lists(finite, min_size=61, max_size=61),
+        width=st.floats(0.0, 5.0),
+        start=st.floats(-1e3, 1e3),
+    )
+    def test_matches_brute_force(self, gaps, vals, width, start):
+        ts = start + np.cumsum(np.concatenate([[0.0], gaps]))
+        assume(np.all(np.diff(ts) > 0.0))
+        vals = np.asarray(vals[: ts.size])
+        got = _trailing_window_max(ts, vals, width)
+        for k, t in enumerate(ts):
+            inside = ts[: k + 1] >= t - width - 1e-12
+            assert got[k] == vals[: k + 1][inside].max()

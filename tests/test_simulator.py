@@ -1,5 +1,7 @@
 """Method-of-steps integration, moduli estimation, continuity bound, completeness probe."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from rfdestab import (
     IntegrateOpts,
     RegionSpec,
     RfdeSystem,
+    SignalSpec,
+    build_example,
     check_continuity_bound,
     check_rfc,
     constant_signal,
@@ -16,6 +20,7 @@ from rfdestab import (
     output_distance,
     output_norm,
     sample_history,
+    sample_signal,
     trajectory_to_csv,
 )
 
@@ -139,6 +144,29 @@ class TestTrajectoryAccessors:
             thetas = np.linspace(-1.0, 0.0, 23)
             gap = seg.eval_many(thetas) - traj.state_many(t + thetas)
             assert np.abs(gap).max() <= 5e-4
+
+    def test_history_at_nodes_is_the_window_the_dynamics_saw(self):
+        # example-5.2 at a fine step: t - r falls between knots at most nodes,
+        # and a knot just above t - r can round onto offset -r
+        system = build_example("example-5.2").system
+        seen = {}
+
+        def dynamics(t, seg, u, d):
+            seen[t] = seg  # the node-time call after a step comes last
+            return system.dynamics(t, seg, u, d)
+
+        rng = np.random.default_rng(0)
+        x0 = sample_history(rng, system.delay_r, system.dim_n, 1.0)
+        d_sig = sample_signal(SignalSpec(system.d_box, 1.4, 0.4, seed=int(rng.integers(2**32))))
+        opts = IntegrateOpts(step_req=2e-4, record_output=False)
+        traj = integrate(replace(system, dynamics=dynamics), 0.0, x0, None, d_sig, 1.4, opts)
+        assert traj.status == "completed"
+        mismatched = []
+        for t in traj.times:
+            seg = traj.history(t)
+            if not (np.array_equal(seg.grid, seen[t].grid) and np.array_equal(seg.values, seen[t].values)):
+                mismatched.append(float(t))
+        assert not mismatched, f"{len(mismatched)} of {traj.times.size} nodes differ, first at {mismatched[0]!r}"
 
     def test_csv_round_trip_shape(self):
         sys_ = contraction()
