@@ -248,35 +248,31 @@ def _run_certificates(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWr
     rows = []
     for cert in certs:
         report = cert.runner(**overrides)
+        row = {
+            "certificate": cert.name,
+            "checker": cert.checker,
+            "expected": cert.expected,
+            "verdict": report.verdict,
+            "matches_expected": report.verdict == cert.expected,
+        }
         writer.write_json(
             f"report-{cert.name}.json",
-            {
-                "certificate": cert.name,
-                "checker": cert.checker,
-                "description": cert.description,
-                "expected": cert.expected,
-                "verdict": report.verdict,
-                "matches_expected": report.verdict == cert.expected,
-                "report": report.to_json_dict(),
-            },
+            dict(row, description=cert.description, report=report.to_json_dict()),
         )
-        rows.append(
-            {
-                "certificate": cert.name,
-                "checker": cert.checker,
-                "expected": cert.expected,
-                "verdict": report.verdict,
-                "matches_expected": report.verdict == cert.expected,
-            }
-        )
+        rows.append(row)
     return rows
 
 
-def _cmd_check(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter) -> int:
-    rows = _run_certificates(cfg, bundle, writer, _selected_certificates(cfg, bundle, False))
+def _summarize(rows, writer: _ArtifactWriter) -> int:
+    """Write the summary of a certificate run; exit 0 when every verdict is the expected one."""
     ok = all(r["matches_expected"] for r in rows)
     writer.write_json("summary.json", {"certificates": rows, "all_match_expected": ok})
     return 0 if ok else 1
+
+
+def _cmd_check(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter) -> int:
+    certs = _selected_certificates(cfg, bundle, False)
+    return _summarize(_run_certificates(cfg, bundle, writer, certs), writer)
 
 
 def _cmd_falsify(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter) -> int:
@@ -292,10 +288,7 @@ def _cmd_reproduce(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWrite
         "bundle.json",
         {"name": bundle.name, "params": bundle.params, "notes": bundle.notes},
     )
-    rows = _run_certificates(cfg, bundle, writer, bundle.certificates)
-    ok = all(r["matches_expected"] for r in rows)
-    writer.write_json("summary.json", {"certificates": rows, "all_match_expected": ok})
-    return 0 if ok else 1
+    return _summarize(_run_certificates(cfg, bundle, writer, bundle.certificates), writer)
 
 
 def _cmd_envelope(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter) -> int:

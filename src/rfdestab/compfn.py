@@ -10,11 +10,10 @@ verification routines exploit exactly that property.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 __all__ = [
     "ComparisonFn",
@@ -255,19 +254,22 @@ def check_kl(
 
 # -- KL envelopes from decay rates --------------------------------------------
 
+FLOW_T_MAX = 60.0
+FLOW_ATOL = 1e-10
+FLOW_PROBES = np.logspace(-9, 3, 25)
+
+
 class _RateFlow:
     """Flow of y' = -rho(y) with per-initial-condition dense solutions.
 
-    Rows are solved on demand with an adaptive 4th/5th order pair at absolute
-    tolerance ``atol`` and cached by their exact initial value, so repeated
-    queries are cheap and deterministic.  Values are clamped at zero (the
-    exact flow never crosses it; the numerical one may undershoot by ~atol).
+    Rows are solved on demand with an adaptive 4th/5th order pair and cached
+    by their exact initial value, so repeated queries are cheap and
+    deterministic.  Values are clamped at zero (the exact flow never crosses
+    it; the numerical one may undershoot by ~FLOW_ATOL).
     """
 
-    def __init__(self, rho: Callable, t_max: float, atol: float):
+    def __init__(self, rho: Callable):
         self.rho = rho
-        self.t_max = float(t_max)
-        self.atol = float(atol)
         self._rows: dict = {}
 
     def _rhs(self, t, y):
@@ -279,9 +281,11 @@ class _RateFlow:
     def _row(self, s: float):
         sol = self._rows.get(s)
         if sol is None:
+            from scipy.integrate import solve_ivp  # SciPy's ODE suite loads on first use
+
             res = solve_ivp(
-                self._rhs, (0.0, self.t_max), [s],
-                method="RK45", rtol=1e-10, atol=self.atol, dense_output=True,
+                self._rhs, (0.0, FLOW_T_MAX), [s],
+                method="RK45", rtol=1e-10, atol=FLOW_ATOL, dense_output=True,
             )
             if not res.success:
                 raise RuntimeError(f"comparison flow failed from y(0)={s!r}: {res.message}")
@@ -289,75 +293,56 @@ class _RateFlow:
             self._rows[s] = sol
         return sol
 
-    def value(self, s: float, t: float) -> float:
+    def values(self, s: float, ts) -> np.ndarray:
+        """sigma(s, t) for a time or an array of times, in the shape of ``ts``;
+        times past FLOW_T_MAX chain through the value at FLOW_T_MAX."""
         if s < 0.0:
             raise ValueError("KL envelopes are defined for s >= 0")
-        if s == 0.0 or t <= 0.0:
-            return max(s, 0.0) if t <= 0.0 else 0.0
-        while t > self.t_max:
-            s = self.value(s, self.t_max)
-            t -= self.t_max
-            if s == 0.0:
-                return 0.0
-        return max(float(self._row(s)(t)[0]), 0.0)
-
-    def value_t_array(self, s: float, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         out = np.empty(ts.shape)
-        inside = ts <= self.t_max
-        if s <= 0.0:
-            out.fill(0.0)
-            out[ts <= 0.0] = max(s, 0.0)
-            return out
-        if np.any(inside):
-            vals = np.clip(self._row(s)(ts[inside])[0], 0.0, None)
-            out[inside] = vals
-        for i in np.nonzero(~inside)[0]:
-            out[i] = self.value(s, float(ts[i]))
-        out[ts <= 0.0] = s
-        return out
+        inside = ts <= FLOW_T_MAX
+        if inside.any():
+            out[inside] = np.clip(self._row(s)(ts[inside])[0], 0.0, None)
+        if not inside.all():
+            out[~inside] = self.values(float(self.values(s, FLOW_T_MAX)), ts[~inside] - FLOW_T_MAX)
+        return np.where(ts > 0.0, out, s)
 
 
 @dataclass(frozen=True)
 class KlFn:
-    """Two-argument decay envelope sigma(s, t)."""
+    """Two-argument decay envelope sigma(s, t); ``flow(s, ts)``, set by
+    :func:`kl_from_rate`, marks a rate flow and evaluates it on arrays of times."""
 
     fn: Callable
     name: str = "kl"
-    is_rate_flow: bool = False
-    t_array_fn: Callable | None = None
+    flow: Callable | None = None
 
     def __call__(self, s: float, t: float) -> float:
         return float(self.fn(s, t))
 
     def eval_t_array(self, s: float, ts: np.ndarray) -> np.ndarray:
-        if self.t_array_fn is not None:
-            return self.t_array_fn(s, ts)
+        if self.flow is not None:
+            return self.flow(s, ts)
         return np.array([self.fn(s, float(t)) for t in np.asarray(ts, dtype=float)])
 
 
-def kl_from_rate(
-    rho: ComparisonFn | Callable,
-    t_max: float = 60.0,
-    atol: float = 1e-10,
-    probe_grid: np.ndarray | None = None,
-) -> KlFn:
+def kl_from_rate(rho: ComparisonFn | Callable) -> KlFn:
     """KL envelope as the flow of y' = -rho(y); sigma(s, 0) = s exactly.
 
-    The rate must be nonnegative on the probe grid (class error otherwise).
-    Each queried initial value gets its own dense adaptive solution, cached,
-    so closed-form accuracy is limited only by the integration tolerance.
+    The rate must be nonnegative on FLOW_PROBES (25 log-spaced points in
+    [1e-9, 1e3]; class error otherwise).  Each queried initial value gets its
+    own dense adaptive solution on [0, FLOW_T_MAX] (60) at absolute tolerance
+    FLOW_ATOL (1e-10), cached, so closed-form accuracy is limited only by the
+    integration tolerance.
     """
     rate = rho.fn if isinstance(rho, ComparisonFn) else rho
-    if probe_grid is None:
-        probe_grid = np.logspace(-9, 3, 25)
-    probes = np.asarray([rate(s) for s in probe_grid], dtype=float)
+    probes = np.asarray([rate(s) for s in FLOW_PROBES], dtype=float)
     if np.any(probes < 0.0):
-        bad = probe_grid[int(np.argmin(probes))]
+        bad = FLOW_PROBES[int(np.argmin(probes))]
         raise ValueError(f"decay rate is negative at s={bad!r}; not positive definite")
-    flow = _RateFlow(rate, t_max, atol)
+    flow = _RateFlow(rate)
     label = rho.name if isinstance(rho, ComparisonFn) and rho.name else "rate"
-    return KlFn(flow.value, f"flow(-{label})", is_rate_flow=True, t_array_fn=flow.value_t_array)
+    return KlFn(flow.values, f"flow(-{label})", flow=flow.values)
 
 
 def fading_sup(sigma: KlFn, s_series: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -367,7 +352,7 @@ def fading_sup(sigma: KlFn, s_series: np.ndarray, times: np.ndarray) -> np.ndarr
     kl_from_rate): the running sup then satisfies
     w_{i+1} = max(sigma(w_i, dt), s_{i+1}).
     """
-    if not sigma.is_rate_flow:
+    if sigma.flow is None:
         raise ValueError("fading_sup needs a flow-backed KL envelope")
     s_series = np.asarray(s_series, dtype=float)
     times = np.asarray(times, dtype=float)

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .compfn import (
-    ComparisonFn,
     KlFn,
     constant,
     exp_weight,
@@ -38,7 +37,6 @@ from .compfn import (
 )
 from .history import HistorySegment, sample_history
 from .lyapunov import (
-    DiniOpts,
     LyapunovFunctional,
     RazumikhinFunction,
     SamplerSpec,
@@ -117,6 +115,14 @@ def _pick(value, default):
     return default if value is None else value
 
 
+def _sweep_spec(norm_bound: float, seed, samples, horizon) -> SamplerSpec:
+    """A falsification certificate's sampler: by default 2,000 samples, seed 0, t in [0, 5]."""
+    return SamplerSpec(
+        t_lo=0.0, t_hi=_pick(horizon, 5.0), norm_bound=norm_bound,
+        samples=_pick(samples, 2000), seed=_pick(seed, 0),
+    )
+
+
 # ---------------------------------------------------------------------------
 # example-4.8: cascade with delayed multiplicative input
 # ---------------------------------------------------------------------------
@@ -150,7 +156,6 @@ def example_4_8(r: float = 0.5, u_max: float = 1.0) -> ExampleBundle:
         d_box=np.array([[-1.0, 1.0]]),
         u_box=np.array([[-u_max, u_max]]),
         name="example-4.8",
-        params={"r": r, "u_max": u_max},
     )
 
     def v_eval(t, seg):
@@ -183,32 +188,19 @@ def example_4_8(r: float = 0.5, u_max: float = 1.0) -> ExampleBundle:
         evaluator=v_eval,
         analytic_dini=v_dini,
         name="quartic-window-energy",
-        params={"r": r},
     )
 
     zeta = power(4.0, 0.5)        # s -> s^4 / 2
-    delta_weight = exp_weight(2.0)
     rho = linear(0.5)
 
-    def run_weighted(seed=None, samples=None, tolerance=None, step=None, horizon=None):
-        spec = SamplerSpec(
-            t_lo=0.0,
-            t_hi=_pick(horizon, 5.0),
-            norm_bound=2.0,
-            samples=_pick(samples, 2000),
-            seed=_pick(seed, 0),
-        )
-        return check_lyapunov_ios(sys, V, zeta, delta_weight, rho, spec, tolerance=tolerance)
+    def guarded_sweep(delta):
+        """Runner of the guarded decay sweep with input-guard weight ``delta``."""
 
-    def run_unweighted(seed=None, samples=None, tolerance=None, step=None, horizon=None):
-        spec = SamplerSpec(
-            t_lo=0.0,
-            t_hi=_pick(horizon, 5.0),
-            norm_bound=2.0,
-            samples=_pick(samples, 2000),
-            seed=_pick(seed, 0),
-        )
-        return check_lyapunov_ios(sys, V, zeta, constant(1.0), rho, spec, tolerance=tolerance)
+        def run(seed=None, samples=None, tolerance=None, step=None, horizon=None):
+            spec = _sweep_spec(2.0, seed, samples, horizon)
+            return check_lyapunov_ios(sys, V, zeta, delta, rho, spec, tolerance=tolerance)
+
+        return run
 
     def run_divergence(seed=None, samples=None, tolerance=None, step=None, horizon=None):
         t_end = _pick(horizon, 10.0 + r)
@@ -248,7 +240,7 @@ def example_4_8(r: float = 0.5, u_max: float = 1.0) -> ExampleBundle:
                 "energy derivative + energy/2 stays nonpositive whenever "
                 "(e^{2t}|u|)^4/2 <= energy"
             ),
-            runner=run_weighted,
+            runner=guarded_sweep(exp_weight(2.0)),
         ),
         Certificate(
             checker="check_lyapunov_ios",
@@ -258,7 +250,7 @@ def example_4_8(r: float = 0.5, u_max: float = 1.0) -> ExampleBundle:
                 "with the time weight removed from the input guard the decay "
                 "inequality is violated at large t"
             ),
-            runner=run_unweighted,
+            runner=guarded_sweep(constant(1.0)),
         ),
         Certificate(
             checker="integrate",
@@ -371,7 +363,6 @@ def example_5_2(r: float = 0.5, eps: float = 1.0, L: float | None = None) -> Exa
         d_box=np.array([[-1.0, 1.0]]),
         u_box=None,
         name="example-5.2",
-        params={"r": r, "eps": eps, "L": L_val},
     )
 
     def vr_eval(t, x):
@@ -399,7 +390,6 @@ def example_5_2(r: float = 0.5, eps: float = 1.0, L: float | None = None) -> Exa
         analytic_dini=vr_dini,
         evaluator_many=vr_many,
         name="weighted-quadratic-energy",
-        params={"r": r, "c": c, "L": L_val},
     )
 
     rate_coeff = 4.0 * c / 33.0
@@ -410,7 +400,6 @@ def example_5_2(r: float = 0.5, eps: float = 1.0, L: float | None = None) -> Exa
     V_window = LyapunovFunctional(
         evaluator=lambda t, seg: vr_eval(t, seg.values[-1]),
         name="weighted-quadratic-energy-at-head",
-        params={"r": r},
     )
 
     # the two trajectory certificates read the same ensemble, one after the other
@@ -431,13 +420,7 @@ def example_5_2(r: float = 0.5, eps: float = 1.0, L: float | None = None) -> Exa
         return trajs
 
     def run_razumikhin(seed=None, samples=None, tolerance=None, step=None, horizon=None):
-        spec = SamplerSpec(
-            t_lo=0.0,
-            t_hi=_pick(horizon, 5.0),
-            norm_bound=2.0,
-            samples=_pick(samples, 2000),
-            seed=_pick(seed, 0),
-        )
+        spec = _sweep_spec(2.0, seed, samples, horizon)
         return check_razumikhin(sys, Vr, linear(0.5), decay_rate, spec, tolerance=tolerance)
 
     hold = KlFn(fn=lambda s, t: float(s), name="hold")
@@ -554,7 +537,6 @@ def example_5_4(R: float = 1.0, r: float = 1.0, u_max: float = 1.0) -> ExampleBu
         d_box=np.array([[-R, R]]),
         u_box=np.array([[-u_max, u_max]]),
         name="example-5.4",
-        params={"R": R, "r": r, "u_max": u_max},
     )
 
     four_R = 4.0 * R
@@ -579,7 +561,6 @@ def example_5_4(R: float = 1.0, r: float = 1.0, u_max: float = 1.0) -> ExampleBu
         analytic_dini=vr_dini,
         evaluator_many=vr_many,
         name="band-excess-energy",
-        params={"R": R},
     )
 
     zeta = power(4.0 / 3.0, 1.5 / R)
@@ -587,13 +568,7 @@ def example_5_4(R: float = 1.0, r: float = 1.0, u_max: float = 1.0) -> ExampleBu
     one = constant(1.0)
 
     def run_razumikhin(seed=None, samples=None, tolerance=None, step=None, horizon=None):
-        spec = SamplerSpec(
-            t_lo=0.0,
-            t_hi=_pick(horizon, 5.0),
-            norm_bound=4.0,
-            samples=_pick(samples, 2000),
-            seed=_pick(seed, 0),
-        )
+        spec = _sweep_spec(4.0, seed, samples, horizon)
         return check_razumikhin(
             sys,
             Vr,

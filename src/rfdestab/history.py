@@ -10,7 +10,6 @@ between.  Segments are immutable; every operation returns a new segment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,12 +25,6 @@ __all__ = [
 # absolute slack accepted when a query or a grid endpoint sits just outside
 # the window due to rounding
 RANGE_TOL = 1e-12
-
-# adjacent grid norms differing by more than this (relative) trigger the
-# one-shot midpoint refinement inside sup_norm
-REFINE_TOL = 1e-9
-
-DEFAULT_GRID_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -91,22 +84,6 @@ class HistorySegment:
         value = np.atleast_1d(np.asarray(value, dtype=float))
         grid = np.array([-delay, 0.0])
         return cls(delay, grid, np.vstack([value, value]))
-
-    @classmethod
-    def from_function(
-        cls,
-        delay: float,
-        fn: Callable[[float], Sequence[float]],
-        num_points: int = DEFAULT_GRID_POINTS,
-        knots: Iterable[float] = (),
-    ) -> "HistorySegment":
-        """Sample ``fn`` on a uniform grid plus any user knots."""
-        grid = np.linspace(-delay, 0.0, num_points)
-        extra = np.asarray(list(knots), dtype=float)
-        if extra.size:
-            grid = np.union1d(grid, extra)
-        vals = np.array([np.atleast_1d(np.asarray(fn(g), dtype=float)) for g in grid])
-        return cls(delay, grid, vals)
 
     # -- evaluation ----------------------------------------------------------
     def eval(self, theta: float) -> np.ndarray:
@@ -179,21 +156,10 @@ class HistorySegment:
 def sup_norm(segment: HistorySegment) -> float:
     """Largest Euclidean value norm over the window.
 
-    For a piecewise-linear segment the pointwise norm is convex on every
-    linear piece, so grid offsets already bracket the maximum; midpoints are
-    evaluated as the single bisection refinement whenever adjacent grid norms
-    disagree beyond REFINE_TOL (here: always, which is both cheaper to reason
-    about and strictly more conservative).
+    The norm is convex along every linear piece of the segment, so its
+    maximum sits at a grid offset: the result is the largest knot norm.
     """
-    norms = np.sqrt(np.einsum("ij,ij->i", segment.values, segment.values))
-    best = float(norms.max())
-    if segment.grid.size > 1:
-        gaps = np.abs(np.diff(norms))
-        if np.any(gaps > REFINE_TOL * (1.0 + best)):
-            mids = 0.5 * (segment.values[:-1] + segment.values[1:])
-            mid_norms = np.sqrt(np.einsum("ij,ij->i", mids, mids))
-            best = max(best, float(mid_norms.max()))
-    return best
+    return float(np.sqrt(np.einsum("ij,ij->i", segment.values, segment.values)).max())
 
 
 def extend(segment: HistorySegment, v, step: float) -> HistorySegment:

@@ -13,8 +13,9 @@ none was found at the stated tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -59,7 +60,6 @@ class LyapunovFunctional:
     evaluator: Callable[[float, HistorySegment], float]
     analytic_dini: Callable | None = None
     name: str = "V"
-    params: dict = field(default_factory=dict)
 
     def __call__(self, t: float, seg: HistorySegment) -> float:
         return float(self.evaluator(t, seg))
@@ -77,7 +77,6 @@ class RazumikhinFunction:
     analytic_dini: Callable | None = None
     evaluator_many: Callable | None = None
     name: str = "V"
-    params: dict = field(default_factory=dict)
 
     def __call__(self, t: float, x: np.ndarray) -> float:
         return float(self.evaluator(t, np.asarray(x, dtype=float)))
@@ -88,34 +87,32 @@ class RazumikhinFunction:
         return np.array([float(self.evaluator(t, x)) for t, x in zip(ts, X)])
 
 
+LADDER_STEPS = (1e-2, 1e-3, 1e-4)
+LADDER_PROBES = 8
+
+
 @dataclass(frozen=True)
 class DiniOpts:
-    h_ladder: tuple = (1e-2, 1e-3, 1e-4)
-    probes: int = 8
+    """Dini-derivative options: ``use_analytic`` prefers an attached analytic
+    derivative to the numeric ladder (steps LADDER_STEPS = 1e-2, 1e-3, 1e-4;
+    LADDER_PROBES = 8 sphere probes per step for window functionals)."""
+
     use_analytic: bool = True
 
 
-_PROBE_CACHE: dict = {}
+@functools.cache
+def _probe_directions(n: int) -> np.ndarray:
+    rng = np.random.default_rng(20240901)
+    dirs = rng.normal(size=(LADDER_PROBES, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return dirs
 
 
-def _probe_directions(n: int, count: int) -> np.ndarray:
-    key = (n, count)
-    if key not in _PROBE_CACHE:
-        rng = np.random.default_rng(20240901)
-        dirs = rng.normal(size=(count, n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        _PROBE_CACHE[key] = dirs
-    return _PROBE_CACHE[key]
-
-
-def _ladder(opts: DiniOpts, delay: float | None = None) -> tuple:
-    hs = tuple(sorted(set(float(h) for h in opts.h_ladder), reverse=True))
-    if not hs or hs[-1] <= 0:
-        raise ValueError("h_ladder must contain positive steps")
-    if delay is not None:
-        hs = tuple(h for h in hs if h < delay)
-        if not hs:
-            raise ValueError("every ladder step is at least the window length")
+def _steps_below(delay: float) -> tuple:
+    """The ladder steps shorter than the window, which a slide can take."""
+    hs = tuple(h for h in LADDER_STEPS if h < delay)
+    if not hs:
+        raise ValueError("every ladder step is at least the window length")
     return hs
 
 
@@ -158,10 +155,10 @@ def dini_functional(
     """Forward upper Dini derivative of a window functional.
 
     The window slides ahead by h with terminal slope v; quotients
-    [V(t+h, slid window + h*y) - V(t, x)]/h are taken over a shrinking
-    h-ladder with y = 0 and 8 sphere probes of radius h, and the largest
-    quotient at the smallest step is returned.  An analytic expression, when
-    attached, wins.
+    [V(t+h, slid window + h*y) - V(t, x)]/h are taken over the LADDER_STEPS
+    shorter than the window with y = 0 and LADDER_PROBES sphere probes of
+    radius h, and the largest quotient at the smallest step is returned.  An
+    analytic expression, when attached, wins.
     """
     opts = opts or DiniOpts()
     if V.analytic_dini is not None and opts.use_analytic:
@@ -173,8 +170,8 @@ def dini_functional(
     base = float(V.evaluator(t, x))
     if not math.isfinite(base):
         raise ValueError("functional evaluated to a non-finite value")
-    hs = _ladder(opts, x.delay)
-    dirs = _probe_directions(x.dim, opts.probes) if opts.probes else np.zeros((0, x.dim))
+    hs = _steps_below(x.delay)
+    dirs = _probe_directions(x.dim)
     qs = []
     for h in hs:
         slid = extend(x, v, h)
@@ -207,14 +204,13 @@ def dini_pointwise(
     base = float(Vr.evaluator(t, x))
     if not math.isfinite(base):
         raise ValueError("function evaluated to a non-finite value")
-    hs = _ladder(opts)
     qs = []
-    for h in hs:
+    for h in LADDER_STEPS:
         val = float(Vr.evaluator(t + h, x + h * v))
         if not math.isfinite(val):
             raise ValueError("function evaluated to a non-finite value")
         qs.append((val - base) / h)
-    return _extrapolate(hs, qs)
+    return _extrapolate(LADDER_STEPS, qs)
 
 
 # -- sampling ---------------------------------------------------------------------
@@ -228,8 +224,6 @@ class SamplerSpec:
     norm_bound: float = 2.0
     samples: int = 1000
     seed: int = 0
-    max_knots: int = 4
-    slope_cap: float | None = None
 
 
 @dataclass
@@ -269,17 +263,16 @@ def _witness_dict(t: float, seg: HistorySegment, u, d, residual: float) -> dict:
     }
 
 
-def _default_tol(has_analytic: bool, tolerance: float | None) -> tuple:
+def _default_tol(has_analytic: bool, tolerance: float | None) -> float:
     if tolerance is not None:
-        return float(tolerance), float(tolerance)
-    return (1e-9, 1e-9) if has_analytic else (1e-6, 1e-6)
+        return float(tolerance)
+    return 1e-9 if has_analytic else 1e-6
 
 
 def _falsify(
     sys: RfdeSystem,
     spec: SamplerSpec,
-    tol_abs: float,
-    tol_rel: float,
+    tol: float,
     draw_u: bool,
     guard: Callable | None,
     residual_fn: Callable,
@@ -298,9 +291,7 @@ def _falsify(
     tested = 0
     for _ in range(spec.samples):
         t = float(rng.uniform(spec.t_lo, spec.t_hi))
-        seg = sample_history(
-            rng, sys.delay_r, sys.dim_n, spec.norm_bound, spec.max_knots, spec.slope_cap
-        )
+        seg = sample_history(rng, sys.delay_r, sys.dim_n, spec.norm_bound)
         u = _uniform_box(rng, sys.u_box) if draw_u else sys.zero_input()
         d = _uniform_box(rng, sys.d_box)
         try:
@@ -315,7 +306,7 @@ def _falsify(
         if residual > worst:
             worst = residual
             worst_wit = (t, seg, u, d, residual)
-        if residual > tol_abs + tol_rel * abs(scale):
+        if residual > tol + tol * abs(scale):
             found = True
     if found:
         verdict = "counterexample"
@@ -331,7 +322,7 @@ def _falsify(
         samples_tested=tested,
         worst_residual=worst if tested else 0.0,
         witness=witness,
-        tolerance=tol_abs,
+        tolerance=tol,
         seed=spec.seed,
         guard_skipped=skipped,
         eval_failures=failures,
@@ -359,8 +350,8 @@ def check_lyapunov_decay(
     dini_opts: DiniOpts | None = None,
 ) -> FalsificationReport:
     """Falsify derivative(V) + rho(V) <= 0 along the dynamics with zero input."""
-    tol_abs, tol_rel = _default_tol(V.analytic_dini is not None, tolerance)
-    return _falsify(sys, spec, tol_abs, tol_rel, False, None, _functional_residual(sys, V, rho, dini_opts))
+    tol = _default_tol(V.analytic_dini is not None, tolerance)
+    return _falsify(sys, spec, tol, False, None, _functional_residual(sys, V, rho, dini_opts))
 
 
 def check_lyapunov_ios(
@@ -378,14 +369,14 @@ def check_lyapunov_ios(
     and counted."""
     if sys.u_box is None:
         raise ValueError("system declares no input channel")
-    tol_abs, tol_rel = _default_tol(V.analytic_dini is not None, tolerance)
+    tol = _default_tol(V.analytic_dini is not None, tolerance)
 
     def guard(t, seg, u):
         return float(zeta(float(delta(t)) * float(np.linalg.norm(u)))) <= float(
             V.evaluator(t, seg)
         )
 
-    return _falsify(sys, spec, tol_abs, tol_rel, True, guard, _functional_residual(sys, V, rho, dini_opts))
+    return _falsify(sys, spec, tol, True, guard, _functional_residual(sys, V, rho, dini_opts))
 
 
 def check_razumikhin(
@@ -419,7 +410,7 @@ def check_razumikhin(
         rate = lambda t, val: float(rho(val))
     else:
         rate = lambda t, val: float(rho(t, val))
-    tol_abs, tol_rel = _default_tol(Vr.analytic_dini is not None, tolerance)
+    tol = _default_tol(Vr.analytic_dini is not None, tolerance)
     draw_u = sys.u_box is not None and zeta is not None
 
     def guard(t, seg, u):
@@ -440,7 +431,7 @@ def check_razumikhin(
         dv = dini_pointwise(Vr, t, x0, v, dini_opts)
         return dv + rate(t, v0), dv
 
-    return _falsify(sys, spec, tol_abs, tol_rel, draw_u, guard, residual_fn)
+    return _falsify(sys, spec, tol, draw_u, guard, residual_fn)
 
 
 # -- regularity probe -------------------------------------------------------------
@@ -474,7 +465,6 @@ def check_almost_lipschitz(
     sample_count: int = 1000,
     rng: np.random.Generator | None = None,
     slope_cap: float | None = None,
-    h_ladder: tuple = (1e-2, 1e-3, 1e-4),
 ) -> AlmostLipschitzReport:
     """Estimate the two regularity moduli of a window functional on a ball.
 
@@ -489,9 +479,7 @@ def check_almost_lipschitz(
     rng = rng or np.random.default_rng(0)
     if slope_cap is None:
         slope_cap = 8.0 * norm_bound / delay
-    hs = sorted((h for h in h_ladder if h < delay), reverse=True)
-    if not hs:
-        raise ValueError("no ladder step is below the window length")
+    hs = _steps_below(delay)
     m_pairs = []  # (distance, quotient)
     p_rows = []   # quotients per ladder rung
     for i in range(sample_count):

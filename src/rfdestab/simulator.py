@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -64,7 +64,6 @@ class RfdeSystem:
     u_box: np.ndarray | None = None
     period_T: float | None = None
     name: str = "system"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "d_box", np.asarray(self.d_box, dtype=float))
@@ -341,7 +340,6 @@ def integrate(
 
     status = "completed"
     t_event = None
-    node_times = [t0]
     seg0 = dense.window_segment(t0)
     uk = u_at(t0)
     dk = d_at(t0)
@@ -378,11 +376,9 @@ def integrate(
         if not np.isfinite(f_end).all():
             status = "step_failure"
             t_event = float(tb)
-            node_times.append(float(tb))
             break
         dense.DIN[dense.count - 1] = f_end
 
-        node_times.append(float(tb))
         if opts.record_output:
             outputs.append(system.output(tb, seg_b))
 
@@ -404,14 +400,12 @@ def integrate(
             t_event = float(tb)
             break
 
-    times = np.asarray(node_times)
     k0 = x0.grid.size
-    states = dense.V[k0 - 1 : dense.count].copy()
     return Trajectory(
         system=system,
         t0=t0,
-        times=times,
-        states=states,
+        times=dense.K[k0 - 1 : dense.count].copy(),
+        states=dense.V[k0 - 1 : dense.count].copy(),
         initial=x0,
         u=u,
         d=d,

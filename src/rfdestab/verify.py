@@ -119,12 +119,6 @@ def _envelope_check(trajs: Sequence[Trajectory], series: Callable, tolerance: fl
     return EnvelopeCheck("pass" if passed else "fail", slacks, tolerance, None if passed else witness)
 
 
-def _observed_series(traj: Trajectory, observe: Callable | None) -> np.ndarray:
-    if observe is not None:
-        return np.asarray([float(observe(traj, k)) for k in range(traj.times.size)])
-    return traj.output_norms()
-
-
 def _input_levels(traj: Trajectory, gain: ComparisonFn, weight: ComparisonFn) -> np.ndarray:
     """gain(weight(t)|u(t)|) at every node; zero without an input signal.
 
@@ -142,21 +136,18 @@ def verify_rgaos_envelope(
     trajs: Sequence[Trajectory],
     sigma: KlFn,
     beta: ComparisonFn,
-    observe: Callable | None = None,
     tolerance: float = 1e-9,
 ) -> EnvelopeCheck:
-    """Check observed output norms against the pure decay envelope
+    """Check recorded output norms against the pure decay envelope
     sigma(beta(t0) * initial window norm, elapsed) at every grid time.
 
-    ``observe(traj, k)`` may override what is measured (defaults to the
-    recorded output norm).  A trajectory that did not complete fails with its
-    truncation point as witness.
+    A trajectory that did not complete fails with its truncation point as
+    witness.
     """
 
     def series(traj):
         s0 = float(beta(traj.t0)) * sup_norm(traj.initial)
-        vals = _observed_series(traj, observe)
-        return traj.times, vals, sigma.eval_t_array(s0, traj.times - traj.t0)
+        return traj.times, traj.output_norms(), sigma.eval_t_array(s0, traj.times - traj.t0)
 
     return _envelope_check(trajs, series, tolerance)
 
@@ -167,17 +158,15 @@ def verify_ios_envelope(
     beta: ComparisonFn,
     gamma: ComparisonFn,
     delta: ComparisonFn,
-    observe: Callable | None = None,
     tolerance: float = 1e-9,
 ) -> EnvelopeCheck:
     """Check output norms against max{decay envelope, running weighted gain}."""
 
     def series(traj):
         s0 = float(beta(traj.t0)) * sup_norm(traj.initial)
-        vals = _observed_series(traj, observe)
         env = sigma.eval_t_array(s0, traj.times - traj.t0)
         gain = np.maximum.accumulate(_input_levels(traj, gamma, delta))
-        return traj.times, vals, np.maximum(env, gain)
+        return traj.times, traj.output_norms(), np.maximum(env, gain)
 
     return _envelope_check(trajs, series, tolerance)
 
@@ -458,7 +447,6 @@ def iosify_system(
         u_box=None,
         period_T=sys.period_T,
         name=sys.name + "+embedded-input",
-        params=dict(sys.params, embedding_mode=mode),
     )
 
 
@@ -469,7 +457,6 @@ def fit_kl_envelope(
     beta: ComparisonFn,
     bins: int = 8,
     inflate: float = 1.05,
-    observe: Callable | None = None,
 ) -> KlFn:
     """Fit a tabulated two-argument decay envelope from an ensemble.
 
@@ -498,7 +485,7 @@ def fit_kl_envelope(
         acc = np.zeros(grid.size)
         for i in g:
             tr = trajs[i]
-            vals = _observed_series(tr, observe)
+            vals = tr.output_norms()
             suffix = np.maximum.accumulate(vals[::-1])[::-1]
             elapsed = tr.times - tr.t0
             interp = np.interp(grid, elapsed, suffix, left=suffix[0], right=suffix[-1])
@@ -539,4 +526,4 @@ def fit_kl_envelope(
             val *= s / edges_arr[0]  # pinch to zero at s = 0
         return float(val * scale)
 
-    return KlFn(fn=evaluate, name="fitted-envelope", is_rate_flow=False)
+    return KlFn(fn=evaluate, name="fitted-envelope")

@@ -1,5 +1,9 @@
 """Comparison-function algebra: class checks, KL envelopes, small gain, wrapping."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -151,6 +155,17 @@ class TestKlFromRate:
             ]
         )
         assert np.allclose(fast, brute, atol=1e-7)
+
+    def test_fading_sup_needs_a_rate_flow(self):
+        sigma = KlFn(fn=lambda s, t: s * np.exp(-t), name="exp")
+        with pytest.raises(ValueError, match="flow-backed"):
+            fading_sup(sigma, np.ones(3), np.arange(3.0))
+
+    def test_import_leaves_the_ode_suite_unloaded(self):
+        # SciPy's ODE suite loads only when a rate flow is first solved
+        code = "import sys, rfdestab; assert 'scipy.integrate' not in sys.modules"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestSmallGain:

@@ -61,7 +61,8 @@ class TestSupNorm:
         assert sup_norm(seg) == pytest.approx(1.0)
 
     def test_interior_norm_max_bracketed(self):
-        # components (1-t, t) cross: vector norm has an interior max between knots
+        # the components cross zero together: the norm is sqrt(2) at both knots
+        # and 0 at the midpoint, so the maximum sits at the knots
         seg = HistorySegment(
             1.0,
             np.array([-1.0, 0.0]),

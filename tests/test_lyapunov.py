@@ -70,6 +70,11 @@ class TestDiniFunctional:
         numeric = dini_functional(V, 0.0, seg, np.zeros(1), NUMERIC)
         assert numeric == pytest.approx(0.0, abs=1e-6)
 
+    def test_window_shorter_than_every_ladder_step(self):
+        seg = HistorySegment.constant(1e-4, [1.0])
+        with pytest.raises(ValueError, match="every ladder step is at least the window length"):
+            dini_functional(V_SQUARE, 0.0, seg, np.array([1.0]), NUMERIC)
+
     def test_time_dependence_included(self):
         # V = e^{-2t} |x(0)|^2: moving time forward contributes -2V
         V = LyapunovFunctional(
