@@ -149,7 +149,9 @@ class _ArtifactWriter:
         self.hashes[name] = hashlib.sha256(data).hexdigest()
 
     def write_json(self, name: str, obj) -> None:
-        self.write_text(name, json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
+        # strict JSON: a NaN or an infinity raises instead of writing NaN/Infinity
+        text = json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+        self.write_text(name, text + "\n")
 
 
 def _signal_from(spec, box, t_hi: float, seed: int):

@@ -142,11 +142,11 @@ def example_4_8(r: float = 0.5, u_max: float = 1.0) -> ExampleBundle:
         raise ValueError("u_max must be positive")
 
     def dynamics(t, seg, u, d):
-        x1, x2 = seg.values[-1]
-        return np.array([d[0] * x1, -x2 + seg.values[0, 0] * u[0]])
+        x1, x2 = seg.head
+        return np.array([d[0] * x1, -x2 + seg.delayed[0] * u[0]])
 
     def output(t, seg):
-        return seg.values[-1, 1:2]
+        return seg.head[1:2]
 
     sys = RfdeSystem(
         delay_r=r,
@@ -348,9 +348,9 @@ def example_5_2(r: float = 0.5, eps: float = 1.0, L: float | None = None) -> Exa
     L_val = float(L)
 
     def dynamics(t, seg, u, d):
-        x1, x2 = seg.values[-1]
+        x1, x2 = seg.head
         et = math.exp(t)
-        window_integral = float(np.trapezoid(seg.values[:, 0], seg.grid))
+        window_integral = float(seg.integral()[0])
         z2 = x2 + 4.0 * et * x1
         feedback = -4.0 * et * x1 - 16.5 * et * et * x1 - 4.0 * et * x2 - L_val * et * z2
         return np.array([d[0] * et * window_integral + x2, feedback])
@@ -398,7 +398,7 @@ def example_5_2(r: float = 0.5, eps: float = 1.0, L: float | None = None) -> Exa
         return rate_coeff * math.exp(t) * value
 
     V_window = LyapunovFunctional(
-        evaluator=lambda t, seg: vr_eval(t, seg.values[-1]),
+        evaluator=lambda t, seg: vr_eval(t, seg.head),
         name="weighted-quadratic-energy-at-head",
     )
 
@@ -523,8 +523,8 @@ def example_5_4(R: float = 1.0, r: float = 1.0, u_max: float = 1.0) -> ExampleBu
         return np.sign(values) * np.maximum(np.abs(values) - band, 0.0)
 
     def dynamics(t, seg, u, d):
-        x0 = seg.values[-1, 0]
-        return np.array([d[0] * seg.values[0, 0] - x0 ** 3 + u[0]])
+        x0 = seg.head[0]
+        return np.array([d[0] * seg.delayed[0] - x0 ** 3 + u[0]])
 
     def output(t, seg):
         return HistorySegment(seg.delay, seg.grid, dead_zone(seg.values))

@@ -27,9 +27,14 @@ __all__ = [
 RANGE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HistorySegment:
-    """State history on [-delay, 0], piecewise linear between grid offsets."""
+    """State history on [-delay, 0], piecewise linear between grid offsets.
+
+    ``head`` (the state now), ``delayed`` (the state one delay ago) and
+    ``integral()`` are what most dynamics read; the integrator's windows
+    answer them without building ``grid`` and ``values``.
+    """
 
     delay: float
     grid: np.ndarray     # (k,) strictly increasing offsets, covers [-delay, 0]
@@ -65,18 +70,34 @@ class HistorySegment:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
-    # -- trusted fast path used by the integrator (skips validation) --------
-    @classmethod
-    def _trusted(cls, delay: float, grid: np.ndarray, values: np.ndarray):
-        seg = object.__new__(cls)
-        object.__setattr__(seg, "delay", delay)
-        object.__setattr__(seg, "grid", grid)
-        object.__setattr__(seg, "values", values)
-        return seg
+    def __eq__(self, other):
+        if not isinstance(other, HistorySegment):
+            return NotImplemented
+        return (
+            self.delay == other.delay
+            and np.array_equal(self.grid, other.grid)
+            and np.array_equal(self.values, other.values)
+        )
 
     @property
     def dim(self) -> int:
         return self.values.shape[1]
+
+    # -- what dynamics read ----------------------------------------------------
+    @property
+    def head(self) -> np.ndarray:
+        """The row at offset 0, x(t)."""
+        return self.values[-1]
+
+    @property
+    def delayed(self) -> np.ndarray:
+        """The row at offset -delay, x(t - delay)."""
+        return self.values[0]
+
+    def integral(self) -> np.ndarray:
+        """Trapezoid integral of each state column over the window; column j
+        is ``np.trapezoid(values[:, j], grid)``."""
+        return np.array([np.trapezoid(col, self.grid) for col in self.values.T])
 
     # -- constructors --------------------------------------------------------
     @classmethod

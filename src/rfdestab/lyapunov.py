@@ -236,6 +236,7 @@ class FalsificationReport:
     seed: int
     guard_skipped: int = 0
     eval_failures: int = 0
+    first_failure: dict | None = None  # {"type", "message"} of the first swallowed error
 
     def __post_init__(self):
         if self.verdict == "counterexample":
@@ -250,6 +251,9 @@ class FalsificationReport:
             "witness": self.witness,
             "tolerance": self.tolerance,
             "seed": self.seed,
+            "guard_skipped": self.guard_skipped,
+            "eval_failures": self.eval_failures,
+            "first_failure": self.first_failure,
         }
 
 
@@ -288,6 +292,7 @@ def _falsify(
     found = False
     skipped = 0
     failures = 0
+    first_failure = None
     tested = 0
     for _ in range(spec.samples):
         t = float(rng.uniform(spec.t_lo, spec.t_hi))
@@ -299,8 +304,10 @@ def _falsify(
                 skipped += 1
                 continue
             residual, scale = residual_fn(t, seg, u, d)
-        except (ValueError, FloatingPointError, ZeroDivisionError, OverflowError):
+        except (ValueError, FloatingPointError, ZeroDivisionError, OverflowError) as err:
             failures += 1
+            if first_failure is None:
+                first_failure = {"type": type(err).__name__, "message": str(err)}
             continue
         tested += 1
         if residual > worst:
@@ -326,6 +333,7 @@ def _falsify(
         seed=spec.seed,
         guard_skipped=skipped,
         eval_failures=failures,
+        first_failure=first_failure,
     )
 
 

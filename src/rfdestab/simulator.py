@@ -16,6 +16,7 @@ outcome for the experiments this package runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -119,6 +120,13 @@ class _Dense:
         self.DOUT[: k0 - 1] = slopes
         self.DIN[1:k0] = slopes
         self.DIN[0] = slopes[0]
+        # running trapezoid integral of the stored polyline from K[0] on,
+        # so a window's integral is a difference of two rows
+        self.CUM = np.empty((capacity, n))
+        self.CUM[0] = 0.0
+        self.CUM[1:k0] = np.cumsum(
+            (0.5 * np.diff(self.K[:k0]))[:, None] * (x0.values[1:] + x0.values[:-1]), axis=0
+        )
         self.count = k0
         self.delay = x0.delay
         # rounding K - tau (in [-delay, 0]) cannot merge knots further apart
@@ -132,6 +140,7 @@ class _Dense:
         self.K[c] = t
         self.V[c] = x
         self.DIN[c] = din
+        self.CUM[c] = self.CUM[c - 1] + (0.5 * (t - self.K[c - 1])) * (x + self.V[c - 1])
         self.count = c + 1
 
     def _basis(self, s):
@@ -140,8 +149,11 @@ class _Dense:
         return 2 * s3 - 3 * s2 + 1, s3 - 2 * s2 + s, -2 * s3 + 3 * s2, s3 - s2
 
     def eval_one(self, t: float) -> np.ndarray:
+        return self._eval_in(int(np.searchsorted(self.K[: self.count], t, side="right")) - 1, t)
+
+    def _eval_in(self, j: int, t: float) -> np.ndarray:
+        """Dense value at ``t``, which the search put after knot ``j``."""
         c = self.count
-        j = int(np.searchsorted(self.K[:c], t, side="right")) - 1
         if j < 0:
             j = 0
         if j >= c - 1:
@@ -182,8 +194,8 @@ class _Dense:
             out[at_top] = self.V[j[at_top] + 1]
         return out
 
-    def window_segment(self, tau: float, prov: np.ndarray | None = None) -> HistorySegment:
-        """History snapshot on [tau - delay, tau].
+    def window_segment(self, tau: float, prov: np.ndarray | None = None) -> _Window:
+        """History snapshot on [tau - delay, tau], as a view of the store.
 
         Inner knots are the stored knots strictly below ``tau``; the left
         endpoint is interpolated when it falls between knots.  The row at
@@ -198,32 +210,97 @@ class _Dense:
         lo = tau - r
         K = self.K
         i0 = int(np.searchsorted(K[:c], lo, side="right"))
-        head_row = i0 - 1 if i0 > 0 and K[i0 - 1] == lo else None
+        tail_row = i0 - 1 if i0 > 0 and K[i0 - 1] == lo else None
         # a knot just above lo can still land on offset -r after subtraction;
-        # fold it into the head so the offset grid stays strictly increasing
+        # fold it into the tail so the offset grid stays strictly increasing
         while i0 < c and K[i0] - tau <= -r:
-            head_row = i0
+            tail_row = i0
             i0 += 1
         if prov is None:
             i1 = int(np.searchsorted(K[:c], tau, side="left"))
+            prov = self.eval_one(tau)
         else:
             i1 = c if K[c - 1] < tau else c - 1  # prov supersedes a knot at tau
+        # without a fold, the search for i0 is eval_one(lo)'s own search
+        tail = self._eval_in(i0 - 1, lo) if tail_row is None else self.V[tail_row]
+        return _Window(self, tau, i0, i1, tail, prov)
+
+
+class _Window(HistorySegment):
+    """The window [tau - delay, tau] of a dense store, without a copy.
+
+    It holds the store, the index range ``i0:i1`` of the inner knots and the
+    rows at -delay and 0.  ``head``, ``delayed`` and ``integral()`` cost O(1);
+    ``grid`` and ``values`` cost one O(delay/step) copy on first read and are
+    kept.  The store only appends, so a window stays valid as it grows.
+    """
+
+    def __init__(self, dense: _Dense, tau: float, i0: int, i1: int, tail, head):
+        tail.flags.writeable = False
+        head.flags.writeable = False
+        self.__dict__.update(
+            delay=dense.delay, _dense=dense, _tau=tau, _i0=i0, _i1=i1, _tail=tail, _head=head
+        )
+
+    def with_head(self, head: np.ndarray) -> _Window:
+        """The same window with another row at offset 0: the RK stages that
+        share a time share the search for the lower end."""
+        return _Window(self._dense, self._tau, self._i0, self._i1, self._tail, head)
+
+    @property
+    def dim(self) -> int:
+        return self._dense.n
+
+    @property
+    def head(self) -> np.ndarray:
+        return self._head
+
+    @property
+    def delayed(self) -> np.ndarray:
+        return self._tail
+
+    def integral(self) -> np.ndarray:
+        """Per-column trapezoid integral: the two end pieces, with the widths
+        of the offset grid, plus the running integral of the store between
+        the inner knots."""
+        K, V, C = self._dense.K, self._dense.V, self._dense.CUM
+        i0, i1, tau = self._i0, self._i1, self._tau
+        if i0 == i1:
+            return (0.5 * self.delay) * (self._tail + self._head)
+        return (
+            (0.5 * ((K[i0] - tau) + self.delay)) * (self._tail + V[i0])
+            + (C[i1 - 1] - C[i0])
+            + (0.5 * (tau - K[i1 - 1])) * (V[i1 - 1] + self._head)
+        )
+
+    @property
+    def grid(self) -> np.ndarray:
+        return self._rows[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._rows[1]
+
+    @functools.cached_property
+    def _rows(self) -> tuple:
+        dense = self._dense
+        i0, i1 = self._i0, self._i1
         size = i1 - i0 + 2
         grid = np.empty(size)
-        vals = np.empty((size, self.n))
-        grid[0] = -r
-        vals[0] = self.eval_one(lo) if head_row is None else self.V[head_row]
-        grid[1:-1] = K[i0:i1] - tau
-        vals[1:-1] = self.V[i0:i1]
+        vals = np.empty((size, dense.n))
+        grid[0] = -self.delay
+        vals[0] = self._tail
+        grid[1:-1] = dense.K[i0:i1] - self._tau
+        vals[1:-1] = dense.V[i0:i1]
         grid[-1] = 0.0
-        vals[-1] = self.eval_one(tau) if prov is None else prov
-        if self.close_knots:
+        vals[-1] = self._head
+        if dense.close_knots:
             # keep the last knot of each run that rounded onto one offset
             last = np.concatenate([[True], np.diff(grid[1:]) > 0.0, [True]])
             grid, vals = grid[last], vals[last]
         grid.flags.writeable = False
         vals.flags.writeable = False
-        return HistorySegment._trusted(r, grid, vals)
+        return grid, vals
 
 
 @dataclass
@@ -355,23 +432,22 @@ def integrate(
         k1 = dense.DOUT[dense.count - 1]
 
         tm = ta + 0.5 * hk
-        k2 = np.asarray(f(tm, dense.window_segment(tm, xk + (0.5 * hk) * k1), uk, dk), dtype=float)
-        k3 = np.asarray(f(tm, dense.window_segment(tm, xk + (0.5 * hk) * k2), uk, dk), dtype=float)
-        k4 = np.asarray(f(tb, dense.window_segment(tb, xk + hk * k3), uk, dk), dtype=float)
+        seg_m = dense.window_segment(tm, xk + (0.5 * hk) * k1)
+        k2 = np.asarray(f(tm, seg_m, uk, dk), dtype=float)
+        k3 = np.asarray(f(tm, seg_m.with_head(xk + (0.5 * hk) * k2), uk, dk), dtype=float)
+        seg_b = dense.window_segment(tb, xk + hk * k3)
+        k4 = np.asarray(f(tb, seg_b, uk, dk), dtype=float)
         x_next = xk + (hk / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-        if not (
-            np.isfinite(x_next).all()
-            and np.isfinite(k2).all()
-            and np.isfinite(k3).all()
-            and np.isfinite(k4).all()
-        ):
+        # hk > 0, so x_next is non-finite whenever a stage is
+        if not np.isfinite(x_next).all():
             status = "step_failure"
             t_event = float(tb)
             break
 
         dense.append(tb, x_next, k4)
-        seg_b = dense.window_segment(tb, x_next)
+        # the node window has the lower end of k4's: appending at tb moves neither
+        seg_b = seg_b.with_head(x_next)
         f_end = np.asarray(f(tb, seg_b, uk, dk), dtype=float)
         if not np.isfinite(f_end).all():
             status = "step_failure"

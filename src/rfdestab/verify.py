@@ -14,7 +14,7 @@ and an empirical envelope fitter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,6 +61,7 @@ class EnvelopeCheck:
     slacks: list
     tolerance: float
     witness: tuple | None
+    reasons: dict = field(default_factory=dict)  # trajectory index -> why its slack is infinite
 
     def __post_init__(self):
         ok = all(s >= -self.tolerance for s in self.slacks)
@@ -72,19 +73,32 @@ class EnvelopeCheck:
         return self.verdict == "pass"
 
     def to_json_dict(self) -> dict:
+        """Strict JSON: a non-finite number is written as null, and
+        ``nonfinite`` maps its key to the value and the reason."""
+        nonfinite = {}
+
+        def number(key, x, i):
+            x = float(x)
+            if math.isfinite(x):
+                return x
+            nonfinite[key] = f"{x}: {self.reasons.get(i, 'a compared value is not finite')}"
+            return None
+
         wit = None
         if self.witness is not None:
+            i = int(self.witness[0])
             wit = {
-                "trajectory": int(self.witness[0]),
-                "t": float(self.witness[1]),
-                "observed": float(self.witness[2]),
-                "allowed": float(self.witness[3]),
+                "trajectory": i,
+                "t": number("witness.t", self.witness[1], i),
+                "observed": number("witness.observed", self.witness[2], i),
+                "allowed": number("witness.allowed", self.witness[3], i),
             }
         return {
             "verdict": self.verdict,
-            "slacks": [float(s) for s in self.slacks],
+            "slacks": [number(f"slacks[{i}]", s, i) for i, s in enumerate(self.slacks)],
             "tolerance": self.tolerance,
             "witness": wit,
+            "nonfinite": nonfinite,
         }
 
 
@@ -98,16 +112,19 @@ def _envelope_check(trajs: Sequence[Trajectory], series: Callable, tolerance: fl
     witness, kept only when the check fails.
     """
     slacks = []
+    reasons = {}
     witness = None
     worst = math.inf
     for i, traj in enumerate(trajs):
         if traj.status != "completed":
             slacks.append(-math.inf)
+            reasons[i] = f"the run stopped ({traj.status}) at t = {traj.t_event!r}"
             witness = (i, traj.t_event or traj.t0, math.inf, 0.0)
             continue
         times, observed, allowed = series(traj)
         if observed.size == 0:
             slacks.append(math.inf)
+            reasons[i] = "nothing to compare"
             continue
         slack_arr = allowed - observed
         k = int(np.argmin(slack_arr))
@@ -116,7 +133,9 @@ def _envelope_check(trajs: Sequence[Trajectory], series: Callable, tolerance: fl
             worst = float(slack_arr[k])
             witness = (i, float(times[k]), float(observed[k]), float(allowed[k]))
     passed = all(s >= -tolerance for s in slacks)
-    return EnvelopeCheck("pass" if passed else "fail", slacks, tolerance, None if passed else witness)
+    return EnvelopeCheck(
+        "pass" if passed else "fail", slacks, tolerance, None if passed else witness, reasons
+    )
 
 
 def _input_levels(traj: Trajectory, gain: ComparisonFn, weight: ComparisonFn) -> np.ndarray:

@@ -401,6 +401,16 @@ class TestEnvelope:
 
 
 class TestErrorPaths:
+    def test_artifacts_refuse_nonfinite_numbers(self, tmp_path):
+        from rfdestab.cli import _ArtifactWriter
+
+        writer = _ArtifactWriter(tmp_path)
+        writer.write_json("ok.json", {"a": 1.5})
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                writer.write_json("bad.json", {"a": [bad]})
+        assert not (tmp_path / "bad.json").exists()
+
     def test_unknown_system_lists_known_names(self, tmp_path, capsys):
         rc = main(["check", "no-such-system", "--seed", "0", "--out", str(tmp_path / "a")])
         assert rc == 2

@@ -176,6 +176,23 @@ class TestDecayFalsifier:
         text = json.dumps(rep.to_json_dict())
         assert "counterexample" in text
 
+    def test_report_names_its_failures(self):
+        def dynamics(t, seg, u, d):
+            if t > 4.0:
+                raise ValueError("dynamics undefined after t = 4")
+            return -seg.head
+
+        sys_ = RfdeSystem(1.0, 1, dynamics, lambda t, seg: seg.head, ZERO_D)
+        spec = SamplerSpec(samples=200, seed=0)
+        rep = check_lyapunov_decay(sys_, V_SQUARE, linear(1.0), spec).to_json_dict()
+        assert rep["eval_failures"] > 0 and rep["guard_skipped"] == 0
+        assert rep["samples"] + rep["eval_failures"] == 200
+        assert rep["first_failure"] == {
+            "type": "ValueError", "message": "dynamics undefined after t = 4",
+        }
+        clean = check_lyapunov_decay(CONTRACTION, V_SQUARE, linear(1.0), spec).to_json_dict()
+        assert clean["eval_failures"] == 0 and clean["first_failure"] is None
+
 
 class TestIosFalsifier:
     def test_zero_input_box_reduces_to_decay(self):

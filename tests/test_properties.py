@@ -1,6 +1,12 @@
 """Property tests for the invariants of windows, the dense store and signals."""
 
+import copy
+import math
+import pickle
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -9,9 +15,12 @@ from rfdestab import (
     IntegrateOpts,
     PiecewiseSignal,
     RfdeSystem,
+    SignalSpec,
+    build_example,
     extend,
     integrate,
     sample_history,
+    sample_signal,
     sup_norm,
 )
 from rfdestab.simulator import _trailing_window_max
@@ -47,6 +56,17 @@ class TestSegmentEvaluation:
         many = seg.eval_many(thetas)
         for k, theta in enumerate(thetas):
             assert np.array_equal(seg.eval(theta), many[k])
+
+
+class TestAccessors:
+    @SETTINGS
+    @given(segments())
+    def test_rows_and_columnwise_trapezoid(self, seg):
+        assert np.array_equal(seg.head, seg.values[-1])
+        assert np.array_equal(seg.delayed, seg.values[0])
+        integral = seg.integral()
+        for j in range(seg.dim):
+            assert integral[j] == np.trapezoid(seg.values[:, j], seg.grid)
 
 
 class TestSupNorm:
@@ -127,22 +147,56 @@ def _check_window(seg, t, r, K, V):
     assert np.array_equal(seg.values[1:-1], V[inside])
 
 
+# a run of the dense store: delay, step, start time, span, switch nodes and
+# levels of d, off-node query times and the initial window's seed
+DENSE_RUNS = dict(
+    r=st.floats(0.05, 2.0),
+    steps_per_delay=st.integers(2, 30),
+    t0=st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(1e3, 1e6)),
+    span=st.floats(0.3, 3.0),
+    fracs=st.lists(st.floats(0.0, 1.0), max_size=4),
+    levels=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+    queries=st.lists(st.floats(0.0, 1.0), max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a switch node so close to t0 that both land on one offset
+CLOSE_SWITCH = dict(
+    r=1.0, steps_per_delay=2, t0=0.0, span=1.0, fracs=[1.6567910543969661e-261],
+    levels=[0.0] * 5, queries=[], seed=0,
+)
+
+
+def _copied_window(dense, t, head=None):
+    """Grid and values of the window at ``t`` built as a copy, the way the
+    integrator built every window before windows became views of the store.
+    ``head`` is the row at offset 0 (the dense value at ``t`` when None)."""
+    r, c, K = dense.delay, dense.count, dense.K
+    lo = t - r
+    i0 = int(np.searchsorted(K[:c], lo, side="right"))
+    tail_row = i0 - 1 if i0 > 0 and K[i0 - 1] == lo else None
+    while i0 < c and K[i0] - t <= -r:
+        tail_row = i0
+        i0 += 1
+    i1 = int(np.searchsorted(K[:c], t, side="left"))
+    size = i1 - i0 + 2
+    grid = np.empty(size)
+    vals = np.empty((size, dense.n))
+    grid[0] = -r
+    vals[0] = dense.eval_one(lo) if tail_row is None else dense.V[tail_row]
+    grid[1:-1] = K[i0:i1] - t
+    vals[1:-1] = dense.V[i0:i1]
+    grid[-1] = 0.0
+    vals[-1] = dense.eval_one(t) if head is None else head
+    if dense.close_knots:
+        last = np.concatenate([[True], np.diff(grid[1:]) > 0.0, [True]])
+        grid, vals = grid[last], vals[last]
+    return grid, vals
+
+
 class TestDenseWindows:
     @settings(max_examples=100, deadline=None)
-    @given(
-        r=st.floats(0.05, 2.0),
-        steps_per_delay=st.integers(2, 30),
-        t0=st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(1e3, 1e6)),
-        span=st.floats(0.3, 3.0),
-        fracs=st.lists(st.floats(0.0, 1.0), max_size=4),
-        levels=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
-        queries=st.lists(st.floats(0.0, 1.0), max_size=6),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @example(  # a switch node so close to t0 that both land on one offset
-        r=1.0, steps_per_delay=2, t0=0.0, span=1.0, fracs=[1.6567910543969661e-261],
-        levels=[0.0] * 5, queries=[], seed=0,
-    )
+    @given(**DENSE_RUNS)
+    @example(**CLOSE_SWITCH)
     def test_windows_are_exact_slices_of_the_store(
         self, r, steps_per_delay, t0, span, fracs, levels, queries, seed
     ):
@@ -161,6 +215,120 @@ class TestDenseWindows:
             folded = np.nonzero((K == t - r) | ((K > t - r) & (K - t <= -r)))[0]
             tail = V[folded[-1]] if folded.size else dense.eval_one(t - r)
             assert np.array_equal(seg.values[0], tail)
+
+    @settings(max_examples=100, deadline=None)
+    @given(**DENSE_RUNS)
+    @example(**CLOSE_SWITCH)
+    def test_views_read_what_a_copy_would(
+        self, r, steps_per_delay, t0, span, fracs, levels, queries, seed
+    ):
+        traj, seen = _window_run(r, steps_per_delay, t0, span, fracs, levels, seed)
+        dense = traj._dense
+        K, CUM = dense.K[: dense.count], dense.CUM[: dense.count]
+        off_nodes = traj.t0 + np.asarray(queries) * (traj.t_end - traj.t0)
+        # the dynamics read every stage window's values; history windows are
+        # read through the O(1) accessors first
+        windows = [(t, seg, seg.head) for t, seg in seen]
+        windows += [(t, traj.history(t), None) for t in np.concatenate([traj.times, off_nodes])]
+        # the last window the dynamics saw at a node is that node's window
+        last_seen = dict(seen)
+        for t, x in zip(traj.times, traj.states):
+            assert np.array_equal(last_seen[t].head, x)
+        for t, seg, stage_head in windows:
+            head, delayed, integral = seg.head, seg.delayed, seg.integral()
+            assert isinstance(seg, HistorySegment) and seg.dim == 1
+            grid, vals = _copied_window(dense, t, stage_head)
+            assert np.array_equal(seg.grid, grid) and np.array_equal(seg.values, vals)
+            assert np.array_equal(head, vals[-1]) and np.array_equal(delayed, vals[0])
+            # the view subtracts two rows of the running integral, so it carries
+            # the rounding of each addition between them (half an ulp of the
+            # running value each) on top of the quadrature's own: the scale is
+            # the window's L1 plus the running integral's size over the window
+            l1 = np.array([np.trapezoid(np.abs(col), grid) for col in vals.T])
+            spanned = np.abs(CUM[(K >= t - r) & (K <= t)]).max(axis=0, initial=0.0)
+            tol = (grid.size + 6) * np.spacing(l1 + spanned)
+            ref = np.array([np.trapezoid(col, grid) for col in vals.T])
+            assert np.all(np.abs(integral - ref) <= tol), (t, integral, ref, tol)
+
+    @settings(max_examples=30, deadline=None)
+    @given(**DENSE_RUNS)
+    def test_views_survive_copies(self, r, steps_per_delay, t0, span, fracs, levels, queries, seed):
+        traj, _ = _window_run(r, steps_per_delay, t0, span, fracs, levels, seed)
+        off_nodes = traj.t0 + np.asarray(queries) * (traj.t_end - traj.t0)
+        for t in np.concatenate([traj.times[-1:], off_nodes]):
+            view = traj.history(t)
+            # copied before anything materializes the view's grid and values
+            copies = [copy.deepcopy(view), pickle.loads(pickle.dumps(view))]
+            plain = HistorySegment(view.delay, view.grid, view.values)
+            assert view == plain and plain == view
+            for dup in copies:
+                assert dup == plain and plain == dup
+                assert np.array_equal(dup.head, view.head)
+                assert np.array_equal(dup.delayed, view.delayed)
+                assert np.array_equal(dup.integral(), view.integral())
+
+
+def _whole_window_dynamics(bundle):
+    """The bundle's dynamics as written before the O(1) accessors: every read
+    goes through ``seg.values`` and ``seg.grid``."""
+    if bundle.name == "example-4.8":
+        def dynamics(t, seg, u, d):
+            x1, x2 = seg.values[-1]
+            return np.array([d[0] * x1, -x2 + seg.values[0, 0] * u[0]])
+    elif bundle.name == "example-5.2":
+        L_val = bundle.params["L"]
+
+        def dynamics(t, seg, u, d):
+            x1, x2 = seg.values[-1]
+            et = math.exp(t)
+            window_integral = float(np.trapezoid(seg.values[:, 0], seg.grid))
+            z2 = x2 + 4.0 * et * x1
+            feedback = -4.0 * et * x1 - 16.5 * et * et * x1 - 4.0 * et * x2 - L_val * et * z2
+            return np.array([d[0] * et * window_integral + x2, feedback])
+    else:
+        def dynamics(t, seg, u, d):
+            x0 = seg.values[-1, 0]
+            return np.array([d[0] * seg.values[0, 0] - x0 ** 3 + u[0]])
+    return dynamics
+
+
+class TestAccessorPorts:
+    """One member per bundle, integrated with the bundle's dynamics and with
+    the whole-window copy above, on the same draws."""
+
+    @staticmethod
+    def _both(name, step, horizon, norm):
+        bundle = build_example(name)
+        sys_ = bundle.system
+        rng = np.random.default_rng(0)
+        x0 = sample_history(rng, sys_.delay_r, sys_.dim_n, norm)
+        d = sample_signal(SignalSpec(sys_.d_box, horizon, 0.4, seed=int(rng.integers(2**32))))
+        u = None
+        if sys_.u_box is not None:
+            u = sample_signal(SignalSpec(sys_.u_box, horizon, 0.5, seed=int(rng.integers(2**32))))
+        opts = IntegrateOpts(step_req=step, record_output=False)
+        ported = integrate(sys_, 0.0, x0, u, d, horizon, opts)
+        whole = replace(sys_, dynamics=_whole_window_dynamics(bundle))
+        return ported, integrate(whole, 0.0, x0, u, d, horizon, opts)
+
+    def test_example_5_2_within_rounding_of_the_running_integral(self):
+        ported, whole = self._both("example-5.2", 2e-4, 1.4, 1.0)
+        assert ported.status == whole.status == "completed"
+        assert np.array_equal(ported.times, whole.times)
+        # the window integral comes from a running quadrature, not a fresh
+        # sum; relative to the largest state the drift stays at rounding level
+        scale = np.abs(whole.states).max()
+        assert np.abs(ported.states - whole.states).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name, step, horizon, norm", [
+        ("example-4.8", 1e-3, 3.0, 1.0),
+        ("example-5.4", 2e-3, 9.0, 3.0),
+    ])
+    def test_head_and_delayed_ports_are_bitwise(self, name, step, horizon, norm):
+        ported, whole = self._both(name, step, horizon, norm)
+        assert ported.status == whole.status == "completed"
+        assert np.array_equal(ported.times, whole.times)
+        assert np.array_equal(ported.states, whole.states)
 
 
 class TestShiftedSignal:

@@ -200,6 +200,23 @@ class TestBlowUpAndFailure:
         assert traj.status == "step_failure"
         assert traj.t_event is not None and 0.4 <= traj.t_event <= 0.7
 
+    def test_stage_only_nan_fails_the_step(self):
+        # finite at every node, NaN at the midpoint stages after t = 0.5: only
+        # the stages k2, k3 see it, and x_next carries it into the one check
+        h = 0.1
+
+        def rhs(t, seg, u, d):
+            off_node = abs(t / h - round(t / h)) > 0.25
+            return np.array([np.nan if off_node and t > 0.5 else -seg.head[0]])
+
+        traj = integrate(
+            scalar_system(rhs), 0.0, HistorySegment.constant(1.0, [1.0]), None, None, 2.0,
+            IntegrateOpts(step_req=h),
+        )
+        assert traj.status == "step_failure"
+        assert traj.t_event == h * 6  # the end of the step [0.5, 0.6]
+        assert traj.times[-1] == h * 5 and np.isfinite(traj.states).all()
+
 
 class TestOutputHelpers:
     def test_output_norm_vector_and_window(self):

@@ -92,6 +92,19 @@ class TestRgaosEnvelope:
         rep = verify_rgaos_envelope([traj], sigma, constant(1.0))
         assert rep.verdict == "fail"
 
+    def test_blown_up_report_is_strict_json(self):
+        import json
+
+        esc = RfdeSystem(1.0, 1, lambda t, seg, u, d: seg.head ** 2, lambda t, seg: seg.head, ZERO_D)
+        blown = integrate(esc, 0.0, HistorySegment.constant(1.0, [2.0]), None, None, 1.0)
+        trajs = [contraction_ensemble(count=1)[0], blown]
+        rep = verify_rgaos_envelope(trajs, KlFn(fn=lambda s, t: 1e12 * s), constant(1.0))
+        data = json.loads(json.dumps(rep.to_json_dict(), allow_nan=False))
+        assert data["slacks"][0] > 0.0 and data["slacks"][1] is None
+        assert data["witness"]["trajectory"] == 1 and data["witness"]["observed"] is None
+        assert set(data["nonfinite"]) == {"slacks[1]", "witness.observed"}
+        assert data["nonfinite"]["slacks[1]"].startswith("-inf: the run stopped (blew_up) at t = ")
+
 
 class TestIosEnvelope:
     def test_zero_input_agrees_with_rgaos(self):
