@@ -5,10 +5,15 @@ the window [-r, 0] (offsets relative to "now").  This module provides the
 container for such restrictions: a vector-valued function on [-r, 0] stored
 as samples on a strictly increasing offset grid and interpolated linearly in
 between.  Segments are immutable; every operation returns a new segment.
+
+User-built segments (constructor, JSON) are validated.  Windows built by
+``sample_history``, ``extend`` and ``add_constant`` are valid by construction:
+they check what their inputs decide and use the private builder ``_segment``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +30,9 @@ __all__ = [
 # absolute slack accepted when a query or a grid endpoint sits just outside
 # the window due to rounding
 RANGE_TOL = 1e-12
+# sample_history: interior knots drawn at most, evenly spaced offsets added
+SAMPLE_MAX_KNOTS = 4
+SAMPLE_DENSIFY = 33
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,30 +140,14 @@ class HistorySegment:
             thetas.min() < -self.delay - RANGE_TOL or thetas.max() > RANGE_TOL
         ):
             raise ValueError("offsets outside the history window")
-        th = np.clip(thetas, -self.delay, 0.0)
-        grid = self.grid
-        idx = np.clip(np.searchsorted(grid, th, side="right") - 1, 0, grid.size - 2)
-        lo = grid[idx]
-        span = grid[idx + 1] - lo
-        w = (th - lo) / span
-        out = (1.0 - w)[:, None] * self.values[idx] + w[:, None] * self.values[idx + 1]
-        exact = th == lo
-        if np.any(exact):
-            out[exact] = self.values[idx[exact]]
-        top = th == grid[-1]
-        if np.any(top):
-            out[top] = self.values[-1]
-        return out
-
-    def with_knots(self, extra: np.ndarray) -> "HistorySegment":
-        """Same function, denser grid (union with ``extra``)."""
-        grid = np.union1d(self.grid, np.asarray(extra, dtype=float))
-        return HistorySegment(self.delay, grid, self.eval_many(grid))
+        return _interp(self.grid, self.values, np.clip(thetas, -self.delay, 0.0))
 
     def add_constant(self, w) -> "HistorySegment":
         """Shift every value row by the constant vector ``w``."""
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        return HistorySegment(self.delay, self.grid.copy(), self.values + w)
+        values = self.values + np.atleast_1d(np.asarray(w, dtype=float))
+        if values.shape != self.values.shape or not np.isfinite(values).all():
+            raise ValueError(f"shifted rows must be finite, of shape ({self.dim},)")
+        return _segment(self.delay, self.grid, values)
 
     # -- serialization -------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -172,6 +164,31 @@ class HistorySegment:
         if seg.dim != int(data["n"]):
             raise ValueError("declared dimension does not match the value rows")
         return seg
+
+
+def _segment(delay, grid: np.ndarray, values: np.ndarray) -> HistorySegment:
+    """Segment from a grid strictly increasing from exactly -delay to exactly 0
+    and one finite row per offset, without ``__post_init__``'s checks."""
+    grid.flags.writeable = values.flags.writeable = False
+    seg = object.__new__(HistorySegment)
+    seg.__dict__.update(delay=delay, grid=grid, values=values)
+    return seg
+
+
+def _interp(grid: np.ndarray, values: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """Linear interpolant's rows at offsets ``th`` in [grid[0], grid[-1]], exact at knots."""
+    idx = np.minimum(np.searchsorted(grid, th, side="right") - 1, grid.size - 2)
+    lo = grid[idx]
+    span = grid[idx + 1] - lo
+    w = (th - lo) / span
+    out = (1.0 - w)[:, None] * values[idx] + w[:, None] * values[idx + 1]
+    exact = th == lo
+    if exact.any():
+        out[exact] = values[idx[exact]]
+    top = th == grid[-1]
+    if top.any():
+        out[top] = values[-1]
+    return out
 
 
 def sup_norm(segment: HistorySegment) -> float:
@@ -215,21 +232,17 @@ def extend(segment: HistorySegment, v, step: float) -> HistorySegment:
         last = np.append(keep[1:] > keep[:-1], True)
         keep, keep_vals = keep[last], keep_vals[last]
 
-    head_needed = keep.size == 0 or keep[0] != -r
-    parts_g = []
-    parts_v = []
-    if head_needed:
-        parts_g.append([-r])
-        parts_v.append(segment.eval(lo)[None, :])
-    parts_g.append(keep)
-    parts_v.append(keep_vals)
-    # ramp: knot at -step carries x(0) (already present as keep[-1]); top knot 0
-    parts_g.append([0.0])
-    parts_v.append((x0 + step * v)[None, :])
-
-    new_grid = np.concatenate([np.asarray(p, dtype=float) for p in parts_g])
-    new_vals = np.vstack(parts_v)
-    return HistorySegment(r, new_grid, new_vals)
+    # head knot -r unless a shifted knot landed on it; keep[-1] = -step carries
+    # x(0), and the ramp ends at the top knot 0
+    new_grid = np.concatenate([[-r], keep, [0.0]])
+    new_vals = np.vstack([segment.eval(lo), keep_vals, x0 + step * v])
+    if keep[0] == -r:
+        new_grid, new_vals = new_grid[1:], new_vals[1:]
+    if (new_grid[1:] <= new_grid[:-1]).any():
+        raise ValueError("grid offsets must be strictly increasing")
+    if not np.isfinite(new_vals).all():
+        raise ValueError("history values must be finite")
+    return _segment(r, new_grid, new_vals)
 
 
 def history_distance(a: HistorySegment, b: HistorySegment) -> float:
@@ -246,50 +259,51 @@ def sample_history(
     delay: float,
     dim: int,
     norm_bound: float,
-    max_knots: int = 4,
     slope_cap: float | None = None,
-    densify: int = 33,
 ) -> HistorySegment:
     """Random piecewise-linear segment inside the closed norm ball.
 
-    Draws 1..max_knots interior knots, then walks knot values uniformly in
-    the ball while clipping increments so slopes stay below ``slope_cap``
-    (default ``8 * norm_bound / delay``).  ``densify`` grid points are added
-    so downstream quadratures see a reasonable resolution; they do not change
-    the function.
+    Draws 1..SAMPLE_MAX_KNOTS interior knots, then walks knot values uniformly
+    in the ball while clipping increments so slopes stay below ``slope_cap``
+    (default ``8 * norm_bound / delay``).  SAMPLE_DENSIFY evenly spaced grid
+    points are added so downstream quadratures see a reasonable resolution;
+    they do not change the function.  The segment is valid by construction:
+    after ``delay`` and ``norm_bound`` are checked it is built once, by the
+    private ``_segment``, while segments users build are still validated.
     """
-    if norm_bound < 0:
-        raise ValueError("norm_bound must be nonnegative")
-    k = int(rng.integers(1, max_knots + 1))
-    interior = np.sort(rng.uniform(-delay, 0.0, size=k))
-    grid = np.concatenate([[-delay], interior, [0.0]])
-    grid = np.unique(grid)
+    if not 0.0 < delay < math.inf:
+        raise ValueError(f"delay must be a positive finite real, got {delay!r}")
+    if not 0.0 <= norm_bound < math.inf:
+        raise ValueError(f"norm_bound must be a finite number >= 0, got {norm_bound!r}")
+    k = int(rng.integers(1, SAMPLE_MAX_KNOTS + 1))
+    # draws lie in [-delay, 0] and are never -0.0: the set drops what np.unique would
+    offsets = sorted({-delay, *rng.uniform(-delay, 0.0, size=k).tolist(), 0.0})
+    knots = np.array(offsets, dtype=float)
     if slope_cap is None:
         slope_cap = 8.0 * max(norm_bound, 1e-12) / delay
 
     def ball_point() -> np.ndarray:
         z = rng.normal(size=dim)
-        nz = np.linalg.norm(z)
+        nz = math.sqrt(z.dot(z))  # bitwise np.linalg.norm(z)
         if nz == 0.0:
             return np.zeros(dim)
         radius = norm_bound * rng.random() ** (1.0 / dim)
         return z * (radius / nz)
 
-    vals = np.empty((grid.size, dim))
-    vals[0] = ball_point()
-    for i in range(1, grid.size):
-        target = ball_point()
-        dv = target - vals[i - 1]
-        span = grid[i] - grid[i - 1]
-        lim = slope_cap * span
-        nd = np.linalg.norm(dv)
+    vals = np.empty((knots.size, dim))
+    prev = vals[0] = ball_point()
+    for i in range(1, knots.size):
+        dv = ball_point() - prev
+        lim = slope_cap * (offsets[i] - offsets[i - 1])
+        nd = math.sqrt(dv.dot(dv))
         if nd > lim:
             dv *= lim / nd
-        vals[i] = vals[i - 1] + dv
-    seg = HistorySegment(delay, grid, vals)
-    if densify and densify > grid.size:
-        seg = seg.with_knots(np.linspace(-delay, 0.0, densify))
-    return seg
+        prev = vals[i] = prev + dv
+    grid = np.union1d(knots, np.linspace(-delay, 0.0, SAMPLE_DENSIFY))
+    values = _interp(knots, vals, grid)
+    if not np.isfinite(values).all():
+        raise ValueError("history values must be finite")
+    return _segment(delay, grid, values)
 
 
 def clip_to_ball(segment: HistorySegment, norm_bound: float) -> HistorySegment:

@@ -538,7 +538,8 @@ class LipschitzModuli:
 def _uniform_box(rng: np.random.Generator, box: np.ndarray | None) -> np.ndarray:
     if box is None or box.shape[0] == 0:
         return np.zeros(0)
-    return rng.uniform(box[:, 0], box[:, 1])
+    # scalar bounds per row: the array-bound draw's values and state, less overhead
+    return np.array([rng.uniform(lo, hi) for lo, hi in box.tolist()])
 
 
 def estimate_lipschitz_moduli(

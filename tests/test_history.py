@@ -161,6 +161,35 @@ class TestExtend:
         with pytest.raises(ValueError):
             extend(seg, [1.0], 1.0)
 
+    def test_nan_slope_rejected(self):
+        seg = sample_history(np.random.default_rng(4), 1.0, 2, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            extend(seg, [0.0, np.nan], 0.25)
+
+
+class TestAddConstant:
+    def test_shares_the_grid_and_shifts_every_row(self):
+        seg = sample_history(np.random.default_rng(5), 1.0, 2, 1.0)
+        out = seg.add_constant([0.5, -1.0])
+        assert out.grid is seg.grid
+        assert np.array_equal(out.values, seg.values + [0.5, -1.0])
+        assert not out.values.flags.writeable
+
+    def test_nan_shift_rejected(self):
+        seg = HistorySegment.constant(1.0, [1.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            seg.add_constant([np.nan, 0.0])
+
+    def test_overflowing_shift_rejected(self):
+        seg = HistorySegment.constant(1.0, [1e308])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            seg.add_constant([1e308])
+
+    def test_wrong_length_shift_rejected(self):
+        seg = HistorySegment.constant(1.0, [1.0, 2.0])
+        with pytest.raises(ValueError, match="shape"):
+            seg.add_constant(np.ones((3, 1, 2)))
+
 
 class TestSamplingHelpers:
     def test_sample_history_inside_ball(self):
@@ -180,6 +209,21 @@ class TestSamplingHelpers:
         seg = sample_history(rng, 1.0, 1, 5.0, slope_cap=2.0)
         slopes = np.diff(seg.values[:, 0]) / np.diff(seg.grid)
         assert np.all(np.abs(slopes) <= 2.0 + 1e-9)
+
+    @pytest.mark.parametrize("delay", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_delay_rejected_up_front(self, delay):
+        with pytest.raises(ValueError, match="delay"):
+            sample_history(np.random.default_rng(0), delay, 1, 1.0)
+
+    @pytest.mark.parametrize("norm_bound", [np.nan, np.inf, -1.0])
+    def test_bad_norm_bound_rejected_up_front(self, norm_bound):
+        with pytest.raises(ValueError, match="norm_bound"):
+            sample_history(np.random.default_rng(0), 1.0, 1, norm_bound)
+
+    def test_overflowing_walk_rejected(self):
+        # a finite bound near the float limit: the walk's increments overflow
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+            sample_history(np.random.default_rng(0), 1.0, 1, 1e308)
 
     def test_clip_to_ball(self):
         seg = HistorySegment.constant(1.0, [3.0, 4.0])

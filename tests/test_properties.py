@@ -99,6 +99,7 @@ class TestExtend:
         step = frac * seg.delay
         v = np.asarray(v)
         out = extend(seg, v, step)
+        assert HistorySegment(out.delay, out.grid, out.values) == out
         assert out.grid[0] == -seg.delay and out.grid[-1] == 0.0
         # the shifted old window and the appended ramp meet at the knot -step,
         # where both give the old head value
@@ -112,6 +113,66 @@ class TestExtend:
             shift_err = slope * 4.0 * np.finfo(float).eps * seg.delay
         assert np.abs(out.eval(-step - eps) - seg.eval(-eps)).max() <= scale + shift_err
         assert np.abs(out.eval(-step + eps) - (seg.values[-1] + eps * v)).max() <= scale
+
+
+def _validated_sample(rng, delay, dim, norm_bound):
+    """``sample_history`` as it was built before its one-pass construction:
+    a validated knot segment, densified by ``union1d`` and ``eval_many``."""
+    k = int(rng.integers(1, 5))
+    interior = np.sort(rng.uniform(-delay, 0.0, size=k))
+    grid = np.unique(np.concatenate([[-delay], interior, [0.0]]))
+    slope_cap = 8.0 * max(norm_bound, 1e-12) / delay
+
+    def ball_point():
+        z = rng.normal(size=dim)
+        nz = np.linalg.norm(z)
+        if nz == 0.0:
+            return np.zeros(dim)
+        radius = norm_bound * rng.random() ** (1.0 / dim)
+        return z * (radius / nz)
+
+    vals = np.empty((grid.size, dim))
+    vals[0] = ball_point()
+    for i in range(1, grid.size):
+        dv = ball_point() - vals[i - 1]
+        lim = slope_cap * (grid[i] - grid[i - 1])
+        nd = np.linalg.norm(dv)
+        if nd > lim:
+            dv *= lim / nd
+        vals[i] = vals[i - 1] + dv
+    seg = HistorySegment(delay, grid, vals)
+    dense = np.union1d(seg.grid, np.linspace(-delay, 0.0, 33))
+    return HistorySegment(delay, dense, seg.eval_many(dense))
+
+
+class TestSampleHistory:
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 3),
+        delay=st.floats(1e-3, 10.0),
+        norm_bound=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+    )
+    def test_bitwise_the_validated_construction(self, seed, dim, delay, norm_bound):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            seg = sample_history(rng, delay, dim, norm_bound)
+            ref = _validated_sample(ref_rng, delay, dim, norm_bound)
+            assert seg.delay == ref.delay
+            assert seg.grid.tobytes() == ref.grid.tobytes()
+            assert seg.values.tobytes() == ref.values.tobytes()
+            assert HistorySegment(seg.delay, seg.grid, seg.values) == seg
+            assert not (seg.grid.flags.writeable or seg.values.flags.writeable)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_witness_history_round_trips(self):
+        cert = build_example("example-4.8").certificate("unweighted-guard-fails")
+        rep = cert.runner(seed=0, samples=200)
+        assert rep.verdict == "counterexample"
+        data = rep.witness["history"]
+        back = HistorySegment.from_json_dict(data)
+        assert back.to_json_dict() == data
+        assert back.dim == 2 and back.delay == data["r"]
 
 
 def _window_run(r, steps_per_delay, t0, span, fracs, levels, seed):

@@ -23,6 +23,7 @@ from rfdestab import (
     sample_signal,
     trajectory_to_csv,
 )
+from rfdestab.simulator import _uniform_box
 
 ZERO_D = np.array([[0.0, 0.0]])
 
@@ -229,6 +230,31 @@ class TestOutputHelpers:
         a = HistorySegment.constant(1.0, [1.0])
         b = HistorySegment.constant(1.0, [2.5])
         assert output_distance(a, b) == pytest.approx(1.5)
+
+
+class TestUniformBox:
+    @pytest.mark.parametrize(
+        "box",
+        [
+            np.array([[-1.0, 1.0]]),
+            np.array([[-1.0, 1.0], [0.0, 1e-3], [2.5, 7.0]]),
+            np.array([[0.3, 0.3], [-2.0, 2.0]]),  # a degenerate row
+        ],
+    )
+    def test_bitwise_the_array_bound_draw(self, box):
+        rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+        for _ in range(10_000):
+            got = _uniform_box(rng, box)
+            want = ref.uniform(box[:, 0], box[:, 1])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("box", [None, np.zeros((0, 2))])
+    def test_empty_box_draws_nothing(self, box):
+        rng = np.random.default_rng(17)
+        state = rng.bit_generator.state
+        assert _uniform_box(rng, box).shape == (0,)
+        assert rng.bit_generator.state == state
 
 
 class TestLipschitzModuli:
