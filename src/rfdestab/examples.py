@@ -158,23 +158,19 @@ def example_4_8(r: float = 0.5, u_max: float = 1.0) -> ExampleBundle:
         name="example-4.8",
     )
 
-    def v_eval(t, seg):
+    def v_terms(t, seg):
+        """x1(0), x2(0), e^{-8t}, e^{-4t} and the window integral of x1^4."""
         x1 = seg.values[:, 0]
-        x10 = x1[-1]
-        x20 = seg.values[-1, 1]
-        e8 = math.exp(-8.0 * t)
-        e4 = math.exp(-4.0 * t)
         integral = float(np.trapezoid(x1 ** 4, seg.grid))
+        return x1[-1], seg.values[-1, 1], math.exp(-8.0 * t), math.exp(-4.0 * t), integral
+
+    def v_eval(t, seg):
+        x10, x20, e8, e4, integral = v_terms(t, seg)
         return e8 * x10 ** 4 + e4 * x10 ** 2 + 0.5 * x20 ** 2 + 0.25 * e8 * integral
 
     def v_dini(t, seg, v):
-        x1 = seg.values[:, 0]
-        x10 = x1[-1]
-        x20 = seg.values[-1, 1]
+        x10, x20, e8, e4, integral = v_terms(t, seg)
         x1_back = seg.values[0, 0]
-        e8 = math.exp(-8.0 * t)
-        e4 = math.exp(-4.0 * t)
-        integral = float(np.trapezoid(x1 ** 4, seg.grid))
         return (
             -8.0 * e8 * x10 ** 4
             - 4.0 * e4 * x10 ** 2
@@ -406,10 +402,7 @@ def example_5_2(r: float = 0.5, eps: float = 1.0, L: float | None = None) -> Exa
     @functools.lru_cache(maxsize=1)
     def _ensemble(seed: int, step: float, horizon: float, count: int):
         rng = np.random.default_rng(seed)
-        # the output here is the whole window segment, so recording it at
-        # every node would hold ~window/step points per node in memory;
-        # the certificates only read times/states/history
-        opts = IntegrateOpts(step_req=step, record_output=False)
+        opts = IntegrateOpts(step_req=step)
         trajs = []
         for _ in range(count):
             x0 = sample_history(rng, r, 2, 1.0)

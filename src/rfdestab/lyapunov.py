@@ -278,13 +278,12 @@ def _falsify(
     spec: SamplerSpec,
     tol: float,
     draw_u: bool,
-    guard: Callable | None,
-    residual_fn: Callable,
+    sample_fn: Callable,
 ) -> FalsificationReport:
     """Shared sampling loop.
 
-    ``guard(t, seg, u)`` filters samples (None means unguarded);
-    ``residual_fn(t, seg, u, d)`` returns (residual, derivative_scale).
+    ``sample_fn(t, seg, u, d)`` returns None for a sample its guard skips and
+    (residual, derivative_scale) otherwise.
     """
     rng = np.random.default_rng(spec.seed)
     worst = -math.inf
@@ -300,15 +299,16 @@ def _falsify(
         u = _uniform_box(rng, sys.u_box) if draw_u else sys.zero_input()
         d = _uniform_box(rng, sys.d_box)
         try:
-            if guard is not None and not guard(t, seg, u):
-                skipped += 1
-                continue
-            residual, scale = residual_fn(t, seg, u, d)
+            out = sample_fn(t, seg, u, d)
         except (ValueError, FloatingPointError, ZeroDivisionError, OverflowError) as err:
             failures += 1
             if first_failure is None:
                 first_failure = {"type": type(err).__name__, "message": str(err)}
             continue
+        if out is None:
+            skipped += 1
+            continue
+        residual, scale = out
         tested += 1
         if residual > worst:
             worst = residual
@@ -321,14 +321,12 @@ def _falsify(
         verdict = "inconclusive"
     else:
         verdict = "no_counterexample"
-    witness = None
-    if worst_wit is not None and found:
-        witness = _witness_dict(*worst_wit)
+    # a residual beyond tolerance is above -inf, so found implies a witness
     return FalsificationReport(
         verdict=verdict,
         samples_tested=tested,
         worst_residual=worst if tested else 0.0,
-        witness=witness,
+        witness=_witness_dict(*worst_wit) if found else None,
         tolerance=tol,
         seed=spec.seed,
         guard_skipped=skipped,
@@ -337,16 +335,19 @@ def _falsify(
     )
 
 
-def _functional_residual(sys: RfdeSystem, V: LyapunovFunctional, rho: ComparisonFn, dini_opts):
-    """Residual of derivative(V) + rho(V) <= 0 at a sample, with its derivative."""
+def _functional_sample(sys: RfdeSystem, V: LyapunovFunctional, rho, dini_opts, floor=None):
+    """Residual of derivative(V) + rho(V) <= 0 at a sample, with its derivative;
+    None when the guard ``floor(t, u) <= V(t, window)`` fails."""
 
-    def residual_fn(t, seg, u, d):
-        v = np.asarray(sys.dynamics(t, seg, u, d), dtype=float)
+    def sample_fn(t, seg, u, d):
         val = float(V.evaluator(t, seg))
+        if floor is not None and not floor(t, u) <= val:
+            return None
+        v = np.asarray(sys.dynamics(t, seg, u, d), dtype=float)
         dv = dini_functional(V, t, seg, v, dini_opts)
         return dv + float(rho(val)), dv
 
-    return residual_fn
+    return sample_fn
 
 
 def check_lyapunov_decay(
@@ -359,7 +360,7 @@ def check_lyapunov_decay(
 ) -> FalsificationReport:
     """Falsify derivative(V) + rho(V) <= 0 along the dynamics with zero input."""
     tol = _default_tol(V.analytic_dini is not None, tolerance)
-    return _falsify(sys, spec, tol, False, None, _functional_residual(sys, V, rho, dini_opts))
+    return _falsify(sys, spec, tol, False, _functional_sample(sys, V, rho, dini_opts))
 
 
 def check_lyapunov_ios(
@@ -378,13 +379,8 @@ def check_lyapunov_ios(
     if sys.u_box is None:
         raise ValueError("system declares no input channel")
     tol = _default_tol(V.analytic_dini is not None, tolerance)
-
-    def guard(t, seg, u):
-        return float(zeta(float(delta(t)) * float(np.linalg.norm(u)))) <= float(
-            V.evaluator(t, seg)
-        )
-
-    return _falsify(sys, spec, tol, True, guard, _functional_residual(sys, V, rho, dini_opts))
+    floor = lambda t, u: float(zeta(float(delta(t)) * float(np.linalg.norm(u))))
+    return _falsify(sys, spec, tol, True, _functional_sample(sys, V, rho, dini_opts, floor))
 
 
 def check_razumikhin(
@@ -421,25 +417,21 @@ def check_razumikhin(
     tol = _default_tol(Vr.analytic_dini is not None, tolerance)
     draw_u = sys.u_box is not None and zeta is not None
 
-    def guard(t, seg, u):
-        v0 = float(Vr.evaluator(t, seg.values[-1]))
+    def sample_fn(t, seg, u, d):
+        x0 = seg.values[-1]
+        v0 = float(Vr.evaluator(t, x0))
         window_vals = Vr.along(t + seg.grid, seg.values)
         if not np.isfinite(window_vals).all():
             raise ValueError("window evaluation produced non-finite values")
         if float(a(float(window_vals.max()))) > v0:
-            return False
+            return None
         if draw_u and float(zeta(float(delta(t)) * float(np.linalg.norm(u)))) > v0:
-            return False
-        return True
-
-    def residual_fn(t, seg, u, d):
-        x0 = seg.values[-1]
+            return None
         v = np.asarray(sys.dynamics(t, seg, u, d), dtype=float)
-        v0 = float(Vr.evaluator(t, x0))
         dv = dini_pointwise(Vr, t, x0, v, dini_opts)
         return dv + rate(t, v0), dv
 
-    return _falsify(sys, spec, tol, draw_u, guard, residual_fn)
+    return _falsify(sys, spec, tol, draw_u, sample_fn)
 
 
 # -- regularity probe -------------------------------------------------------------
@@ -578,8 +570,7 @@ def converse_functional_uq(
                     f"ensemble trajectory left the bounded regime at t={traj.t_event!r}; "
                     "the region is not robustly forward complete"
                 )
-            for k, tau in enumerate(traj.times):
-                y = traj.outputs[k]
+            for tau, y in zip(traj.times, traj.outputs):
                 term = max(0.0, float(a1(output_norm(y))) - 1.0 / q) * math.exp(tau - t)
                 if term > best:
                     best = term

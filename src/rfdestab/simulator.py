@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -98,6 +99,10 @@ def output_distance(ya, yb) -> float:
 
 @dataclass
 class IntegrateOpts:
+    """Step request and blow-up level of :func:`integrate`.  ``record_output``
+    is ignored: outputs are computed from the node windows on read
+    (:attr:`Trajectory.outputs`); the field stays for callers that pass it."""
+
     step_req: float = 1e-3
     blowup_norm: float = 1e9
     record_output: bool = True
@@ -132,6 +137,10 @@ class _Dense:
         # rounding K - tau (in [-delay, 0]) cannot merge knots further apart
         self.tie_gap = 4.0 * float(np.spacing(x0.delay))
         self.close_knots = bool(np.diff(self.K[:k0]).min() <= self.tie_gap)
+        # each node's window: the lower end of its inner knots and its row at -delay
+        self.node0 = k0 - 1
+        self.I0 = np.zeros(capacity, dtype=np.intp)
+        self.TAIL = np.empty((capacity, n))
 
     def append(self, t: float, x: np.ndarray, din: np.ndarray):
         c = self.count
@@ -142,6 +151,16 @@ class _Dense:
         self.DIN[c] = din
         self.CUM[c] = self.CUM[c - 1] + (0.5 * (t - self.K[c - 1])) * (x + self.V[c - 1])
         self.count = c + 1
+
+    def node_window(self, k: int, seg: _Window | None = None) -> _Window:
+        """The window the dynamics saw at node ``k`` (node 0 is t0).  The
+        integrator passes ``seg``, a window at the node's time, whose lower
+        end the node window keeps."""
+        c = self.node0 + k
+        if seg is not None:
+            self.I0[c] = seg._i0
+            self.TAIL[c] = seg._tail
+        return _Window(self, self.K.item(c), self.I0.item(c), c, self.TAIL[c], self.V[c])
 
     def _basis(self, s):
         s2 = s * s
@@ -202,8 +221,8 @@ class _Dense:
         offset 0 is ``prov`` when given, for ``tau`` at or beyond the newest
         knot: a stage's provisional state (the linear piece between the last
         node and the stage is exactly the forward extension used by the stage
-        formulas) or the newest node's own state.  Otherwise it is the dense
-        value at ``tau``.
+        formulas) or the newest node's own state, which supersedes a knot at
+        ``tau``.  Otherwise it is the dense value at ``tau``.
         """
         r = self.delay
         c = self.count
@@ -217,10 +236,8 @@ class _Dense:
             tail_row = i0
             i0 += 1
         if prov is None:
-            i1 = int(np.searchsorted(K[:c], tau, side="left"))
             prov = self.eval_one(tau)
-        else:
-            i1 = c if K[c - 1] < tau else c - 1  # prov supersedes a knot at tau
+        i1 = c if K[c - 1] < tau else int(np.searchsorted(K[:c], tau, side="left"))
         # without a fold, the search for i0 is eval_one(lo)'s own search
         tail = self._eval_in(i0 - 1, lo) if tail_row is None else self.V[tail_row]
         return _Window(self, tau, i0, i1, tail, prov)
@@ -310,7 +327,10 @@ class Trajectory:
     ``times``/``states`` cover the accepted nodes from t0 on; the initial
     window and the cubic-Hermite slope data stay available through
     :meth:`history` and :meth:`state`, which reproduce the supplied initial
-    segment exactly at its grid points.
+    segment exactly at its grid points.  ``outputs`` holds one output per
+    node, computed from the node window each time it is read, so an output
+    map that fails raises when its output is read, not inside
+    :func:`integrate`.
     """
 
     system: RfdeSystem
@@ -322,17 +342,20 @@ class Trajectory:
     d: PiecewiseSignal | None
     status: str
     t_event: float | None
-    outputs: list | None
     _dense: _Dense
 
     @property
     def t_end(self) -> float:
         return float(self.times[-1])
 
+    def _clamped(self, t: float) -> float:
+        t0, t_end = self.t0, self.t_end
+        if t < t0 - 1e-12 or t > t_end + 1e-12:
+            raise ValueError(f"time {t!r} outside [{t0!r}, {t_end!r}]")
+        return min(max(t, t0), t_end)
+
     def state(self, t: float) -> np.ndarray:
-        if t < self.t0 - 1e-12 or t > self.t_end + 1e-12:
-            raise ValueError(f"time {t!r} outside [{self.t0!r}, {self.t_end!r}]")
-        return np.array(self._dense.eval_one(min(max(t, self.t0), self.t_end)))
+        return np.array(self._dense.eval_one(self._clamped(t)))
 
     def state_many(self, ts: np.ndarray) -> np.ndarray:
         return self._dense.eval_vec(np.asarray(ts, dtype=float))
@@ -340,17 +363,40 @@ class Trajectory:
     def history(self, t: float) -> HistorySegment:
         """Window snapshot at ``t``; exact at stored knots.
 
-        At a node time this is exactly the window the integrator handed to the
-        dynamics there.
+        At a node time this is the stored window the integrator handed to the
+        dynamics there, found by one search over ``times``; between nodes it
+        is built from the dense store.
         """
-        if t < self.t0 - 1e-12 or t > self.t_end + 1e-12:
-            raise ValueError(f"time {t!r} outside [{self.t0!r}, {self.t_end!r}]")
-        return self._dense.window_segment(min(max(t, self.t0), self.t_end))
+        t = self._clamped(t)
+        k = int(self.times.searchsorted(t))
+        if self.times[k] == t:
+            return self._dense.node_window(k)
+        return self._dense.window_segment(t)
+
+    @property
+    def outputs(self) -> _Outputs:
+        # built on each read: a stored view of self would be a reference cycle
+        return _Outputs(self)
 
     def output_norms(self) -> np.ndarray:
-        if self.outputs is None:
-            raise ValueError("outputs were not recorded for this trajectory")
         return np.array([output_norm(y) for y in self.outputs])
+
+
+class _Outputs(Sequence):
+    """Item k is ``system.output(times[k], node window k)``, computed on every read."""
+
+    def __init__(self, traj: Trajectory):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return self._traj.times.size
+
+    def __iter__(self):  # Sequence's loop would stop at an IndexError of the output map
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, k: int):
+        k = range(len(self))[k]  # a list's negative indices and bounds
+        return self._traj.system.output(self._traj.times[k], self._traj._dense.node_window(k))
 
 
 def _grid_for(t0: float, t_end: float, h: float, switches: np.ndarray) -> np.ndarray:
@@ -401,37 +447,37 @@ def integrate(
     m_sub = max(1, int(math.ceil(r / opts.step_req - 1e-12)))
     h = r / m_sub
 
-    switches = []
-    for sig in (u, d):
-        if sig is not None:
-            switches.append(sig.switches_in(t0, t_end))
-    sw = np.concatenate(switches) if switches else np.empty(0)
+    signals = [sig for sig in (u, d) if sig is not None]
+    for sig in signals:
+        sig.eval(t0)  # signals are defined on [0, inf): this rejects t0 < 0
+    sw = np.concatenate([sig.switches_in(t0, t_end) for sig in signals]) if signals else np.empty(0)
     tgrid = _grid_for(t0, t_end, h, sw)
+    # every switch is a node, so the levels read at a node hold until the next
+    U = u.eval_many(tgrid) if u is not None else np.zeros((tgrid.size, system.input_dim))
+    D = d.eval_many(tgrid) if d is not None else np.zeros((tgrid.size, system.d_box.shape[0]))
+    U.flags.writeable = D.flags.writeable = False
+    switched = np.any(U[1:] != U[:-1], axis=1) | np.any(D[1:] != D[:-1], axis=1)
+    switched[-1] = False  # the run ends at the last node: no slope leaves it
 
     dense = _Dense(t0, x0, x0.grid.size + tgrid.size)
-    zero_u = np.zeros(system.input_dim)
-    zero_d = np.zeros(system.d_box.shape[0])
-    u_at = (lambda t: u.eval(t)) if u is not None else (lambda t: zero_u)
-    d_at = (lambda t: d.eval(t)) if d is not None else (lambda t: zero_d)
     f = system.dynamics
 
     status = "completed"
-    t_event = None
-    seg0 = dense.window_segment(t0)
-    uk = u_at(t0)
-    dk = d_at(t0)
-    k1 = np.asarray(f(t0, seg0, uk, dk), dtype=float)
-    dense.DOUT[dense.count - 1] = k1
-    outputs = [system.output(t0, seg0)] if opts.record_output else None
+    seg0 = dense.node_window(0, dense.window_segment(t0, dense.V[dense.count - 1]))
+    dense.DOUT[dense.count - 1] = np.asarray(f(t0, seg0, U[0], D[0]), dtype=float)
 
     for j in range(tgrid.size - 1):
         ta = tgrid[j]
         tb = tgrid[j + 1]
         hk = tb - ta
+        uk = U[j]
+        dk = D[j]
         xk = dense.V[dense.count - 1]
         k1 = dense.DOUT[dense.count - 1]
 
         tm = ta + 0.5 * hk
+        if tm == ta:  # a one-ulp step has no midpoint; its start belongs to the node
+            tm = tb
         seg_m = dense.window_segment(tm, xk + (0.5 * hk) * k1)
         k2 = np.asarray(f(tm, seg_m, uk, dk), dtype=float)
         k3 = np.asarray(f(tm, seg_m.with_head(xk + (0.5 * hk) * k2), uk, dk), dtype=float)
@@ -442,52 +488,33 @@ def integrate(
         # hk > 0, so x_next is non-finite whenever a stage is
         if not np.isfinite(x_next).all():
             status = "step_failure"
-            t_event = float(tb)
             break
 
         dense.append(tb, x_next, k4)
         # the node window has the lower end of k4's: appending at tb moves neither
-        seg_b = seg_b.with_head(x_next)
+        seg_b = dense.node_window(j + 1, seg_b)
         f_end = np.asarray(f(tb, seg_b, uk, dk), dtype=float)
         if not np.isfinite(f_end).all():
             status = "step_failure"
-            t_event = float(tb)
             break
-        dense.DIN[dense.count - 1] = f_end
-
-        if opts.record_output:
-            outputs.append(system.output(tb, seg_b))
-
-        if j + 1 < tgrid.size - 1:
-            ub = u_at(tb)
-            db = d_at(tb)
-            if np.array_equal(ub, uk) and np.array_equal(db, dk):
-                k1_next = f_end
-            else:
-                k1_next = np.asarray(f(tb, seg_b, ub, db), dtype=float)
-            uk = ub
-            dk = db
-            dense.DOUT[dense.count - 1] = k1_next
-        else:
-            dense.DOUT[dense.count - 1] = f_end
+        dense.DIN[dense.count - 1] = dense.DOUT[dense.count - 1] = f_end
+        if switched[j]:  # new levels leave the node with a slope of their own
+            dense.DOUT[dense.count - 1] = np.asarray(f(tb, seg_b, U[j + 1], D[j + 1]), dtype=float)
 
         if float(np.linalg.norm(x_next)) > opts.blowup_norm:
             status = "blew_up"
-            t_event = float(tb)
             break
 
-    k0 = x0.grid.size
     return Trajectory(
         system=system,
         t0=t0,
-        times=dense.K[k0 - 1 : dense.count].copy(),
-        states=dense.V[k0 - 1 : dense.count].copy(),
+        times=dense.K[dense.node0 : dense.count].copy(),
+        states=dense.V[dense.node0 : dense.count].copy(),
         initial=x0,
         u=u,
         d=d,
         status=status,
-        t_event=t_event,
-        outputs=outputs,
+        t_event=None if status == "completed" else float(tb),
         _dense=dense,
     )
 
@@ -650,7 +677,7 @@ def check_continuity_bound(
     exp(L * elapsed) with L the estimated one-sided modulus.  Equality holds
     at t0, so the check allows a relative slack.
     """
-    opts = opts or IntegrateOpts(record_output=False)
+    opts = opts or IntegrateOpts()
     ta = integrate(system, t0, x0, u, d, t_end, opts)
     tb = integrate(system, t0, y0, u, d, t_end, opts)
     if ta.status != "completed" or tb.status != "completed":
@@ -665,14 +692,12 @@ def check_continuity_bound(
     node_idx = np.searchsorted(knots, ta.times, side="right") - 1
     window_dist = _trailing_window_max(knots, dn, system.delay_r)[node_idx]
     L = moduli.one_sided_state
-    d0 = None
+    d0 = window_dist[0]  # the window distance at t0 is the initial distance
     worst_ratio = 0.0
     worst_time = t0
     passed = True
     overflow = False
     for t, lhs in zip(ta.times, window_dist):
-        if d0 is None:
-            d0 = lhs  # window distance at t0 is the initial distance
         arg = L * (t - t0)
         if arg > _EXP_CAP:
             overflow = True
@@ -732,7 +757,7 @@ def check_rfc(
     blow-up witness, if any.
     """
     rng = rng or np.random.default_rng(0)
-    opts = opts or IntegrateOpts(record_output=False)
+    opts = opts or IntegrateOpts()
     r = system.delay_r
     n = system.dim_n
     worst = 0.0
@@ -772,26 +797,15 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV text: t, state columns, state norm, output columns or norm."""
     n = traj.states.shape[1]
     header = ["t"] + [f"x_{i+1}" for i in range(n)] + ["|x|"]
-    rows = []
-    out_vec = None
-    if traj.outputs is not None and traj.outputs:
-        if isinstance(traj.outputs[0], HistorySegment):
-            header.append("out_norm")
-            out_vec = False
-        else:
-            p = np.atleast_1d(np.asarray(traj.outputs[0])).size
-            header.extend(f"out_{i+1}" for i in range(p))
-            out_vec = True
+    y0 = traj.outputs[0]
+    window = isinstance(y0, HistorySegment)
+
+    def out_cells(y):
+        return [output_norm(y)] if window else np.atleast_1d(np.asarray(y))
+
+    header += ["out_norm"] if window else [f"out_{i+1}" for i in range(len(out_cells(y0)))]
     lines = [",".join(header)]
-    for k, t in enumerate(traj.times):
-        row = [repr(float(t))]
-        row.extend(repr(float(v)) for v in traj.states[k])
-        row.append(repr(float(np.linalg.norm(traj.states[k]))))
-        if out_vec is not None:
-            y = traj.outputs[k]
-            if out_vec:
-                row.extend(repr(float(v)) for v in np.atleast_1d(np.asarray(y)))
-            else:
-                row.append(repr(output_norm(y)))
-        lines.append(",".join(row))
+    for t, x, y in zip(traj.times, traj.states, traj.outputs):
+        row = [t, *x, np.linalg.norm(x), *out_cells(y)]
+        lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"

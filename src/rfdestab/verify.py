@@ -384,7 +384,7 @@ def check_periodic_reduction(
         raise ValueError("system declares no period")
     k, _ = periodic_wrap(t0, sys.period_T)
     shift = k * sys.period_T
-    opts = opts or IntegrateOpts(record_output=False)
+    opts = opts or IntegrateOpts()
     traj_a = integrate(sys, t0, x0, u, d, t0 + horizon, opts)
     traj_b = integrate(
         sys,

@@ -209,8 +209,7 @@ def test_criterion_3_delay_margin_and_energy_monotonicity():
     results = []
     for h in (step, step / 2):
         trajs = [
-            integrate(sys_, 0.0, x0, None, d_sig, horizon,
-                      IntegrateOpts(step_req=h, record_output=False))
+            integrate(sys_, 0.0, x0, None, d_sig, horizon, IntegrateOpts(step_req=h))
             for x0, d_sig in draws
         ]
         completed = sum(tr.status == "completed" for tr in trajs)
@@ -348,9 +347,7 @@ def _delayed_feedback() -> RfdeSystem:
 
 def _endpoint(sys_: RfdeSystem, T: float, h: float) -> float:
     x0 = HistorySegment.constant(sys_.delay_r, [1.0])
-    traj = integrate(
-        sys_, 0.0, x0, None, None, T, IntegrateOpts(step_req=h, record_output=False)
-    )
+    traj = integrate(sys_, 0.0, x0, None, None, T, IntegrateOpts(step_req=h))
     assert traj.status == "completed"
     return float(traj.state(T)[0])
 
@@ -410,7 +407,7 @@ def test_criterion_7_pairwise_continuity_bound():
             sys_, region, samples=400, rng=np.random.default_rng(5)
         )
         rng = np.random.default_rng(11)
-        opts = IntegrateOpts(step_req=plan["step"], record_output=False)
+        opts = IntegrateOpts(step_req=plan["step"])
         violations = 0
         worst = 0.0
         for k in range(100):

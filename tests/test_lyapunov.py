@@ -10,6 +10,7 @@ from rfdestab import (
     RazumikhinFunction,
     RfdeSystem,
     SamplerSpec,
+    build_example,
     check_almost_lipschitz,
     check_lyapunov_decay,
     check_lyapunov_ios,
@@ -19,6 +20,7 @@ from rfdestab import (
     converse_functional_uq,
     dini_functional,
     dini_pointwise,
+    exp_weight,
     identity,
     linear,
     power,
@@ -266,6 +268,43 @@ class TestRazumikhinFalsifier:
         assert rep.verdict == "no_counterexample"
         assert rep.guard_skipped > 0
         assert rep.samples_tested + rep.guard_skipped == 2000
+
+
+def _counting(fn, calls):
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    return counted
+
+
+class TestOneEnergyCallPerSample:
+    """The guard's energy value is the residual's: one evaluator call for each
+    sample that does not fail, whether the guard skips it or not."""
+
+    def test_guarded_functional_sweep(self):
+        bundle = build_example("example-4.8")
+        V, calls = bundle.functional, [0]
+        counted = LyapunovFunctional(_counting(V.evaluator, calls), V.analytic_dini, V.name)
+        rep = check_lyapunov_ios(
+            bundle.system, counted, power(4.0, 0.5), exp_weight(2.0), linear(0.5),
+            SamplerSpec(t_lo=0.0, t_hi=5.0, norm_bound=2.0, samples=600, seed=0),
+        )
+        assert rep.guard_skipped > 0 and rep.samples_tested > 0
+        assert calls[0] == 600 - rep.eval_failures
+
+    def test_razumikhin_sweep(self):
+        bundle = build_example("example-5.2")
+        Vr, calls = bundle.pointwise, [0]
+        counted = RazumikhinFunction(
+            _counting(Vr.evaluator, calls), Vr.analytic_dini, Vr.evaluator_many, Vr.name
+        )
+        rep = check_razumikhin(
+            bundle.system, counted, linear(0.5), linear(0.1),
+            SamplerSpec(t_lo=0.0, t_hi=2.0, norm_bound=2.0, samples=600, seed=0),
+        )
+        assert rep.guard_skipped > 0 and rep.samples_tested > 0
+        assert calls[0] == 600 - rep.eval_failures
 
 
 class TestConverseEnergy:

@@ -225,6 +225,11 @@ CLOSE_SWITCH = dict(
     r=1.0, steps_per_delay=2, t0=0.0, span=1.0, fracs=[1.6567910543969661e-261],
     levels=[0.0] * 5, queries=[], seed=0,
 )
+# a switch one ulp after a large t0: the first step has no floating-point midpoint
+ULP_STEP = dict(
+    r=1.0, steps_per_delay=2, t0=262144.0, span=2.0, fracs=[2.4172877385693633e-11],
+    levels=[0.0] * 5, queries=[], seed=0,
+)
 
 
 def _copied_window(dense, t, head=None):
@@ -280,6 +285,7 @@ class TestDenseWindows:
     @settings(max_examples=100, deadline=None)
     @given(**DENSE_RUNS)
     @example(**CLOSE_SWITCH)
+    @example(**ULP_STEP)
     def test_views_read_what_a_copy_would(
         self, r, steps_per_delay, t0, span, fracs, levels, queries, seed
     ):
@@ -367,7 +373,7 @@ class TestAccessorPorts:
         u = None
         if sys_.u_box is not None:
             u = sample_signal(SignalSpec(sys_.u_box, horizon, 0.5, seed=int(rng.integers(2**32))))
-        opts = IntegrateOpts(step_req=step, record_output=False)
+        opts = IntegrateOpts(step_req=step)
         ported = integrate(sys_, 0.0, x0, u, d, horizon, opts)
         whole = replace(sys_, dynamics=_whole_window_dynamics(bundle))
         return ported, integrate(whole, 0.0, x0, u, d, horizon, opts)

@@ -8,20 +8,25 @@ import pytest
 from rfdestab import (
     HistorySegment,
     IntegrateOpts,
+    KlFn,
     RegionSpec,
     RfdeSystem,
     SignalSpec,
     build_example,
     check_continuity_bound,
     check_rfc,
+    constant,
     constant_signal,
+    converse_functional_uq,
     estimate_lipschitz_moduli,
     integrate,
     output_distance,
     output_norm,
+    power,
     sample_history,
     sample_signal,
     trajectory_to_csv,
+    verify_rgaos_envelope,
 )
 from rfdestab.simulator import _uniform_box
 
@@ -42,6 +47,10 @@ def scalar_system(rhs, delay=1.0, output=None, **kw):
 def contraction():
     # x' = -x(t): delay-free decay written as a window functional
     return scalar_system(lambda t, seg, u, d: -seg.values[-1])
+
+
+def _same_window(a, b):
+    return np.array_equal(a.grid, b.grid) and np.array_equal(a.values, b.values)
 
 
 def delayed_negative_feedback():
@@ -91,6 +100,14 @@ class TestIntegrateBasics:
         sys_ = contraction()
         with pytest.raises(ValueError):
             integrate(sys_, 1.0, HistorySegment.constant(1.0, [0.0]), None, None, 0.5)
+
+    def test_signal_before_time_zero_rejected(self):
+        # signals are defined on [0, inf); a run without one may start earlier
+        sys_ = contraction()
+        x0 = HistorySegment.constant(1.0, [1.0])
+        with pytest.raises(ValueError, match="defined on"):
+            integrate(sys_, -0.5, x0, None, constant_signal([0.0]), 1.0)
+        assert integrate(sys_, -0.5, x0, None, None, 1.0).status == "completed"
 
     def test_determinism_bitwise(self):
         sys_ = delayed_negative_feedback()
@@ -148,26 +165,87 @@ class TestTrajectoryAccessors:
 
     def test_history_at_nodes_is_the_window_the_dynamics_saw(self):
         # example-5.2 at a fine step: t - r falls between knots at most nodes,
-        # and a knot just above t - r can round onto offset -r
-        system = build_example("example-5.2").system
-        seen = {}
+        # and a knot just above t - r can round onto offset -r; the other two
+        # bundles switch both their input and their disturbance
+        for name, step, horizon in (
+            ("example-5.2", 2e-4, 1.4), ("example-4.8", 1e-2, 4.0), ("example-5.4", 5e-3, 3.0),
+        ):
+            system = build_example(name).system
+            seen = {}
 
-        def dynamics(t, seg, u, d):
-            seen[t] = seg  # the node-time call after a step comes last
-            return system.dynamics(t, seg, u, d)
+            def dynamics(t, seg, u, d, f=system.dynamics):
+                seen[t] = seg  # the node-time call after a step comes last
+                return f(t, seg, u, d)
 
-        rng = np.random.default_rng(0)
+            rng = np.random.default_rng(0)
+            x0 = sample_history(rng, system.delay_r, system.dim_n, 1.0)
+            d_sig = sample_signal(SignalSpec(system.d_box, horizon, 0.4, seed=int(rng.integers(2**32))))
+            u_sig = None
+            if system.u_box is not None:
+                u_sig = sample_signal(
+                    SignalSpec(system.u_box, horizon, 0.5, seed=int(rng.integers(2**32)))
+                )
+                assert u_sig.switches_in(0.0, horizon).size > 0
+            opts = IntegrateOpts(step_req=step)
+            traj = integrate(replace(system, dynamics=dynamics), 0.0, x0, u_sig, d_sig, horizon, opts)
+            assert traj.status == "completed"
+            mismatched = []
+            for t, y in zip(traj.times, traj.outputs):
+                seg = traj.history(t)
+                expected = system.output(t, seen[t])
+                if not (
+                    _same_window(seg, seen[t])
+                    and (_same_window(y, expected) if isinstance(y, HistorySegment)
+                         else np.array_equal(y, expected))
+                ):
+                    mismatched.append(float(t))
+            assert not mismatched, (
+                f"{name}: {len(mismatched)} of {traj.times.size} nodes differ, first at {mismatched[0]!r}"
+            )
+
+    def test_outputs_stay_aligned_after_a_step_failure(self):
+        # calls: 1 at t0, then k2, k3, k4 and f_end per step; the 13th is the
+        # f_end of the third step, after its node was appended
+        calls = [0]
+
+        def rhs(t, seg, u, d):
+            calls[0] += 1
+            return np.array([np.nan if calls[0] == 13 else -seg.head[0]])
+
+        traj = integrate(
+            scalar_system(rhs), 0.0, HistorySegment.constant(1.0, [1.0]), None, None, 2.0,
+            IntegrateOpts(step_req=0.1),
+        )
+        assert traj.status == "step_failure"
+        assert len(traj.outputs) == traj.times.size == traj.output_norms().size == 4
+        lines = trajectory_to_csv(traj).strip().splitlines()
+        assert len(lines) == 1 + traj.times.size
+
+    def test_record_output_is_inert(self):
+        system = build_example("example-5.4").system
+        rng = np.random.default_rng(3)
         x0 = sample_history(rng, system.delay_r, system.dim_n, 1.0)
-        d_sig = sample_signal(SignalSpec(system.d_box, 1.4, 0.4, seed=int(rng.integers(2**32))))
-        opts = IntegrateOpts(step_req=2e-4, record_output=False)
-        traj = integrate(replace(system, dynamics=dynamics), 0.0, x0, None, d_sig, 1.4, opts)
-        assert traj.status == "completed"
-        mismatched = []
-        for t in traj.times:
-            seg = traj.history(t)
-            if not (np.array_equal(seg.grid, seen[t].grid) and np.array_equal(seg.values, seen[t].values)):
-                mismatched.append(float(t))
-        assert not mismatched, f"{len(mismatched)} of {traj.times.size} nodes differ, first at {mismatched[0]!r}"
+        d_sig = sample_signal(SignalSpec(system.d_box, 3.0, 0.4, seed=5))
+        u_sig = sample_signal(SignalSpec(system.u_box, 3.0, 0.5, seed=6))
+        on, off = (
+            integrate(system, 0.0, x0, u_sig, d_sig, 3.0, IntegrateOpts(step_req=5e-3, record_output=flag))
+            for flag in (True, False)
+        )
+        assert np.array_equal(on.times, off.times) and np.array_equal(on.states, off.states)
+        assert len(on.outputs) == len(off.outputs) == on.times.size
+        assert all(_same_window(a, b) for a, b in zip(on.outputs, off.outputs))
+        # a converse probe and an envelope check read the outputs either way
+        ensemble = [constant_signal(np.array([0.5]), box=system.d_box)]
+        values = [
+            converse_functional_uq(
+                system, 2, power(1.0), power(1.0), power(1.0), ensemble, 0.0, x0,
+                IntegrateOpts(step_req=1e-2, record_output=flag),
+            )
+            for flag in (True, False)
+        ]
+        assert values[0] == values[1]
+        roomy = KlFn(fn=lambda s, t: 1e6, name="roomy")
+        assert verify_rgaos_envelope([off], roomy, constant(1.0)).passed
 
     def test_csv_round_trip_shape(self):
         sys_ = contraction()
