@@ -22,10 +22,10 @@ import scipy
 
 from . import __version__
 from .compfn import constant
-from .examples import REGISTRY, ExampleBundle, build_example
+from .examples import REGISTRY, ExampleBundle, _disturbed_runs, build_example
 from .history import HistorySegment, sample_history
 from .signals import SignalSpec, constant_signal, sample_signal
-from .simulator import IntegrateOpts, integrate, trajectory_to_csv
+from .simulator import IntegrateOpts, _csv_text, integrate, output_norm
 from .verify import fit_kl_envelope
 
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
@@ -205,7 +205,8 @@ def _cmd_simulate(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter
     d_sig = _signal_from(sc.get("disturbance"), system.d_box, t_end, cfg.seed * 2 + 1)
     u_sig = _signal_from(sc.get("input"), system.u_box, t_end, cfg.seed * 2 + 2)
     traj = integrate(system, t0, x0, u_sig, d_sig, t_end, IntegrateOpts(step_req=step))
-    writer.write_text("trajectory.csv", trajectory_to_csv(traj))
+    outputs = list(traj.outputs)  # the output map runs once per node
+    writer.write_text("trajectory.csv", _csv_text(traj, outputs))
     report = {
         "status": traj.status,
         "t0": t0,
@@ -213,7 +214,7 @@ def _cmd_simulate(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter
         "t_event": traj.t_event,
         "nodes": int(traj.times.size),
         "max_state_norm": float(np.linalg.norm(traj.states, axis=1).max()),
-        "max_output_norm": float(traj.output_norms().max()),
+        "max_output_norm": float(np.max([output_norm(y) for y in outputs])),
     }
     writer.write_json("simulate_report.json", report)
     return 0 if traj.status == "completed" else 1
@@ -304,13 +305,7 @@ def _cmd_envelope(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter
     bins = int(ec.get("bins", 4))
     rng = np.random.default_rng(cfg.seed)
     opts = IntegrateOpts(step_req=step)
-    trajs = []
-    for _ in range(count):
-        x0 = sample_history(rng, system.delay_r, system.dim_n, norm_bound)
-        d_sig = sample_signal(
-            SignalSpec(system.d_box, duration, mean_dwell, seed=int(rng.integers(2 ** 32)))
-        )
-        trajs.append(integrate(system, 0.0, x0, None, d_sig, duration, opts))
+    trajs = _disturbed_runs(system, rng, count, norm_bound, duration, mean_dwell, opts)
     sigma = fit_kl_envelope(trajs, constant(1.0), bins=bins)
     s_points = int(ec.get("s_points", 8))
     t_points = int(ec.get("t_points", 33))
@@ -401,17 +396,9 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config {args.config!r} is not valid JSON: {exc}") from exc
-        if args.command is not None:
-            raw["command"] = args.command
         if args.system is not None:
             raw["system"] = {"name": args.system, "params": dict((raw.get("system") or {}).get("params") or {}) if isinstance(raw.get("system"), dict) else {}}
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.out is not None:
-            raw["out"] = args.out
-        if args.certificate is not None:
-            raw["certificate"] = args.certificate
-        for key in ("tolerance", "samples", "step", "horizon"):
+        for key in ("command", "seed", "out", "certificate", "tolerance", "samples", "step", "horizon"):
             value = getattr(args, key)
             if value is not None:
                 raw[key] = value

@@ -10,7 +10,7 @@ verification routines exploit exactly that property.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,7 +50,8 @@ class ComparisonFn:
     """Scalar gain/weight with a declared class tag.
 
     ``fn`` must accept floats and numpy arrays.  ``inverse``, when present,
-    is used by gain compositions; no attempt is made to invert numerically.
+    is the closed-form inverse, offered to callers; nothing here reads it,
+    and no gain is ever inverted numerically.
     """
 
     fn: Callable
@@ -66,7 +67,7 @@ class ComparisonFn:
         return self.fn(s)
 
 
-# -- named constructors (also the CLI registry) ------------------------------
+# -- named constructors (also built from JSON by comparison_from_config) ----
 
 def identity() -> ComparisonFn:
     return ComparisonFn(lambda s: s, "K_inf", "identity", inverse=lambda s: s)
@@ -144,7 +145,7 @@ class ClassCheckReport:
     checks: dict  # name -> {"ok": bool, "worst_s": float, "worst_value": float}
 
     def to_json_dict(self) -> dict:
-        return {"tag": self.tag, "passed": self.passed, "checks": self.checks}
+        return asdict(self)
 
 
 def _record(checks: dict, name: str, ok: bool, worst_s, worst_value):
@@ -155,16 +156,14 @@ def _record(checks: dict, name: str, ok: bool, worst_s, worst_value):
     }
 
 
-def check_class(f: ComparisonFn, grid: np.ndarray | None = None) -> ClassCheckReport:
+def check_class(f: ComparisonFn) -> ClassCheckReport:
     """Sampled membership check for the declared class tag.
 
-    Probes a log-spaced grid; the unboundedness probe for K-infinity is the
-    heuristic value test f(1e6) > 1e3.  Per-invariant results carry the worst
-    offending sample.
+    Probes ``DEFAULT_GRID``, 64 log-spaced magnitudes in [1e-9, 1e6]; the
+    unboundedness probe for K-infinity is the heuristic value test
+    f(1e6) > 1e3.  Per-invariant results carry the worst offending sample.
     """
-    if grid is None:
-        grid = DEFAULT_GRID
-    grid = np.asarray(grid, dtype=float)
+    grid = DEFAULT_GRID
     checks: dict = {}
     with np.errstate(over="ignore"):
         vals = np.asarray(f(grid), dtype=float)

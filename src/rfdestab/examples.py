@@ -123,6 +123,22 @@ def _sweep_spec(norm_bound: float, seed, samples, horizon) -> SamplerSpec:
     )
 
 
+def _disturbed_runs(sys: RfdeSystem, rng, count: int, norm_bound: float, horizon: float,
+                    mean_dwell: float, opts: IntegrateOpts) -> list:
+    """``count`` runs from t = 0 with no input, each under a random disturbance.
+
+    Each run draws its initial window (norm at most ``norm_bound``) and then
+    the seed of its disturbance signal from ``rng``, in that order.
+    """
+    runs = []
+    for _ in range(count):
+        x0 = sample_history(rng, sys.delay_r, sys.dim_n, norm_bound)
+        seed = int(rng.integers(2 ** 32))
+        d_sig = sample_signal(SignalSpec(sys.d_box, horizon, mean_dwell, seed=seed))
+        runs.append(integrate(sys, 0.0, x0, None, d_sig, horizon, opts))
+    return runs
+
+
 # ---------------------------------------------------------------------------
 # example-4.8: cascade with delayed multiplicative input
 # ---------------------------------------------------------------------------
@@ -281,30 +297,6 @@ def example_4_8(r: float = 0.5, u_max: float = 1.0) -> ExampleBundle:
 # example-5.2: distributed-delay loop under stabilizing feedback
 # ---------------------------------------------------------------------------
 
-def _trapezoid_self_test(r: float) -> None:
-    """Doubling refinement of the window quadrature on a smooth probe.
-
-    Verifies at construction time that trapezoid sums converge (successive
-    doublings change the value by < 1e-8) and land on the closed form.
-    """
-    target = math.sin(3.0 * r) / 3.0
-    n = 8
-    prev = None
-    while True:
-        grid = np.linspace(-r, 0.0, n + 1)
-        val = float(np.trapezoid(np.cos(3.0 * grid), grid))
-        if prev is not None and abs(val - prev) < 1e-8:
-            break
-        prev = val
-        n *= 2
-        if n > 2 ** 22:
-            raise RuntimeError("window quadrature failed to converge on the probe integrand")
-    if abs(val - target) > 1e-7:
-        raise RuntimeError(
-            f"window quadrature self-test missed the closed form: {val!r} vs {target!r}"
-        )
-
-
 def example_5_2(r: float = 0.5, eps: float = 1.0, L: float | None = None) -> ExampleBundle:
     """Linear time-varying loop with a distributed delay, closed by feedback.
 
@@ -339,8 +331,6 @@ def example_5_2(r: float = 0.5, eps: float = 1.0, L: float | None = None) -> Exa
         raise ValueError(
             f"feedback gain too small: L = {L:.5f} is below the minimum admissible {L_min:.5f}"
         )
-    _trapezoid_self_test(r)
-
     L_val = float(L)
 
     def dynamics(t, seg, u, d):
@@ -402,15 +392,7 @@ def example_5_2(r: float = 0.5, eps: float = 1.0, L: float | None = None) -> Exa
     @functools.lru_cache(maxsize=1)
     def _ensemble(seed: int, step: float, horizon: float, count: int):
         rng = np.random.default_rng(seed)
-        opts = IntegrateOpts(step_req=step)
-        trajs = []
-        for _ in range(count):
-            x0 = sample_history(rng, r, 2, 1.0)
-            d_sig = sample_signal(
-                SignalSpec(sys.d_box, horizon, 0.4, seed=int(rng.integers(2 ** 32)))
-            )
-            trajs.append(integrate(sys, 0.0, x0, None, d_sig, horizon, opts))
-        return trajs
+        return _disturbed_runs(sys, rng, count, 1.0, horizon, 0.4, IntegrateOpts(step_req=step))
 
     def run_razumikhin(seed=None, samples=None, tolerance=None, step=None, horizon=None):
         spec = _sweep_spec(2.0, seed, samples, horizon)
@@ -579,16 +561,7 @@ def example_5_4(R: float = 1.0, r: float = 1.0, u_max: float = 1.0) -> ExampleBu
         opts = IntegrateOpts(step_req=_pick(step, 4e-3))
         rng = np.random.default_rng(seed_v)
         n_fit = _pick(samples, 24)
-
-        def d_draw():
-            return sample_signal(
-                SignalSpec(sys.d_box, horizon_v, 0.5, seed=int(rng.integers(2 ** 32)))
-            )
-
-        fit_trajs = [
-            integrate(sys, 0.0, sample_history(rng, r, 1, 3.0), None, d_draw(), horizon_v, opts)
-            for _ in range(n_fit)
-        ]
+        fit_trajs = _disturbed_runs(sys, rng, n_fit, 3.0, horizon_v, 0.5, opts)
         sigma = fit_kl_envelope(fit_trajs, one, bins=4)
         test_trajs = []
         for k in range(max(6, n_fit // 2)):
@@ -598,7 +571,10 @@ def example_5_4(R: float = 1.0, r: float = 1.0, u_max: float = 1.0) -> ExampleBu
                 u_sig = sample_signal(
                     SignalSpec(sys.u_box, horizon_v, 1.0, seed=int(rng.integers(2 ** 32)))
                 )
-            test_trajs.append(integrate(sys, 0.0, x0, u_sig, d_draw(), horizon_v, opts))
+            d_sig = sample_signal(
+                SignalSpec(sys.d_box, horizon_v, 0.5, seed=int(rng.integers(2 ** 32)))
+            )
+            test_trajs.append(integrate(sys, 0.0, x0, u_sig, d_sig, horizon_v, opts))
         return verify_ios_envelope(
             test_trajs, sigma, one, gamma, one, tolerance=_pick(tolerance, 1e-9)
         )

@@ -144,13 +144,13 @@ class SignalSpec:
             raise ValueError("horizon and mean_dwell must be positive")
 
 
-def sample_signal(spec: SignalSpec, rng: np.random.Generator | None = None) -> PiecewiseSignal:
+def sample_signal(spec: SignalSpec) -> PiecewiseSignal:
     """Renewal-process sample: exp(mean_dwell) dwells, uniform box values.
 
-    Deterministic for a fixed spec seed when no generator is supplied.
+    The generator is seeded from ``spec.seed``, so a spec always gives the
+    same signal.
     """
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     switches = []
     t = float(rng.exponential(spec.mean_dwell))
     while t < spec.horizon:

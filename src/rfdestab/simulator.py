@@ -20,7 +20,7 @@ import functools
 import math
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -574,7 +574,6 @@ def estimate_lipschitz_moduli(
     region: RegionSpec,
     samples: int = 400,
     rng: np.random.Generator | None = None,
-    inflate: float = 1.5,
 ) -> LipschitzModuli:
     """Empirical moduli from maximal sampled quotients, inflated by 1.5.
 
@@ -629,9 +628,9 @@ def estimate_lipschitz_moduli(
     if not q_in:
         low.append("input_rate")
     return LipschitzModuli(
-        one_sided_state=inflate * max(0.0, max(q_state, default=0.0)),
-        output_rate=inflate * max(q_out, default=0.0),
-        input_rate=inflate * max(q_in, default=0.0),
+        one_sided_state=1.5 * max(0.0, max(q_state, default=0.0)),
+        output_rate=1.5 * max(q_out, default=0.0),
+        input_rate=1.5 * max(q_in, default=0.0),
         region=region,
         samples=samples,
         low_confidence=tuple(low),
@@ -649,13 +648,7 @@ class ContinuityReport:
     bound_overflowed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "worst_ratio": self.worst_ratio,
-            "worst_time": self.worst_time,
-            "initial_distance": self.initial_distance,
-            "bound_overflowed": self.bound_overflowed,
-        }
+        return asdict(self)
 
 
 def check_continuity_bound(
@@ -729,13 +722,7 @@ class RfcReport:
     trajectories: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "sup_norm_observed": self.sup_norm_observed,
-            "witness_index": self.witness_index,
-            "witness_time": self.witness_time,
-            "trajectories": self.trajectories,
-        }
+        return asdict(self)
 
 
 def check_rfc(
@@ -745,12 +732,12 @@ def check_rfc(
     n_traj: int,
     rng: np.random.Generator | None = None,
     opts: IntegrateOpts | None = None,
-    mean_dwell: float = 1.0,
 ) -> RfcReport:
     """Ensemble boundedness experiment over start times and signals.
 
     Draws initial windows with norm at most s, start times in [0, T], and
-    signals over the horizon (inputs clipped to the ball of radius s); the
+    signals with mean dwell 1 over the horizon (inputs clipped to the ball of
+    radius s); the
     first 2n ensemble members are the deterministic constant extremes
     +/- s along each axis started at t0 = 0, so the ball boundary is always
     probed.  The report carries the largest window norm seen and the first
@@ -772,7 +759,7 @@ def check_rfc(
             x0 = sample_history(rng, r, n, s)
         horizon = t0 + T
         d_sig = sample_signal(
-            SignalSpec(system.d_box, horizon + 1.0, mean_dwell, int(rng.integers(2**32))),
+            SignalSpec(system.d_box, horizon + 1.0, 1.0, int(rng.integers(2**32))),
         )
         u_sig = None
         if system.u_box is not None:
@@ -781,7 +768,7 @@ def check_rfc(
             )
             ubox[ubox[:, 0] > ubox[:, 1]] = 0.0
             u_sig = sample_signal(
-                SignalSpec(ubox, horizon + 1.0, mean_dwell, int(rng.integers(2**32))),
+                SignalSpec(ubox, horizon + 1.0, 1.0, int(rng.integers(2**32))),
             )
         traj = integrate(system, t0, x0, u_sig, d_sig, horizon, opts)
         if traj.status != "completed":
@@ -795,9 +782,14 @@ def check_rfc(
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV text: t, state columns, state norm, output columns or norm."""
+    return _csv_text(traj, list(traj.outputs))
+
+
+def _csv_text(traj: Trajectory, outputs: list) -> str:
+    """``trajectory_to_csv`` on outputs already read, one per node."""
     n = traj.states.shape[1]
     header = ["t"] + [f"x_{i+1}" for i in range(n)] + ["|x|"]
-    y0 = traj.outputs[0]
+    y0 = outputs[0]
     window = isinstance(y0, HistorySegment)
 
     def out_cells(y):
@@ -805,7 +797,7 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
     header += ["out_norm"] if window else [f"out_{i+1}" for i in range(len(out_cells(y0)))]
     lines = [",".join(header)]
-    for t, x, y in zip(traj.times, traj.states, traj.outputs):
+    for t, x, y in zip(traj.times, traj.states, outputs):
         row = [t, *x, np.linalg.norm(x), *out_cells(y)]
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"

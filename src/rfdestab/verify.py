@@ -14,7 +14,7 @@ and an empirical envelope fitter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -263,15 +263,7 @@ class ComparisonImplicationReport:
     conclusion_worst_slack: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "hypothesis_ok": self.hypothesis_ok,
-            "hypothesis_witness": None
-            if self.hypothesis_witness is None
-            else [float(v) for v in self.hypothesis_witness],
-            "conclusion_ok": self.conclusion_ok,
-            "conclusion_worst_slack": self.conclusion_worst_slack,
-        }
+        return asdict(self)
 
 
 def check_comparison_implication(
@@ -279,14 +271,12 @@ def check_comparison_implication(
     y: np.ndarray,
     u: np.ndarray,
     rho: ComparisonFn,
-    exceptions: Sequence[float] = (),
     tolerance: float = 1e-6,
 ) -> ComparisonImplicationReport:
     """Finite-difference check of the scalar comparison principle.
 
     Hypothesis: at every grid time where y(t) >= u(t) (inclusive), the
-    numerical slope of y must be <= -rho(y(t)) + tolerance.  Times listed in
-    ``exceptions`` (a declared measure-zero set) are skipped.  When the
+    numerical slope of y must be <= -rho(y(t)) + tolerance.  When the
     hypothesis holds, the induced bound
     y(t) <= max{sigma(y(t0), t - t0), sup_s sigma(u(s), t - s)} with sigma the
     rate flow of rho is then verified on the same grid.
@@ -298,25 +288,13 @@ def check_comparison_implication(
         raise ValueError("need at least three grid times")
     if y.shape != times.shape or u.shape != times.shape:
         raise ValueError("series shapes must match the time grid")
-    dt = np.diff(times)
-    if dt.max() > 1e-3 + 1e-12:
+    if np.diff(times).max() > 1e-3 + 1e-12:
         raise ValueError("grid too coarse for finite-difference slopes (need <= 1e-3)")
     dy = np.gradient(y, times, edge_order=2)
-    exc = np.asarray(sorted(exceptions), dtype=float)
-    half = 0.5 * float(dt.min())
 
     hyp_ok = True
     hyp_wit = None
     for k, t in enumerate(times):
-        if exc.size:
-            j = int(np.searchsorted(exc, t))
-            near = []
-            if j < exc.size:
-                near.append(abs(exc[j] - t))
-            if j > 0:
-                near.append(abs(t - exc[j - 1]))
-            if near and min(near) <= half:
-                continue
         if y[k] >= u[k]:
             required = -float(rho(y[k]))
             if dy[k] > required + tolerance * (1.0 + abs(dy[k])):
@@ -359,12 +337,7 @@ class PeriodicReductionReport:
     periods_shifted: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "worst_error": self.worst_error,
-            "worst_time": self.worst_time,
-            "periods_shifted": self.periods_shifted,
-        }
+        return asdict(self)
 
 
 def check_periodic_reduction(

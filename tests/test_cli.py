@@ -5,6 +5,7 @@ or counterexample / 2 config or I/O error), artifact shapes, error messages
 that name the offending item, and byte-level determinism of reruns.
 """
 
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rfdestab.cli as cli
 from rfdestab.cli import COMMANDS, ConfigError, RunConfig, main
 
 
@@ -147,6 +149,30 @@ class TestSimulate:
         assert manifest["config"]["seed"] == 2
         for key in ("rfdestab", "python", "numpy", "scipy"):
             assert manifest["versions"][key]
+
+    def test_output_map_runs_once_per_node(self, tmp_path, monkeypatch):
+        # the CSV and the report's max_output_norm read one list of outputs
+        calls = []
+        build = cli.build_example
+
+        def counting_build(name, params=None):
+            bundle = build(name, params)
+            output = bundle.system.output
+
+            def counted(t, seg):
+                calls.append(t)
+                return output(t, seg)
+
+            system = dataclasses.replace(bundle.system, output=counted)
+            return dataclasses.replace(bundle, system=system)
+
+        monkeypatch.setattr(cli, "build_example", counting_build)
+        out = tmp_path / "art"
+        rc = main(
+            ["simulate", "example-5.4", "--seed", "2", "--out", str(out), "--horizon", "3", "--step", "5e-3"]
+        )
+        assert rc == 0
+        assert len(calls) == load_json(out, "simulate_report.json")["nodes"] > 0
 
     def test_rich_run_with_signals_completes(self, tmp_path):
         out = tmp_path / "art"
