@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,8 +88,19 @@ class RunConfig:
         if seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
 
-        def opt_float(key):
-            return None if raw.get(key) is None else float(raw[key])
+        def opt_number(key, cast, ok, need):
+            if raw.get(key) is None:
+                return None
+            try:
+                value = cast(raw[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{key} must be a number, got {raw[key]!r}") from exc
+            if not ok(value):
+                raise ConfigError(f"{key} must be {need}, got {value!r}")
+            return value
+
+        def positive(v):
+            return math.isfinite(v) and v > 0.0
 
         return RunConfig(
             command=command,
@@ -96,10 +108,12 @@ class RunConfig:
             system_params=dict(system.get("params") or {}),
             seed=seed,
             out_dir=str(raw.get("out", "artifacts")),
-            tolerance=opt_float("tolerance"),
-            samples=None if raw.get("samples") is None else int(raw["samples"]),
-            step=opt_float("step"),
-            horizon=opt_float("horizon"),
+            tolerance=opt_number(
+                "tolerance", float, lambda v: math.isfinite(v) and v >= 0.0, "finite and nonnegative"
+            ),
+            samples=opt_number("samples", int, lambda v: v >= 1, "at least 1"),
+            step=opt_number("step", float, positive, "finite and positive"),
+            horizon=opt_number("horizon", float, positive, "finite and positive"),
             certificate=raw.get("certificate"),
             simulate=dict(raw.get("simulate") or {}),
             envelope=dict(raw.get("envelope") or {}),
@@ -121,20 +135,6 @@ class RunConfig:
         }
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 class _ArtifactWriter:
     """Serialized artifact writes with content hashes for the manifest."""
 
@@ -150,7 +150,7 @@ class _ArtifactWriter:
 
     def write_json(self, name: str, obj) -> None:
         # strict JSON: a NaN or an infinity raises instead of writing NaN/Infinity
-        text = json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
         self.write_text(name, text + "\n")
 
 

@@ -9,6 +9,7 @@ verification routines exploit exactly that property.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -47,17 +48,12 @@ VALID_TAGS = ("K", "K_inf", "K_plus", "positive_definite")
 
 @dataclass(frozen=True)
 class ComparisonFn:
-    """Scalar gain/weight with a declared class tag.
-
-    ``fn`` must accept floats and numpy arrays.  ``inverse``, when present,
-    is the closed-form inverse, offered to callers; nothing here reads it,
-    and no gain is ever inverted numerically.
-    """
+    """Scalar gain/weight with a declared class tag; ``fn`` must accept
+    floats and numpy arrays."""
 
     fn: Callable
     tag: str
     name: str = ""
-    inverse: Callable | None = None
 
     def __post_init__(self):
         if self.tag not in VALID_TAGS:
@@ -70,13 +66,13 @@ class ComparisonFn:
 # -- named constructors (also built from JSON by comparison_from_config) ----
 
 def identity() -> ComparisonFn:
-    return ComparisonFn(lambda s: s, "K_inf", "identity", inverse=lambda s: s)
+    return ComparisonFn(lambda s: s, "K_inf", "identity")
 
 
 def linear(c: float, tag: str = "K_inf") -> ComparisonFn:
     if c <= 0 and tag != "K_plus":
         raise ValueError("linear gain needs a positive slope")
-    return ComparisonFn(lambda s: c * s, tag, f"linear({c!r})", inverse=lambda s: s / c)
+    return ComparisonFn(lambda s: c * s, tag, f"linear({c!r})")
 
 
 def power(p: float, scale: float = 1.0) -> ComparisonFn:
@@ -86,10 +82,7 @@ def power(p: float, scale: float = 1.0) -> ComparisonFn:
     def fn(s):
         return scale * np.abs(s) ** p
 
-    def inv(z):
-        return (np.abs(z) / scale) ** (1.0 / p)
-
-    return ComparisonFn(fn, "K_inf", f"power(p={p!r}, scale={scale!r})", inverse=inv)
+    return ComparisonFn(fn, "K_inf", f"power(p={p!r}, scale={scale!r})")
 
 
 def exp_weight(c: float) -> ComparisonFn:
@@ -258,55 +251,6 @@ FLOW_ATOL = 1e-10
 FLOW_PROBES = np.logspace(-9, 3, 25)
 
 
-class _RateFlow:
-    """Flow of y' = -rho(y) with per-initial-condition dense solutions.
-
-    Rows are solved on demand with an adaptive 4th/5th order pair and cached
-    by their exact initial value, so repeated queries are cheap and
-    deterministic.  Values are clamped at zero (the exact flow never crosses
-    it; the numerical one may undershoot by ~FLOW_ATOL).
-    """
-
-    def __init__(self, rho: Callable):
-        self.rho = rho
-        self._rows: dict = {}
-
-    def _rhs(self, t, y):
-        yv = y[0]
-        if yv <= 0.0:
-            return [0.0]
-        return [-float(self.rho(yv))]
-
-    def _row(self, s: float):
-        sol = self._rows.get(s)
-        if sol is None:
-            from scipy.integrate import solve_ivp  # SciPy's ODE suite loads on first use
-
-            res = solve_ivp(
-                self._rhs, (0.0, FLOW_T_MAX), [s],
-                method="RK45", rtol=1e-10, atol=FLOW_ATOL, dense_output=True,
-            )
-            if not res.success:
-                raise RuntimeError(f"comparison flow failed from y(0)={s!r}: {res.message}")
-            sol = res.sol
-            self._rows[s] = sol
-        return sol
-
-    def values(self, s: float, ts) -> np.ndarray:
-        """sigma(s, t) for a time or an array of times, in the shape of ``ts``;
-        times past FLOW_T_MAX chain through the value at FLOW_T_MAX."""
-        if s < 0.0:
-            raise ValueError("KL envelopes are defined for s >= 0")
-        ts = np.asarray(ts, dtype=float)
-        out = np.empty(ts.shape)
-        inside = ts <= FLOW_T_MAX
-        if inside.any():
-            out[inside] = np.clip(self._row(s)(ts[inside])[0], 0.0, None)
-        if not inside.all():
-            out[~inside] = self.values(float(self.values(s, FLOW_T_MAX)), ts[~inside] - FLOW_T_MAX)
-        return np.where(ts > 0.0, out, s)
-
-
 @dataclass(frozen=True)
 class KlFn:
     """Two-argument decay envelope sigma(s, t); ``flow(s, ts)``, set by
@@ -329,19 +273,54 @@ def kl_from_rate(rho: ComparisonFn | Callable) -> KlFn:
     """KL envelope as the flow of y' = -rho(y); sigma(s, 0) = s exactly.
 
     The rate must be nonnegative on FLOW_PROBES (25 log-spaced points in
-    [1e-9, 1e3]; class error otherwise).  Each queried initial value gets its
-    own dense adaptive solution on [0, FLOW_T_MAX] (60) at absolute tolerance
-    FLOW_ATOL (1e-10), cached, so closed-form accuracy is limited only by the
-    integration tolerance.
+    [1e-9, 1e3]; class error otherwise).  A queried initial value gets a
+    dense adaptive solution on [0, FLOW_T_MAX] (60) at absolute tolerance
+    FLOW_ATOL (1e-10), so closed-form accuracy is limited only by the
+    integration tolerance.  Times past FLOW_T_MAX chain through the value at
+    FLOW_T_MAX, and values are clamped at zero (the exact flow never crosses
+    it; the numerical one may undershoot by ~FLOW_ATOL).  Callers re-query
+    only the value they queried last, so only the last two solutions are
+    kept: the queried value's and, past FLOW_T_MAX, the one it chains to.
     """
     rate = rho.fn if isinstance(rho, ComparisonFn) else rho
     probes = np.asarray([rate(s) for s in FLOW_PROBES], dtype=float)
     if np.any(probes < 0.0):
         bad = FLOW_PROBES[int(np.argmin(probes))]
         raise ValueError(f"decay rate is negative at s={bad!r}; not positive definite")
-    flow = _RateFlow(rate)
+
+    def rhs(t, y):
+        yv = y[0]
+        if yv <= 0.0:
+            return [0.0]
+        return [-float(rate(yv))]
+
+    @functools.lru_cache(maxsize=2)
+    def solution(s: float):
+        from scipy.integrate import solve_ivp  # SciPy's ODE suite loads on first use
+
+        res = solve_ivp(
+            rhs, (0.0, FLOW_T_MAX), [s],
+            method="RK45", rtol=1e-10, atol=FLOW_ATOL, dense_output=True,
+        )
+        if not res.success:
+            raise RuntimeError(f"comparison flow failed from y(0)={s!r}: {res.message}")
+        return res.sol
+
+    def flow(s: float, ts) -> np.ndarray:
+        """sigma(s, t) for a time or an array of times, in the shape of ``ts``."""
+        if s < 0.0:
+            raise ValueError("KL envelopes are defined for s >= 0")
+        ts = np.asarray(ts, dtype=float)
+        out = np.empty(ts.shape)
+        inside = ts <= FLOW_T_MAX
+        if inside.any():
+            out[inside] = np.clip(solution(s)(ts[inside])[0], 0.0, None)
+        if not inside.all():
+            out[~inside] = flow(float(flow(s, FLOW_T_MAX)), ts[~inside] - FLOW_T_MAX)
+        return np.where(ts > 0.0, out, s)
+
     label = rho.name if isinstance(rho, ComparisonFn) and rho.name else "rate"
-    return KlFn(flow.values, f"flow(-{label})", flow=flow.values)
+    return KlFn(flow, f"flow(-{label})", flow=flow)
 
 
 def fading_sup(sigma: KlFn, s_series: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -115,6 +115,13 @@ def _pick(value, default):
     return default if value is None else value
 
 
+def _require_positive(**params) -> None:
+    """Reject a constructor parameter that is not finite and positive (None means "default")."""
+    for key, value in params.items():
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"parameter {key} must be finite and positive, got {value!r}")
+
+
 def _sweep_spec(norm_bound: float, seed, samples, horizon) -> SamplerSpec:
     """A falsification certificate's sampler: by default 2,000 samples, seed 0, t in [0, 5]."""
     return SamplerSpec(
@@ -152,10 +159,7 @@ def example_4_8(r: float = 0.5, u_max: float = 1.0) -> ExampleBundle:
     exponentially weighted input guard does.  The input axis is sampled in
     the box [-u_max, u_max].
     """
-    if r <= 0:
-        raise ValueError("delay r must be positive")
-    if u_max <= 0:
-        raise ValueError("u_max must be positive")
+    _require_positive(r=r, u_max=u_max)
 
     def dynamics(t, seg, u, d):
         x1, x2 = seg.head
@@ -307,10 +311,7 @@ def example_5_2(r: float = 0.5, eps: float = 1.0, L: float | None = None) -> Exa
     window-domination guard, and its window supremum never increases along
     solutions.
     """
-    if r <= 0:
-        raise ValueError("delay r must be positive")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _require_positive(r=r, eps=eps, L=L)
     bound = 3.0 * math.sqrt(2.0) / 2.0
     K = r * math.exp(r)
     if not (K < bound):
@@ -485,12 +486,7 @@ def example_5_4(R: float = 1.0, r: float = 1.0, u_max: float = 1.0) -> ExampleBu
     clamped at zero) satisfies the window-dominated decay under a power-law
     input guard, giving a two-thirds-power input-to-output gain.
     """
-    if R <= 0:
-        raise ValueError("disturbance bound R must be positive")
-    if r <= 0:
-        raise ValueError("delay r must be positive")
-    if u_max <= 0:
-        raise ValueError("u_max must be positive")
+    _require_positive(R=R, r=r, u_max=u_max)
 
     band = 2.0 * math.sqrt(R)
 

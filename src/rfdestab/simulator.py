@@ -71,8 +71,8 @@ class RfdeSystem:
         object.__setattr__(self, "d_box", np.asarray(self.d_box, dtype=float))
         if self.u_box is not None:
             object.__setattr__(self, "u_box", np.asarray(self.u_box, dtype=float))
-        if self.delay_r <= 0:
-            raise ValueError("delay_r must be positive")
+        if not (math.isfinite(self.delay_r) and self.delay_r > 0):
+            raise ValueError(f"delay_r must be finite and positive, got {self.delay_r!r}")
 
     @property
     def input_dim(self) -> int:

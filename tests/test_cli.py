@@ -8,6 +8,7 @@ that name the offending item, and byte-level determinism of reruns.
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -18,6 +19,8 @@ import pytest
 
 import rfdestab.cli as cli
 from rfdestab.cli import COMMANDS, ConfigError, RunConfig, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def read_tree(out_dir: Path) -> dict:
@@ -437,6 +440,33 @@ class TestErrorPaths:
                 writer.write_json("bad.json", {"a": [bad]})
         assert not (tmp_path / "bad.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv, params, named",
+        [
+            (["simulate", "example-5.4", "--horizon", "-1"], None, "horizon must be finite"),
+            (["simulate", "example-5.4", "--step", "0"], None, "step must be finite"),
+            (["simulate", "example-5.4", "--horizon", "nan"], None, "horizon must be finite"),
+            (["simulate", "example-5.4", "--tolerance", "nan"], None, "tolerance must be finite"),
+            (["simulate", "example-4.8"], {"r": float("nan")}, "parameter r must be finite"),
+            (["simulate", "example-5.4"], {"r": float("nan")}, "parameter r must be finite"),
+            (["simulate", "example-5.2"], {"eps": float("inf")}, "parameter eps must be finite"),
+            (
+                ["check", "example-5.2", "--certificate", "window-sup-monotone", "--samples", "0"],
+                None,
+                "samples must be at least 1",
+            ),
+        ],
+    )
+    def test_out_of_range_numbers_exit_2(self, tmp_path, capsys, argv, params, named):
+        out = tmp_path / "a"
+        argv = argv + ["--seed", "0", "--out", str(out)]
+        if params is not None:
+            # Python's json reads and writes NaN and Infinity
+            argv += ["--config", write_config(tmp_path, {"system": {"name": argv[1], "params": params}})]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_system_lists_known_names(self, tmp_path, capsys):
         rc = main(["check", "no-such-system", "--seed", "0", "--out", str(tmp_path / "a")])
         assert rc == 2
@@ -575,6 +605,11 @@ class TestDeterminism:
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "art"
+        # a subprocess does not see pytest's pythonpath setting
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
         proc = subprocess.run(
             [
                 sys.executable,
@@ -593,6 +628,7 @@ class TestDeterminism:
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "manifest.json").exists()
