@@ -39,6 +39,26 @@ class ConfigError(Exception):
     """Invalid run configuration (maps to exit status 2)."""
 
 
+# what a number read from the config must be, and the test of it
+_FINITE = ("finite", math.isfinite)
+_POSITIVE = ("finite and positive", lambda v: math.isfinite(v) and v > 0.0)
+_NONNEGATIVE = ("finite and nonnegative", lambda v: math.isfinite(v) and v >= 0.0)
+_AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
+
+
+def _number(key: str, value, cast, rule):
+    """``cast(value)``, or a ConfigError naming ``key`` when the cast fails
+    or the result breaks ``rule``."""
+    need, ok = rule
+    try:
+        number = cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} must be {need}, got {value!r}") from exc
+    if not ok(number):
+        raise ConfigError(f"{key} must be {need}, got {number!r}")
+    return number
+
+
 @dataclass
 class RunConfig:
     """Validated description of one batch run."""
@@ -84,23 +104,13 @@ class RunConfig:
             raise ConfigError(f"unknown system keys: {sorted(bad_sys)}")
         if "seed" not in raw or raw["seed"] is None:
             raise ConfigError("config requires an explicit seed (no nondeterministic defaults)")
-        seed = int(raw["seed"])
-        if seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
+        seed = _number("seed", raw["seed"], int, ("a nonnegative integer", lambda v: v >= 0))
+        for key in ("simulate", "envelope"):
+            if not isinstance(raw.get(key) or {}, dict):
+                raise ConfigError(f"{key} must be a JSON object")
 
-        def opt_number(key, cast, ok, need):
-            if raw.get(key) is None:
-                return None
-            try:
-                value = cast(raw[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"{key} must be a number, got {raw[key]!r}") from exc
-            if not ok(value):
-                raise ConfigError(f"{key} must be {need}, got {value!r}")
-            return value
-
-        def positive(v):
-            return math.isfinite(v) and v > 0.0
+        def opt_number(key, cast, rule):
+            return None if raw.get(key) is None else _number(key, raw[key], cast, rule)
 
         return RunConfig(
             command=command,
@@ -108,12 +118,10 @@ class RunConfig:
             system_params=dict(system.get("params") or {}),
             seed=seed,
             out_dir=str(raw.get("out", "artifacts")),
-            tolerance=opt_number(
-                "tolerance", float, lambda v: math.isfinite(v) and v >= 0.0, "finite and nonnegative"
-            ),
-            samples=opt_number("samples", int, lambda v: v >= 1, "at least 1"),
-            step=opt_number("step", float, positive, "finite and positive"),
-            horizon=opt_number("horizon", float, positive, "finite and positive"),
+            tolerance=opt_number("tolerance", float, _NONNEGATIVE),
+            samples=opt_number("samples", int, _AT_LEAST_1),
+            step=opt_number("step", float, _POSITIVE),
+            horizon=opt_number("horizon", float, _POSITIVE),
             certificate=raw.get("certificate"),
             simulate=dict(raw.get("simulate") or {}),
             envelope=dict(raw.get("envelope") or {}),
@@ -154,25 +162,34 @@ class _ArtifactWriter:
         self.write_text(name, text + "\n")
 
 
-def _signal_from(spec, box, t_hi: float, seed: int):
+def _vector(key: str, value, size: int) -> np.ndarray:
+    """``value`` as a vector of ``size`` finite numbers, or a ConfigError naming ``key``."""
+    need = f"{key} must have {size} entries, each a finite number, got {value!r}"
+    try:
+        vec = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(need) from exc
+    if vec.ndim != 1 or vec.size != size or not np.isfinite(vec).all():
+        raise ConfigError(need)
+    return vec
+
+
+def _signal_from(sc: dict, channel: str, box, t_hi: float, seed: int):
+    key = f"simulate.{channel}"
+    spec = sc.get(channel)
     if spec is None:
         return None
     if not isinstance(spec, dict):
-        raise ConfigError("signal specs must be JSON objects")
+        raise ConfigError(f"{key} must be a JSON object")
     kind = spec.get("kind", "zero")
     if kind == "zero":
         return None
     if box is None or box.shape[0] == 0:
-        raise ConfigError("system has no channel for the requested signal")
+        raise ConfigError(f"system has no channel for {key}")
     if kind == "constant":
-        value = np.asarray(spec.get("value"), dtype=float)
-        if value.ndim != 1 or value.size != box.shape[0]:
-            raise ConfigError(
-                f"constant signal value must have {box.shape[0]} entries"
-            )
-        return constant_signal(value)
+        return constant_signal(_vector(f"{key}.value", spec.get("value"), box.shape[0]))
     if kind == "random":
-        mean_dwell = float(spec.get("mean_dwell", 0.5))
+        mean_dwell = _number(f"{key}.mean_dwell", spec.get("mean_dwell", 0.5), float, _POSITIVE)
         return sample_signal(SignalSpec(box, max(t_hi, 1e-6), mean_dwell, seed=seed))
     raise ConfigError(f"unknown signal kind {kind!r}")
 
@@ -180,30 +197,34 @@ def _signal_from(spec, box, t_hi: float, seed: int):
 def _initial_from(spec, delay: float, dim: int, rng) -> HistorySegment:
     if spec is None:
         spec = {"kind": "zero"}
+    if not isinstance(spec, dict):
+        raise ConfigError("simulate.initial must be a JSON object")
     kind = spec.get("kind", "zero")
     if kind == "zero":
         return HistorySegment.constant(delay, np.zeros(dim))
     if kind == "constant":
-        value = np.asarray(spec.get("value"), dtype=float)
-        if value.ndim != 1 or value.size != dim:
-            raise ConfigError(f"initial value must have {dim} entries")
+        value = _vector("simulate.initial.value", spec.get("value"), dim)
         return HistorySegment.constant(delay, value)
     if kind == "random":
-        return sample_history(rng, delay, dim, float(spec.get("norm_bound", 1.0)))
+        bound = spec.get("norm_bound", 1.0)
+        norm_bound = _number("simulate.initial.norm_bound", bound, float, _NONNEGATIVE)
+        return sample_history(rng, delay, dim, norm_bound)
     raise ConfigError(f"unknown initial-segment kind {kind!r}")
 
 
 def _cmd_simulate(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter) -> int:
     system = bundle.system
     sc = cfg.simulate
-    t0 = float(sc.get("t0", 0.0))
+    t0 = _number("simulate.t0", sc.get("t0", 0.0), float, _FINITE)
     duration = cfg.horizon if cfg.horizon is not None else 5.0
     step = cfg.step if cfg.step is not None else 1e-3
     rng = np.random.default_rng(cfg.seed)
     x0 = _initial_from(sc.get("initial"), system.delay_r, system.dim_n, rng)
     t_end = t0 + duration
-    d_sig = _signal_from(sc.get("disturbance"), system.d_box, t_end, cfg.seed * 2 + 1)
-    u_sig = _signal_from(sc.get("input"), system.u_box, t_end, cfg.seed * 2 + 2)
+    d_sig = _signal_from(sc, "disturbance", system.d_box, t_end, cfg.seed * 2 + 1)
+    u_sig = _signal_from(sc, "input", system.u_box, t_end, cfg.seed * 2 + 2)
+    if t0 < 0.0 and (d_sig is not None or u_sig is not None):
+        raise ConfigError(f"simulate.t0 must be nonnegative with a signal, got {t0!r}")
     traj = integrate(system, t0, x0, u_sig, d_sig, t_end, IntegrateOpts(step_req=step))
     outputs = list(traj.outputs)  # the output map runs once per node
     writer.write_text("trajectory.csv", _csv_text(traj, outputs))
@@ -300,15 +321,19 @@ def _cmd_envelope(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter
     step = cfg.step if cfg.step is not None else 4e-3
     count = cfg.samples if cfg.samples is not None else 20
     ec = cfg.envelope
-    norm_bound = float(ec.get("norm_bound", 2.0))
-    mean_dwell = float(ec.get("mean_dwell", 0.5))
-    bins = int(ec.get("bins", 4))
+
+    def setting(key, default, cast, rule):
+        return _number(f"envelope.{key}", ec.get(key, default), cast, rule)
+
+    norm_bound = setting("norm_bound", 2.0, float, _NONNEGATIVE)
+    mean_dwell = setting("mean_dwell", 0.5, float, _POSITIVE)
+    bins = setting("bins", 4, int, _AT_LEAST_1)
+    s_points = setting("s_points", 8, int, _AT_LEAST_1)
+    t_points = setting("t_points", 33, int, _AT_LEAST_1)
     rng = np.random.default_rng(cfg.seed)
     opts = IntegrateOpts(step_req=step)
     trajs = _disturbed_runs(system, rng, count, norm_bound, duration, mean_dwell, opts)
     sigma = fit_kl_envelope(trajs, constant(1.0), bins=bins)
-    s_points = int(ec.get("s_points", 8))
-    t_points = int(ec.get("t_points", 33))
     s_vals = np.linspace(norm_bound / s_points, norm_bound, s_points)
     t_vals = np.linspace(0.0, duration, t_points)
     lines = ["s,t,sigma"]

@@ -35,7 +35,7 @@ from .compfn import (
     linear,
     power,
 )
-from .history import HistorySegment, sample_history
+from .history import HistorySegment, _trapezoid, sample_history
 from .lyapunov import (
     LyapunovFunctional,
     RazumikhinFunction,
@@ -181,7 +181,7 @@ def example_4_8(r: float = 0.5, u_max: float = 1.0) -> ExampleBundle:
     def v_terms(t, seg):
         """x1(0), x2(0), e^{-8t}, e^{-4t} and the window integral of x1^4."""
         x1 = seg.values[:, 0]
-        integral = float(np.trapezoid(x1 ** 4, seg.grid))
+        integral = float(_trapezoid(x1 ** 4, seg.grid))
         return x1[-1], seg.values[-1, 1], math.exp(-8.0 * t), math.exp(-4.0 * t), integral
 
     def v_eval(t, seg):
@@ -335,9 +335,9 @@ def example_5_2(r: float = 0.5, eps: float = 1.0, L: float | None = None) -> Exa
     L_val = float(L)
 
     def dynamics(t, seg, u, d):
-        x1, x2 = seg.head
+        x1, x2 = seg.head.tolist()
         et = math.exp(t)
-        window_integral = float(seg.integral()[0])
+        window_integral = seg.integral().item(0)
         z2 = x2 + 4.0 * et * x1
         feedback = -4.0 * et * x1 - 16.5 * et * et * x1 - 4.0 * et * x2 - L_val * et * z2
         return np.array([d[0] * et * window_integral + x2, feedback])

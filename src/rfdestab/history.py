@@ -105,7 +105,7 @@ class HistorySegment:
     def integral(self) -> np.ndarray:
         """Trapezoid integral of each state column over the window; column j
         is ``np.trapezoid(values[:, j], grid)``."""
-        return np.array([np.trapezoid(col, self.grid) for col in self.values.T])
+        return np.array([_trapezoid(col, self.grid) for col in self.values.T])
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -173,6 +173,12 @@ def _segment(delay, grid: np.ndarray, values: np.ndarray) -> HistorySegment:
     seg = object.__new__(HistorySegment)
     seg.__dict__.update(delay=delay, grid=grid, values=values)
     return seg
+
+
+def _trapezoid(y: np.ndarray, x: np.ndarray) -> np.float64:
+    """``np.trapezoid(y, x)`` for 1-D arrays, bitwise: its own arithmetic
+    without its argument handling."""
+    return ((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0).sum()
 
 
 def _interp(grid: np.ndarray, values: np.ndarray, th: np.ndarray) -> np.ndarray:

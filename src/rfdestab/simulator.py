@@ -144,23 +144,25 @@ class _Dense:
 
     def append(self, t: float, x: np.ndarray, din: np.ndarray):
         c = self.count
-        if t - self.K[c - 1] <= self.tie_gap:
+        t_prev = self.K.item(c - 1)
+        if t - t_prev <= self.tie_gap:
             self.close_knots = True
         self.K[c] = t
         self.V[c] = x
         self.DIN[c] = din
-        self.CUM[c] = self.CUM[c - 1] + (0.5 * (t - self.K[c - 1])) * (x + self.V[c - 1])
+        self.CUM[c] = self.CUM[c - 1] + (0.5 * (t - t_prev)) * (x + self.V[c - 1])
         self.count = c + 1
 
     def node_window(self, k: int, seg: _Window | None = None) -> _Window:
         """The window the dynamics saw at node ``k`` (node 0 is t0).  The
         integrator passes ``seg``, a window at the node's time, whose lower
-        end the node window keeps."""
+        end and window quadrature the node window keeps."""
         c = self.node0 + k
-        if seg is not None:
-            self.I0[c] = seg._i0
-            self.TAIL[c] = seg._tail
-        return _Window(self, self.K.item(c), self.I0.item(c), c, self.TAIL[c], self.V[c])
+        if seg is None:
+            return _Window(self, self.K.item(c), self.I0.item(c), c, self.TAIL[c], self.V[c])
+        self.I0[c] = seg._i0
+        self.TAIL[c] = seg._tail
+        return _Window(self, self.K.item(c), seg._i0, c, self.TAIL[c], self.V[c], seg._body)
 
     def _basis(self, s):
         s2 = s * s
@@ -177,7 +179,7 @@ class _Dense:
             j = 0
         if j >= c - 1:
             j = c - 2
-        ta, tb = self.K[j], self.K[j + 1]
+        ta, tb = self.K.item(j), self.K.item(j + 1)
         if t == ta:
             return self.V[j]
         if t == tb:
@@ -213,7 +215,9 @@ class _Dense:
             out[at_top] = self.V[j[at_top] + 1]
         return out
 
-    def window_segment(self, tau: float, prov: np.ndarray | None = None) -> _Window:
+    def window_segment(
+        self, tau: float, prov: np.ndarray | None = None, start: int | None = None
+    ) -> _Window:
         """History snapshot on [tau - delay, tau], as a view of the store.
 
         Inner knots are the stored knots strictly below ``tau``; the left
@@ -222,22 +226,24 @@ class _Dense:
         knot: a stage's provisional state (the linear piece between the last
         node and the stage is exactly the forward extension used by the stage
         formulas) or the newest node's own state, which supersedes a knot at
-        ``tau``.  Otherwise it is the dense value at ``tau``.
+        ``tau``.  Otherwise it is the dense value at ``tau``.  ``start``, when
+        given, is ``searchsorted(K[:count], tau - delay, "right")``, which a
+        caller whose times only grow can keep by walking forward.
         """
         r = self.delay
         c = self.count
         lo = tau - r
         K = self.K
-        i0 = int(np.searchsorted(K[:c], lo, side="right"))
-        tail_row = i0 - 1 if i0 > 0 and K[i0 - 1] == lo else None
+        i0 = int(np.searchsorted(K[:c], lo, side="right")) if start is None else start
+        tail_row = i0 - 1 if i0 > 0 and K.item(i0 - 1) == lo else None
         # a knot just above lo can still land on offset -r after subtraction;
         # fold it into the tail so the offset grid stays strictly increasing
-        while i0 < c and K[i0] - tau <= -r:
+        while i0 < c and K.item(i0) - tau <= -r:
             tail_row = i0
             i0 += 1
         if prov is None:
             prov = self.eval_one(tau)
-        i1 = c if K[c - 1] < tau else int(np.searchsorted(K[:c], tau, side="left"))
+        i1 = c if K.item(c - 1) < tau else int(np.searchsorted(K[:c], tau, side="left"))
         # without a fold, the search for i0 is eval_one(lo)'s own search
         tail = self._eval_in(i0 - 1, lo) if tail_row is None else self.V[tail_row]
         return _Window(self, tau, i0, i1, tail, prov)
@@ -250,19 +256,23 @@ class _Window(HistorySegment):
     rows at -delay and 0.  ``head``, ``delayed`` and ``integral()`` cost O(1);
     ``grid`` and ``values`` cost one O(delay/step) copy on first read and are
     kept.  The store only appends, so a window stays valid as it grows.
+    ``_body`` is all of ``integral()`` but the head piece, computed on first
+    need; windows with the same time, inner knots and tail share it.
     """
 
-    def __init__(self, dense: _Dense, tau: float, i0: int, i1: int, tail, head):
+    def __init__(self, dense: _Dense, tau: float, i0: int, i1: int, tail, head, body=None):
         tail.flags.writeable = False
         head.flags.writeable = False
         self.__dict__.update(
-            delay=dense.delay, _dense=dense, _tau=tau, _i0=i0, _i1=i1, _tail=tail, _head=head
+            delay=dense.delay, _dense=dense, _tau=tau, _i0=i0, _i1=i1, _tail=tail, _head=head,
+            _body=body,
         )
 
     def with_head(self, head: np.ndarray) -> _Window:
         """The same window with another row at offset 0: the RK stages that
-        share a time share the search for the lower end."""
-        return _Window(self._dense, self._tau, self._i0, self._i1, self._tail, head)
+        share a time share the search for the lower end and the quadrature
+        of all but the head piece."""
+        return _Window(self._dense, self._tau, self._i0, self._i1, self._tail, head, self._body)
 
     @property
     def dim(self) -> int:
@@ -284,11 +294,10 @@ class _Window(HistorySegment):
         i0, i1, tau = self._i0, self._i1, self._tau
         if i0 == i1:
             return (0.5 * self.delay) * (self._tail + self._head)
-        return (
-            (0.5 * ((K[i0] - tau) + self.delay)) * (self._tail + V[i0])
-            + (C[i1 - 1] - C[i0])
-            + (0.5 * (tau - K[i1 - 1])) * (V[i1 - 1] + self._head)
-        )
+        if self._body is None:  # the tail piece plus the running integral between the inner knots
+            tail_piece = (0.5 * ((K.item(i0) - tau) + self.delay)) * (self._tail + V[i0])
+            self.__dict__["_body"] = tail_piece + (C[i1 - 1] - C[i0])
+        return self._body + (0.5 * (tau - K.item(i1 - 1))) * (V[i1 - 1] + self._head)
 
     @property
     def grid(self) -> np.ndarray:
@@ -458,35 +467,50 @@ def integrate(
     U.flags.writeable = D.flags.writeable = False
     switched = np.any(U[1:] != U[:-1], axis=1) | np.any(D[1:] != D[:-1], axis=1)
     switched[-1] = False  # the run ends at the last node: no slope leaves it
+    switched = switched.tolist()
 
     dense = _Dense(t0, x0, x0.grid.size + tgrid.size)
     f = system.dynamics
+    K, V, DIN, DOUT = dense.K, dense.V, dense.DIN, dense.DOUT
+    lower = 0  # searchsorted(K[:count], tau - delay, "right") at the last stage time tau
+
+    def window(tau: float, head: np.ndarray) -> _Window:
+        # stage times never decrease and knots only append, so the lower end walks forward
+        nonlocal lower
+        lo = tau - dense.delay
+        while lower < dense.count and K.item(lower) <= lo:
+            lower += 1
+        return dense.window_segment(tau, head, lower)
 
     status = "completed"
-    seg0 = dense.node_window(0, dense.window_segment(t0, dense.V[dense.count - 1]))
-    dense.DOUT[dense.count - 1] = np.asarray(f(t0, seg0, U[0], D[0]), dtype=float)
+    times = tgrid.tolist()  # Python floats: the step arithmetic is the same, with less overhead
+    seg0 = dense.node_window(0, window(times[0], V[dense.count - 1]))
+    DOUT[dense.count - 1] = np.asarray(f(times[0], seg0, U[0], D[0]), dtype=float)
 
-    for j in range(tgrid.size - 1):
-        ta = tgrid[j]
-        tb = tgrid[j + 1]
+    for j in range(len(times) - 1):
+        ta = times[j]
+        tb = times[j + 1]
         hk = tb - ta
         uk = U[j]
         dk = D[j]
-        xk = dense.V[dense.count - 1]
-        k1 = dense.DOUT[dense.count - 1]
+        c = dense.count
+        xk = V[c - 1]
+        k1 = DOUT[c - 1]
 
         tm = ta + 0.5 * hk
         if tm == ta:  # a one-ulp step has no midpoint; its start belongs to the node
             tm = tb
-        seg_m = dense.window_segment(tm, xk + (0.5 * hk) * k1)
+        seg_m = window(tm, xk + (0.5 * hk) * k1)
         k2 = np.asarray(f(tm, seg_m, uk, dk), dtype=float)
         k3 = np.asarray(f(tm, seg_m.with_head(xk + (0.5 * hk) * k2), uk, dk), dtype=float)
-        seg_b = dense.window_segment(tb, xk + hk * k3)
+        seg_b = window(tb, xk + hk * k3)
         k4 = np.asarray(f(tb, seg_b, uk, dk), dtype=float)
         x_next = xk + (hk / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-        # hk > 0, so x_next is non-finite whenever a stage is
-        if not np.isfinite(x_next).all():
+        # hk > 0, so x_next is non-finite whenever a stage is; a finite square
+        # has finite entries, an overflowed one may still
+        sq = x_next.dot(x_next)
+        if not math.isfinite(sq) and not np.isfinite(x_next).all():
             status = "step_failure"
             break
 
@@ -494,14 +518,14 @@ def integrate(
         # the node window has the lower end of k4's: appending at tb moves neither
         seg_b = dense.node_window(j + 1, seg_b)
         f_end = np.asarray(f(tb, seg_b, uk, dk), dtype=float)
-        if not np.isfinite(f_end).all():
+        if not math.isfinite(f_end.dot(f_end)) and not np.isfinite(f_end).all():
             status = "step_failure"
             break
-        dense.DIN[dense.count - 1] = dense.DOUT[dense.count - 1] = f_end
+        DIN[c] = DOUT[c] = f_end
         if switched[j]:  # new levels leave the node with a slope of their own
-            dense.DOUT[dense.count - 1] = np.asarray(f(tb, seg_b, U[j + 1], D[j + 1]), dtype=float)
+            DOUT[c] = np.asarray(f(tb, seg_b, U[j + 1], D[j + 1]), dtype=float)
 
-        if float(np.linalg.norm(x_next)) > opts.blowup_norm:
+        if math.sqrt(sq) > opts.blowup_norm:  # bitwise np.linalg.norm(x_next)
             status = "blew_up"
             break
 

@@ -467,6 +467,34 @@ class TestErrorPaths:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ({"seed": "abc"}, "seed must be a nonnegative integer, got 'abc'"),
+            ({"simulate": {"t0": float("nan")}}, "simulate.t0 must be finite"),
+            (
+                {"simulate": {"disturbance": {"kind": "random", "mean_dwell": 0}}},
+                "simulate.disturbance.mean_dwell must be finite and positive",
+            ),
+            (
+                {"simulate": {"initial": {"kind": "random", "norm_bound": -1}}},
+                "simulate.initial.norm_bound must be finite and nonnegative",
+            ),
+            (
+                {"command": "envelope", "system": "example-5.2", "samples": 2, "horizon": 0.5,
+                 "envelope": {"bins": 0}},
+                "envelope.bins must be at least 1",
+            ),
+        ],
+    )
+    def test_bad_nested_values_exit_2(self, tmp_path, capsys, payload, named):
+        out = tmp_path / "a"
+        base = {"command": "simulate", "system": "example-5.4", "seed": 0, "step": 1e-2,
+                "out": str(out)}
+        assert main(["--config", write_config(tmp_path, dict(base, **payload))]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_unknown_system_lists_known_names(self, tmp_path, capsys):
         rc = main(["check", "no-such-system", "--seed", "0", "--out", str(tmp_path / "a")])
         assert rc == 2
@@ -632,6 +660,17 @@ class TestDeterminism:
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "manifest.json").exists()
+
+    def test_package_runs_as_a_module(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "rfdestab", "--help"], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "simulate" in proc.stdout and proc.stdout.startswith("usage: rfdestab")
 
     def test_console_script_if_installed(self, tmp_path):
         exe = shutil.which("rfdestab")

@@ -13,17 +13,23 @@ from hypothesis import strategies as st
 from rfdestab import (
     HistorySegment,
     IntegrateOpts,
+    KlFn,
+    LyapunovFunctional,
     PiecewiseSignal,
     RfdeSystem,
     SignalSpec,
     build_example,
+    exp_weight,
     extend,
     integrate,
+    power,
     sample_history,
     sample_signal,
     sup_norm,
+    verify_v_decay_estimate,
 )
-from rfdestab.simulator import _trailing_window_max
+from rfdestab.history import _trapezoid
+from rfdestab.simulator import _trailing_window_max, _Window
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -67,6 +73,20 @@ class TestAccessors:
         integral = seg.integral()
         for j in range(seg.dim):
             assert integral[j] == np.trapezoid(seg.values[:, j], seg.grid)
+
+
+class TestTrapezoid:
+    @SETTINGS
+    @given(
+        st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e200, 1e200)), min_size=2, max_size=60),
+        st.integers(1, 3),
+    )
+    def test_bitwise_np_trapezoid(self, points, stride):
+        x = np.array([p[0] for p in points])
+        # a strided view, as a column of a window's values is
+        y = np.repeat(np.array([p[1] for p in points])[:, None], stride, axis=1)[:, 0]
+        ours, ref = _trapezoid(y, x), np.trapezoid(y, x)
+        assert np.array_equal(ours, ref, equal_nan=True) and type(ours) is type(ref)
 
 
 class TestSupNorm:
@@ -333,6 +353,127 @@ class TestDenseWindows:
                 assert np.array_equal(dup.head, view.head)
                 assert np.array_equal(dup.delayed, view.delayed)
                 assert np.array_equal(dup.integral(), view.integral())
+
+
+def _stage_run(r, steps_per_delay, t0, span, fracs, levels, seed):
+    """``_window_run``'s run with dynamics that read the O(1) accessors.  At
+    every call it records the time, the window, the window's integral and
+    the lower end and row at -r that a search over the store as it stands
+    gives: ``searchsorted(K[:count], t - r, "right")``, then the fold of
+    knots whose offsets round onto -r."""
+    t_end = t0 + span * r
+    switches = np.unique(t0 + np.asarray(fracs) * (t_end - t0))
+    switches = switches[(switches > t0) & (switches < t_end)]
+    d = PiecewiseSignal(switches, np.asarray(levels[: switches.size + 1])[:, None], [[-1.0, 1.0]])
+    seen = []
+
+    def dynamics(t, seg, u, dd):
+        dense = seg._dense
+        c, K = dense.count, dense.K
+        lo = t - dense.delay
+        i0 = int(np.searchsorted(K[:c], lo, side="right"))
+        tail_row = i0 - 1 if i0 > 0 and K[i0 - 1] == lo else None
+        while i0 < c and K[i0] - t <= -dense.delay:
+            tail_row = i0
+            i0 += 1
+        tail = dense.eval_one(lo) if tail_row is None else dense.V[tail_row]
+        integral = seg.integral()
+        seen.append((t, seg, integral, i0, tail.copy()))
+        return dd[0] * seg.delayed - seg.head + 0.5 * integral
+
+    system = RfdeSystem(r, 1, dynamics, lambda t, seg: seg.head, np.array([[-1.0, 1.0]]))
+    x0 = sample_history(np.random.default_rng(seed), r, 1, 1.0)
+    traj = integrate(system, t0, x0, None, d, t_end, IntegrateOpts(step_req=r / steps_per_delay))
+    return traj, seen
+
+
+class TestStageWindows:
+    """The integrator walks each window's lower end forward instead of
+    searching for it, and the windows that share a time share the quadrature
+    of all but the head piece; neither may change a bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(**DENSE_RUNS)
+    @example(**CLOSE_SWITCH)
+    @example(**ULP_STEP)
+    def test_walked_lower_end_is_the_search(
+        self, r, steps_per_delay, t0, span, fracs, levels, queries, seed
+    ):
+        traj, seen = _stage_run(r, steps_per_delay, t0, span, fracs, levels, seed)
+        assert traj.status == "completed"
+        for t, seg, _, i0, tail in seen:
+            assert seg._tau == t and seg._i0 == i0, (t, seg._i0, i0)
+            assert np.array_equal(seg.delayed, tail)
+
+    @settings(max_examples=100, deadline=None)
+    @given(**DENSE_RUNS)
+    @example(**CLOSE_SWITCH)
+    @example(**ULP_STEP)
+    def test_shared_quadrature_is_a_fresh_windows(
+        self, r, steps_per_delay, t0, span, fracs, levels, queries, seed
+    ):
+        traj, seen = _stage_run(r, steps_per_delay, t0, span, fracs, levels, seed)
+        dense = traj._dense
+        windows = [(seg, integral) for _, seg, integral, _, _ in seen]
+        windows += [(w, w.integral()) for w in map(traj.history, traj.times)]
+        for seg, integral in windows:
+            fresh = _Window(dense, seg._tau, seg._i0, seg._i1, seg._tail.copy(), seg._head.copy())
+            assert np.array_equal(integral, fresh.integral())
+            assert np.array_equal(seg.integral(), integral)
+
+    @settings(max_examples=50, deadline=None)
+    @given(**DENSE_RUNS)
+    @example(**CLOSE_SWITCH)
+    @example(**ULP_STEP)
+    def test_one_call_at_t0_four_per_step_one_per_switch_node(
+        self, r, steps_per_delay, t0, span, fracs, levels, queries, seed
+    ):
+        traj, seen = _stage_run(r, steps_per_delay, t0, span, fracs, levels, seed)
+        lv = traj.d.eval_many(traj.times)
+        switch_nodes = int(np.any(lv[1:-1] != lv[:-2], axis=1).sum())
+        assert len(seen) == 1 + 4 * (traj.times.size - 1) + switch_nodes
+
+    def test_example_call_count(self):
+        bundle = build_example("example-4.8")
+        calls = []
+
+        def counted(t, seg, u, d):
+            calls.append(t)
+            return bundle.system.dynamics(t, seg, u, d)
+
+        rng = np.random.default_rng(2)
+        x0 = sample_history(rng, 0.5, 2, 1.0)
+        u = sample_signal(SignalSpec(bundle.system.u_box, 3.0, 0.3, seed=1))
+        d = sample_signal(SignalSpec(bundle.system.d_box, 3.0, 0.3, seed=2))
+        traj = integrate(replace(bundle.system, dynamics=counted), 0.0, x0, u, d, 3.0,
+                         IntegrateOpts(step_req=1e-2))
+        levels = np.hstack([u.eval_many(traj.times), d.eval_many(traj.times)])
+        switch_nodes = int(np.any(levels[1:-1] != levels[:-2], axis=1).sum())
+        assert switch_nodes >= 5
+        assert len(calls) == 1 + 4 * (traj.times.size - 1) + switch_nodes
+
+    def test_v_decay_reads_each_node_window(self):
+        bundle = build_example("example-5.2")
+        sys_ = bundle.system
+        rng = np.random.default_rng(0)
+        x0 = sample_history(rng, sys_.delay_r, sys_.dim_n, 1.0)
+        d = sample_signal(SignalSpec(sys_.d_box, 1.0, 0.4, seed=int(rng.integers(2**32))))
+        traj = integrate(sys_, 0.0, x0, None, d, 1.0, IntegrateOpts(step_req=2e-3))
+        read = []
+
+        def evaluator(t, seg):
+            read.append((t, seg.head, seg.delayed, seg.integral(), seg.grid, seg.values))
+            return float(seg.head @ seg.head)
+
+        V = LyapunovFunctional(evaluator=evaluator, name="head-square")
+        hold = KlFn(fn=lambda s, t: float(s), name="hold")
+        verify_v_decay_estimate(sys_, V, power(2.0, 30.0), exp_weight(1.0), None, None, hold, [traj])
+        assert len(read) == traj.times.size
+        for (t, *got), t_k in zip(read, traj.times):
+            w = traj.history(t_k)
+            assert t == t_k
+            for a, b in zip(got, (w.head, w.delayed, w.integral(), w.grid, w.values)):
+                assert np.array_equal(a, b)
 
 
 def _whole_window_dynamics(bundle):
