@@ -40,8 +40,8 @@ def contracting_system() -> RfdeSystem:
     return RfdeSystem(
         delay_r=0.5,
         dim_n=1,
-        dynamics=lambda t, seg, u, d: -(1.25 + d[0]) * seg.values[-1],
-        output=lambda t, seg: seg.values[-1],
+        dynamics=lambda t, seg, u, d: -(1.25 + d[0]) * seg.head,
+        output=lambda t, seg: seg.head,
         d_box=np.array([[-0.25, 0.25]]),
         name="uncertain-contraction",
     )

@@ -29,8 +29,8 @@ def delayed_feedback(gain: float) -> RfdeSystem:
     return RfdeSystem(
         delay_r=1.0,
         dim_n=1,
-        dynamics=lambda t, seg, u, d: gain * seg.values[0] + 0.3 * d,
-        output=lambda t, seg: seg.values[-1],
+        dynamics=lambda t, seg, u, d: gain * seg.delayed + 0.3 * d,
+        output=lambda t, seg: seg.head,
         d_box=np.array([[-1.0, 1.0]]),
         name=f"delayed-feedback(gain={gain})",
     )

@@ -21,24 +21,14 @@ from .history import (
 )
 from .signals import PiecewiseSignal, SignalSpec, constant_signal, sample_signal
 from .compfn import (
-    ClassCheckReport,
     ComparisonFn,
     KlFn,
-    SmallGainReport,
-    check_class,
-    check_kl,
-    check_small_gain,
-    comparison_from_config,
     constant,
     exp_weight,
     fading_sup,
-    fn_max,
-    fn_min,
     identity,
     kl_from_rate,
     linear,
-    nondecreasing_majorant,
-    periodic_wrap,
     power,
 )
 from .simulator import (
@@ -58,14 +48,11 @@ from .simulator import (
     trajectory_to_csv,
 )
 from .lyapunov import (
-    AlmostLipschitzReport,
     DiniOpts,
     FalsificationReport,
     LyapunovFunctional,
     RazumikhinFunction,
     SamplerSpec,
-    check_almost_lipschitz,
-    check_lyapunov_decay,
     check_lyapunov_ios,
     check_razumikhin,
     converse_functional_uq,
@@ -73,14 +60,9 @@ from .lyapunov import (
     dini_pointwise,
 )
 from .verify import (
-    ComparisonImplicationReport,
     EnvelopeCheck,
-    PeriodicReductionReport,
-    check_comparison_implication,
     check_monotone_decay,
-    check_periodic_reduction,
     fit_kl_envelope,
-    iosify_system,
     verify_ios_envelope,
     verify_rgaos_envelope,
     verify_v_decay_estimate,
@@ -104,10 +86,8 @@ __all__ = [
     # signals
     "PiecewiseSignal", "SignalSpec", "sample_signal", "constant_signal",
     # comparison functions
-    "ComparisonFn", "KlFn", "ClassCheckReport", "check_class", "check_kl",
-    "kl_from_rate", "fading_sup", "check_small_gain", "SmallGainReport",
-    "periodic_wrap", "nondecreasing_majorant", "identity", "linear", "power",
-    "exp_weight", "constant", "fn_min", "fn_max", "comparison_from_config",
+    "ComparisonFn", "KlFn", "kl_from_rate", "fading_sup", "identity", "linear",
+    "power", "exp_weight", "constant",
     # simulator
     "RfdeSystem", "IntegrateOpts", "Trajectory", "integrate", "output_norm",
     "output_distance", "RegionSpec", "LipschitzModuli", "estimate_lipschitz_moduli",
@@ -115,14 +95,11 @@ __all__ = [
     "trajectory_to_csv",
     # lyapunov
     "LyapunovFunctional", "RazumikhinFunction", "DiniOpts", "dini_functional",
-    "dini_pointwise", "SamplerSpec", "FalsificationReport", "check_almost_lipschitz",
-    "AlmostLipschitzReport", "check_lyapunov_decay", "check_lyapunov_ios",
+    "dini_pointwise", "SamplerSpec", "FalsificationReport", "check_lyapunov_ios",
     "check_razumikhin", "converse_functional_uq",
     # verify
     "EnvelopeCheck", "verify_rgaos_envelope", "verify_ios_envelope",
-    "verify_v_decay_estimate", "check_monotone_decay", "ComparisonImplicationReport",
-    "check_comparison_implication", "PeriodicReductionReport",
-    "check_periodic_reduction", "iosify_system", "fit_kl_envelope",
+    "verify_v_decay_estimate", "check_monotone_decay", "fit_kl_envelope",
     # examples
     "Certificate", "ExampleBundle", "DemoReport", "example_4_8", "example_5_2",
     "example_5_4", "REGISTRY", "build_example",

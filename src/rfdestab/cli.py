@@ -32,7 +32,7 @@ from .verify import fit_kl_envelope
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
 
 COMMANDS = ("simulate", "check", "falsify", "reproduce", "envelope")
-FALSIFIER_CHECKERS = ("check_lyapunov_decay", "check_lyapunov_ios", "check_razumikhin")
+FALSIFIER_CHECKERS = ("check_lyapunov_ios", "check_razumikhin")
 
 
 class ConfigError(Exception):

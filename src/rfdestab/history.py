@@ -146,7 +146,7 @@ class HistorySegment:
         """Shift every value row by the constant vector ``w``."""
         values = self.values + np.atleast_1d(np.asarray(w, dtype=float))
         if values.shape != self.values.shape or not np.isfinite(values).all():
-            raise ValueError(f"shifted rows must be finite, of shape ({self.dim},)")
+            raise ValueError(f"offset rows must be finite, of shape ({self.dim},)")
         return _segment(self.delay, self.grid, values)
 
     # -- serialization -------------------------------------------------------
@@ -227,7 +227,7 @@ def extend(segment: HistorySegment, v, step: float) -> HistorySegment:
     grid = segment.grid
     x0 = segment.values[-1]
 
-    # shifted knots that survive inside [-r, -step)
+    # knots moved back by step that survive inside [-r, -step)
     lo = step - r  # old offsets strictly above this survive
     i0 = int(np.searchsorted(grid, lo, side="right"))
     keep = grid[i0:] - step          # in (-r, 0]; the 0 maps to -step
@@ -238,7 +238,7 @@ def extend(segment: HistorySegment, v, step: float) -> HistorySegment:
         last = np.append(keep[1:] > keep[:-1], True)
         keep, keep_vals = keep[last], keep_vals[last]
 
-    # head knot -r unless a shifted knot landed on it; keep[-1] = -step carries
+    # head knot -r unless a moved knot landed on it; keep[-1] = -step carries
     # x(0), and the ramp ends at the top knot 0
     new_grid = np.concatenate([[-r], keep, [0.0]])
     new_vals = np.vstack([segment.eval(lo), keep_vals, x0 + step * v])

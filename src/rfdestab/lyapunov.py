@@ -4,31 +4,27 @@ Two kinds of energy functions appear: window functionals V(t, x_window) and
 pointwise functions V(t, x(t)).  Their forward upper Dini derivatives along
 the dynamics are estimated with a shrinking-step quotient ladder (analytic
 expressions take precedence when supplied), and decay inequalities of the
-form  derivative + rate(V) <= 0  — optionally guarded by an input-size or a
-window-dominates-point condition — are stress-tested on random ensembles of
-times, windows, inputs, and disturbances.  The falsifiers never prove an
-inequality; they either exhibit a concrete violating sample or report that
-none was found at the stated tolerance.
+form  derivative + rate(V) <= 0  are stress-tested on random ensembles of
+times, windows, inputs, and disturbances.  Window functionals are tested
+under an input-size guard (:func:`check_lyapunov_ios`; a zero-width input
+box with zeta(0) = 0 leaves the unguarded inequality), pointwise functions
+under a window-dominates-point guard (:func:`check_razumikhin`).  The falsifiers
+never prove an inequality; they either exhibit a concrete violating sample or
+report that none was found at the stated tolerance.  Also here: the
+truncated-horizon converse energy :func:`converse_functional_uq`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .compfn import ComparisonFn
-from .history import (
-    HistorySegment,
-    clip_to_ball,
-    extend,
-    history_distance,
-    sample_history,
-    sup_norm,
-)
+from .history import HistorySegment, extend, sample_history, sup_norm
 from .simulator import IntegrateOpts, RfdeSystem, _uniform_box, integrate, output_norm
 
 __all__ = [
@@ -39,9 +35,6 @@ __all__ = [
     "dini_pointwise",
     "SamplerSpec",
     "FalsificationReport",
-    "check_almost_lipschitz",
-    "AlmostLipschitzReport",
-    "check_lyapunov_decay",
     "check_lyapunov_ios",
     "check_razumikhin",
     "converse_functional_uq",
@@ -350,19 +343,6 @@ def _functional_sample(sys: RfdeSystem, V: LyapunovFunctional, rho, dini_opts, f
     return sample_fn
 
 
-def check_lyapunov_decay(
-    sys: RfdeSystem,
-    V: LyapunovFunctional,
-    rho: ComparisonFn,
-    spec: SamplerSpec,
-    tolerance: float | None = None,
-    dini_opts: DiniOpts | None = None,
-) -> FalsificationReport:
-    """Falsify derivative(V) + rho(V) <= 0 along the dynamics with zero input."""
-    tol = _default_tol(V.analytic_dini is not None, tolerance)
-    return _falsify(sys, spec, tol, False, _functional_sample(sys, V, rho, dini_opts))
-
-
 def check_lyapunov_ios(
     sys: RfdeSystem,
     V: LyapunovFunctional,
@@ -432,95 +412,6 @@ def check_razumikhin(
         return dv + rate(t, v0), dv
 
     return _falsify(sys, spec, tol, draw_u, sample_fn)
-
-
-# -- regularity probe -------------------------------------------------------------
-
-@dataclass
-class AlmostLipschitzReport:
-    m_estimate: float        # state-difference quotient bound M(R)
-    p_estimate: float        # window-slide quotient bound P(R)
-    slope_cap: float         # slope class G(R) used for the slide probes
-    m_suspicion: bool        # quotients grew as pair distance shrank
-    p_suspicion: bool        # quotients grew as the slide step shrank
-    samples: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-def check_almost_lipschitz(
-    V: LyapunovFunctional,
-    delay: float,
-    dim: int,
-    norm_bound: float,
-    sample_count: int = 1000,
-    rng: np.random.Generator | None = None,
-) -> AlmostLipschitzReport:
-    """Estimate the two regularity moduli of a window functional on a ball.
-
-    The first modulus bounds |V(t,y) - V(t,x)| by a multiple of the window
-    distance at fixed t; the second bounds the change under a forward window
-    slide with bounded terminal slope by a multiple of the step.  Quotients
-    are sampled at times t in [0, 5] on random piecewise-linear windows
-    (mixing independent and nearby pairs); the slide slopes are drawn up to
-    the cap 8 * norm_bound / delay.  The maxima are reported together with a
-    growth flag raised when refinement keeps increasing the quotients
-    (suspected unboundedness).
-    """
-    rng = rng or np.random.default_rng(0)
-    slope_cap = 8.0 * norm_bound / delay
-    hs = _steps_below(delay)
-    m_pairs = []  # (distance, quotient)
-    p_rows = []   # quotients per ladder rung
-    for i in range(sample_count):
-        t = float(rng.uniform(0.0, 5.0))
-        x = sample_history(rng, delay, dim, norm_bound)
-        if i % 2:
-            direction = rng.normal(size=dim)
-            direction /= max(float(np.linalg.norm(direction)), 1e-12)
-            eps = norm_bound * 10.0 ** rng.uniform(-4.0, -0.3)
-            y = clip_to_ball(x.add_constant(eps * direction), norm_bound)
-        else:
-            y = sample_history(rng, delay, dim, norm_bound)
-        dist = history_distance(x, y)
-        if dist > 1e-13:
-            q = abs(float(V.evaluator(t, y)) - float(V.evaluator(t, x))) / dist
-            m_pairs.append((dist, q))
-        v = rng.normal(size=dim)
-        nv = float(np.linalg.norm(v))
-        if nv > 1e-12:
-            v = v / nv * float(rng.uniform(0.0, slope_cap))
-        base = float(V.evaluator(t, x))
-        row = []
-        for h in hs:
-            row.append(abs(float(V.evaluator(t + h, extend(x, v, h))) - base) / h)
-        p_rows.append(row)
-
-    m_est = max((q for _, q in m_pairs), default=0.0)
-    p_arr = np.asarray(p_rows) if p_rows else np.zeros((0, len(hs)))
-    p_est = float(p_arr[:, -1].max()) if p_arr.size else 0.0
-
-    m_susp = False
-    if len(m_pairs) >= 20:
-        dists = np.array([d for d, _ in m_pairs])
-        qs = np.array([q for _, q in m_pairs])
-        close = qs[dists <= np.quantile(dists, 0.1)]
-        far = qs[dists >= np.quantile(dists, 0.5)]
-        if close.size and far.size and close.max() > 2.0 * max(far.max(), 1e-12):
-            m_susp = True
-    p_susp = False
-    if p_arr.size and len(hs) >= 2:
-        if p_arr[:, -1].max() > 2.0 * max(p_arr[:, 0].max(), 1e-12):
-            p_susp = True
-    return AlmostLipschitzReport(
-        m_estimate=m_est,
-        p_estimate=p_est,
-        slope_cap=float(slope_cap),
-        m_suspicion=m_susp,
-        p_suspicion=p_susp,
-        samples=sample_count,
-    )
 
 
 # -- truncated converse construction ----------------------------------------------

@@ -73,35 +73,6 @@ class PiecewiseSignal:
         idx = np.searchsorted(self.switch_times, ts, side="right")
         return self.values[idx]
 
-    def shifted(self, offset: float) -> "PiecewiseSignal":
-        """The signal ``t -> self(t + offset)`` for ``offset >= 0``.
-
-        Each switch s moves to the smallest double tau with
-        ``fl(tau + offset) >= s``, so the shifted signal reads exactly
-        ``self.eval(t + offset)`` at every t, rounding of the sum included.
-        Switches that land on one tau keep the later level.
-        """
-        if offset < 0:
-            raise ValueError("only forward shifts are defined")
-        if offset == 0.0:
-            return self
-        keep = self.switch_times > offset
-        s = self.switch_times[keep]
-        # bisect over the bit patterns of nonnegative doubles, which are
-        # ordered like the doubles; tau = 0 falls short of s, tau = s reaches it
-        lo = np.zeros(s.size, dtype=np.int64)
-        hi = s.view(np.int64)
-        while np.any(hi - lo > 1):
-            mid = lo + (hi - lo) // 2
-            reach = mid.view(float) + offset >= s
-            hi = np.where(reach, mid, hi)
-            lo = np.where(reach, lo, mid)
-        st = hi.view(float)
-        last = np.diff(st, append=np.inf) > 0.0
-        first = self.eval(offset)[None, :]
-        vals = np.vstack([first, self.values[1:][keep][last]])
-        return PiecewiseSignal(st[last], vals, self.box)
-
     def switches_in(self, t_lo: float, t_hi: float) -> np.ndarray:
         st = self.switch_times
         return st[(st > t_lo) & (st < t_hi)]

@@ -64,7 +64,6 @@ class RfdeSystem:
     output: Callable
     d_box: np.ndarray
     u_box: np.ndarray | None = None
-    period_T: float | None = None
     name: str = "system"
 
     def __post_init__(self):

@@ -1,4 +1,4 @@
-"""Trajectory-level verification of decay envelopes and estimate implications.
+"""Trajectory-level verification of decay envelopes and energy estimates.
 
 Given simulated trajectories, these checks compare recorded output norms (or
 energy values) against candidate envelopes: a pure decay envelope seeded by
@@ -6,31 +6,22 @@ the initial window size, an input-to-output form that adds a running
 weighted-gain term, and the energy-level variant driven by a rate-flow
 envelope.  All checks are grid-pointwise with explicit slacks and report the
 worst offending sample; they are falsifiers over the supplied trajectory set,
-not proofs.  Also here: the finite-difference comparison-principle check, the
-periodic-shift reduction test, the input-to-disturbance embedding transform,
-and an empirical envelope fitter.
+not proofs.  Also here: the monotone-decay check of an energy series and an
+empirical envelope fitter.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .compfn import ComparisonFn, KlFn, fading_sup, kl_from_rate, periodic_wrap
-from .history import HistorySegment, sup_norm
+from .compfn import ComparisonFn, KlFn, fading_sup
+from .history import sup_norm
 from .lyapunov import LyapunovFunctional
-from .signals import PiecewiseSignal
-from .simulator import (
-    IntegrateOpts,
-    RfdeSystem,
-    Trajectory,
-    _trailing_window_max,
-    integrate,
-    output_norm,
-)
+from .simulator import RfdeSystem, Trajectory, _trailing_window_max
 
 __all__ = [
     "EnvelopeCheck",
@@ -38,11 +29,6 @@ __all__ = [
     "verify_ios_envelope",
     "verify_v_decay_estimate",
     "check_monotone_decay",
-    "ComparisonImplicationReport",
-    "check_comparison_implication",
-    "PeriodicReductionReport",
-    "check_periodic_reduction",
-    "iosify_system",
     "fit_kl_envelope",
 ]
 
@@ -251,196 +237,6 @@ def check_monotone_decay(
         return traj.times[1:], w[1:], w[:-1] + rel_slack * (1.0 + np.abs(w[:-1]))
 
     return _envelope_check(trajs, series, 0.0)
-
-
-# -- scalar comparison principle -------------------------------------------------
-
-@dataclass
-class ComparisonImplicationReport:
-    verdict: str  # "pass" | "hypothesis fails" | "conclusion fails"
-    hypothesis_ok: bool
-    hypothesis_witness: tuple | None   # (t, y, dy, required)
-    conclusion_ok: bool | None
-    conclusion_worst_slack: float | None
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-def check_comparison_implication(
-    times: np.ndarray,
-    y: np.ndarray,
-    u: np.ndarray,
-    rho: ComparisonFn,
-    tolerance: float = 1e-6,
-) -> ComparisonImplicationReport:
-    """Finite-difference check of the scalar comparison principle.
-
-    Hypothesis: at every grid time where y(t) >= u(t) (inclusive), the
-    numerical slope of y must be <= -rho(y(t)) + tolerance.  When the
-    hypothesis holds, the induced bound
-    y(t) <= max{sigma(y(t0), t - t0), sup_s sigma(u(s), t - s)} with sigma the
-    rate flow of rho is then verified on the same grid.
-    """
-    times = np.asarray(times, dtype=float)
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if times.ndim != 1 or times.size < 3:
-        raise ValueError("need at least three grid times")
-    if y.shape != times.shape or u.shape != times.shape:
-        raise ValueError("series shapes must match the time grid")
-    if np.diff(times).max() > 1e-3 + 1e-12:
-        raise ValueError("grid too coarse for finite-difference slopes (need <= 1e-3)")
-    dy = np.gradient(y, times, edge_order=2)
-
-    hyp_ok = True
-    hyp_wit = None
-    for k, t in enumerate(times):
-        if y[k] >= u[k]:
-            required = -float(rho(y[k]))
-            if dy[k] > required + tolerance * (1.0 + abs(dy[k])):
-                hyp_ok = False
-                hyp_wit = (float(t), float(y[k]), float(dy[k]), required)
-                break
-    if not hyp_ok:
-        return ComparisonImplicationReport(
-            verdict="hypothesis fails",
-            hypothesis_ok=False,
-            hypothesis_witness=hyp_wit,
-            conclusion_ok=None,
-            conclusion_worst_slack=None,
-        )
-
-    sigma = kl_from_rate(rho)
-    env = np.maximum(
-        sigma.eval_t_array(float(y[0]), times - times[0]),
-        fading_sup(sigma, u, times),
-    )
-    slack = env - y
-    worst = float(slack.min())
-    ok = worst >= -tolerance * (1.0 + float(np.abs(y).max()))
-    return ComparisonImplicationReport(
-        verdict="pass" if ok else "conclusion fails",
-        hypothesis_ok=True,
-        hypothesis_witness=None,
-        conclusion_ok=ok,
-        conclusion_worst_slack=worst,
-    )
-
-
-# -- periodic reduction ------------------------------------------------------------
-
-@dataclass
-class PeriodicReductionReport:
-    passed: bool
-    worst_error: float
-    worst_time: float
-    periods_shifted: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-def check_periodic_reduction(
-    sys: RfdeSystem,
-    t0: float,
-    x0: HistorySegment,
-    d: PiecewiseSignal | None,
-    u: PiecewiseSignal | None,
-    horizon: float,
-    opts: IntegrateOpts | None = None,
-    tolerance: float = 1e-8,
-) -> PeriodicReductionReport:
-    """Compare a run from t0 with the run restarted a whole number of periods
-    earlier under forward-shifted signals; for a genuinely periodic system
-    the node states must agree to integrator tolerance 1e-8 * (1 + |x|)."""
-    if sys.period_T is None:
-        raise ValueError("system declares no period")
-    k, _ = periodic_wrap(t0, sys.period_T)
-    shift = k * sys.period_T
-    opts = opts or IntegrateOpts()
-    traj_a = integrate(sys, t0, x0, u, d, t0 + horizon, opts)
-    traj_b = integrate(
-        sys,
-        t0 - shift,
-        x0,
-        None if u is None else u.shifted(shift),
-        None if d is None else d.shifted(shift),
-        t0 - shift + horizon,
-        opts,
-    )
-    n_nodes = min(traj_a.times.size, traj_b.times.size)
-    worst = 0.0
-    worst_t = t0
-    passed = traj_a.status == traj_b.status
-    for idx in range(n_nodes):
-        err = float(np.linalg.norm(traj_a.states[idx] - traj_b.states[idx]))
-        scale = 1.0 + float(np.linalg.norm(traj_a.states[idx]))
-        if err / scale > worst:
-            worst = err / scale
-            worst_t = float(traj_a.times[idx])
-        if err > tolerance * scale:
-            passed = False
-    return PeriodicReductionReport(
-        passed=passed, worst_error=worst, worst_time=worst_t, periods_shifted=k
-    )
-
-
-# -- input-to-disturbance embedding -------------------------------------------------
-
-def iosify_system(
-    sys: RfdeSystem,
-    theta: ComparisonFn,
-    mode: str,
-    phi_weight: ComparisonFn | None = None,
-) -> RfdeSystem:
-    """Close the input loop with a synthetic bounded disturbance.
-
-    The returned system has no input channel; its disturbance vector is the
-    original one prefixed with a unit-ball block dprime of the input's
-    dimension, and the input applied internally is
-    theta(window sup norm) / phi_weight(t) * dprime  (state_scaled) or
-    theta(|output|) * dprime  (output_scaled).  Since theta vanishes at zero,
-    the zero solution is preserved.  dprime samples are drawn from the unit
-    box and radially clamped onto the unit ball.
-    """
-    if sys.u_box is None:
-        raise ValueError("system declares no input channel to embed")
-    if mode not in ("state_scaled", "output_scaled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "state_scaled" and phi_weight is None:
-        raise ValueError("state_scaled mode requires phi_weight")
-    m = sys.input_dim
-    base_dyn = sys.dynamics
-    base_out = sys.output
-
-    def synth_input(t: float, seg: HistorySegment, dprime: np.ndarray) -> np.ndarray:
-        nd = float(np.linalg.norm(dprime))
-        if nd > 1.0:
-            dprime = dprime / nd
-        if mode == "state_scaled":
-            gain = float(theta(sup_norm(seg))) / float(phi_weight(t))
-        else:
-            gain = float(theta(output_norm(base_out(t, seg))))
-        return gain * dprime
-
-    def dynamics(t, seg, u, dd):
-        dd = np.asarray(dd, dtype=float)
-        u_syn = synth_input(t, seg, dd[:m])
-        return base_dyn(t, seg, u_syn, dd[m:])
-
-    unit = np.column_stack([-np.ones(m), np.ones(m)])
-    new_dbox = np.vstack([unit, sys.d_box]) if sys.d_box.size else unit
-    return RfdeSystem(
-        delay_r=sys.delay_r,
-        dim_n=sys.dim_n,
-        dynamics=dynamics,
-        output=base_out,
-        d_box=new_dbox,
-        u_box=None,
-        period_T=sys.period_T,
-        name=sys.name + "+embedded-input",
-    )
 
 
 # -- empirical envelope fitting ------------------------------------------------------

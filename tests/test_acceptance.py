@@ -329,8 +329,8 @@ def _head_decay() -> RfdeSystem:
     return RfdeSystem(
         delay_r=1.0,
         dim_n=1,
-        dynamics=lambda t, seg, u, d: -seg.values[-1],
-        output=lambda t, seg: seg.values[-1],
+        dynamics=lambda t, seg, u, d: -seg.head,
+        output=lambda t, seg: seg.head,
         d_box=np.array([[0.0, 0.0]]),
     )
 
@@ -339,8 +339,8 @@ def _delayed_feedback() -> RfdeSystem:
     return RfdeSystem(
         delay_r=1.0,
         dim_n=1,
-        dynamics=lambda t, seg, u, d: -seg.values[0],
-        output=lambda t, seg: seg.values[-1],
+        dynamics=lambda t, seg, u, d: -seg.delayed,
+        output=lambda t, seg: seg.head,
         d_box=np.array([[0.0, 0.0]]),
     )
 
@@ -448,8 +448,8 @@ def _contracting_family() -> RfdeSystem:
     return RfdeSystem(
         delay_r=0.5,
         dim_n=1,
-        dynamics=lambda t, seg, u, d: np.array([-(1.25 + d[0]) * seg.values[-1, 0]]),
-        output=lambda t, seg: seg.values[-1],
+        dynamics=lambda t, seg, u, d: np.array([-(1.25 + d[0]) * seg.head[0]]),
+        output=lambda t, seg: seg.head,
         d_box=np.array([[-0.25, 0.25]]),
     )
 

@@ -1,4 +1,6 @@
-"""Dini derivatives, almost-Lipschitz probes, falsifiers, and the converse energy."""
+"""Dini derivatives, the sup-norm Lipschitz bound, falsifiers, and the converse energy."""
+
+import json
 
 import numpy as np
 import pytest
@@ -11,19 +13,20 @@ from rfdestab import (
     RfdeSystem,
     SamplerSpec,
     build_example,
-    check_almost_lipschitz,
-    check_lyapunov_decay,
     check_lyapunov_ios,
     check_razumikhin,
+    clip_to_ball,
     constant,
     constant_signal,
     converse_functional_uq,
     dini_functional,
     dini_pointwise,
     exp_weight,
+    history_distance,
     identity,
     linear,
     power,
+    sample_history,
     sup_norm,
 )
 
@@ -117,52 +120,60 @@ class TestDiniPointwise:
             assert est == pytest.approx(exact, abs=max(1e-3, 1e-3 * abs(exact)))
 
 
+def zero_input_system(dynamics=lambda t, seg, u, d: -seg.head + u[0]):
+    """x' = -x + u on a zero-width input box: the guarded falsifier with
+    zeta(0) = 0 tests the unguarded decay inequality."""
+    return RfdeSystem(
+        delay_r=1.0,
+        dim_n=1,
+        dynamics=dynamics,
+        output=lambda t, seg: seg.head,
+        d_box=ZERO_D,
+        u_box=np.array([[0.0, 0.0]]),
+    )
+
+
+def zero_input_decay(sys_, rho, spec):
+    return check_lyapunov_ios(
+        sys_, V_SQUARE, zeta=power(2.0), delta=constant(1.0), rho=rho, spec=spec
+    )
+
+
 class TestAlmostLipschitz:
     def test_sup_norm_is_one_lipschitz(self):
-        V = LyapunovFunctional(evaluator=lambda t, seg: sup_norm(seg))
-        rep = check_almost_lipschitz(
-            V, delay=1.0, dim=1, norm_bound=2.0, sample_count=2000,
-            rng=np.random.default_rng(0),
-        )
-        assert rep.m_estimate <= 1.0 + 1e-6
-        assert not rep.m_suspicion
-
-    def test_square_quotient_near_2R(self):
-        rep = check_almost_lipschitz(
-            V_SQUARE, delay=1.0, dim=1, norm_bound=2.0, sample_count=10_000,
-            rng=np.random.default_rng(1),
-        )
-        assert 3.5 <= rep.m_estimate <= 4.5
-
-    def test_time_only_functional(self):
-        V = LyapunovFunctional(evaluator=lambda t, seg: t)
-        rep = check_almost_lipschitz(
-            V, delay=1.0, dim=1, norm_bound=1.0, sample_count=1000,
-            rng=np.random.default_rng(2),
-        )
-        assert rep.m_estimate == pytest.approx(0.0, abs=1e-9)
-        assert rep.p_estimate == pytest.approx(1.0, rel=0.2)
+        # |sup x - sup y| <= sup |x - y| on random windows of the radius-2
+        # ball, mixing independent and nearby pairs
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for i in range(2000):
+            x = sample_history(rng, 1.0, 1, 2.0)
+            if i % 2:
+                eps = 2.0 * 10.0 ** rng.uniform(-4.0, -0.3)
+                y = clip_to_ball(x.add_constant(eps * rng.choice([-1.0, 1.0], size=1)), 2.0)
+            else:
+                y = sample_history(rng, 1.0, 1, 2.0)
+            dist = history_distance(x, y)
+            if dist > 1e-13:
+                worst = max(worst, abs(sup_norm(y) - sup_norm(x)) / dist)
+        assert 0.0 < worst <= 1.0 + 1e-6
 
 
 class TestDecayFalsifier:
+    """The unguarded decay inequality V0 <= -rho(V), checked by the guarded
+    falsifier on a zero-width input box."""
+
     def test_tight_rate_no_counterexample(self):
-        rep = check_lyapunov_decay(
-            CONTRACTION, V_SQUARE, linear(2.0), SamplerSpec(samples=500, seed=0)
-        )
+        rep = zero_input_decay(zero_input_system(), linear(2.0), SamplerSpec(samples=500, seed=0))
         assert rep.verdict == "no_counterexample"
 
     def test_too_fast_rate_found(self):
-        rep = check_lyapunov_decay(
-            CONTRACTION, V_SQUARE, linear(3.0), SamplerSpec(samples=500, seed=0)
-        )
+        rep = zero_input_decay(zero_input_system(), linear(3.0), SamplerSpec(samples=500, seed=0))
         assert rep.verdict == "counterexample"
         assert rep.witness is not None
         assert rep.worst_residual > rep.tolerance
 
     def test_witness_reproducible_by_direct_evaluation(self):
-        rep = check_lyapunov_decay(
-            CONTRACTION, V_SQUARE, linear(3.0), SamplerSpec(samples=500, seed=0)
-        )
+        rep = zero_input_decay(zero_input_system(), linear(3.0), SamplerSpec(samples=500, seed=0))
         w = rep.witness
         seg = HistorySegment.from_json_dict(w["history"])
         x0 = seg.values[-1, 0]
@@ -170,11 +181,7 @@ class TestDecayFalsifier:
         assert w["residual"] == pytest.approx(x0 ** 2, rel=1e-3)
 
     def test_report_json_clean(self):
-        import json
-
-        rep = check_lyapunov_decay(
-            CONTRACTION, V_SQUARE, linear(3.0), SamplerSpec(samples=200, seed=0)
-        )
+        rep = zero_input_decay(zero_input_system(), linear(3.0), SamplerSpec(samples=200, seed=0))
         text = json.dumps(rep.to_json_dict())
         assert "counterexample" in text
 
@@ -184,32 +191,20 @@ class TestDecayFalsifier:
                 raise ValueError("dynamics undefined after t = 4")
             return -seg.head
 
-        sys_ = RfdeSystem(1.0, 1, dynamics, lambda t, seg: seg.head, ZERO_D)
         spec = SamplerSpec(samples=200, seed=0)
-        rep = check_lyapunov_decay(sys_, V_SQUARE, linear(1.0), spec).to_json_dict()
+        rep = zero_input_decay(zero_input_system(dynamics), linear(1.0), spec).to_json_dict()
         assert rep["eval_failures"] > 0 and rep["guard_skipped"] == 0
         assert rep["samples"] + rep["eval_failures"] == 200
         assert rep["first_failure"] == {
             "type": "ValueError", "message": "dynamics undefined after t = 4",
         }
-        clean = check_lyapunov_decay(CONTRACTION, V_SQUARE, linear(1.0), spec).to_json_dict()
+        clean = zero_input_decay(zero_input_system(), linear(1.0), spec).to_json_dict()
         assert clean["eval_failures"] == 0 and clean["first_failure"] is None
 
 
 class TestIosFalsifier:
     def test_zero_input_box_reduces_to_decay(self):
-        sys_u = RfdeSystem(
-            delay_r=1.0,
-            dim_n=1,
-            dynamics=lambda t, seg, u, d: -seg.values[-1] + u[0],
-            output=lambda t, seg: seg.values[-1],
-            d_box=ZERO_D,
-            u_box=np.array([[0.0, 0.0]]),
-        )
-        rep = check_lyapunov_ios(
-            sys_u, V_SQUARE, zeta=power(2.0), delta=constant(1.0), rho=linear(2.0),
-            spec=SamplerSpec(samples=400, seed=1),
-        )
+        rep = zero_input_decay(zero_input_system(), linear(2.0), SamplerSpec(samples=400, seed=1))
         assert rep.verdict == "no_counterexample"
         assert rep.guard_skipped == 0
 

@@ -121,11 +121,11 @@ class TestExtend:
         out = extend(seg, v, step)
         assert HistorySegment(out.delay, out.grid, out.values) == out
         assert out.grid[0] == -seg.delay and out.grid[-1] == 0.0
-        # the shifted old window and the appended ramp meet at the knot -step,
+        # the old window moved back by step and the appended ramp meet at the knot -step,
         # where both give the old head value
         assert np.array_equal(out.eval(-step), seg.values[-1])
         # just either side of -step each piece follows its own formula; the
-        # shifted knots are rounded, which moves values by up to slope * ulp(r)
+        # moved knots are rounded, which moves values by up to slope * ulp(r)
         eps = 1e-6 * step
         scale = 1e-9 * (1.0 + np.abs(seg.values).max() + np.abs(v).max() * seg.delay)
         with np.errstate(over="ignore"):  # knots a subnormal apart: any error goes
@@ -537,27 +537,6 @@ class TestAccessorPorts:
         assert ported.status == whole.status == "completed"
         assert np.array_equal(ported.times, whole.times)
         assert np.array_equal(ported.states, whole.states)
-
-
-class TestShiftedSignal:
-    @SETTINGS
-    @given(
-        gaps=st.lists(st.floats(1e-3, 5.0), max_size=8),
-        levels=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
-        a=st.floats(0.0, 20.0),
-        t=st.floats(0.0, 20.0),
-    )
-    @example(gaps=[1.773], levels=[0.0, 1.0] + [0.0] * 7, a=0.715, t=1.0579999999999998)
-    @example(gaps=[1.0, 1e-3], levels=[0.0, 1.0, -1.0] + [0.0] * 6, a=1.0 - 1e-9, t=0.0)
-    def test_shifted_reads_ahead(self, gaps, levels, a, t):
-        switches = np.cumsum(gaps)
-        sig = PiecewiseSignal(switches, np.asarray(levels[: switches.size + 1])[:, None], [[-1.0, 1.0]])
-        shifted = sig.shifted(a)
-        # bitwise at t, at every shifted switch and one ulp below it, where
-        # the rounding of t + a decides the level
-        taus = shifted.switch_times
-        for q in np.concatenate([[t], taus, np.nextafter(taus, -np.inf)]):
-            assert np.array_equal(shifted.eval(q), sig.eval(q + a)), q
 
 
 class TestTrailingWindowMax:

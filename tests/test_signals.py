@@ -79,16 +79,6 @@ class TestSampling:
 
 
 class TestTransforms:
-    def test_shifted_evaluates_at_offset(self):
-        sig = PiecewiseSignal(
-            np.array([1.0, 2.0]),
-            np.array([[0.0], [1.0], [2.0]]),
-            np.array([[0.0, 2.0]]),
-        )
-        sh = sig.shifted(1.0)
-        for t in (0.0, 0.5, 0.999, 1.0, 5.0):
-            assert sh.eval(t)[0] == sig.eval(t + 1.0)[0]
-
     def test_switches_in_window(self):
         sig = PiecewiseSignal(
             np.array([1.0, 2.0, 3.0]),

@@ -1,4 +1,4 @@
-"""Trajectory-level envelope checks, comparison implication, reductions, fits."""
+"""Trajectory-level envelope checks, monotone decay, and envelope fits."""
 
 import numpy as np
 import pytest
@@ -8,17 +8,12 @@ from rfdestab import (
     IntegrateOpts,
     KlFn,
     RfdeSystem,
-    check_comparison_implication,
     check_monotone_decay,
-    check_periodic_reduction,
     constant,
     constant_signal,
     fit_kl_envelope,
     integrate,
-    iosify_system,
-    kl_from_rate,
     linear,
-    power,
     sample_history,
     verify_ios_envelope,
     verify_rgaos_envelope,
@@ -139,119 +134,6 @@ class TestIosEnvelope:
             [traj], sigma, constant(1.0), gamma=linear(0.5), delta=constant(1.0)
         )
         assert rep_small.verdict == "fail"
-
-
-class TestComparisonImplication:
-    def test_exact_linear_decay(self):
-        times = np.linspace(0.0, 5.0, 5001)
-        y = np.exp(-times)
-        u = np.zeros_like(times)
-        rep = check_comparison_implication(times, y, u, linear(1.0))
-        assert rep.verdict == "pass"
-        assert rep.hypothesis_ok and rep.conclusion_ok
-
-    def test_equality_with_flat_series_is_hypothesis_failure(self):
-        times = np.linspace(0.0, 2.0, 2001)
-        y = np.full_like(times, 0.7)
-        u = np.full_like(times, 0.7)
-        rep = check_comparison_implication(times, y, u, linear(1.0))
-        assert rep.verdict == "hypothesis fails"
-        assert rep.conclusion_ok is None
-
-    def test_dominated_series_vacuous_hypothesis(self):
-        times = np.linspace(0.0, 2.0, 2001)
-        y = np.full_like(times, 0.5)
-        u = np.full_like(times, 1.0)
-        rep = check_comparison_implication(times, y, u, linear(1.0))
-        assert rep.verdict == "pass"
-        assert rep.hypothesis_ok and rep.conclusion_ok
-
-
-class TestPeriodicReduction:
-    def test_autonomous_any_declared_period(self):
-        sys_p = RfdeSystem(
-            delay_r=1.0,
-            dim_n=1,
-            dynamics=lambda t, seg, u, d: -seg.values[-1],
-            output=lambda t, seg: seg.values[-1],
-            d_box=ZERO_D,
-            period_T=0.7,
-        )
-        x0 = HistorySegment.constant(1.0, [1.0])
-        rep = check_periodic_reduction(sys_p, 3.1, x0, None, None, 2.0)
-        assert rep.passed
-        assert rep.periods_shifted == 4
-
-    def test_false_period_detected(self):
-        sys_bad = RfdeSystem(
-            delay_r=1.0,
-            dim_n=1,
-            dynamics=lambda t, seg, u, d: -seg.values[-1] + 0.1 * t,
-            output=lambda t, seg: seg.values[-1],
-            d_box=ZERO_D,
-            period_T=1.0,
-        )
-        x0 = HistorySegment.constant(1.0, [1.0])
-        rep = check_periodic_reduction(sys_bad, 2.0, x0, None, None, 2.0)
-        assert not rep.passed
-        assert rep.worst_error > 1e-3
-
-    def test_requires_declared_period(self):
-        x0 = HistorySegment.constant(1.0, [1.0])
-        with pytest.raises(ValueError):
-            check_periodic_reduction(CONTRACTION, 2.0, x0, None, None, 1.0)
-
-
-class TestIosify:
-    def _input_system(self):
-        return RfdeSystem(
-            delay_r=1.0,
-            dim_n=1,
-            dynamics=lambda t, seg, u, d: -seg.values[-1] + u[0],
-            output=lambda t, seg: seg.values[-1],
-            d_box=ZERO_D,
-            u_box=np.array([[-2.0, 2.0]]),
-        )
-
-    def test_zero_aux_disturbance_matches_unforced(self):
-        base = self._input_system()
-        closed = iosify_system(base, theta=linear(1.0), mode="output_scaled")
-        rng = np.random.default_rng(3)
-        x0 = sample_history(rng, 1.0, 1, 1.5)
-        # closed-loop disturbance = (d', d): zero d' kills the synthesized input
-        d_zero = constant_signal(np.zeros(closed.d_box.shape[0]))
-        a = integrate(base, 0.0, x0, None, None, 4.0, IntegrateOpts(step_req=0.01))
-        b = integrate(closed, 0.0, x0, None, d_zero, 4.0, IntegrateOpts(step_req=0.01))
-        assert np.allclose(a.states, b.states, atol=1e-10)
-
-    def test_zero_history_stays_zero(self):
-        closed = iosify_system(self._input_system(), theta=linear(1.0), mode="output_scaled")
-        x0 = HistorySegment.constant(1.0, [0.0])
-        corner = constant_signal(closed.d_box[:, 1], box=closed.d_box)
-        traj = integrate(closed, 0.0, x0, None, corner, 4.0)
-        assert np.abs(traj.states).max() <= 1e-12
-
-    def test_state_scaled_requires_weight(self):
-        with pytest.raises(ValueError):
-            iosify_system(self._input_system(), theta=linear(1.0), mode="state_scaled")
-
-    def test_bounded_ensemble_under_contractive_gain(self):
-        closed = iosify_system(
-            self._input_system(), theta=linear(0.5), mode="output_scaled"
-        )
-        rng = np.random.default_rng(4)
-        worst = 0.0
-        from rfdestab import SignalSpec, sample_signal
-
-        for k in range(10):
-            x0 = sample_history(rng, 1.0, 1, 2.0)
-            d_sig = sample_signal(
-                SignalSpec(closed.d_box, 6.0, 0.5, seed=int(rng.integers(2 ** 32)))
-            )
-            traj = integrate(closed, 0.0, x0, None, d_sig, 6.0, IntegrateOpts(step_req=0.01))
-            assert traj.status == "completed"
-            worst = max(worst, float(np.abs(traj.states).max()))
-        assert worst <= 2.0 + 1e-9
 
 
 class TestFitEnvelope:
