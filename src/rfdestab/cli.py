@@ -99,9 +99,7 @@ class RunConfig:
             system = {"name": system}
         if not isinstance(system, dict) or "name" not in system:
             raise ConfigError("config requires a system: {name, params}")
-        bad_sys = set(system) - {"name", "params"}
-        if bad_sys:
-            raise ConfigError(f"unknown system keys: {sorted(bad_sys)}")
+        _known_keys("system", system, ("name", "params"))
         if "seed" not in raw or raw["seed"] is None:
             raise ConfigError("config requires an explicit seed (no nondeterministic defaults)")
         seed = _number("seed", raw["seed"], int, ("a nonnegative integer", lambda v: v >= 0))
@@ -162,6 +160,13 @@ class _ArtifactWriter:
         self.write_text(name, text + "\n")
 
 
+def _known_keys(section: str, spec: dict, keys) -> None:
+    """A ConfigError naming ``section`` and each key of ``spec`` outside ``keys``."""
+    unknown = set(spec) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+
+
 def _vector(key: str, value, size: int) -> np.ndarray:
     """``value`` as a vector of ``size`` finite numbers, or a ConfigError naming ``key``."""
     need = f"{key} must have {size} entries, each a finite number, got {value!r}"
@@ -181,6 +186,7 @@ def _signal_from(sc: dict, channel: str, box, t_hi: float, seed: int):
         return None
     if not isinstance(spec, dict):
         raise ConfigError(f"{key} must be a JSON object")
+    _known_keys(key, spec, ("kind", "value", "mean_dwell"))
     kind = spec.get("kind", "zero")
     if kind == "zero":
         return None
@@ -199,6 +205,7 @@ def _initial_from(spec, delay: float, dim: int, rng) -> HistorySegment:
         spec = {"kind": "zero"}
     if not isinstance(spec, dict):
         raise ConfigError("simulate.initial must be a JSON object")
+    _known_keys("simulate.initial", spec, ("kind", "value", "norm_bound"))
     kind = spec.get("kind", "zero")
     if kind == "zero":
         return HistorySegment.constant(delay, np.zeros(dim))
@@ -215,6 +222,7 @@ def _initial_from(spec, delay: float, dim: int, rng) -> HistorySegment:
 def _cmd_simulate(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter) -> int:
     system = bundle.system
     sc = cfg.simulate
+    _known_keys("simulate", sc, ("t0", "initial", "disturbance", "input"))
     t0 = _number("simulate.t0", sc.get("t0", 0.0), float, _FINITE)
     duration = cfg.horizon if cfg.horizon is not None else 5.0
     step = cfg.step if cfg.step is not None else 1e-3
@@ -262,13 +270,15 @@ def _selected_certificates(cfg: RunConfig, bundle: ExampleBundle, falsifiers_onl
 
 
 def _run_certificates(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter, certs):
-    overrides = {
+    # a runner's own signature holds the default of each option the config leaves unset
+    settings = {
         "seed": cfg.seed,
         "samples": cfg.samples,
         "tolerance": cfg.tolerance,
         "step": cfg.step,
         "horizon": cfg.horizon,
     }
+    overrides = {key: value for key, value in settings.items() if value is not None}
     rows = []
     for cert in certs:
         report = cert.runner(**overrides)
@@ -321,6 +331,7 @@ def _cmd_envelope(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter
     step = cfg.step if cfg.step is not None else 4e-3
     count = cfg.samples if cfg.samples is not None else 20
     ec = cfg.envelope
+    _known_keys("envelope", ec, ("norm_bound", "mean_dwell", "bins", "s_points", "t_points"))
 
     def setting(key, default, cast, rule):
         return _number(f"envelope.{key}", ec.get(key, default), cast, rule)
@@ -333,6 +344,7 @@ def _cmd_envelope(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter
     rng = np.random.default_rng(cfg.seed)
     opts = IntegrateOpts(step_req=step)
     trajs = _disturbed_runs(system, rng, count, norm_bound, duration, mean_dwell, opts)
+    completed = sum(tr.status == "completed" for tr in trajs)
     sigma = fit_kl_envelope(trajs, constant(1.0), bins=bins)
     s_vals = np.linspace(norm_bound / s_points, norm_bound, s_points)
     t_vals = np.linspace(0.0, duration, t_points)
@@ -345,9 +357,10 @@ def _cmd_envelope(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter
         "envelope_report.json",
         {
             "trajectories": count,
-            "completed": sum(tr.status == "completed" for tr in trajs),
+            "completed": completed,
             "norm_bound": norm_bound,
             "bins": bins,
+            "bins_fitted": min(bins, completed),  # fit_kl_envelope gives each bin a completed run
             "duration": duration,
             "step": step,
         },

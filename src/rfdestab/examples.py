@@ -81,8 +81,11 @@ class Certificate:
 
     ``checker`` names the library operation the runner delegates to;
     ``expected`` is the verdict the regression suite pins down.  ``runner``
-    accepts keyword overrides (seed, samples, tolerance, step, horizon) and
-    returns a report object exposing ``verdict`` and ``to_json_dict``.
+    takes the keywords seed, samples, tolerance, step and horizon, each with
+    its default in the runner's own signature: None for a keyword the runner
+    does not read, and for a falsification sweep's tolerance, which the
+    checker then sets.  It returns a report object exposing ``verdict`` and
+    ``to_json_dict``.
     """
 
     checker: str
@@ -111,10 +114,6 @@ class ExampleBundle:
         raise KeyError(f"no certificate named {name!r} in bundle {self.name!r}")
 
 
-def _pick(value, default):
-    return default if value is None else value
-
-
 def _require_positive(**params) -> None:
     """Reject a constructor parameter that is not finite and positive (None means "default")."""
     for key, value in params.items():
@@ -122,12 +121,9 @@ def _require_positive(**params) -> None:
             raise ValueError(f"parameter {key} must be finite and positive, got {value!r}")
 
 
-def _sweep_spec(norm_bound: float, seed, samples, horizon) -> SamplerSpec:
-    """A falsification certificate's sampler: by default 2,000 samples, seed 0, t in [0, 5]."""
-    return SamplerSpec(
-        t_lo=0.0, t_hi=_pick(horizon, 5.0), norm_bound=norm_bound,
-        samples=_pick(samples, 2000), seed=_pick(seed, 0),
-    )
+def _sweep_spec(norm_bound: float, seed: int, samples: int, horizon: float) -> SamplerSpec:
+    """A falsification certificate's sampler: ``samples`` draws with t in [0, horizon]."""
+    return SamplerSpec(t_lo=0.0, t_hi=horizon, norm_bound=norm_bound, samples=samples, seed=seed)
 
 
 def _disturbed_runs(sys: RfdeSystem, rng, count: int, norm_bound: float, horizon: float,
@@ -212,40 +208,25 @@ def example_4_8(r: float = 0.5, u_max: float = 1.0) -> ExampleBundle:
     def guarded_sweep(delta):
         """Runner of the guarded decay sweep with input-guard weight ``delta``."""
 
-        def run(seed=None, samples=None, tolerance=None, step=None, horizon=None):
+        def run(seed=0, samples=2000, tolerance=None, step=None, horizon=5.0):
             spec = _sweep_spec(2.0, seed, samples, horizon)
             return check_lyapunov_ios(sys, V, zeta, delta, rho, spec, tolerance=tolerance)
 
         return run
 
-    def run_divergence(seed=None, samples=None, tolerance=None, step=None, horizon=None):
-        t_end = _pick(horizon, 10.0 + r)
+    def run_divergence(seed=None, samples=None, tolerance=None, step=1e-3, horizon=10.0 + r):
         threshold = 1e3
         x0 = HistorySegment.constant(r, np.array([1.0, 0.0]))
         u_sig = constant_signal(np.array([1.0]), box=sys.u_box)
         d_sig = constant_signal(np.array([1.0]), box=sys.d_box)
-        traj = integrate(sys, 0.0, x0, u_sig, d_sig, t_end, IntegrateOpts(step_req=_pick(step, 1e-3)))
+        traj = integrate(sys, 0.0, x0, u_sig, d_sig, horizon, IntegrateOpts(step_req=step))
         norms = traj.output_norms()
         hits = np.nonzero(norms > threshold)[0]
+        details = {"threshold": threshold, "horizon": horizon, "status": traj.status}
         if hits.size:
-            return DemoReport(
-                "witness_found",
-                {
-                    "threshold": threshold,
-                    "crossing_time": float(traj.times[hits[0]]),
-                    "horizon": t_end,
-                    "status": traj.status,
-                },
-            )
-        return DemoReport(
-            "no_witness",
-            {
-                "threshold": threshold,
-                "max_output": float(norms.max()),
-                "horizon": t_end,
-                "status": traj.status,
-            },
-        )
+            crossing = float(traj.times[hits[0]])
+            return DemoReport("witness_found", dict(details, crossing_time=crossing))
+        return DemoReport("no_witness", dict(details, max_output=float(norms.max())))
 
     certificates = (
         Certificate(
@@ -395,14 +376,14 @@ def example_5_2(r: float = 0.5, eps: float = 1.0, L: float | None = None) -> Exa
         rng = np.random.default_rng(seed)
         return _disturbed_runs(sys, rng, count, 1.0, horizon, 0.4, IntegrateOpts(step_req=step))
 
-    def run_razumikhin(seed=None, samples=None, tolerance=None, step=None, horizon=None):
+    def run_razumikhin(seed=0, samples=2000, tolerance=None, step=None, horizon=5.0):
         spec = _sweep_spec(2.0, seed, samples, horizon)
         return check_razumikhin(sys, Vr, linear(0.5), decay_rate, spec, tolerance=tolerance)
 
     hold = KlFn(fn=lambda s, t: float(s), name="hold")
 
-    def run_bounded(seed=None, samples=None, tolerance=None, step=None, horizon=None):
-        trajs = _ensemble(_pick(seed, 0), _pick(step, 2e-4), _pick(horizon, 1.4), _pick(samples, 20))
+    def run_bounded(seed=0, samples=20, tolerance=1e-4, step=2e-4, horizon=1.4):
+        trajs = _ensemble(seed, step, horizon, samples)
         return verify_v_decay_estimate(
             sys,
             V_window,
@@ -412,14 +393,12 @@ def example_5_2(r: float = 0.5, eps: float = 1.0, L: float | None = None) -> Exa
             None,
             hold,
             trajs,
-            tolerance=_pick(tolerance, 1e-4),
+            tolerance=tolerance,
         )
 
-    def run_window_monotone(seed=None, samples=None, tolerance=None, step=None, horizon=None):
-        trajs = _ensemble(_pick(seed, 0), _pick(step, 2e-4), _pick(horizon, 1.4), _pick(samples, 20))
-        return check_monotone_decay(
-            trajs, vr_many, rel_slack=_pick(tolerance, 1e-6), window_delay=r
-        )
+    def run_window_monotone(seed=0, samples=20, tolerance=1e-6, step=2e-4, horizon=1.4):
+        trajs = _ensemble(seed, step, horizon, samples)
+        return check_monotone_decay(trajs, vr_many, rel_slack=tolerance, window_delay=r)
 
     certificates = (
         Certificate(
@@ -538,7 +517,7 @@ def example_5_4(R: float = 1.0, r: float = 1.0, u_max: float = 1.0) -> ExampleBu
     gamma = power(2.0 / 3.0, math.sqrt(1.5 / R))
     one = constant(1.0)
 
-    def run_razumikhin(seed=None, samples=None, tolerance=None, step=None, horizon=None):
+    def run_razumikhin(seed=0, samples=2000, tolerance=None, step=None, horizon=5.0):
         spec = _sweep_spec(4.0, seed, samples, horizon)
         return check_razumikhin(
             sys,
@@ -551,53 +530,46 @@ def example_5_4(R: float = 1.0, r: float = 1.0, u_max: float = 1.0) -> ExampleBu
             tolerance=tolerance,
         )
 
-    def run_gain_envelope(seed=None, samples=None, tolerance=None, step=None, horizon=None):
-        seed_v = _pick(seed, 0)
-        horizon_v = _pick(horizon, 9.0)
-        opts = IntegrateOpts(step_req=_pick(step, 4e-3))
-        rng = np.random.default_rng(seed_v)
-        n_fit = _pick(samples, 24)
-        fit_trajs = _disturbed_runs(sys, rng, n_fit, 3.0, horizon_v, 0.5, opts)
+    def run_gain_envelope(seed=0, samples=24, tolerance=1e-9, step=4e-3, horizon=9.0):
+        opts = IntegrateOpts(step_req=step)
+        rng = np.random.default_rng(seed)
+        fit_trajs = _disturbed_runs(sys, rng, samples, 3.0, horizon, 0.5, opts)
         sigma = fit_kl_envelope(fit_trajs, one, bins=4)
         test_trajs = []
-        for k in range(max(6, n_fit // 2)):
+        for k in range(max(6, samples // 2)):
             x0 = sample_history(rng, r, 1, 2.8)
             u_sig = None
             if k % 3 != 0:
                 u_sig = sample_signal(
-                    SignalSpec(sys.u_box, horizon_v, 1.0, seed=int(rng.integers(2 ** 32)))
+                    SignalSpec(sys.u_box, horizon, 1.0, seed=int(rng.integers(2 ** 32)))
                 )
             d_sig = sample_signal(
-                SignalSpec(sys.d_box, horizon_v, 0.5, seed=int(rng.integers(2 ** 32)))
+                SignalSpec(sys.d_box, horizon, 0.5, seed=int(rng.integers(2 ** 32)))
             )
-            test_trajs.append(integrate(sys, 0.0, x0, u_sig, d_sig, horizon_v, opts))
-        return verify_ios_envelope(
-            test_trajs, sigma, one, gamma, one, tolerance=_pick(tolerance, 1e-9)
-        )
+            test_trajs.append(integrate(sys, 0.0, x0, u_sig, d_sig, horizon, opts))
+        return verify_ios_envelope(test_trajs, sigma, one, gamma, one, tolerance=tolerance)
 
-    def run_constant_gain(seed=None, samples=None, tolerance=None, step=None, horizon=None):
-        horizon_v = _pick(horizon, 14.0)
-        opts = IntegrateOpts(step_req=_pick(step, 2e-3))
-        rng = np.random.default_rng(_pick(seed, 0))
-        slack = _pick(tolerance, 0.05)
+    def run_constant_gain(seed=0, samples=None, tolerance=0.05, step=2e-3, horizon=14.0):
+        opts = IntegrateOpts(step_req=step)
+        rng = np.random.default_rng(seed)
         cases = []
         ok = True
         for level in (0.2, 0.5, 1.0):
-            allowed = (1.0 + slack) * float(gamma(level))
+            allowed = (1.0 + tolerance) * float(gamma(level))
             tail_sup = 0.0
             d_choices = [
                 constant_signal(np.array([R]), box=sys.d_box),
                 constant_signal(np.array([-R]), box=sys.d_box),
-                sample_signal(SignalSpec(sys.d_box, horizon_v, 0.7, seed=int(rng.integers(2 ** 32)))),
+                sample_signal(SignalSpec(sys.d_box, horizon, 0.7, seed=int(rng.integers(2 ** 32)))),
             ]
             for d_sig in d_choices:
                 x0 = sample_history(rng, r, 1, 2.5)
                 traj = integrate(
                     sys, 0.0, x0, constant_signal(np.array([level]), box=sys.u_box),
-                    d_sig, horizon_v, opts,
+                    d_sig, horizon, opts,
                 )
                 norms = traj.output_norms()
-                tail = norms[traj.times >= horizon_v - 4.0]
+                tail = norms[traj.times >= horizon - 4.0]
                 tail_sup = max(tail_sup, float(tail.max()))
             cases.append({"input_level": level, "tail_sup": tail_sup, "allowed": allowed})
             ok = ok and tail_sup <= allowed

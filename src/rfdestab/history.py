@@ -265,13 +265,12 @@ def sample_history(
     delay: float,
     dim: int,
     norm_bound: float,
-    slope_cap: float | None = None,
 ) -> HistorySegment:
     """Random piecewise-linear segment inside the closed norm ball.
 
     Draws 1..SAMPLE_MAX_KNOTS interior knots, then walks knot values uniformly
-    in the ball while clipping increments so slopes stay below ``slope_cap``
-    (default ``8 * norm_bound / delay``).  SAMPLE_DENSIFY evenly spaced grid
+    in the ball while clipping increments so slopes stay at most
+    ``8 * max(norm_bound, 1e-12) / delay``.  SAMPLE_DENSIFY evenly spaced grid
     points are added so downstream quadratures see a reasonable resolution;
     they do not change the function.  The segment is valid by construction:
     after ``delay`` and ``norm_bound`` are checked it is built once, by the
@@ -285,8 +284,7 @@ def sample_history(
     # draws lie in [-delay, 0] and are never -0.0: the set drops what np.unique would
     offsets = sorted({-delay, *rng.uniform(-delay, 0.0, size=k).tolist(), 0.0})
     knots = np.array(offsets, dtype=float)
-    if slope_cap is None:
-        slope_cap = 8.0 * max(norm_bound, 1e-12) / delay
+    max_slope = 8.0 * max(norm_bound, 1e-12) / delay
 
     def ball_point() -> np.ndarray:
         z = rng.normal(size=dim)
@@ -300,7 +298,7 @@ def sample_history(
     prev = vals[0] = ball_point()
     for i in range(1, knots.size):
         dv = ball_point() - prev
-        lim = slope_cap * (offsets[i] - offsets[i - 1])
+        lim = max_slope * (offsets[i] - offsets[i - 1])
         nd = math.sqrt(dv.dot(dv))
         if nd > lim:
             dv *= lim / nd

@@ -77,21 +77,6 @@ class PiecewiseSignal:
         st = self.switch_times
         return st[(st > t_lo) & (st < t_hi)]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "switch_times": self.switch_times.tolist(),
-            "values": self.values.tolist(),
-            "box": self.box.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PiecewiseSignal":
-        return cls(
-            np.asarray(data["switch_times"], dtype=float),
-            np.asarray(data["values"], dtype=float),
-            np.asarray(data["box"], dtype=float),
-        )
-
 
 def constant_signal(value, box=None) -> PiecewiseSignal:
     value = np.atleast_1d(np.asarray(value, dtype=float))

@@ -20,7 +20,7 @@ import functools
 import math
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -365,9 +365,6 @@ class Trajectory:
     def state(self, t: float) -> np.ndarray:
         return np.array(self._dense.eval_one(self._clamped(t)))
 
-    def state_many(self, ts: np.ndarray) -> np.ndarray:
-        return self._dense.eval_vec(np.asarray(ts, dtype=float))
-
     def history(self, t: float) -> HistorySegment:
         """Window snapshot at ``t``; exact at stored knots.
 
@@ -434,9 +431,10 @@ def integrate(
 ) -> Trajectory:
     """March the delay system from (t0, x0) to t_end under the given signals.
 
-    The requested step is clamped to delay_r / ceil(delay_r / step_req) so a
-    whole number of steps spans the delay; signal switch times inside the
-    horizon are inserted as grid nodes.  Blow-up (window norm above
+    The requested step is clamped to delay_r / max(2, ceil(delay_r / step_req))
+    so a whole number of steps, at least two, spans the delay: a window's row
+    at -delay_r then always lies inside the dense store.  Signal switch times
+    inside the horizon are inserted as grid nodes.  Blow-up (window norm above
     opts.blowup_norm) and non-finite dynamics truncate the run and are
     reported through the status field.
     """
@@ -452,7 +450,7 @@ def integrate(
     if opts.step_req <= 0:
         raise ValueError("step_req must be positive")
 
-    m_sub = max(1, int(math.ceil(r / opts.step_req - 1e-12)))
+    m_sub = max(2, int(math.ceil(r / opts.step_req - 1e-12)))
     h = r / m_sub
 
     signals = [sig for sig in (u, d) if sig is not None]
@@ -574,16 +572,6 @@ class LipschitzModuli:
     samples: int
     low_confidence: tuple = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "one_sided_state": self.one_sided_state,
-            "output_rate": self.output_rate,
-            "input_rate": self.input_rate,
-            "region": [self.region.t_lo, self.region.t_hi, self.region.norm_bound],
-            "samples": self.samples,
-            "low_confidence": list(self.low_confidence),
-        }
-
 
 def _uniform_box(rng: np.random.Generator, box: np.ndarray | None) -> np.ndarray:
     if box is None or box.shape[0] == 0:
@@ -670,9 +658,6 @@ class ContinuityReport:
     initial_distance: float
     bound_overflowed: bool
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def check_continuity_bound(
     system: RfdeSystem,
@@ -684,14 +669,13 @@ def check_continuity_bound(
     t_end: float,
     moduli: LipschitzModuli,
     opts: IntegrateOpts | None = None,
-    rel_tol: float = 1e-9,
 ) -> ContinuityReport:
     """Exponential-in-time bound on the window distance of two runs.
 
     Both initial segments evolve under the same signals; at every node the
     window distance must stay below the initial distance amplified by
     exp(L * elapsed) with L the estimated one-sided modulus.  Equality holds
-    at t0, so the check allows a relative slack.
+    at t0, so the check allows a relative slack of 1e-9.
     """
     opts = opts or IntegrateOpts()
     ta = integrate(system, t0, x0, u, d, t_end, opts)
@@ -729,7 +713,7 @@ def check_continuity_bound(
         if ratio > worst_ratio:
             worst_ratio = ratio
             worst_time = float(t)
-        if lhs > bound * (1.0 + rel_tol) + 1e-12:
+        if lhs > bound * (1.0 + 1e-9) + 1e-12:
             passed = False
     return ContinuityReport(passed, worst_ratio, worst_time, float(d0), overflow)
 
@@ -743,9 +727,6 @@ class RfcReport:
     witness_index: int | None
     witness_time: float | None
     trajectories: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def check_rfc(

@@ -249,14 +249,14 @@ def fit_kl_envelope(
 ) -> KlFn:
     """Fit a tabulated two-argument decay envelope from an ensemble.
 
-    Trajectories are labeled s = beta(t0) * initial window norm and grouped
-    into quantile bins by s; per bin the nonincreasing majorant (suffix max)
-    of the observed output norm over elapsed time is tabulated on the union
-    of member grids; bins are then swept so the table is nondecreasing in s,
-    and the whole table is inflated by 5%.  Queries step up to the nearest
-    bin edge in s (with a linear pinch to zero below the lowest edge, so the
-    value vanishes at s = 0) and interpolate linearly in elapsed time,
-    clamping beyond the data.
+    Completed trajectories are labeled s = beta(t0) * initial window norm and
+    grouped into min(bins, their number) quantile bins by s; per bin the
+    nonincreasing majorant (suffix max) of the observed output norm over
+    elapsed time is tabulated on the union of member grids; bins are then
+    swept so the table is nondecreasing in s, and the whole table is inflated
+    by 5%.  Queries step up to the nearest bin edge in s (with a linear pinch
+    to zero below the lowest edge, so the value vanishes at s = 0) and
+    interpolate linearly in elapsed time, clamping beyond the data.
     """
     trajs = [tr for tr in trajs if tr.status == "completed"]
     if not trajs:
@@ -265,7 +265,6 @@ def fit_kl_envelope(
     order = np.argsort(labels)
     bins = max(1, min(bins, len(trajs)))
     groups = np.array_split(order, bins)
-    groups = [g for g in groups if g.size]
     edges = []
     tables = []
     for g in groups:
@@ -277,7 +276,7 @@ def fit_kl_envelope(
             vals = tr.output_norms()
             suffix = np.maximum.accumulate(vals[::-1])[::-1]
             elapsed = tr.times - tr.t0
-            interp = np.interp(grid, elapsed, suffix, left=suffix[0], right=suffix[-1])
+            interp = np.interp(grid, elapsed, suffix)
             # exact at the member's own grid points; linear between
             acc = np.maximum(acc, interp)
         tables.append((grid, acc))
@@ -286,7 +285,7 @@ def fit_kl_envelope(
     rows = []
     running = np.zeros(merged.size)
     for grid, acc in tables:
-        row = np.interp(merged, grid, acc, left=acc[0], right=acc[-1])
+        row = np.interp(merged, grid, acc)
         running = np.maximum(running, row)
         rows.append(running.copy())
     rows = [r * inflate for r in rows]
@@ -304,13 +303,7 @@ def fit_kl_envelope(
         if j >= edges_arr.size:
             j = edges_arr.size - 1
             scale = s / edges_arr[-1]  # extrapolate radially above the data
-        row = table[j]
-        if t <= t_grid[0]:
-            val = row[0]
-        elif t >= t_grid[-1]:
-            val = row[-1]
-        else:
-            val = float(np.interp(t, t_grid, row))
+        val = float(np.interp(t, t_grid, table[j]))
         if j == 0 and s < edges_arr[0]:
             val *= s / edges_arr[0]  # pinch to zero at s = 0
         return float(val * scale)

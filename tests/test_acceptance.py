@@ -573,6 +573,21 @@ def test_criterion_9_cli_determinism(tmp_path):
             "samples": 800,
             "step": 2e-3,
         },
+        # the other two bundles' certificate reports, at few samples and a coarse step
+        "reproduce-5.2": {
+            "command": "reproduce",
+            "system": "example-5.2",
+            "seed": 0,
+            "samples": 3,
+            "step": 1e-2,
+        },
+        "reproduce-5.4": {
+            "command": "reproduce",
+            "system": "example-5.4",
+            "seed": 0,
+            "samples": 3,
+            "step": 2e-2,
+        },
         "envelope": {
             "command": "envelope",
             "system": "example-5.2",

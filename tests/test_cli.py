@@ -422,6 +422,7 @@ class TestEnvelope:
         assert report["trajectories"] == 3
         assert report["completed"] == 3
         assert report["bins"] == 4
+        assert report["bins_fitted"] == 3  # one bin per run: three runs
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +485,24 @@ class TestErrorPaths:
                 {"command": "envelope", "system": "example-5.2", "samples": 2, "horizon": 0.5,
                  "envelope": {"bins": 0}},
                 "envelope.bins must be at least 1",
+            ),
+            (
+                {"command": "envelope", "system": "example-5.2", "samples": 2, "horizon": 0.5,
+                 "envelope": {"bin": 2}},
+                "unknown envelope keys: ['bin']",
+            ),
+            ({"simulate": {"intial": {"kind": "random"}}}, "unknown simulate keys: ['intial']"),
+            (
+                {"simulate": {"initial": {"kind": "random", "norm": 1.0}}},
+                "unknown simulate.initial keys: ['norm']",
+            ),
+            (
+                {"simulate": {"disturbance": {"kind": "random", "dwell": 0.5}}},
+                "unknown simulate.disturbance keys: ['dwell']",
+            ),
+            (
+                {"simulate": {"input": {"kind": "constant", "values": [0.5]}}},
+                "unknown simulate.input keys: ['values']",
             ),
         ],
     )

@@ -204,11 +204,19 @@ class TestSamplingHelpers:
         assert np.array_equal(a.grid, b.grid)
         assert np.array_equal(a.values, b.values)
 
-    def test_slope_cap_respected(self):
+    def test_fixed_slope_bound_respected(self):
+        # the cap is 8 * norm_bound / delay; about half the draws reach it
         rng = np.random.default_rng(8)
-        seg = sample_history(rng, 1.0, 1, 5.0, slope_cap=2.0)
-        slopes = np.diff(seg.values[:, 0]) / np.diff(seg.grid)
-        assert np.all(np.abs(slopes) <= 2.0 + 1e-9)
+        reached = 0
+        for delay, dim, norm_bound in ((1.0, 1, 5.0), (0.3, 2, 2.0), (2.0, 2, 0.5)):
+            cap = 8.0 * norm_bound / delay
+            for _ in range(50):
+                seg = sample_history(rng, delay, dim, norm_bound)
+                rise = np.linalg.norm(np.diff(seg.values, axis=0), axis=1)
+                ratio = (rise / np.diff(seg.grid)).max() / cap
+                assert ratio <= 1.0 + 1e-9
+                reached += ratio > 1.0 - 1e-9
+        assert reached >= 50
 
     @pytest.mark.parametrize("delay", [0.0, -1.0, np.nan, np.inf])
     def test_bad_delay_rejected_up_front(self, delay):

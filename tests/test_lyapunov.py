@@ -80,6 +80,25 @@ class TestDiniFunctional:
         with pytest.raises(ValueError, match="every ladder step is at least the window length"):
             dini_functional(V_SQUARE, 0.0, seg, np.array([1.0]), NUMERIC)
 
+    def test_ladder_rungs_below_the_window(self):
+        # V = x(0) + 10 along slope 1: the quotient at step h is 1 + h, as the
+        # largest sphere probe adds h^2 to the head (one direction is +1 in 1-D)
+        V = LyapunovFunctional(evaluator=lambda t, seg: float(seg.head[0]) + 10.0)
+        # window 5e-4: only the 1e-4 rung fits, and its quotient is returned
+        one = dini_functional(V, 0.0, HistorySegment.constant(5e-4, [0.0]), np.ones(1))
+        assert one == pytest.approx(1.0 + 1e-4, abs=1e-9)
+        # window 5e-3: two rungs, extrapolated linearly to step 0
+        two = dini_functional(V, 0.0, HistorySegment.constant(5e-3, [0.0]), np.ones(1))
+        assert two == pytest.approx(1.0, abs=1e-9)
+
+    def test_untrusted_ladder_returns_the_smallest_step(self):
+        # V = max(0, x(0) - 5e-4) from x = 0 along slope 1 has its kink between
+        # the rungs: quotients near 0.95, 0.5, 0 do not shrink like a smooth
+        # ladder, so the smallest step's quotient, 0, is returned
+        V = LyapunovFunctional(evaluator=lambda t, seg: max(0.0, float(seg.head[0]) - 5e-4))
+        seg = HistorySegment.constant(1.0, [0.0])
+        assert dini_functional(V, 0.0, seg, np.ones(1)) == 0.0
+
     def test_time_dependence_included(self):
         # V = e^{-2t} |x(0)|^2: moving time forward contributes -2V
         V = LyapunovFunctional(
@@ -340,3 +359,17 @@ class TestConverseEnergy:
             disturbance_ensemble=[constant_signal([0.0])], t=0.0, x=x,
         )
         assert val >= max(0.0, 0.8 - 1.0 / q) - 1e-12
+
+    def test_ensemble_term_above_the_base_term(self):
+        # x' = 0 keeps the output at 0.8 over T = log(1 + q * 0.8) / 2 = log 3,
+        # so the term at t + T, (0.8 - 1/q) e^T = 2.1, sets the value
+        still = RfdeSystem(
+            delay_r=1.0, dim_n=1, dynamics=lambda t, seg, u, d: np.zeros(1),
+            output=lambda t, seg: seg.head, d_box=ZERO_D,
+        )
+        val = converse_functional_uq(
+            still, q=10, a1=identity(), a2=identity(), beta=constant(1.0),
+            disturbance_ensemble=[constant_signal([0.0])], t=0.0,
+            x=HistorySegment.constant(1.0, [0.8]),
+        )
+        assert val == pytest.approx(0.7 * 3.0, rel=1e-12)

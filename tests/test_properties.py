@@ -141,7 +141,7 @@ def _validated_sample(rng, delay, dim, norm_bound):
     k = int(rng.integers(1, 5))
     interior = np.sort(rng.uniform(-delay, 0.0, size=k))
     grid = np.unique(np.concatenate([[-delay], interior, [0.0]]))
-    slope_cap = 8.0 * max(norm_bound, 1e-12) / delay
+    max_slope = 8.0 * max(norm_bound, 1e-12) / delay
 
     def ball_point():
         z = rng.normal(size=dim)
@@ -155,7 +155,7 @@ def _validated_sample(rng, delay, dim, norm_bound):
     vals[0] = ball_point()
     for i in range(1, grid.size):
         dv = ball_point() - vals[i - 1]
-        lim = slope_cap * (grid[i] - grid[i - 1])
+        lim = max_slope * (grid[i] - grid[i - 1])
         nd = np.linalg.norm(dv)
         if nd > lim:
             dv *= lim / nd
@@ -232,7 +232,7 @@ def _check_window(seg, t, r, K, V):
 # levels of d, off-node query times and the initial window's seed
 DENSE_RUNS = dict(
     r=st.floats(0.05, 2.0),
-    steps_per_delay=st.integers(2, 30),
+    steps_per_delay=st.integers(1, 30),
     t0=st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(1e3, 1e6)),
     span=st.floats(0.3, 3.0),
     fracs=st.lists(st.floats(0.0, 1.0), max_size=4),
@@ -248,6 +248,12 @@ CLOSE_SWITCH = dict(
 # a switch one ulp after a large t0: the first step has no floating-point midpoint
 ULP_STEP = dict(
     r=1.0, steps_per_delay=2, t0=262144.0, span=2.0, fracs=[2.4172877385693633e-11],
+    levels=[0.0] * 5, queries=[], seed=0,
+)
+# a step request of a whole delay, where t0 + r - r rounds one ulp above t0:
+# with h = r the window's row at -r would lie past the store's last node
+WHOLE_DELAY_STEP = dict(
+    r=1.6344240681559816, steps_per_delay=1, t0=1.3760699688623768, span=1.0, fracs=[],
     levels=[0.0] * 5, queries=[], seed=0,
 )
 
@@ -306,6 +312,7 @@ class TestDenseWindows:
     @given(**DENSE_RUNS)
     @example(**CLOSE_SWITCH)
     @example(**ULP_STEP)
+    @example(**WHOLE_DELAY_STEP)
     def test_views_read_what_a_copy_would(
         self, r, steps_per_delay, t0, span, fracs, levels, queries, seed
     ):

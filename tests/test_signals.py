@@ -86,10 +86,3 @@ class TestTransforms:
             np.array([[0.0, 1.0]]),
         )
         assert np.array_equal(sig.switches_in(1.5, 3.5), [2.0, 3.0])
-
-    def test_json_round_trip(self):
-        sig = sample_signal(SignalSpec(np.array([[-1.0, 1.0]]), 5.0, 0.5, seed=2))
-        back = PiecewiseSignal.from_json_dict(sig.to_json_dict())
-        assert np.array_equal(back.switch_times, sig.switch_times)
-        assert np.array_equal(back.values, sig.values)
-        assert np.array_equal(back.box, sig.box)

@@ -9,6 +9,7 @@ from rfdestab import (
     HistorySegment,
     IntegrateOpts,
     KlFn,
+    LipschitzModuli,
     RegionSpec,
     RfdeSystem,
     SignalSpec,
@@ -156,12 +157,28 @@ class TestTrajectoryAccessors:
         for t in (1.3, 2.0, 4.7):
             seg = traj.history(t)
             # exact at the window's own knots (they are trajectory nodes)
-            direct = traj.state_many(t + seg.grid)
+            direct = np.array([traj.state(u) for u in t + seg.grid])
             assert np.allclose(seg.values, direct, atol=1e-12)
             # between knots the window is piecewise-linear: O(step^2) gap only
             thetas = np.linspace(-1.0, 0.0, 23)
-            gap = seg.eval_many(thetas) - traj.state_many(t + thetas)
+            gap = seg.eval_many(thetas) - np.array([traj.state(u) for u in t + thetas])
             assert np.abs(gap).max() <= 5e-4
+
+    def test_integral_of_a_window_without_inner_knots(self):
+        # from a constant window the window at t0 has only its two end rows
+        seen = []
+
+        def rhs(t, seg, u, d):
+            seen.append((t, seg.integral(), seg.grid.size))
+            return -seg.integral()
+
+        x0 = HistorySegment.constant(0.5, [1.5, -2.0])
+        system = RfdeSystem(0.5, 2, rhs, lambda t, seg: seg.head, ZERO_D)
+        integrate(system, 0.0, x0, None, None, 0.1, IntegrateOpts(step_req=0.05))
+        t, integral, size = seen[0]
+        assert t == 0.0 and size == 2
+        assert np.array_equal(integral, [0.75, -1.0])
+        assert all(size > 2 for t, _, size in seen[1:])
 
     def test_history_at_nodes_is_the_window_the_dynamics_saw(self):
         # example-5.2 at a fine step: t - r falls between knots at most nodes,
@@ -404,6 +421,22 @@ class TestContinuityBound:
         )
         rep = check_continuity_bound(sys_, 0.0, x0, y0, None, None, 1.0, moduli)
         assert not rep.passed
+
+    def test_growth_beyond_the_modulus_fails(self):
+        # x' = x: two runs part as 0.1 e^t, beyond 0.1 e^{0.5 t} and within 0.1 e^{1.5 t}
+        sys_ = scalar_system(lambda t, seg, u, d: seg.head)
+        x0 = HistorySegment.constant(1.0, [1.0])
+        y0 = HistorySegment.constant(1.0, [1.1])
+        moduli = LipschitzModuli(0.5, 0.0, 0.0, RegionSpec(0.0, 2.0, 10.0), 0)
+        rep = check_continuity_bound(sys_, 0.0, x0, y0, None, None, 2.0, moduli)
+        assert not rep.passed and not rep.bound_overflowed
+        assert rep.initial_distance == pytest.approx(0.1)
+        assert rep.worst_time == 2.0
+        assert rep.worst_ratio == pytest.approx(np.exp(0.5 * 2.0), rel=1e-6)
+        rep = check_continuity_bound(
+            sys_, 0.0, x0, y0, None, None, 2.0, replace(moduli, one_sided_state=1.5)
+        )
+        assert rep.passed and rep.worst_ratio <= 1.0
 
 
 class TestRfc:

@@ -7,16 +7,22 @@ from rfdestab import (
     HistorySegment,
     IntegrateOpts,
     KlFn,
+    LyapunovFunctional,
     RfdeSystem,
+    SignalSpec,
     check_monotone_decay,
     constant,
     constant_signal,
     fit_kl_envelope,
     integrate,
+    kl_from_rate,
     linear,
+    power,
     sample_history,
+    sample_signal,
     verify_ios_envelope,
     verify_rgaos_envelope,
+    verify_v_decay_estimate,
 )
 
 ZERO_D = np.array([[0.0, 0.0]])
@@ -134,6 +140,35 @@ class TestIosEnvelope:
             [traj], sigma, constant(1.0), gamma=linear(0.5), delta=constant(1.0)
         )
         assert rep_small.verdict == "fail"
+
+
+class TestVDecayEstimate:
+    def test_input_term_covers_the_forced_energy(self):
+        # x' = -x + u, V = x(0)^2: V >= 2|u|^2 gives V' <= -V/2, so V stays
+        # below max{sigma(|x0|^2, t), sup over tau of sigma(2|u(tau)|^2, t - tau)}
+        # with sigma the flow of y' = -y/2
+        sys_u = RfdeSystem(
+            delay_r=1.0,
+            dim_n=1,
+            dynamics=lambda t, seg, u, d: -seg.head + u[0],
+            output=lambda t, seg: seg.head,
+            d_box=ZERO_D,
+            u_box=np.array([[-1.0, 1.0]]),
+        )
+        V = LyapunovFunctional(evaluator=lambda t, seg: float(seg.head[0] ** 2))
+        u_sig = sample_signal(SignalSpec(sys_u.u_box, 6.0, 0.7, seed=4))
+        trajs = [
+            integrate(sys_u, 0.0, HistorySegment.constant(1.0, [x0]), u_sig, None, 6.0,
+                      IntegrateOpts(step_req=0.01))
+            for x0 in (0.0, 0.5, -1.0)
+        ]
+        sigma = kl_from_rate(linear(0.5))
+        zeta, one, square = power(2.0, 2.0), constant(1.0), power(2.0)
+        rep = verify_v_decay_estimate(sys_u, V, square, one, zeta, one, sigma, trajs)
+        assert rep.verdict == "pass"
+        # the decay term alone does not cover the energy the input feeds in
+        rep = verify_v_decay_estimate(sys_u, V, square, one, None, None, sigma, trajs)
+        assert rep.verdict == "fail" and rep.witness[0] == 0
 
 
 class TestFitEnvelope:
