@@ -14,8 +14,9 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,6 @@ from .verify import fit_kl_envelope
 
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
 
-COMMANDS = ("simulate", "check", "falsify", "reproduce", "envelope")
 FALSIFIER_CHECKERS = ("check_lyapunov_ios", "check_razumikhin")
 
 
@@ -46,13 +46,24 @@ _NONNEGATIVE = ("finite and nonnegative", lambda v: math.isfinite(v) and v >= 0.
 _AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number (a bool is not one)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _number(key: str, value, cast, rule):
-    """``cast(value)``, or a ConfigError naming ``key`` when the cast fails
-    or the result breaks ``rule``."""
+    """``cast(value)`` for a JSON number ``value`` (an integral one when ``cast``
+    is ``int``), or a ConfigError naming ``key`` when ``value`` is none or the
+    result breaks ``rule``."""
     need, ok = rule
+    kind = "an integer" if cast is int else "a number"
+    if not _is_number(value) or (
+        cast is int and not (isinstance(value, numbers.Integral) or float(value).is_integer())
+    ):
+        raise ConfigError(f"{key} must be {need}, got {value!r}, which is not {kind}")
     try:
         number = cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ConfigError(f"{key} must be {need}, got {value!r}") from exc
     if not ok(number):
         raise ConfigError(f"{key} must be {need}, got {number!r}")
@@ -61,13 +72,13 @@ def _number(key: str, value, cast, rule):
 
 @dataclass
 class RunConfig:
-    """Validated description of one batch run."""
+    """Validated description of one batch run.  Its fields are the JSON config
+    keys, and ``system`` is ``{"name", "params"}``."""
 
     command: str
-    system_name: str
-    system_params: dict = field(default_factory=dict)
+    system: dict
     seed: int = 0
-    out_dir: str = "artifacts"
+    out: str = "artifacts"
     tolerance: float | None = None
     samples: int | None = None
     step: float | None = None
@@ -80,10 +91,7 @@ class RunConfig:
     def from_dict(raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - {
-            "command", "system", "seed", "out", "tolerance", "samples",
-            "step", "horizon", "certificate", "simulate", "envelope",
-        }
+        unknown = set(raw) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise ConfigError(
                 f"unknown config keys: {sorted(unknown)} (system parameters "
@@ -112,10 +120,9 @@ class RunConfig:
 
         return RunConfig(
             command=command,
-            system_name=str(system["name"]),
-            system_params=dict(system.get("params") or {}),
+            system={"name": str(system["name"]), "params": dict(system.get("params") or {})},
             seed=seed,
-            out_dir=str(raw.get("out", "artifacts")),
+            out=str(raw.get("out", "artifacts")),
             tolerance=opt_number("tolerance", float, _NONNEGATIVE),
             samples=opt_number("samples", int, _AT_LEAST_1),
             step=opt_number("step", float, _POSITIVE),
@@ -126,19 +133,7 @@ class RunConfig:
         )
 
     def public_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "system": {"name": self.system_name, "params": self.system_params},
-            "seed": self.seed,
-            "out": self.out_dir,
-            "tolerance": self.tolerance,
-            "samples": self.samples,
-            "step": self.step,
-            "horizon": self.horizon,
-            "certificate": self.certificate,
-            "simulate": self.simulate,
-            "envelope": self.envelope,
-        }
+        return asdict(self)
 
 
 class _ArtifactWriter:
@@ -170,11 +165,13 @@ def _known_keys(section: str, spec: dict, keys) -> None:
 def _vector(key: str, value, size: int) -> np.ndarray:
     """``value`` as a vector of ``size`` finite numbers, or a ConfigError naming ``key``."""
     need = f"{key} must have {size} entries, each a finite number, got {value!r}"
+    if not isinstance(value, (list, tuple)) or not all(map(_is_number, value)):
+        raise ConfigError(need)
     try:
         vec = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:
         raise ConfigError(need) from exc
-    if vec.ndim != 1 or vec.size != size or not np.isfinite(vec).all():
+    if vec.size != size or not np.isfinite(vec).all():
         raise ConfigError(need)
     return vec
 
@@ -193,7 +190,12 @@ def _signal_from(sc: dict, channel: str, box, t_hi: float, seed: int):
     if box is None or box.shape[0] == 0:
         raise ConfigError(f"system has no channel for {key}")
     if kind == "constant":
-        return constant_signal(_vector(f"{key}.value", spec.get("value"), box.shape[0]))
+        value = _vector(f"{key}.value", spec.get("value"), box.shape[0])
+        try:
+            return constant_signal(value, box=box)
+        except ValueError as exc:
+            need = f"{key}.value must lie in the system's box {box.tolist()}"
+            raise ConfigError(f"{need}, got {value.tolist()}") from exc
     if kind == "random":
         mean_dwell = _number(f"{key}.mean_dwell", spec.get("mean_dwell", 0.5), float, _POSITIVE)
         return sample_signal(SignalSpec(box, max(t_hi, 1e-6), mean_dwell, seed=seed))
@@ -375,19 +377,19 @@ _HANDLERS = {
     "reproduce": _cmd_reproduce,
     "envelope": _cmd_envelope,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def run(cfg: RunConfig) -> int:
     """Execute a validated config, write artifacts, and return the exit status."""
-    if cfg.system_name not in REGISTRY:
-        raise ConfigError(
-            f"unknown registry name {cfg.system_name!r}; known: {sorted(REGISTRY)}"
-        )
+    name = cfg.system["name"]
+    if name not in REGISTRY:
+        raise ConfigError(f"unknown registry name {name!r}; known: {sorted(REGISTRY)}")
     try:
-        bundle = build_example(cfg.system_name, cfg.system_params)
+        bundle = build_example(name, cfg.system["params"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    writer = _ArtifactWriter(Path(cfg.out_dir))
+    writer = _ArtifactWriter(Path(cfg.out))
     status = _HANDLERS[cfg.command](cfg, bundle, writer)
     manifest = {
         "config": cfg.public_dict(),
@@ -435,10 +437,11 @@ def main(argv=None) -> int:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config {args.config!r} is not valid JSON: {exc}") from exc
         if args.system is not None:
-            raw["system"] = {"name": args.system, "params": dict((raw.get("system") or {}).get("params") or {}) if isinstance(raw.get("system"), dict) else {}}
-        for key in ("command", "seed", "out", "certificate", "tolerance", "samples", "step", "horizon"):
-            value = getattr(args, key)
-            if value is not None:
+            system = raw.get("system")
+            params = system.get("params") if isinstance(system, dict) else None
+            raw["system"] = {"name": args.system, "params": params}
+        for key, value in vars(args).items():
+            if key not in ("config", "system") and value is not None:
                 raw[key] = value
         cfg = RunConfig.from_dict(raw)
         return run(cfg)

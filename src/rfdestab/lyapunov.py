@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -237,17 +237,9 @@ class FalsificationReport:
                 raise ValueError("counterexample verdict requires a beyond-tolerance witness")
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "samples": self.samples_tested,
-            "worst_residual": self.worst_residual,
-            "witness": self.witness,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "guard_skipped": self.guard_skipped,
-            "eval_failures": self.eval_failures,
-            "first_failure": self.first_failure,
-        }
+        data = asdict(self)
+        data["samples"] = data.pop("samples_tested")
+        return data
 
 
 def _witness_dict(t: float, seg: HistorySegment, u, d, residual: float) -> dict:

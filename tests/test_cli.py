@@ -7,6 +7,7 @@ that name the offending item, and byte-level determinism of reruns.
 
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import shutil
@@ -71,9 +72,8 @@ class TestRunConfig:
 
     def test_string_system_shorthand(self):
         cfg = RunConfig.from_dict({"command": "check", "system": "example-5.4", "seed": 3})
-        assert cfg.system_name == "example-5.4"
-        assert cfg.system_params == {}
-        assert cfg.out_dir == "artifacts"
+        assert cfg.system == {"name": "example-5.4", "params": {}}
+        assert cfg.out == "artifacts"
         assert cfg.certificate is None
 
     def test_requires_an_explicit_seed(self):
@@ -504,6 +504,40 @@ class TestErrorPaths:
                 {"simulate": {"input": {"kind": "constant", "values": [0.5]}}},
                 "unknown simulate.input keys: ['values']",
             ),
+            ({"seed": 3.7}, "seed must be a nonnegative integer, got 3.7, which is not an integer"),
+            ({"seed": True}, "seed must be a nonnegative integer, got True, which is not an integer"),
+            ({"seed": "4"}, "seed must be a nonnegative integer, got '4', which is not an integer"),
+            ({"samples": 2.5}, "samples must be at least 1, got 2.5, which is not an integer"),
+            ({"horizon": True}, "horizon must be finite and positive, got True, which is not a number"),
+            ({"step": "0.05"}, "step must be finite and positive, got '0.05', which is not a number"),
+            (
+                {"command": "envelope", "system": "example-5.2", "samples": 2, "horizon": 0.5,
+                 "envelope": {"bins": 1.9}},
+                "envelope.bins must be at least 1, got 1.9, which is not an integer",
+            ),
+            (
+                {"command": "envelope", "system": "example-5.2", "samples": 2, "horizon": 0.5,
+                 "envelope": {"t_points": "33"}},
+                "envelope.t_points must be at least 1, got '33', which is not an integer",
+            ),
+            (
+                {"simulate": {"initial": {"kind": "constant", "value": [True]}}},
+                "simulate.initial.value must have 1 entries, each a finite number",
+            ),
+            (
+                {"simulate": {"disturbance": {"kind": "constant", "value": ["0.5"]}}},
+                "simulate.disturbance.value must have 1 entries, each a finite number",
+            ),
+            (
+                {"system": "example-4.8",
+                 "simulate": {"disturbance": {"kind": "constant", "value": [5.0]},
+                              "input": {"kind": "constant", "value": [40.0]}}},
+                "simulate.disturbance.value must lie in the system's box [[-1.0, 1.0]], got [5.0]",
+            ),
+            (
+                {"system": "example-4.8", "simulate": {"input": {"kind": "constant", "value": [-1.5]}}},
+                "simulate.input.value must lie in the system's box [[-1.0, 1.0]], got [-1.5]",
+            ),
         ],
     )
     def test_bad_nested_values_exit_2(self, tmp_path, capsys, payload, named):
@@ -691,10 +725,19 @@ class TestDeterminism:
         assert proc.returncode == 0, proc.stderr
         assert "simulate" in proc.stdout and proc.stdout.startswith("usage: rfdestab")
 
-    def test_console_script_if_installed(self, tmp_path):
+    def test_console_script_if_installed(self, capsys):
         exe = shutil.which("rfdestab")
-        if exe is None:
-            pytest.skip("console script not on PATH in this environment")
-        proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
-        assert proc.returncode == 0
-        assert "simulate" in proc.stdout
+        if exe is not None:
+            proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
+            assert proc.returncode == 0
+            assert "simulate" in proc.stdout
+            return
+        # not installed: the entry point pyproject.toml declares must still be the CLI
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        project = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
+        module, _, attr = project["project"]["scripts"]["rfdestab"].partition(":")
+        entry = getattr(importlib.import_module(module), attr)
+        with pytest.raises(SystemExit) as exc:
+            entry(["--help"])
+        assert exc.value.code == 0
+        assert "simulate" in capsys.readouterr().out
