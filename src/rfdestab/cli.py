@@ -108,6 +108,12 @@ class RunConfig:
         if not isinstance(system, dict) or "name" not in system:
             raise ConfigError("config requires a system: {name, params}")
         _known_keys("system", system, ("name", "params"))
+        params = system.get("params")
+        if params is not None and not isinstance(params, dict):
+            raise ConfigError(f"system.params must be a JSON object, got {params!r}")
+        out = raw.get("out", "artifacts")
+        if not isinstance(out, str) or not out:
+            raise ConfigError(f"out must be a nonempty JSON string, got {out!r}")
         if "seed" not in raw or raw["seed"] is None:
             raise ConfigError("config requires an explicit seed (no nondeterministic defaults)")
         seed = _number("seed", raw["seed"], int, ("a nonnegative integer", lambda v: v >= 0))
@@ -120,9 +126,9 @@ class RunConfig:
 
         return RunConfig(
             command=command,
-            system={"name": str(system["name"]), "params": dict(system.get("params") or {})},
+            system={"name": str(system["name"]), "params": dict(params or {})},
             seed=seed,
-            out=str(raw.get("out", "artifacts")),
+            out=out,
             tolerance=opt_number("tolerance", float, _NONNEGATIVE),
             samples=opt_number("samples", int, _AT_LEAST_1),
             step=opt_number("step", float, _POSITIVE),

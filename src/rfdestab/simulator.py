@@ -157,11 +157,13 @@ class _Dense:
         integrator passes ``seg``, a window at the node's time, whose lower
         end and window quadrature the node window keeps."""
         c = self.node0 + k
-        if seg is None:
-            return _Window(self, self.K.item(c), self.I0.item(c), c, self.TAIL[c], self.V[c])
-        self.I0[c] = seg._i0
-        self.TAIL[c] = seg._tail
-        return _Window(self, self.K.item(c), seg._i0, c, self.TAIL[c], self.V[c], seg._body)
+        if seg is not None:
+            self.I0[c] = seg._i0
+            self.TAIL[c] = seg._tail
+        tail = self.TAIL[c]
+        tail.flags.writeable = False
+        body = None if seg is None else seg._body
+        return _Window(self, self.K.item(c), self.I0.item(c), c, tail, self.V[c], body)
 
     def _basis(self, s):
         s2 = s * s
@@ -245,6 +247,7 @@ class _Dense:
         i1 = c if K.item(c - 1) < tau else int(np.searchsorted(K[:c], tau, side="left"))
         # without a fold, the search for i0 is eval_one(lo)'s own search
         tail = self._eval_in(i0 - 1, lo) if tail_row is None else self.V[tail_row]
+        tail.flags.writeable = False
         return _Window(self, tau, i0, i1, tail, prov)
 
 
@@ -260,7 +263,7 @@ class _Window(HistorySegment):
     """
 
     def __init__(self, dense: _Dense, tau: float, i0: int, i1: int, tail, head, body=None):
-        tail.flags.writeable = False
+        # the builders freeze the tail, which with_head passes on
         head.flags.writeable = False
         self.__dict__.update(
             delay=dense.delay, _dense=dense, _tau=tau, _i0=i0, _i1=i1, _tail=tail, _head=head,

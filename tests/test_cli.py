@@ -538,6 +538,14 @@ class TestErrorPaths:
                 {"system": "example-4.8", "simulate": {"input": {"kind": "constant", "value": [-1.5]}}},
                 "simulate.input.value must lie in the system's box [[-1.0, 1.0]], got [-1.5]",
             ),
+            (
+                {"system": {"name": "example-4.8", "params": 5}},
+                "system.params must be a JSON object, got 5",
+            ),
+            (
+                {"system": {"name": "example-4.8", "params": [1, 2]}},
+                "system.params must be a JSON object, got [1, 2]",
+            ),
         ],
     )
     def test_bad_nested_values_exit_2(self, tmp_path, capsys, payload, named):
@@ -547,6 +555,16 @@ class TestErrorPaths:
         assert main(["--config", write_config(tmp_path, dict(base, **payload))]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("value", [None, 5, "", ["a"]], ids=["null", "number", "empty", "list"])
+    def test_out_that_is_not_a_string_exits_2(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(
+            tmp_path, {"command": "simulate", "system": "example-5.4", "seed": 0, "out": value}
+        )
+        assert main(["--config", cfg]) == 2
+        assert f"out must be a nonempty JSON string, got {value!r}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]  # no artifact directory anywhere
 
     def test_unknown_system_lists_known_names(self, tmp_path, capsys):
         rc = main(["check", "no-such-system", "--seed", "0", "--out", str(tmp_path / "a")])

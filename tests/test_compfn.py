@@ -19,6 +19,7 @@ from rfdestab import (
     linear,
     power,
 )
+from rfdestab.compfn import FLOW_ATOL, FLOW_T_MAX
 
 
 def assert_kl(sigma, s_grid, t_grid, tol=1e-9):
@@ -155,19 +156,95 @@ class TestKlFromRate:
         import scipy.integrate
 
         solves = []
-        solve_ivp = scipy.integrate.solve_ivp
+        rk45 = scipy.integrate.RK45
 
         def counting(*args, **kwargs):
             solves.append(args[2])  # the initial value
-            return solve_ivp(*args, **kwargs)
+            return rk45(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
+        monkeypatch.setattr(scipy.integrate, "RK45", counting)
         sigma = kl_from_rate(linear(1.0))
         ts = np.linspace(0.0, 100.0, 11)  # past FLOW_T_MAX = 60: chains through sigma(1, 60)
         first = sigma.eval_t_array(1.0, ts)
         for _ in range(3):
             assert np.array_equal(sigma.eval_t_array(1.0, ts), first)
         assert len(solves) == 2
+
+    @pytest.mark.parametrize("rate", [identity(), power(2.0)], ids=["identity", "square"])
+    def test_values_are_the_bits_of_a_full_solve(self, rate):
+        from scipy.integrate import solve_ivp
+
+        def rhs(t, y):
+            return [0.0] if y[0] <= 0.0 else [-float(rate(y[0]))]
+
+        def full_solve(s):
+            return solve_ivp(
+                rhs, (0.0, FLOW_T_MAX), [s],
+                method="RK45", rtol=1e-10, atol=FLOW_ATOL, dense_output=True,
+            )
+
+        def oracle(s, ts):
+            # the flow's definition on one complete solve per chained horizon
+            ts = np.asarray(ts, dtype=float)
+            out = np.where(ts <= 0.0, s, np.nan)
+            inside = (ts > 0.0) & (ts <= FLOW_T_MAX)
+            out[inside] = np.clip(full_solve(s).sol(ts[inside])[0], 0.0, None)
+            past = ts > FLOW_T_MAX
+            if past.any():
+                out[past] = oracle(float(oracle(s, FLOW_T_MAX)), ts[past] - FLOW_T_MAX)
+            return out
+
+        s = 1.5
+        sigma = kl_from_rate(rate)
+        # a short query first, so the later ones extend a partly stepped solution
+        queries = [0.02, full_solve(s).t, np.linspace(-1.0, 130.0, 263), FLOW_T_MAX]
+        for ts in queries:
+            assert sigma.flow(s, ts).tobytes() == oracle(s, ts).tobytes()
+
+    def test_query_order_does_not_change_the_bits(self):
+        rate = identity()
+        ts = np.concatenate([np.linspace(-1.0, 130.0, 41), [0.02, FLOW_T_MAX]])
+        fresh = [kl_from_rate(rate)(0.7, t) for t in ts]
+        sigma = kl_from_rate(rate)
+        rising = [sigma(0.7, t) for t in ts]
+        falling = [sigma(0.7, t) for t in ts[::-1]][::-1]
+        assert np.array(rising).tobytes() == np.array(fresh).tobytes()
+        assert np.array(falling).tobytes() == np.array(fresh).tobytes()
+
+    def test_a_short_query_steps_only_a_prefix_of_the_solve(self):
+        calls = []
+
+        def rate(y):
+            calls.append(y)
+            return y
+
+        def rate_calls(t):
+            sigma = kl_from_rate(rate)
+            calls.clear()  # drop the class probes
+            sigma(1.0, t)
+            return len(calls)
+
+        assert rate_calls(0.02) < 0.05 * rate_calls(FLOW_T_MAX)
+
+    @pytest.mark.parametrize("low", [1e300, np.nan], ids=["stiff", "nan"])
+    def test_a_failed_solve_raises_on_every_query_that_reaches_it(self, low):
+        # below 0.5, which y = exp(-t) reaches at t = ln 2, the rate jumps to
+        # 1e300 (the step size collapses) or turns NaN
+        sigma = kl_from_rate(lambda y: y if y > 0.5 else low)
+        assert sigma(1.0, 0.1) == pytest.approx(np.exp(-0.1), abs=1e-8)
+        for t in (1.0, 0.8, 5.0, 1.0, 100.0):
+            with pytest.raises(RuntimeError, match="comparison flow failed"):
+                sigma(1.0, t)
+        with pytest.raises(RuntimeError, match="comparison flow failed"):
+            sigma.eval_t_array(1.0, np.array([0.1, 1.0]))
+        assert sigma(1.0, 0.1) == pytest.approx(np.exp(-0.1), abs=1e-8)
+
+    def test_a_non_finite_rate_at_the_initial_value_raises(self):
+        # RK45 rejects steps from a NaN first slope without end
+        sigma = kl_from_rate(lambda y: y if y > 0.5 else np.nan)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="the decay rate is nan at y=0.3"):
+                sigma(0.3, 0.1)
 
     def test_fading_sup_needs_a_rate_flow(self):
         sigma = KlFn(fn=lambda s, t: s * np.exp(-t), name="exp")

@@ -412,6 +412,18 @@ class TestStageWindows:
             assert seg._tau == t and seg._i0 == i0, (t, seg._i0, i0)
             assert np.array_equal(seg.delayed, tail)
 
+    @settings(max_examples=25, deadline=None)
+    @given(**DENSE_RUNS)
+    @example(**CLOSE_SWITCH)
+    @example(**ULP_STEP)
+    def test_every_window_row_is_read_only(
+        self, r, steps_per_delay, t0, span, fracs, levels, queries, seed
+    ):
+        traj, seen = _stage_run(r, steps_per_delay, t0, span, fracs, levels, seed)
+        windows = [seg for _, seg, _, _, _ in seen] + [traj.history(t) for t in traj.times]
+        for seg in windows:
+            assert not (seg.head.flags.writeable or seg.delayed.flags.writeable)
+
     @settings(max_examples=100, deadline=None)
     @given(**DENSE_RUNS)
     @example(**CLOSE_SWITCH)
