@@ -138,11 +138,11 @@ class _SteppedFlow:
 def kl_from_rate(rho: ComparisonFn | Callable) -> KlFn:
     """KL envelope as the flow of y' = -rho(y); sigma(s, 0) = s exactly.
 
-    The rate must be nonnegative on FLOW_PROBES (25 log-spaced points in
-    [1e-9, 1e3]; class error otherwise).  A queried initial value gets an
-    adaptive RK45 solution bounded by FLOW_T_MAX (60) at absolute tolerance
-    FLOW_ATOL (1e-10), so closed-form accuracy is limited only by the
-    integration tolerance.  The solution is stepped only as far as it is
+    The rate must be a number >= 0 on FLOW_PROBES (25 log-spaced points in
+    [1e-9, 1e3]); a negative or NaN value there raises ValueError naming its
+    s.  A queried initial value gets an adaptive RK45 solution bounded by
+    FLOW_T_MAX (60) at absolute tolerance FLOW_ATOL (1e-10), so closed-form
+    accuracy is limited only by the integration tolerance.  The solution is stepped only as far as it is
     read: a query at time t steps it just past t, and a later query that
     reaches further steps on from there.  The steps are those of a solve to
     FLOW_T_MAX, so values do not depend on the order of queries.  A solve
@@ -157,9 +157,12 @@ def kl_from_rate(rho: ComparisonFn | Callable) -> KlFn:
     """
     rate = rho.fn if isinstance(rho, ComparisonFn) else rho
     probes = np.asarray([rate(s) for s in FLOW_PROBES], dtype=float)
-    if np.any(probes < 0.0):
-        bad = FLOW_PROBES[int(np.argmin(probes))]
-        raise ValueError(f"decay rate is negative at s={bad!r}; not positive definite")
+    if not np.all(probes >= 0.0):  # NaN fails this test as a negative value does
+        k = int(np.argmin(probes >= 0.0))
+        raise ValueError(
+            f"decay rate is {float(probes[k])!r} at s={float(FLOW_PROBES[k])!r}; "
+            "not positive definite"
+        )
 
     def rhs(t, y):
         yv = y[0]

@@ -272,10 +272,22 @@ def sample_history(
     in the ball while clipping increments so slopes stay at most
     ``8 * max(norm_bound, 1e-12) / delay``.  SAMPLE_DENSIFY evenly spaced grid
     points are added so downstream quadratures see a reasonable resolution;
-    they do not change the function.  The segment is valid by construction:
-    after ``delay`` and ``norm_bound`` are checked it is built once, by the
-    private ``_segment``, while segments users build are still validated.
+    they do not change the function.
+
+    The draws from ``rng``, in order: the knot count (``integers``), the
+    interior offsets (``uniform``, one call), then for each knot a normal
+    direction (``normal``) and, unless it is zero, a radius (``random``).
+    The window is then built from those knots by the same builder that builds
+    a falsifier's block of windows at once, so a window drawn here is bitwise
+    the one a block holds for the same draws.  It is valid by construction:
+    after ``delay`` and ``norm_bound`` are checked it is built by the private
+    ``_segment``, while segments users build are still validated.
     """
+    return _build_windows(delay, [_draw_window(rng, delay, dim, norm_bound)])[0]
+
+
+def _draw_window(rng: np.random.Generator, delay: float, dim: int, norm_bound: float) -> tuple:
+    """The knot offsets and knot rows of one :func:`sample_history` window."""
     if not 0.0 < delay < math.inf:
         raise ValueError(f"delay must be a positive finite real, got {delay!r}")
     if not 0.0 <= norm_bound < math.inf:
@@ -283,7 +295,6 @@ def sample_history(
     k = int(rng.integers(1, SAMPLE_MAX_KNOTS + 1))
     # draws lie in [-delay, 0] and are never -0.0: the set drops what np.unique would
     offsets = sorted({-delay, *rng.uniform(-delay, 0.0, size=k).tolist(), 0.0})
-    knots = np.array(offsets, dtype=float)
     max_slope = 8.0 * max(norm_bound, 1e-12) / delay
 
     def ball_point() -> np.ndarray:
@@ -294,20 +305,58 @@ def sample_history(
         radius = norm_bound * rng.random() ** (1.0 / dim)
         return z * (radius / nz)
 
-    vals = np.empty((knots.size, dim))
+    vals = np.empty((len(offsets), dim))
     prev = vals[0] = ball_point()
-    for i in range(1, knots.size):
+    for i in range(1, len(offsets)):
         dv = ball_point() - prev
         lim = max_slope * (offsets[i] - offsets[i - 1])
         nd = math.sqrt(dv.dot(dv))
         if nd > lim:
             dv *= lim / nd
         prev = vals[i] = prev + dv
-    grid = np.union1d(knots, np.linspace(-delay, 0.0, SAMPLE_DENSIFY))
-    values = _interp(knots, vals, grid)
+    return offsets, vals
+
+
+def _build_windows(delay, draws: list) -> list:
+    """The windows of ``_draw_window`` draws sharing ``delay`` and a dimension.
+
+    Each window's grid is the sorted union of its knots and the
+    SAMPLE_DENSIFY evenly spaced offsets, and its rows interpolate the knot
+    rows with :func:`_interp`'s arithmetic, so they are bitwise what
+    ``np.union1d`` and ``_interp`` give one window at a time.  All windows
+    are merged and interpolated in one pass; each segment views its rows.
+    """
+    sizes = np.array([len(offsets) for offsets, _ in draws])
+    first = np.cumsum(sizes) - sizes  # each window's first knot in knots and rows
+    knots = np.fromiter((x for offsets, _ in draws for x in offsets), float, sizes.sum())
+    rows = np.concatenate([vals for _, vals in draws])
+    # one line per window: its knots, padding, then the dense offsets; the
+    # stable sort puts a knot before a dense offset equal to it, padding last
+    width = SAMPLE_MAX_KNOTS + 2
+    lines = np.full((sizes.size, width + SAMPLE_DENSIFY), math.inf)
+    lines[:, width:] = np.linspace(-delay, 0.0, SAMPLE_DENSIFY)
+    column = np.arange(knots.size) - np.repeat(first, sizes)
+    lines[np.repeat(np.arange(sizes.size), sizes), column] = knots
+    order = np.argsort(lines, axis=1, kind="stable")
+    lines = np.take_along_axis(lines, order, axis=1)
+    # an offset's last knot at or below it, as _interp's searchsorted finds it
+    idx = np.minimum(np.cumsum(order < width, axis=1) - 1, (sizes - 2)[:, None]) + first[:, None]
+    keep = lines < math.inf
+    keep[:, 1:] &= lines[:, 1:] != lines[:, :-1]  # a repeated offset keeps its first point
+    grid, idx = lines[keep], idx[keep]
+    ends = np.cumsum(keep.sum(axis=1))
+    lo = knots[idx]
+    w = (grid - lo) / (knots[idx + 1] - lo)
+    # np.take gathers rows bitwise as indexing does, at a fraction of its cost
+    lower, upper = np.take(rows, idx, axis=0), np.take(rows, idx + 1, axis=0)
+    values = (1.0 - w)[:, None] * lower + w[:, None] * upper
+    exact = grid == lo
+    values[exact] = lower[exact]
+    values[ends - 1] = np.take(rows, first + sizes - 1, axis=0)  # each window's top offset 0
     if not np.isfinite(values).all():
         raise ValueError("history values must be finite")
-    return _segment(delay, grid, values)
+    ends = ends.tolist()
+    return [_segment(delay, grid[a:b], values[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def clip_to_ball(segment: HistorySegment, norm_bound: float) -> HistorySegment:

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .compfn import ComparisonFn
-from .history import HistorySegment, extend, sample_history, sup_norm
+from .history import HistorySegment, _build_windows, _draw_window, extend, sup_norm
 from .simulator import IntegrateOpts, RfdeSystem, _uniform_box, integrate, output_norm
 
 __all__ = [
@@ -208,6 +208,11 @@ def dini_pointwise(
 
 # -- sampling ---------------------------------------------------------------------
 
+# samples drawn before their windows are built together; the block's windows
+# are alive at once, so the size trades set-up per window against memory
+FALSIFY_BLOCK = 64
+
+
 @dataclass(frozen=True)
 class SamplerSpec:
     """Ensemble description for the falsifiers."""
@@ -258,6 +263,26 @@ def _default_tol(has_analytic: bool, tolerance: float | None) -> float:
     return 1e-9 if has_analytic else 1e-6
 
 
+def _samples(sys: RfdeSystem, spec: SamplerSpec, draw_u: bool):
+    """Yield (t, window, u, d) for each of ``spec.samples`` samples of ``spec.seed``.
+
+    Samples are drawn FALSIFY_BLOCK at a time, each in the order t, window,
+    u, d, and a block's windows are built in one pass, so every sample is
+    the one a sample-by-sample draw would give.
+    """
+    rng = np.random.default_rng(spec.seed)
+    for start in range(0, spec.samples, FALSIFY_BLOCK):
+        block = []
+        for _ in range(min(FALSIFY_BLOCK, spec.samples - start)):
+            t = float(rng.uniform(spec.t_lo, spec.t_hi))
+            draw = _draw_window(rng, sys.delay_r, sys.dim_n, spec.norm_bound)
+            u = _uniform_box(rng, sys.u_box) if draw_u else sys.zero_input()
+            block.append((t, draw, u, _uniform_box(rng, sys.d_box)))
+        windows = _build_windows(sys.delay_r, [draw for _, draw, _, _ in block])
+        for (t, _, u, d), seg in zip(block, windows):
+            yield t, seg, u, d
+
+
 def _falsify(
     sys: RfdeSystem,
     spec: SamplerSpec,
@@ -270,7 +295,6 @@ def _falsify(
     ``sample_fn(t, seg, u, d)`` returns None for a sample its guard skips and
     (residual, derivative_scale) otherwise.
     """
-    rng = np.random.default_rng(spec.seed)
     worst = -math.inf
     worst_wit = None
     found = False
@@ -278,11 +302,7 @@ def _falsify(
     failures = 0
     first_failure = None
     tested = 0
-    for _ in range(spec.samples):
-        t = float(rng.uniform(spec.t_lo, spec.t_hi))
-        seg = sample_history(rng, sys.delay_r, sys.dim_n, spec.norm_bound)
-        u = _uniform_box(rng, sys.u_box) if draw_u else sys.zero_input()
-        d = _uniform_box(rng, sys.d_box)
+    for t, seg, u, d in _samples(sys, spec, draw_u):
         try:
             out = sample_fn(t, seg, u, d)
         except (ValueError, FloatingPointError, ZeroDivisionError, OverflowError) as err:

@@ -226,11 +226,16 @@ class TestKlFromRate:
 
         assert rate_calls(0.02) < 0.05 * rate_calls(FLOW_T_MAX)
 
-    @pytest.mark.parametrize("low", [1e300, np.nan], ids=["stiff", "nan"])
-    def test_a_failed_solve_raises_on_every_query_that_reaches_it(self, low):
+    @pytest.mark.parametrize(
+        "rate",
+        [lambda y: y if y > 0.5 else 1e300, lambda y: np.nan if 0.32 < y < 0.5 else y],
+        ids=["stiff", "nan"],
+    )
+    def test_a_failed_solve_raises_on_every_query_that_reaches_it(self, rate):
         # below 0.5, which y = exp(-t) reaches at t = ln 2, the rate jumps to
-        # 1e300 (the step size collapses) or turns NaN
-        sigma = kl_from_rate(lambda y: y if y > 0.5 else low)
+        # 1e300 (the step size collapses) or turns NaN on (0.32, 0.5), where
+        # no class probe sits
+        sigma = kl_from_rate(rate)
         assert sigma(1.0, 0.1) == pytest.approx(np.exp(-0.1), abs=1e-8)
         for t in (1.0, 0.8, 5.0, 1.0, 100.0):
             with pytest.raises(RuntimeError, match="comparison flow failed"):
@@ -241,10 +246,20 @@ class TestKlFromRate:
 
     def test_a_non_finite_rate_at_the_initial_value_raises(self):
         # RK45 rejects steps from a NaN first slope without end
-        sigma = kl_from_rate(lambda y: y if y > 0.5 else np.nan)
+        sigma = kl_from_rate(lambda y: np.nan if 0.32 < y < 0.5 else y)
         for _ in range(2):
-            with pytest.raises(RuntimeError, match="the decay rate is nan at y=0.3"):
-                sigma(0.3, 0.1)
+            with pytest.raises(RuntimeError, match="the decay rate is nan at y=0.4"):
+                sigma(0.4, 0.1)
+
+    @pytest.mark.parametrize(
+        "rate, s",
+        [(lambda y: np.nan, 1e-9), (lambda y: y if y > 0.5 else np.nan, 1e-9),
+         (lambda y: np.nan if y > 5.0 else y, 10.0)],
+        ids=["nan-everywhere", "nan-below-half", "nan-above-five"],
+    )
+    def test_a_nan_rate_on_a_class_probe_is_refused_at_construction(self, rate, s):
+        with pytest.raises(ValueError, match=rf"decay rate is nan at s={s!r};"):
+            kl_from_rate(rate)
 
     def test_fading_sup_needs_a_rate_flow(self):
         sigma = KlFn(fn=lambda s, t: s * np.exp(-t), name="exp")

@@ -1,6 +1,8 @@
 """Dini derivatives, the sup-norm Lipschitz bound, falsifiers, and the converse energy."""
 
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from rfdestab import (
     sample_history,
     sup_norm,
 )
+from rfdestab.lyapunov import FALSIFY_BLOCK
 
 ZERO_D = np.array([[0.0, 0.0]])
 
@@ -319,6 +322,86 @@ class TestOneEnergyCallPerSample:
         )
         assert rep.guard_skipped > 0 and rep.samples_tested > 0
         assert calls[0] == 600 - rep.eval_failures
+
+
+# sha256 of each report's sorted-key JSON, as the sweeps drew and built one
+# window at a time; the sample counts straddle blocks of 64 samples
+BLOCK_REPORTS = {
+    ("example-4.8", "unweighted-guard-fails"): {
+        63: "3f6f3b4dfe948379ca006c3e3dfe21d953cc53cdcf3db5285b3a779d9f1aa104",
+        64: "de86ff44876fa2b5a0e06af7b2efeacea16f00e1dc34f9d8d4c21aeb32cb1000",
+        65: "fd0020e64725b62d629e2519a688a180d485cc3c29167ee1c972cdb6ff2c7ef8",
+        131: "27c73d6dc496cc6ea89b1d44dd4e3ef3519306ae31deada22424c698f9c873f9",
+    },
+    ("example-5.4", "band-energy-decay"): {
+        63: "298a00c85d645b0b4bee9ee9ebf01794644731dd29472e8f06d89f0c48616657",
+        64: "e5b202842f27973d69815d71d2e576e7d99eab5968ceb31b8e4e1c0a734c9b3c",
+        65: "8deeb0bb99787bfe2d88af077ac6967e826a038bc5bf19dcc1da893716728dcc",
+        131: "a526b4c9c9fa1249d575e3841a3a178968a71be0261d1826ed2289382bd62116",
+    },
+}
+
+
+class TestSampleBlocks:
+    """Falsifiers draw their samples in blocks of FALSIFY_BLOCK and build each
+    block's windows at once; reports stay those of one-at-a-time sampling."""
+
+    def test_recorded_counts_straddle_the_block(self):
+        assert sorted(BLOCK_REPORTS["example-4.8", "unweighted-guard-fails"]) == [
+            FALSIFY_BLOCK - 1, FALSIFY_BLOCK, FALSIFY_BLOCK + 1, 2 * FALSIFY_BLOCK + 3,
+        ]
+
+    @pytest.mark.parametrize("example, certificate, samples", [
+        (example, certificate, samples)
+        for (example, certificate), hashes in BLOCK_REPORTS.items()
+        for samples in hashes
+    ])
+    def test_reports_at_block_boundaries(self, example, certificate, samples):
+        rep = build_example(example).certificate(certificate).runner(samples=samples)
+        if certificate == "unweighted-guard-fails":
+            assert rep.verdict == "counterexample" and rep.witness is not None
+        text = json.dumps(rep.to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == BLOCK_REPORTS[example, certificate][samples]
+
+    def test_a_failure_in_a_later_block_is_reported_in_draw_order(self):
+        spec = SamplerSpec(samples=2 * FALSIFY_BLOCK + 3, seed=0)
+        # the samples one at a time, in the documented order t, window, u, d
+        # (one draw each for the one-row input and disturbance boxes)
+        rng = np.random.default_rng(spec.seed)
+        heads = []
+        for _ in range(spec.samples):
+            rng.uniform(spec.t_lo, spec.t_hi)
+            heads.append(float(sample_history(rng, 1.0, 1, spec.norm_bound).head[0]))
+            rng.uniform(0.0, 0.0)
+            rng.uniform(0.0, 0.0)
+        failing = [2 * FALSIFY_BLOCK + 1, FALSIFY_BLOCK + 9, FALSIFY_BLOCK + 5]
+        bad_heads = {heads[i] for i in failing}
+
+        def energy(t, seg):
+            x0 = float(seg.head[0])
+            if x0 in bad_heads:
+                raise ValueError(f"energy undefined at x(0)={x0!r}")
+            return x0 ** 2
+
+        V = LyapunovFunctional(energy, analytic_dini=lambda t, seg, v: 2.0 * seg.head[0] * v[0])
+        rep = check_lyapunov_ios(zero_input_system(), V, power(2.0), constant(1.0), linear(2.0), spec)
+        assert rep.eval_failures == len(failing)
+        assert rep.samples_tested + rep.guard_skipped + rep.eval_failures == spec.samples
+        assert rep.first_failure == {
+            "type": "ValueError",
+            "message": f"energy undefined at x(0)={heads[min(failing)]!r}",
+        }
+        assert rep.verdict == "no_counterexample"
+
+    @pytest.mark.parametrize("norm_bound", [-1.0, math.nan, math.inf])
+    def test_a_bad_norm_bound_raises_before_any_evaluation(self, norm_bound):
+        calls = [0]
+        V = LyapunovFunctional(_counting(V_SQUARE.evaluator, calls))
+        sys_ = zero_input_system(_counting(lambda t, seg, u, d: -seg.head, calls))
+        spec = SamplerSpec(norm_bound=norm_bound, samples=2 * FALSIFY_BLOCK, seed=0)
+        with pytest.raises(ValueError, match="norm_bound"):
+            check_lyapunov_ios(sys_, V, power(2.0), constant(1.0), linear(2.0), spec)
+        assert calls[0] == 0
 
 
 class TestConverseEnergy:

@@ -1,6 +1,7 @@
 """Property tests for the invariants of windows, the dense store and signals."""
 
 import copy
+import hashlib
 import math
 import pickle
 from dataclasses import replace
@@ -28,7 +29,8 @@ from rfdestab import (
     sup_norm,
     verify_v_decay_estimate,
 )
-from rfdestab.history import _trapezoid
+from rfdestab.history import _build_windows, _draw_window, _trapezoid
+from rfdestab.lyapunov import FALSIFY_BLOCK
 from rfdestab.simulator import _trailing_window_max, _Window
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -184,6 +186,47 @@ class TestSampleHistory:
             assert HistorySegment(seg.delay, seg.grid, seg.values) == seg
             assert not (seg.grid.flags.writeable or seg.values.flags.writeable)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 4),
+        delay=st.floats(1e-4, 1e3),
+        norm_bound=st.one_of(st.sampled_from([0.0, 1e6]), st.floats(1e-6, 1e3)),
+        count=st.one_of(
+            st.sampled_from([1, FALSIFY_BLOCK, FALSIFY_BLOCK + 1]), st.integers(2, FALSIFY_BLOCK)
+        ),
+    )
+    def test_a_block_is_bitwise_its_windows_drawn_one_at_a_time(
+        self, seed, dim, delay, norm_bound, count
+    ):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = _build_windows(delay, [_draw_window(rng, delay, dim, norm_bound) for _ in range(count)])
+        assert len(block) == count
+        for seg in block:
+            ref = sample_history(twin, delay, dim, norm_bound)
+            assert seg.delay == ref.delay
+            assert seg.grid.tobytes() == ref.grid.tobytes()
+            assert seg.values.tobytes() == ref.values.tobytes()
+            assert seg.values.shape == ref.values.shape
+            assert not (seg.grid.flags.writeable or seg.values.flags.writeable)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("delay, dim, norm_bound, digest", [
+        (0.5, 2, 2.0, "dd68b2dc2c3da1da28902dfdfb43114e62c5bc683cb0944f266f987910124c9e"),
+        (1e-3, 1, 1e6, "3b088fb51d46005d654c85ca6c202562242af8964d2944691c86dbd663ef9de7"),
+        (1e3, 4, 0.0, "934e9ec167575c2f3e4a414488afc2d706bd5030038bf91da8e06d4c88a48a6d"),
+    ])
+    def test_windows_of_seed_0_are_pinned(self, delay, dim, norm_bound, digest):
+        # sha256 over 20 windows' grid and value bytes, recorded when each
+        # window was densified by union1d and interpolated on its own
+        rng = np.random.default_rng(0)
+        h = hashlib.sha256()
+        for _ in range(20):
+            seg = sample_history(rng, delay, dim, norm_bound)
+            h.update(seg.grid.tobytes())
+            h.update(seg.values.tobytes())
+        assert h.hexdigest() == digest
 
     def test_witness_history_round_trips(self):
         cert = build_example("example-4.8").certificate("unweighted-guard-fails")
