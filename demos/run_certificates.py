@@ -12,22 +12,19 @@ Run:  python3 demos/run_certificates.py
 import time
 
 from rfdestab import REGISTRY, build_example
+from rfdestab.cli import FALSIFIER_CHECKERS
 
 
 def main() -> None:
     overall = True
-    # lighter sample counts than the defaults so the whole tour stays short;
-    # sweeps keep enough samples to actually exercise the guard
-    overrides = {"samples": 1500}
     for name in REGISTRY:
         bundle = build_example(name)
         print(f"\n{name}: {bundle.system.dim_n}-dim, delay {bundle.system.delay_r}")
         for cert in bundle.certificates:
             t0 = time.perf_counter()
-            kwargs = dict(overrides)
-            if cert.checker in ("integrate", "verify_ios_envelope",
-                                "verify_v_decay_estimate", "check_monotone_decay"):
-                kwargs = {}  # trajectory certificates pick their own ensembles
+            # sweeps run fewer samples than their defaults, enough to exercise
+            # the guard; trajectory certificates pick their own ensembles
+            kwargs = {"samples": 1500} if cert.checker in FALSIFIER_CHECKERS else {}
             report = cert.runner(**kwargs)
             verdict = report.verdict
             ok = verdict == cert.expected

@@ -277,7 +277,7 @@ def _selected_certificates(cfg: RunConfig, bundle: ExampleBundle, falsifiers_onl
     return certs
 
 
-def _run_certificates(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter, certs):
+def _run_certificates(cfg: RunConfig, writer: _ArtifactWriter, certs):
     # a runner's own signature holds the default of each option the config leaves unset
     settings = {
         "seed": cfg.seed,
@@ -314,12 +314,12 @@ def _summarize(rows, writer: _ArtifactWriter) -> int:
 
 def _cmd_check(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter) -> int:
     certs = _selected_certificates(cfg, bundle, False)
-    return _summarize(_run_certificates(cfg, bundle, writer, certs), writer)
+    return _summarize(_run_certificates(cfg, writer, certs), writer)
 
 
 def _cmd_falsify(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter) -> int:
     certs = _selected_certificates(cfg, bundle, True)
-    rows = _run_certificates(cfg, bundle, writer, certs)
+    rows = _run_certificates(cfg, writer, certs)
     verdict = rows[0]["verdict"]
     writer.write_json("summary.json", {"certificates": rows, "verdict": verdict})
     return 0 if verdict == "no_counterexample" else 1
@@ -330,7 +330,7 @@ def _cmd_reproduce(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWrite
         "bundle.json",
         {"name": bundle.name, "params": bundle.params, "notes": bundle.notes},
     )
-    return _summarize(_run_certificates(cfg, bundle, writer, bundle.certificates), writer)
+    return _summarize(_run_certificates(cfg, writer, bundle.certificates), writer)
 
 
 def _cmd_envelope(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter) -> int:

@@ -72,6 +72,12 @@ def constant(c: float) -> ComparisonFn:
     return ComparisonFn(lambda t: c * np.ones_like(np.asarray(t, dtype=float)), f"constant({c!r})")
 
 
+def _guard_level(gain, weight, t: float, u) -> float:
+    """The input level gain(weight(t)|u|) that the guarded decay conditions
+    and the input-to-output envelopes compare against."""
+    return float(gain(float(weight(t)) * float(np.linalg.norm(u))))
+
+
 # -- KL envelopes from decay rates --------------------------------------------
 
 FLOW_T_MAX = 60.0

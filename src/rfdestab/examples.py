@@ -43,7 +43,7 @@ from .lyapunov import (
     check_lyapunov_ios,
     check_razumikhin,
 )
-from .signals import SignalSpec, constant_signal, sample_signal
+from .signals import _draw_signal, constant_signal
 from .simulator import IntegrateOpts, RfdeSystem, integrate
 from .verify import (
     check_monotone_decay,
@@ -131,13 +131,12 @@ def _disturbed_runs(sys: RfdeSystem, rng, count: int, norm_bound: float, horizon
     """``count`` runs from t = 0 with no input, each under a random disturbance.
 
     Each run draws its initial window (norm at most ``norm_bound``) and then
-    the seed of its disturbance signal from ``rng``, in that order.
+    its disturbance signal from ``rng``, in that order.
     """
     runs = []
     for _ in range(count):
         x0 = sample_history(rng, sys.delay_r, sys.dim_n, norm_bound)
-        seed = int(rng.integers(2 ** 32))
-        d_sig = sample_signal(SignalSpec(sys.d_box, horizon, mean_dwell, seed=seed))
+        d_sig = _draw_signal(rng, sys.d_box, horizon, mean_dwell)
         runs.append(integrate(sys, 0.0, x0, None, d_sig, horizon, opts))
     return runs
 
@@ -540,12 +539,8 @@ def example_5_4(R: float = 1.0, r: float = 1.0, u_max: float = 1.0) -> ExampleBu
             x0 = sample_history(rng, r, 1, 2.8)
             u_sig = None
             if k % 3 != 0:
-                u_sig = sample_signal(
-                    SignalSpec(sys.u_box, horizon, 1.0, seed=int(rng.integers(2 ** 32)))
-                )
-            d_sig = sample_signal(
-                SignalSpec(sys.d_box, horizon, 0.5, seed=int(rng.integers(2 ** 32)))
-            )
+                u_sig = _draw_signal(rng, sys.u_box, horizon, 1.0)
+            d_sig = _draw_signal(rng, sys.d_box, horizon, 0.5)
             test_trajs.append(integrate(sys, 0.0, x0, u_sig, d_sig, horizon, opts))
         return verify_ios_envelope(test_trajs, sigma, one, gamma, one, tolerance=tolerance)
 
@@ -560,7 +555,7 @@ def example_5_4(R: float = 1.0, r: float = 1.0, u_max: float = 1.0) -> ExampleBu
             d_choices = [
                 constant_signal(np.array([R]), box=sys.d_box),
                 constant_signal(np.array([-R]), box=sys.d_box),
-                sample_signal(SignalSpec(sys.d_box, horizon, 0.7, seed=int(rng.integers(2 ** 32)))),
+                _draw_signal(rng, sys.d_box, horizon, 0.7),
             ]
             for d_sig in d_choices:
                 x0 = sample_history(rng, r, 1, 2.5)

@@ -116,8 +116,9 @@ class HistorySegment:
 
     # -- evaluation ----------------------------------------------------------
     def eval(self, theta: float) -> np.ndarray:
-        """Value at offset ``theta``; exact (bitwise) at grid offsets."""
-        if theta < -self.delay - RANGE_TOL or theta > RANGE_TOL:
+        """Value at offset ``theta``; exact (bitwise) at grid offsets.  NaN
+        lies outside every window."""
+        if not (-self.delay - RANGE_TOL <= theta <= RANGE_TOL):
             raise ValueError(
                 f"offset {theta!r} outside the window [{-self.delay!r}, 0]"
             )
@@ -136,8 +137,9 @@ class HistorySegment:
     def eval_many(self, thetas: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`eval`; rows of values for each offset."""
         thetas = np.asarray(thetas, dtype=float)
-        if thetas.size and (
-            thetas.min() < -self.delay - RANGE_TOL or thetas.max() > RANGE_TOL
+        # min and max propagate NaN, which fails both comparisons
+        if thetas.size and not (
+            thetas.min() >= -self.delay - RANGE_TOL and thetas.max() <= RANGE_TOL
         ):
             raise ValueError("offsets outside the history window")
         return _interp(self.grid, self.values, np.clip(thetas, -self.delay, 0.0))

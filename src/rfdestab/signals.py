@@ -115,3 +115,8 @@ def sample_signal(spec: SignalSpec) -> PiecewiseSignal:
     m = spec.box.shape[0]
     vals = rng.uniform(spec.box[:, 0], spec.box[:, 1], size=(len(switches) + 1, m))
     return PiecewiseSignal(np.asarray(switches), vals, spec.box)
+
+
+def _draw_signal(rng: np.random.Generator, box, horizon: float, mean_dwell: float) -> PiecewiseSignal:
+    """A :func:`sample_signal` seeded by the next 32-bit integer drawn from ``rng``."""
+    return sample_signal(SignalSpec(box, horizon, mean_dwell, seed=int(rng.integers(2**32))))

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .history import HistorySegment, clip_to_ball, history_distance, sample_history, sup_norm
-from .signals import PiecewiseSignal, SignalSpec, sample_signal
+from .signals import PiecewiseSignal, _draw_signal
 
 __all__ = [
     "RfdeSystem",
@@ -194,28 +194,6 @@ class _Dense:
             + (h11 * dt) * self.DIN[j + 1]
         )
 
-    def eval_vec(self, ts: np.ndarray) -> np.ndarray:
-        c = self.count
-        ts = np.asarray(ts, dtype=float)
-        j = np.clip(np.searchsorted(self.K[:c], ts, side="right") - 1, 0, c - 2)
-        ta = self.K[j]
-        dt = self.K[j + 1] - ta
-        s = (ts - ta) / dt
-        h00, h10, h01, h11 = self._basis(s)
-        out = (
-            h00[:, None] * self.V[j]
-            + (h10 * dt)[:, None] * self.DOUT[j]
-            + h01[:, None] * self.V[j + 1]
-            + (h11 * dt)[:, None] * self.DIN[j + 1]
-        )
-        at_knot = s == 0.0
-        if np.any(at_knot):
-            out[at_knot] = self.V[j[at_knot]]
-        at_top = s == 1.0
-        if np.any(at_top):
-            out[at_top] = self.V[j[at_top] + 1]
-        return out
-
     def window_segment(
         self, tau: float, prov: np.ndarray | None = None, start: int | None = None
     ) -> _Window:
@@ -361,7 +339,7 @@ class Trajectory:
 
     def _clamped(self, t: float) -> float:
         t0, t_end = self.t0, self.t_end
-        if t < t0 - 1e-12 or t > t_end + 1e-12:
+        if not (t0 - 1e-12 <= t <= t_end + 1e-12):  # NaN fails too
             raise ValueError(f"time {t!r} outside [{t0!r}, {t_end!r}]")
         return min(max(t, t0), t_end)
 
@@ -688,12 +666,15 @@ def check_continuity_bound(
     if ta.times.size != tb.times.size or not np.array_equal(ta.times, tb.times):
         raise RuntimeError("paired runs produced different grids")
 
-    knots = np.union1d(ta._dense.K[: ta._dense.count], tb._dense.K[: tb._dense.count])
-    diff = ta._dense.eval_vec(knots) - tb._dense.eval_vec(knots)
+    # the shared nodes give their rows directly; the initial windows' knots
+    # before t0 are read from each run's dense store
+    pre = np.union1d(t0 + x0.grid, t0 + y0.grid)
+    pre = pre[pre < t0]
+    pre_rows = (ta._dense.eval_one(t) - tb._dense.eval_one(t) for t in pre)
+    diff = np.vstack([*pre_rows, ta.states - tb.states])
+    knots = np.concatenate([pre, ta.times])
     dn = np.linalg.norm(diff, axis=1)
-
-    node_idx = np.searchsorted(knots, ta.times, side="right") - 1
-    window_dist = _trailing_window_max(knots, dn, system.delay_r)[node_idx]
+    window_dist = _trailing_window_max(knots, dn, system.delay_r)[pre.size :]
     L = moduli.one_sided_state
     d0 = window_dist[0]  # the window distance at t0 is the initial distance
     worst_ratio = 0.0
@@ -765,18 +746,14 @@ def check_rfc(
             t0 = float(rng.uniform(0.0, T))
             x0 = sample_history(rng, r, n, s)
         horizon = t0 + T
-        d_sig = sample_signal(
-            SignalSpec(system.d_box, horizon + 1.0, 1.0, int(rng.integers(2**32))),
-        )
+        d_sig = _draw_signal(rng, system.d_box, horizon + 1.0, 1.0)
         u_sig = None
         if system.u_box is not None:
             ubox = np.column_stack(
                 [np.maximum(system.u_box[:, 0], -s), np.minimum(system.u_box[:, 1], s)]
             )
             ubox[ubox[:, 0] > ubox[:, 1]] = 0.0
-            u_sig = sample_signal(
-                SignalSpec(ubox, horizon + 1.0, 1.0, int(rng.integers(2**32))),
-            )
+            u_sig = _draw_signal(rng, ubox, horizon + 1.0, 1.0)
         traj = integrate(system, t0, x0, u_sig, d_sig, horizon, opts)
         if traj.status != "completed":
             return RfcReport("blow_up_witness", float("inf"), i, traj.t_event, i + 1)

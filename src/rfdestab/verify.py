@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .compfn import ComparisonFn, KlFn, fading_sup
+from .compfn import ComparisonFn, KlFn, _guard_level, fading_sup
 from .history import sup_norm
 from .lyapunov import LyapunovFunctional
 from .simulator import RfdeSystem, Trajectory, _trailing_window_max
@@ -132,9 +132,7 @@ def _input_levels(traj: Trajectory, gain: ComparisonFn, weight: ComparisonFn) ->
     """
     if traj.u is None:
         return np.zeros(traj.times.size)
-    return np.array(
-        [float(gain(float(weight(t)) * float(np.linalg.norm(traj.u.eval(t))))) for t in traj.times]
-    )
+    return np.array([_guard_level(gain, weight, t, traj.u.eval(t)) for t in traj.times])
 
 
 def verify_rgaos_envelope(

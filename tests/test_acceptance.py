@@ -13,7 +13,9 @@ at t=0.27, the same to 5 digits at steps 1e-3 down to 6.25e-5).  The check
 runs on [0, T] with h*rho*e^T <= 1 (T = 2.7 at h = 2e-3), where rho*e^t bounds
 the closed loop's stiffness and fixed-step RK4 is accurate; on [0, 10] RK4
 would need h < 4.0e-6, and by t = 2.7 the energy is already below 1e-15 of
-its initial level.  The verdict is confirmed at half the step.
+its initial level.  The verdict is confirmed at half the step.  Criterion 3
+also holds the energy estimate along solutions and criterion 4 the fitted
+input-to-output envelope, each through its bundled certificate.
 """
 
 import hashlib
@@ -217,6 +219,10 @@ def test_criterion_3_delay_margin_and_energy_monotonicity():
         results.append((h, completed, report))
     elapsed = time.monotonic() - start
 
+    # (d) the energy estimate along solutions, on the certificate's own
+    # 4-run ensemble at step 2e-4; outside the timed part
+    bounded = bundle.certificate("energy-bounded-by-initial").runner(samples=4)
+
     def describe(h, completed, report):
         head = f"h={h:.0e}: {completed}/20 completed, "
         if report.passed:
@@ -229,6 +235,7 @@ def test_criterion_3_delay_margin_and_energy_monotonicity():
     ok = (
         all(completed == 20 and report.passed for _, completed, report in results)
         and elapsed < 60.0
+        and bounded.passed
     )
     announce(
         3,
@@ -239,12 +246,14 @@ def test_criterion_3_delay_margin_and_energy_monotonicity():
         f"with T from h*rho*e^T <= 1 (rho={rho:.2f}, RK4 stable to "
         f"t={t_stable:.2f} at h={step:.0e}, needs h < {step_at_10:.1e} at "
         f"t=10): " + "; ".join(describe(*res) for res in results)
-        + f"; {elapsed:.1f}s (limit 60s)",
+        + f"; {elapsed:.1f}s (limit 60s); energy below 30 (e^t0 |x0|)^2 on 4 runs: "
+        + bounded.verdict,
     )
     for _, completed, report in results:
         assert completed == 20
         assert report.passed
     assert elapsed < 60.0
+    assert bounded.verdict == "pass"
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +261,7 @@ def test_criterion_3_delay_margin_and_energy_monotonicity():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_4_band_energy_decay_and_input_gain():
+def test_criterion_4_band_energy_decay_and_input_gain(fitted_envelope_report):
     bundle = build_example("example-5.4", {})
     assert bundle.params["R"] == 1.0
 
@@ -269,12 +278,18 @@ def test_criterion_4_band_energy_decay_and_input_gain():
         assert case["allowed"] == pytest.approx(1.05 * bound, rel=1e-12)
         assert case["tail_sup"] <= 1.05 * bound
 
+    # the input-to-output estimate at the certificate's defaults: a decay
+    # envelope fitted to 24 runs, with the input gain, bounds 12 fresh runs
+    envelope = fitted_envelope_report
+    assert envelope.verdict == "pass"
+
     announce(
         4,
         True,
         f"1e4-sample sweep clean (tested {razu.samples_tested}); late-time "
         "output for constant inputs {0.2, 0.5, 1.0}: "
-        + ", ".join(f"{c['tail_sup']:.3f} <= {c['allowed']:.3f}" for c in cases),
+        + ", ".join(f"{c['tail_sup']:.3f} <= {c['allowed']:.3f}" for c in cases)
+        + f"; fitted envelope with input gain on {len(envelope.slacks)} runs: {envelope.verdict}",
     )
 
 

@@ -96,6 +96,13 @@ class TestEval:
         with pytest.raises(ValueError):
             seg.eval(0.5)
 
+    def test_nan_offset_raises(self):
+        seg = HistorySegment.constant(1.0, [0.0])
+        with pytest.raises(ValueError, match="outside"):
+            seg.eval(float("nan"))
+        with pytest.raises(ValueError, match="outside"):
+            seg.eval_many(np.array([-0.5, np.nan]))
+
     def test_eval_many_matches_eval(self):
         rng = np.random.default_rng(2)
         seg = sample_history(rng, 1.0, 2, 3.0)

@@ -1,13 +1,15 @@
 """Source-level checks of the package: the package exports exactly its
 modules' public APIs, every exported checker is reached by a certificate, the
-command line, a demo or the benchmark, and no module keeps an import it does
-not use."""
+command line, a demo or the benchmark, README's claims table names the
+bundles' certificates, no module keeps an import it does not use, and no
+private function or method keeps a parameter it does not read."""
 
 import ast
 import re
 from pathlib import Path
 
 import rfdestab
+from rfdestab import REGISTRY, build_example
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rfdestab"
@@ -59,6 +61,14 @@ def test_every_exported_checker_is_reached():
     assert not unreached, f"exported but run by no certificate, command, demo or benchmark: {unreached}"
 
 
+def test_readme_claims_table_names_the_bundles_certificates():
+    # a row: | claim | `bundle` `certificate` | `checker` ... | criterion |
+    row = re.compile(r"^\| [^|]+ \| `(example-[\d.]+)` `([\w-]+)` \| `(\w+)`", re.M)
+    rows = row.findall((ROOT / "README.md").read_text())
+    bundled = [(name, c.name, c.checker) for name in REGISTRY for c in build_example(name).certificates]
+    assert rows == bundled
+
+
 def _unused_imports(path: Path) -> list:
     tree = ast.parse(path.read_text())
     imported = {}
@@ -80,3 +90,30 @@ def test_no_unused_imports():
     modules = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert not unused, unused
+
+
+def _unread_parameters(path: Path) -> list:
+    """Parameters that a module-level private function or a method never reads
+    (a method's ``self`` or ``cls`` aside)."""
+    tree = ast.parse(path.read_text())
+    functions = [(fn, False) for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+                    functions.append((fn, not static))
+    unread = []
+    for fn, bound in functions:
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params = params[1:] if bound else params
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{path.relative_to(ROOT)}:{fn.lineno} {fn.name}({p})" for p in params if p not in read]
+    return unread
+
+
+def test_no_unread_parameters():
+    unread = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in _unread_parameters(path)]
+    assert not unread, unread

@@ -149,6 +149,13 @@ class TestTrajectoryAccessors:
         for th in x0.grid:
             assert np.allclose(w0.eval(th), x0.eval(th), atol=1e-14)
 
+    def test_nan_time_raises(self):
+        x0 = HistorySegment.constant(1.0, [1.0])
+        traj = integrate(contraction(), 0.0, x0, None, None, 1.0, IntegrateOpts(step_req=0.1))
+        for read in (traj.state, traj.history):
+            with pytest.raises(ValueError, match="outside"):
+                read(float("nan"))
+
     def test_history_matches_state_samples(self):
         sys_ = delayed_negative_feedback()
         rng = np.random.default_rng(2)
@@ -437,6 +444,30 @@ class TestContinuityBound:
             sys_, 0.0, x0, y0, None, None, 2.0, replace(moduli, one_sided_state=1.5)
         )
         assert rep.passed and rep.worst_ratio <= 1.0
+
+    @pytest.mark.parametrize(
+        "t0, L, span, expected",
+        [
+            (0.0, 0.0, 1.5, (False, 3.9290266870494115, 1.5, 0.41428571428571415, False)),
+            (0.75, -1.0, 0.6, (False, 1.6487212707001282, 1.25, 0.41428571428571415, False)),
+            (0.75, 0.5, 1.5, (False, 1.8559407917890043, 2.25, 0.41428571428571415, False)),
+        ],
+    )
+    def test_reports_are_pinned(self, t0, L, span, expected):
+        # recorded when the check interpolated every knot of both dense stores;
+        # each initial window has knots the other lacks, and at L = -1 the
+        # worst ratio is read off a knot before t0
+        sys_ = scalar_system(lambda t, seg, u, d: 2.0 * seg.head + 1.5 * seg.delayed)
+        x0 = HistorySegment(1.0, np.array([-1.0, -0.5, 0.0]), np.array([[0.8], [1.4], [1.0]]))
+        y0 = HistorySegment(
+            1.0, np.array([-1.0, -0.7, -0.35, -0.1, 0.0]), np.array([[1.2], [0.9], [1.05], [1.3], [1.1]])
+        )
+        moduli = LipschitzModuli(L, 0.0, 0.0, RegionSpec(0.0, 3.0, 2.0), 0)
+        rep = check_continuity_bound(
+            sys_, t0, x0, y0, None, None, t0 + span, moduli, IntegrateOpts(step_req=0.05)
+        )
+        fields = (rep.passed, rep.worst_ratio, rep.worst_time, rep.initial_distance, rep.bound_overflowed)
+        assert fields == expected
 
 
 class TestRfc:
