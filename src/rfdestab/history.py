@@ -277,50 +277,122 @@ def sample_history(
     they do not change the function.
 
     The draws from ``rng``, in order: the knot count (``integers``), the
-    interior offsets (``uniform``, one call), then for each knot a normal
-    direction (``normal``) and, unless it is zero, a radius (``random``).
-    The window is then built from those knots by the same builder that builds
-    a falsifier's block of windows at once, so a window drawn here is bitwise
-    the one a block holds for the same draws.  It is valid by construction:
-    after ``delay`` and ``norm_bound`` are checked it is built by the private
+    interior offsets (``random``, one call, read as ``uniform(-delay, 0)``),
+    then for each knot a normal direction (``normal``) and, unless it is
+    zero, a radius (``random``).  This is a block of one of the falsifiers'
+    block draw: the generator calls are made one knot at a time in that
+    order, and the arithmetic on the drawn values (ball points, slope clips,
+    densified rows) runs once for the block, so the stream and the window
+    are those of a scalar draw.  The window is valid by construction: after
+    ``delay`` and ``norm_bound`` are checked it is built by the private
     ``_segment``, while segments users build are still validated.
     """
-    return _build_windows(delay, [_draw_window(rng, delay, dim, norm_bound)])[0]
+    return _draw_block(rng, 1, delay, dim, norm_bound)[1][0]
 
 
-def _draw_window(rng: np.random.Generator, delay: float, dim: int, norm_bound: float) -> tuple:
-    """The knot offsets and knot rows of one :func:`sample_history` window."""
+def _box_range(box: np.ndarray) -> tuple:
+    """A box's rows of [lo, hi] as (lo, hi - lo).  ``lo + (hi - lo) * u`` at
+    ``rng.random`` draws u is bitwise ``rng.uniform(lo, hi)``, and the range
+    is checked as it checks it: OverflowError when not finite, then
+    ValueError when its sign bit is set."""
+    lo = box[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # such a range raises below
+        span = box[:, 1] - lo
+    if not np.isfinite(span).all():
+        raise OverflowError("high - low range exceeds valid bounds")
+    if np.signbit(span).any():
+        raise ValueError("high - low < 0")
+    return lo, span
+
+
+def _draw_block(
+    rng: np.random.Generator,
+    count: int,
+    delay: float,
+    dim: int,
+    norm_bound: float,
+    t_range: tuple | None = None,
+    boxes: tuple = (),
+) -> tuple:
+    """``count`` samples of a time, a :func:`sample_history` window and a
+    point of each box, drawn sample by sample in that order.
+
+    A time is one ``random()`` read as ``uniform(*t_range)``; the points of
+    ``boxes`` (each None or rows of [lo, hi]) are one ``random(rows)`` call
+    over all their rows, read as ``uniform`` per row.  Only the generator
+    calls run per sample and per knot, in the documented order; the ball
+    points, the slope clip walk (one vector step per knot column), the box
+    points and the windows are computed once for the block.  Returns the
+    times (floats; empty without ``t_range``), the windows, and one
+    (count, rows) array of points per box.
+    """
+    if t_range is not None:
+        t_lo, t_span = _box_range(np.array([t_range], dtype=float))
     if not 0.0 < delay < math.inf:
         raise ValueError(f"delay must be a positive finite real, got {delay!r}")
     if not 0.0 <= norm_bound < math.inf:
         raise ValueError(f"norm_bound must be a finite number >= 0, got {norm_bound!r}")
-    k = int(rng.integers(1, SAMPLE_MAX_KNOTS + 1))
-    # draws lie in [-delay, 0] and are never -0.0: the set drops what np.unique would
-    offsets = sorted({-delay, *rng.uniform(-delay, 0.0, size=k).tolist(), 0.0})
-    max_slope = 8.0 * max(norm_bound, 1e-12) / delay
+    boxes = [np.zeros((0, 2)) if b is None or b.shape[0] == 0 else b for b in boxes]
+    ranges = [_box_range(b) for b in boxes]
+    rows = sum(b.shape[0] for b in boxes)
 
-    def ball_point() -> np.ndarray:
-        z = rng.normal(size=dim)
-        nz = math.sqrt(z.dot(z))  # bitwise np.linalg.norm(z)
-        if nz == 0.0:
-            return np.zeros(dim)
-        radius = norm_bound * rng.random() ** (1.0 / dim)
-        return z * (radius / nz)
+    random, normal = rng.random, rng.normal
+    inv_dim = 1.0 / max(dim, 1)  # a dimension-0 normal is zero: no radius is drawn
+    times, knots, sizes, normals, radii, units = [], [], [], [], [], []
+    for _ in range(count):
+        if t_range is not None:
+            times.append(random())
+        k = int(rng.integers(1, SAMPLE_MAX_KNOTS + 1))
+        # delay * u - delay is uniform(-delay, 0)'s arithmetic; its values lie
+        # in [-delay, 0] and are never -0.0: the set drops what np.unique would
+        offsets = sorted({-delay, *[delay * u - delay for u in random(k).tolist()], 0.0})
+        knots += offsets
+        sizes.append(len(offsets))
+        for _ in offsets:
+            z = normal(size=dim).tolist()
+            normals += z
+            radii.append(norm_bound * random() ** inv_dim if any(z) else 0.0)
+        if rows:
+            units.append(random(rows))
 
-    vals = np.empty((len(offsets), dim))
-    prev = vals[0] = ball_point()
-    for i in range(1, len(offsets)):
-        dv = ball_point() - prev
-        lim = max_slope * (offsets[i] - offsets[i - 1])
-        nd = math.sqrt(dv.dot(dv))
-        if nd > lim:
-            dv *= lim / nd
-        prev = vals[i] = prev + dv
-    return offsets, vals
+    # knot columns: line j holds window j's sizes[j] knots, then padding that
+    # repeats its last offset 0 with a zero point, so it clips to a zero step
+    sizes = np.array(sizes)
+    width = SAMPLE_MAX_KNOTS + 2
+    used = np.arange(width) < sizes[:, None]
+    offsets = np.zeros((count, width))
+    offsets[used] = knots
+    lims = 8.0 * max(norm_bound, 1e-12) / delay * (offsets[:, 1:] - offsets[:, :-1])
+    z = np.array(normals).reshape(len(radii), dim)
+    nz = np.sqrt(np.vecdot(z, z))  # bitwise math.sqrt(z.dot(z)) row by row
+    # a zero normal's point is +0.0, as np.zeros(dim) was, whatever its zeros' signs
+    zero = nz == 0.0
+    z[zero] = 0.0
+    nz[zero] = 1.0
+    vals = np.zeros((count, width, dim))
+    vals[used] = z * (np.array(radii) / nz)[:, None]
+    # the walk overwrites each column's ball points with its clipped values
+    for c in range(1, sizes.max()):
+        dv = vals[:, c] - vals[:, c - 1]
+        nd = np.sqrt(np.vecdot(dv, dv))
+        lim = lims[:, c - 1]
+        dv *= np.divide(lim, nd, out=np.ones(count), where=nd > lim)[:, None]
+        np.add(vals[:, c - 1], dv, out=vals[:, c])
+    windows = _build_windows(delay, offsets, vals, sizes)
+
+    if t_range is not None:
+        times = (t_lo + t_span * np.array(times)).tolist()
+    units = np.array(units).reshape(count, rows)
+    drawn, first = [], 0
+    for box, (lo, span) in zip(boxes, ranges):
+        drawn.append(lo + span * units[:, first:first + box.shape[0]])
+        first += box.shape[0]
+    return times, windows, drawn
 
 
-def _build_windows(delay, draws: list) -> list:
-    """The windows of ``_draw_window`` draws sharing ``delay`` and a dimension.
+def _build_windows(delay, offsets: np.ndarray, rows: np.ndarray, sizes: np.ndarray) -> list:
+    """The windows whose knots are the first ``sizes[j]`` entries of line j of
+    ``offsets`` (from exactly -delay to exactly 0) and of ``rows``.
 
     Each window's grid is the sorted union of its knots and the
     SAMPLE_DENSIFY evenly spaced offsets, and its rows interpolate the knot
@@ -328,21 +400,19 @@ def _build_windows(delay, draws: list) -> list:
     ``np.union1d`` and ``_interp`` give one window at a time.  All windows
     are merged and interpolated in one pass; each segment views its rows.
     """
-    sizes = np.array([len(offsets) for offsets, _ in draws])
-    first = np.cumsum(sizes) - sizes  # each window's first knot in knots and rows
-    knots = np.fromiter((x for offsets, _ in draws for x in offsets), float, sizes.sum())
-    rows = np.concatenate([vals for _, vals in draws])
+    count, width = offsets.shape
+    base = width * np.arange(count)  # each line's first knot in knots and rows
+    knots = offsets.ravel()
+    rows = rows.reshape(count * width, rows.shape[2])
     # one line per window: its knots, padding, then the dense offsets; the
     # stable sort puts a knot before a dense offset equal to it, padding last
-    width = SAMPLE_MAX_KNOTS + 2
-    lines = np.full((sizes.size, width + SAMPLE_DENSIFY), math.inf)
+    lines = np.empty((count, width + SAMPLE_DENSIFY))
+    lines[:, :width] = np.where(np.arange(width) < sizes[:, None], offsets, math.inf)
     lines[:, width:] = np.linspace(-delay, 0.0, SAMPLE_DENSIFY)
-    column = np.arange(knots.size) - np.repeat(first, sizes)
-    lines[np.repeat(np.arange(sizes.size), sizes), column] = knots
     order = np.argsort(lines, axis=1, kind="stable")
     lines = np.take_along_axis(lines, order, axis=1)
     # an offset's last knot at or below it, as _interp's searchsorted finds it
-    idx = np.minimum(np.cumsum(order < width, axis=1) - 1, (sizes - 2)[:, None]) + first[:, None]
+    idx = np.minimum(np.cumsum(order < width, axis=1) - 1, (sizes - 2)[:, None]) + base[:, None]
     keep = lines < math.inf
     keep[:, 1:] &= lines[:, 1:] != lines[:, :-1]  # a repeated offset keeps its first point
     grid, idx = lines[keep], idx[keep]
@@ -354,7 +424,7 @@ def _build_windows(delay, draws: list) -> list:
     values = (1.0 - w)[:, None] * lower + w[:, None] * upper
     exact = grid == lo
     values[exact] = lower[exact]
-    values[ends - 1] = np.take(rows, first + sizes - 1, axis=0)  # each window's top offset 0
+    values[ends - 1] = np.take(rows, base + sizes - 1, axis=0)  # each window's top offset 0
     if not np.isfinite(values).all():
         raise ValueError("history values must be finite")
     ends = ends.tolist()

@@ -24,8 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .compfn import ComparisonFn, _guard_level
-from .history import HistorySegment, _build_windows, _draw_window, extend, sup_norm
-from .simulator import IntegrateOpts, RfdeSystem, _uniform_box, integrate, output_norm
+from .history import HistorySegment, _draw_block, extend, sup_norm
+from .simulator import IntegrateOpts, RfdeSystem, integrate, output_norm
 
 __all__ = [
     "LyapunovFunctional",
@@ -210,8 +210,10 @@ def dini_pointwise(
 
 # -- sampling ---------------------------------------------------------------------
 
-# samples drawn before their windows are built together; the block's windows
-# are alive at once, so the size trades set-up per window against memory
+# samples drawn together: the generator calls stay per knot, in the documented
+# order, and the arithmetic on their values runs once per block, so the stream
+# is a scalar draw's; the block's windows are alive at once, so the size
+# trades set-up per sample against memory
 FALSIFY_BLOCK = 64
 
 
@@ -268,21 +270,21 @@ def _default_tol(has_analytic: bool, tolerance: float | None) -> float:
 def _samples(sys: RfdeSystem, spec: SamplerSpec, draw_u: bool):
     """Yield (t, window, u, d) for each of ``spec.samples`` samples of ``spec.seed``.
 
-    Samples are drawn FALSIFY_BLOCK at a time, each in the order t, window,
-    u, d, and a block's windows are built in one pass, so every sample is
-    the one a sample-by-sample draw would give.
+    Samples are drawn FALSIFY_BLOCK at a time by ``history._draw_block``:
+    its generator calls run sample by sample in the order t, window, u, d
+    (one ``random`` per box row), and its arithmetic runs once per block, so
+    every sample is the one that ``uniform``, ``sample_history`` and one
+    ``uniform`` per box row give, drawing one sample at a time.
     """
     rng = np.random.default_rng(spec.seed)
+    boxes = (sys.u_box if draw_u else None, sys.d_box)
     for start in range(0, spec.samples, FALSIFY_BLOCK):
-        block = []
-        for _ in range(min(FALSIFY_BLOCK, spec.samples - start)):
-            t = float(rng.uniform(spec.t_lo, spec.t_hi))
-            draw = _draw_window(rng, sys.delay_r, sys.dim_n, spec.norm_bound)
-            u = _uniform_box(rng, sys.u_box) if draw_u else sys.zero_input()
-            block.append((t, draw, u, _uniform_box(rng, sys.d_box)))
-        windows = _build_windows(sys.delay_r, [draw for _, draw, _, _ in block])
-        for (t, _, u, d), seg in zip(block, windows):
-            yield t, seg, u, d
+        count = min(FALSIFY_BLOCK, spec.samples - start)
+        times, windows, (us, ds) = _draw_block(
+            rng, count, sys.delay_r, sys.dim_n, spec.norm_bound, (spec.t_lo, spec.t_hi), boxes
+        )
+        for t, seg, u, d in zip(times, windows, us, ds):
+            yield t, seg, u if draw_u else sys.zero_input(), d
 
 
 def _falsify(

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .history import HistorySegment, clip_to_ball, history_distance, sample_history, sup_norm
+from .history import HistorySegment, _box_range, clip_to_ball, history_distance, sample_history, sup_norm
 from .signals import PiecewiseSignal, _draw_signal
 
 __all__ = [
@@ -557,8 +557,8 @@ class LipschitzModuli:
 def _uniform_box(rng: np.random.Generator, box: np.ndarray | None) -> np.ndarray:
     if box is None or box.shape[0] == 0:
         return np.zeros(0)
-    # scalar bounds per row: the array-bound draw's values and state, less overhead
-    return np.array([rng.uniform(lo, hi) for lo, hi in box.tolist()])
+    lo, span = _box_range(box)
+    return lo + span * rng.random(lo.size)
 
 
 def estimate_lipschitz_moduli(

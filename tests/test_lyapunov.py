@@ -403,6 +403,31 @@ class TestSampleBlocks:
             check_lyapunov_ios(sys_, V, power(2.0), constant(1.0), linear(2.0), spec)
         assert calls[0] == 0
 
+    @pytest.mark.parametrize("t_lo, t_hi, u_box, d_box, error", [
+        (0.0, math.inf, ZERO_D, ZERO_D, OverflowError),
+        (math.nan, 5.0, ZERO_D, ZERO_D, OverflowError),
+        (-1e308, 1e308, ZERO_D, ZERO_D, OverflowError),
+        (5.0, 0.0, ZERO_D, ZERO_D, ValueError),
+        (0.0, 5.0, [[-math.inf, 0.0]], ZERO_D, OverflowError),
+        (0.0, 5.0, ZERO_D, [[0.0, 0.0], [0.0, math.nan]], OverflowError),
+        (0.0, 5.0, ZERO_D, [[0.0, 0.0], [1.0, -1.0]], ValueError),
+    ])
+    def test_a_bad_range_raises_as_uniform_does_before_any_evaluation(
+        self, t_lo, t_hi, u_box, d_box, error
+    ):
+        # rng.uniform's errors: OverflowError for a range that is not finite,
+        # ValueError for a negative one
+        calls = [0]
+        V = LyapunovFunctional(_counting(V_SQUARE.evaluator, calls))
+        sys_ = RfdeSystem(
+            1.0, 1, _counting(lambda t, seg, u, d: -seg.head, calls), lambda t, seg: seg.head,
+            np.array(d_box), np.array(u_box),
+        )
+        spec = SamplerSpec(t_lo=t_lo, t_hi=t_hi, samples=2 * FALSIFY_BLOCK, seed=0)
+        with pytest.raises(error, match="high - low"):
+            check_lyapunov_ios(sys_, V, power(2.0), constant(1.0), linear(2.0), spec)
+        assert calls[0] == 0
+
 
 class TestConverseEnergy:
     def test_zero_history_gives_zero(self):

@@ -18,6 +18,7 @@ from rfdestab import (
     LyapunovFunctional,
     PiecewiseSignal,
     RfdeSystem,
+    SamplerSpec,
     SignalSpec,
     build_example,
     exp_weight,
@@ -29,8 +30,8 @@ from rfdestab import (
     sup_norm,
     verify_v_decay_estimate,
 )
-from rfdestab.history import _build_windows, _draw_window, _trapezoid
-from rfdestab.lyapunov import FALSIFY_BLOCK
+from rfdestab.history import _draw_block, _trapezoid
+from rfdestab.lyapunov import FALSIFY_BLOCK, _samples
 from rfdestab.simulator import _trailing_window_max, _Window
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -167,6 +168,49 @@ def _validated_sample(rng, delay, dim, norm_bound):
     return HistorySegment(delay, dense, seg.eval_many(dense))
 
 
+def _scalar_samples(rng, sys_, spec, draw_u):
+    """The falsifiers' samples drawn one at a time: ``uniform`` t, a
+    validated window, then ``uniform`` per row of the input box (when drawn)
+    and of the disturbance box."""
+
+    def box_point(box):
+        rows = [] if box is None else box.tolist()
+        return np.array([rng.uniform(lo, hi) for lo, hi in rows], dtype=float)
+
+    for _ in range(spec.samples):
+        t = float(rng.uniform(spec.t_lo, spec.t_hi))
+        seg = _validated_sample(rng, sys_.delay_r, sys_.dim_n, spec.norm_bound)
+        u = box_point(sys_.u_box) if draw_u else sys_.zero_input()
+        yield t, seg, u, box_point(sys_.d_box)
+
+
+def _assert_same_window(seg, ref):
+    assert seg.delay == ref.delay
+    assert seg.grid.tobytes() == ref.grid.tobytes()
+    assert seg.values.shape == ref.values.shape
+    assert seg.values.tobytes() == ref.values.tobytes()
+    assert not (seg.grid.flags.writeable or seg.values.flags.writeable)
+
+
+class _ZeroNormals:
+    """A generator whose ``normal`` draws come back zero at the chosen calls
+    (counted from 0), each zero with its draw's sign, as the ziggurat can
+    give -0.0; every call still draws from the wrapped generator."""
+
+    def __init__(self, seed, zero_calls):
+        self._rng = np.random.default_rng(seed)
+        self._zero = set(zero_calls)
+        self._calls = 0
+
+    def normal(self, *args, **kwargs):
+        z = self._rng.normal(*args, **kwargs)
+        self._calls += 1
+        return np.copysign(0.0, z) if self._calls - 1 in self._zero else z
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
 class TestSampleHistory:
     @SETTINGS
     @given(
@@ -193,24 +237,53 @@ class TestSampleHistory:
         dim=st.integers(1, 4),
         delay=st.floats(1e-4, 1e3),
         norm_bound=st.one_of(st.sampled_from([0.0, 1e6]), st.floats(1e-6, 1e3)),
+        t_lo=finite,
+        t_width=st.floats(0.0, 1e3),
         count=st.one_of(
             st.sampled_from([1, FALSIFY_BLOCK, FALSIFY_BLOCK + 1]), st.integers(2, FALSIFY_BLOCK)
         ),
+        draw_u=st.booleans(),
+        u_box=st.sampled_from([None, [[-1.0, 1.0]], [[0.3, 0.3], [-2.0, 2.0]]]),
+        d_box=st.sampled_from([np.zeros((0, 2)), [[0.0, 0.0]], [[-0.25, 0.25], [1.0, 1.0]]]),
     )
     def test_a_block_is_bitwise_its_windows_drawn_one_at_a_time(
-        self, seed, dim, delay, norm_bound, count
+        self, seed, dim, delay, norm_bound, t_lo, t_width, count, draw_u, u_box, d_box
     ):
-        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        block = _build_windows(delay, [_draw_window(rng, delay, dim, norm_bound) for _ in range(count)])
-        assert len(block) == count
-        for seg in block:
-            ref = sample_history(twin, delay, dim, norm_bound)
-            assert seg.delay == ref.delay
-            assert seg.grid.tobytes() == ref.grid.tobytes()
-            assert seg.values.tobytes() == ref.values.tobytes()
-            assert seg.values.shape == ref.values.shape
-            assert not (seg.grid.flags.writeable or seg.values.flags.writeable)
-        assert rng.bit_generator.state == twin.bit_generator.state
+        # every (t, window, u, d) of the falsifiers' blocks is the scalar draw's
+        sys_ = RfdeSystem(delay, dim, None, None, d_box, None if u_box is None else np.array(u_box))
+        spec = SamplerSpec(t_lo, t_lo + t_width, norm_bound, count, seed)
+        got = list(_samples(sys_, spec, draw_u))
+        want = list(_scalar_samples(np.random.default_rng(seed), sys_, spec, draw_u))
+        assert len(got) == len(want) == count
+        for (t, seg, u, d), (t_ref, ref, u_ref, d_ref) in zip(got, want):
+            assert type(t) is float and t.hex() == t_ref.hex()
+            _assert_same_window(seg, ref)
+            assert u.shape == u_ref.shape and u.tobytes() == u_ref.tobytes()
+            assert d.shape == d_ref.shape and d.tobytes() == d_ref.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_a_zero_normal_gives_a_zero_knot_and_draws_no_radius(self, dim):
+        # every third normal is zero, window 0's first knot among them
+        zeros = range(0, 20 * FALSIFY_BLOCK, 3)
+        rng, ref = _ZeroNormals(7, zeros), _ZeroNormals(7, zeros)
+        box = np.array([[0.3, 0.3], [-2.0, 2.0]])
+        spec = SamplerSpec(norm_bound=2.0, samples=FALSIFY_BLOCK + 1)
+        sys_ = RfdeSystem(0.5, dim, None, None, box)
+        times, windows, (points,) = _draw_block(
+            rng, spec.samples, 0.5, dim, 2.0, (spec.t_lo, spec.t_hi), (box,)
+        )
+        want = list(_scalar_samples(ref, sys_, spec, False))
+        assert not windows[0].delayed.any()
+        for t, seg, d, (t_ref, ref_seg, _, d_ref) in zip(times, windows, points, want):
+            assert t.hex() == t_ref.hex()
+            _assert_same_window(seg, ref_seg)
+            assert d.tobytes() == d_ref.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        one, one_ref = _ZeroNormals(7, [0]), _ZeroNormals(7, [0])
+        seg = sample_history(one, 0.5, dim, 2.0)
+        _assert_same_window(seg, _validated_sample(one_ref, 0.5, dim, 2.0))
+        assert not seg.delayed.any()
+        assert one.bit_generator.state == one_ref.bit_generator.state
 
     @pytest.mark.parametrize("delay, dim, norm_bound, digest", [
         (0.5, 2, 2.0, "dd68b2dc2c3da1da28902dfdfb43114e62c5bc683cb0944f266f987910124c9e"),
