@@ -121,9 +121,16 @@ def _require_positive(**params) -> None:
             raise ValueError(f"parameter {key} must be finite and positive, got {value!r}")
 
 
-def _sweep_spec(norm_bound: float, seed: int, samples: int, horizon: float) -> SamplerSpec:
-    """A falsification certificate's sampler: ``samples`` draws with t in [0, horizon]."""
-    return SamplerSpec(t_lo=0.0, t_hi=horizon, norm_bound=norm_bound, samples=samples, seed=seed)
+def _sweep(norm_bound: float, check: Callable) -> Callable:
+    """Runner of a falsification certificate: ``check(spec, tolerance=...)``
+    on ``samples`` draws of ``seed`` with t in [0, horizon] and windows of
+    norm at most ``norm_bound``."""
+
+    def run(seed=0, samples=2000, tolerance=None, step=None, horizon=5.0):
+        spec = SamplerSpec(0.0, horizon, norm_bound, samples, seed)
+        return check(spec, tolerance=tolerance)
+
+    return run
 
 
 def _disturbed_runs(sys: RfdeSystem, rng, count: int, norm_bound: float, horizon: float,
@@ -206,12 +213,7 @@ def example_4_8(r: float = 0.5, u_max: float = 1.0) -> ExampleBundle:
 
     def guarded_sweep(delta):
         """Runner of the guarded decay sweep with input-guard weight ``delta``."""
-
-        def run(seed=0, samples=2000, tolerance=None, step=None, horizon=5.0):
-            spec = _sweep_spec(2.0, seed, samples, horizon)
-            return check_lyapunov_ios(sys, V, zeta, delta, rho, spec, tolerance=tolerance)
-
-        return run
+        return _sweep(2.0, functools.partial(check_lyapunov_ios, sys, V, zeta, delta, rho))
 
     def run_divergence(seed=None, samples=None, tolerance=None, step=1e-3, horizon=10.0 + r):
         threshold = 1e3
@@ -364,6 +366,8 @@ def example_5_2(r: float = 0.5, eps: float = 1.0, L: float | None = None) -> Exa
     def decay_rate(t, value):
         return rate_coeff * math.exp(t) * value
 
+    guarded_decay = functools.partial(check_razumikhin, sys, Vr, linear(0.5), decay_rate)
+
     V_window = LyapunovFunctional(
         evaluator=lambda t, seg: vr_eval(t, seg.head),
         name="weighted-quadratic-energy-at-head",
@@ -374,10 +378,6 @@ def example_5_2(r: float = 0.5, eps: float = 1.0, L: float | None = None) -> Exa
     def _ensemble(seed: int, step: float, horizon: float, count: int):
         rng = np.random.default_rng(seed)
         return _disturbed_runs(sys, rng, count, 1.0, horizon, 0.4, IntegrateOpts(step_req=step))
-
-    def run_razumikhin(seed=0, samples=2000, tolerance=None, step=None, horizon=5.0):
-        spec = _sweep_spec(2.0, seed, samples, horizon)
-        return check_razumikhin(sys, Vr, linear(0.5), decay_rate, spec, tolerance=tolerance)
 
     hold = KlFn(fn=lambda s, t: float(s), name="hold")
 
@@ -409,7 +409,7 @@ def example_5_2(r: float = 0.5, eps: float = 1.0, L: float | None = None) -> Exa
                 "whenever half the window supremum of the energy is below its "
                 "current value"
             ),
-            runner=run_razumikhin,
+            runner=_sweep(2.0, guarded_decay),
         ),
         Certificate(
             checker="verify_v_decay_estimate",
@@ -516,18 +516,9 @@ def example_5_4(R: float = 1.0, r: float = 1.0, u_max: float = 1.0) -> ExampleBu
     gamma = power(2.0 / 3.0, math.sqrt(1.5 / R))
     one = constant(1.0)
 
-    def run_razumikhin(seed=0, samples=2000, tolerance=None, step=None, horizon=5.0):
-        spec = _sweep_spec(4.0, seed, samples, horizon)
-        return check_razumikhin(
-            sys,
-            Vr,
-            linear(0.25),
-            linear(2.0 * R),
-            spec,
-            zeta=zeta,
-            delta=one,
-            tolerance=tolerance,
-        )
+    band_decay = functools.partial(
+        check_razumikhin, sys, Vr, linear(0.25), linear(2.0 * R), zeta=zeta, delta=one
+    )
 
     def run_gain_envelope(seed=0, samples=24, tolerance=1e-9, step=4e-3, horizon=9.0):
         opts = IntegrateOpts(step_req=step)
@@ -580,7 +571,7 @@ def example_5_4(R: float = 1.0, r: float = 1.0, u_max: float = 1.0) -> ExampleBu
                 "quarter of the window supremum and the input level guard are "
                 "below the current energy"
             ),
-            runner=run_razumikhin,
+            runner=_sweep(4.0, band_decay),
         ),
         Certificate(
             checker="verify_ios_envelope",

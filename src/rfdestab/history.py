@@ -183,16 +183,20 @@ def _trapezoid(y: np.ndarray, x: np.ndarray) -> np.float64:
     return ((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0).sum()
 
 
+def _lerp(th: np.ndarray, lo: np.ndarray, hi: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+    """Rows ``(1 - w) * lower + w * upper`` at the weights ``w = (th - lo) / (hi - lo)``,
+    and exactly ``lower`` where ``th == lo``: the one array interpolation rule."""
+    w = (th - lo) / (hi - lo)
+    out = (1.0 - w)[:, None] * lower + w[:, None] * upper
+    exact = th == lo
+    out[exact] = lower[exact]
+    return out
+
+
 def _interp(grid: np.ndarray, values: np.ndarray, th: np.ndarray) -> np.ndarray:
     """Linear interpolant's rows at offsets ``th`` in [grid[0], grid[-1]], exact at knots."""
     idx = np.minimum(np.searchsorted(grid, th, side="right") - 1, grid.size - 2)
-    lo = grid[idx]
-    span = grid[idx + 1] - lo
-    w = (th - lo) / span
-    out = (1.0 - w)[:, None] * values[idx] + w[:, None] * values[idx + 1]
-    exact = th == lo
-    if exact.any():
-        out[exact] = values[idx[exact]]
+    out = _lerp(th, grid[idx], grid[idx + 1], values[idx], values[idx + 1])
     top = th == grid[-1]
     if top.any():
         out[top] = values[-1]
@@ -396,7 +400,7 @@ def _build_windows(delay, offsets: np.ndarray, rows: np.ndarray, sizes: np.ndarr
 
     Each window's grid is the sorted union of its knots and the
     SAMPLE_DENSIFY evenly spaced offsets, and its rows interpolate the knot
-    rows with :func:`_interp`'s arithmetic, so they are bitwise what
+    rows with :func:`_lerp`, as :func:`_interp` does, so they are bitwise what
     ``np.union1d`` and ``_interp`` give one window at a time.  All windows
     are merged and interpolated in one pass; each segment views its rows.
     """
@@ -417,13 +421,9 @@ def _build_windows(delay, offsets: np.ndarray, rows: np.ndarray, sizes: np.ndarr
     keep[:, 1:] &= lines[:, 1:] != lines[:, :-1]  # a repeated offset keeps its first point
     grid, idx = lines[keep], idx[keep]
     ends = np.cumsum(keep.sum(axis=1))
-    lo = knots[idx]
-    w = (grid - lo) / (knots[idx + 1] - lo)
     # np.take gathers rows bitwise as indexing does, at a fraction of its cost
     lower, upper = np.take(rows, idx, axis=0), np.take(rows, idx + 1, axis=0)
-    values = (1.0 - w)[:, None] * lower + w[:, None] * upper
-    exact = grid == lo
-    values[exact] = lower[exact]
+    values = _lerp(grid, knots[idx], knots[idx + 1], lower, upper)
     values[ends - 1] = np.take(rows, base + sizes - 1, axis=0)  # each window's top offset 0
     if not np.isfinite(values).all():
         raise ValueError("history values must be finite")

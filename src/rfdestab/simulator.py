@@ -347,17 +347,10 @@ class Trajectory:
         return np.array(self._dense.eval_one(self._clamped(t)))
 
     def history(self, t: float) -> HistorySegment:
-        """Window snapshot at ``t``; exact at stored knots.
-
-        At a node time this is the stored window the integrator handed to the
-        dynamics there, found by one search over ``times``; between nodes it
-        is built from the dense store.
-        """
-        t = self._clamped(t)
-        k = int(self.times.searchsorted(t))
-        if self.times[k] == t:
-            return self._dense.node_window(k)
-        return self._dense.window_segment(t)
+        """Window snapshot at ``t``, built from the dense store; exact at
+        stored knots.  At a node time it is bitwise the window the integrator
+        handed to the dynamics there."""
+        return self._dense.window_segment(self._clamped(t))
 
     @property
     def outputs(self) -> _Outputs:
@@ -386,10 +379,10 @@ class _Outputs(Sequence):
 
 
 def _grid_for(t0: float, t_end: float, h: float, switches: np.ndarray) -> np.ndarray:
+    """Nodes from t0 to t_end at step ``h`` plus ``switches``, which lie strictly inside."""
     n_steps = int(math.floor((t_end - t0) / h + 1e-9))
     base = t0 + h * np.arange(n_steps + 1)
     base = base[(base >= t0) & (base <= t_end)]
-    switches = switches[(switches > t0) & (switches < t_end)]
     special = np.unique(np.concatenate([[t0, t_end], switches]))
     # keep endpoint and switch times bitwise exact; drop base nodes that
     # would create a vanishing step next to them
@@ -675,31 +668,20 @@ def check_continuity_bound(
     knots = np.concatenate([pre, ta.times])
     dn = np.linalg.norm(diff, axis=1)
     window_dist = _trailing_window_max(knots, dn, system.delay_r)[pre.size :]
-    L = moduli.one_sided_state
     d0 = window_dist[0]  # the window distance at t0 is the initial distance
-    worst_ratio = 0.0
-    worst_time = t0
-    passed = True
-    overflow = False
-    for t, lhs in zip(ta.times, window_dist):
-        arg = L * (t - t0)
-        if arg > _EXP_CAP:
-            overflow = True
-            bound = math.inf
-        else:
-            bound = d0 * math.exp(arg)
-        if bound == 0.0:
-            ratio = 0.0 if lhs <= 1e-12 else math.inf
-        elif math.isinf(bound):
-            ratio = 0.0
-        else:
-            ratio = lhs / bound
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            worst_time = float(t)
-        if lhs > bound * (1.0 + 1e-9) + 1e-12:
-            passed = False
-    return ContinuityReport(passed, worst_ratio, worst_time, float(d0), overflow)
+    arg = moduli.one_sided_state * (ta.times - t0)
+    overflow = arg > _EXP_CAP
+    # math.exp per node: NumPy's array exp is not libm's, bit for bit
+    bound = d0 * np.array([math.exp(a) for a in np.minimum(arg, _EXP_CAP).tolist()])
+    bound[overflow] = math.inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vanished = np.where(window_dist <= 1e-12, 0.0, math.inf)
+        ratio = np.where(bound == 0.0, vanished, window_dist / bound)
+        ratio[np.isinf(bound) | ~(ratio > 0.0)] = 0.0  # NaN ratios never count as worst
+        passed = not (window_dist > bound * (1.0 + 1e-9) + 1e-12).any()
+    k = int(ratio.argmax())  # the first worst node
+    worst_time = float(ta.times[k]) if ratio[k] > 0.0 else t0
+    return ContinuityReport(passed, float(ratio[k]), worst_time, float(d0), bool(overflow.any()))
 
 
 # -- robust forward completeness ---------------------------------------------

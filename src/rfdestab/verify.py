@@ -198,7 +198,7 @@ def verify_v_decay_estimate(
         env = sigma.eval_t_array(s0, traj.times - traj.t0)
         if traj.u is not None and zeta is not None and delta is not None:
             env = np.maximum(env, fading_sup(sigma, _input_levels(traj, zeta, delta), traj.times))
-        node_window = traj._dense.node_window  # history(t) at node k, without its search
+        node_window = traj._dense.node_window  # history(t) at node k, from its stored tail
         vals = np.array([float(V.evaluator(t, node_window(k))) for k, t in enumerate(traj.times)])
         return traj.times, vals, env
 

@@ -34,6 +34,7 @@ from rfdestab import (
     KlFn,
     RegionSpec,
     RfdeSystem,
+    SamplerSpec,
     SignalSpec,
     build_example,
     check_continuity_bound,
@@ -53,6 +54,7 @@ from rfdestab import (
     verify_ios_envelope,
 )
 from rfdestab.cli import main
+from rfdestab.lyapunov import _samples
 
 
 def announce(num: int, ok: bool, detail: str) -> None:
@@ -79,16 +81,11 @@ def test_criterion_1_quartic_energy_dissipation_residual():
     sys_ = bundle.system
     V = bundle.functional
     numeric = DiniOpts(use_analytic=False)
-    rng = np.random.default_rng(1)
-    r = sys_.delay_r
 
     worst_analytic = -math.inf
     worst_numeric = -math.inf
-    for _ in range(10_000):
-        t = float(rng.uniform(0.0, 3.0))
-        seg = sample_history(rng, r, 2, 2.0)
-        u = rng.uniform(-1.0, 1.0, 1)
-        d = rng.uniform(-1.0, 1.0, 1)
+    # per sample, in this order: t ~ U(0, 3), a window of norm at most 2, u and d ~ U(-1, 1)
+    for t, seg, u, d in _samples(sys_, SamplerSpec(0.0, 3.0, 2.0, 10_000, seed=1), True):
         v = np.asarray(sys_.dynamics(t, seg, u, d), dtype=float)
         val = float(V.evaluator(t, seg))
         drive = 0.25 * math.exp(8.0 * t) * u[0] ** 4

@@ -1,5 +1,7 @@
 """Bundled demonstration systems: constructed values, preconditions, certificates."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from rfdestab import (
     example_5_2,
     example_5_4,
 )
+from rfdestab.cli import FALSIFIER_CHECKERS
 
 
 class TestRegistry:
@@ -32,6 +35,19 @@ class TestRegistry:
             for cert in bundle.certificates:
                 op = getattr(rfdestab, cert.checker, None)
                 assert callable(op), f"{bundle.name}: {cert.checker} not implemented"
+
+    def test_runners_take_the_cli_keywords(self):
+        # the keywords cli._run_certificates passes, each with its default in the signature
+        sweeps = []
+        for make in REGISTRY.values():
+            for cert in make().certificates:
+                params = inspect.signature(cert.runner).parameters
+                assert list(params) == ["seed", "samples", "tolerance", "step", "horizon"]
+                assert all(p.default is not p.empty for p in params.values()), cert.name
+                if cert.checker in FALSIFIER_CHECKERS:
+                    sweeps.append(tuple(p.default for p in params.values()))
+        # the four falsification runners share one set of defaults
+        assert sweeps == [(0, 2000, None, None, 5.0)] * 4
 
     def test_certificate_lookup(self):
         bundle = example_4_8()

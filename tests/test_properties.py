@@ -460,6 +460,22 @@ class TestDenseWindows:
             ref = np.array([np.trapezoid(col, grid) for col in vals.T])
             assert np.all(np.abs(integral - ref) <= tol), (t, integral, ref, tol)
 
+    @settings(max_examples=100, deadline=None)
+    @given(**DENSE_RUNS)
+    @example(**CLOSE_SWITCH)
+    @example(**ULP_STEP)
+    def test_history_at_a_node_is_its_node_window(
+        self, r, steps_per_delay, t0, span, fracs, levels, queries, seed
+    ):
+        traj, _ = _window_run(r, steps_per_delay, t0, span, fracs, levels, seed)
+        for k, t in enumerate(traj.times):
+            seg, node = traj.history(t), traj._dense.node_window(k)
+            for a, b in zip(
+                (seg.grid, seg.values, seg.head, seg.delayed, seg.integral()),
+                (node.grid, node.values, node.head, node.delayed, node.integral()),
+            ):
+                assert np.array_equal(a, b), (k, t)
+
     @settings(max_examples=30, deadline=None)
     @given(**DENSE_RUNS)
     def test_views_survive_copies(self, r, steps_per_delay, t0, span, fracs, levels, queries, seed):

@@ -1,5 +1,6 @@
 """Method-of-steps integration, moduli estimation, continuity bound, completeness probe."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -451,12 +452,16 @@ class TestContinuityBound:
             (0.0, 0.0, 1.5, (False, 3.9290266870494115, 1.5, 0.41428571428571415, False)),
             (0.75, -1.0, 0.6, (False, 1.6487212707001282, 1.25, 0.41428571428571415, False)),
             (0.75, 0.5, 1.5, (False, 1.8559407917890043, 2.25, 0.41428571428571415, False)),
+            (0.0, 800.0, 1.5, (True, 1.0, 0.0, 0.41428571428571415, True)),
+            (0.75, -800.0, 1.5, (False, math.inf, 1.65, 0.41428571428571415, False)),
         ],
     )
+    @pytest.mark.filterwarnings("error")  # a subnormal bound divides without an overflow warning
     def test_reports_are_pinned(self, t0, L, span, expected):
         # recorded when the check interpolated every knot of both dense stores;
         # each initial window has knots the other lacks, and at L = -1 the
-        # worst ratio is read off a knot before t0
+        # worst ratio is read off a knot before t0.  At L = 800 the bound
+        # overflows; at L = -800 it turns subnormal, then zero
         sys_ = scalar_system(lambda t, seg, u, d: 2.0 * seg.head + 1.5 * seg.delayed)
         x0 = HistorySegment(1.0, np.array([-1.0, -0.5, 0.0]), np.array([[0.8], [1.4], [1.0]]))
         y0 = HistorySegment(
