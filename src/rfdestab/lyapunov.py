@@ -25,7 +25,7 @@ import numpy as np
 
 from .compfn import ComparisonFn, _guard_level
 from .history import HistorySegment, _draw_block, extend, sup_norm
-from .simulator import IntegrateOpts, RfdeSystem, integrate, output_norm
+from .simulator import IntegrateOpts, RfdeSystem, _integrate_runs, output_norm
 
 __all__ = [
     "LyapunovFunctional",
@@ -443,7 +443,11 @@ def converse_functional_uq(
     the value is the largest exp(tau - t)-weighted clamp
     max{0, a1(|output(tau)|) - 1/q} over ensemble and time grid.  The tau = t
     term makes the result exact-sandwich from below.  Ensemble trajectories
-    must complete; blow-up raises.
+    must complete; blow-up raises, for the first member in ensemble order
+    that stopped.  The members start from one window on one horizon, so the
+    ones with the same switch times (all constant disturbances, say) advance
+    in lock-step, each bitwise its solo run; every member is integrated
+    before any output is read.
     """
     if q <= 0:
         raise ValueError("q must be a positive integer")
@@ -454,14 +458,14 @@ def converse_functional_uq(
     base_term = max(0.0, float(a1(output_norm(sys.output(t, x)))) - 1.0 / q)
     best = base_term
     if horizon > 0.0:
-        for dsig in disturbance_ensemble:
-            traj = integrate(sys, t, x, None, dsig, t + horizon, opts)
+        runs = [(x, None, dsig) for dsig in disturbance_ensemble]
+        for traj in _integrate_runs(sys, t, runs, t + horizon, opts):
             if traj.status != "completed":
                 raise RuntimeError(
                     f"ensemble trajectory left the bounded regime at t={traj.t_event!r}; "
                     "the region is not robustly forward complete"
                 )
-            for tau, y in zip(traj.times, traj.outputs):
+            for tau, y in zip(traj.times.tolist(), traj.outputs):
                 term = max(0.0, float(a1(output_norm(y))) - 1.0 / q) * math.exp(tau - t)
                 if term > best:
                     best = term

@@ -7,7 +7,8 @@ nodes.  The accumulated solution keeps node derivatives and is interpolated
 with the standard cubic-Hermite continuous extension; stage evaluations see
 piecewise-linear history snapshots whose knots include the window endpoints
 and every integration node, so discrete-delay reads hit exact knots and the
-scheme keeps its full order.
+scheme keeps its full order.  Runs whose knots coincide advance in lock-step,
+each bitwise its solo run (:func:`_integrate_runs`).
 
 Trajectories report their fate in a status field (completed / blew_up /
 step_failure) instead of raising: divergence is a legitimate, observable
@@ -16,7 +17,6 @@ outcome for the experiments this package runs.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import deque
 from collections.abc import Sequence
@@ -85,7 +85,8 @@ def output_norm(y) -> float:
     """Norm of an output sample: Euclidean for vectors, sup for windows."""
     if isinstance(y, HistorySegment):
         return sup_norm(y)
-    return float(np.linalg.norm(np.atleast_1d(np.asarray(y, dtype=float))))
+    y = np.asarray(y, dtype=float).ravel(order="K")
+    return math.sqrt(y.dot(y))  # np.linalg.norm(y), bit for bit
 
 
 def output_distance(ya, yb) -> float:
@@ -98,26 +99,64 @@ def output_distance(ya, yb) -> float:
 
 @dataclass
 class IntegrateOpts:
-    """Step request and blow-up level of :func:`integrate`.  ``record_output``
-    is ignored: outputs are computed from the node windows on read
-    (:attr:`Trajectory.outputs`); the field stays for callers that pass it."""
+    """Step request and blow-up level of :func:`integrate`, which checks
+    that both are positive; ``blowup_norm=inf`` runs without a blow-up
+    guard.  ``record_output`` is ignored: outputs are computed from the node
+    windows on read (:attr:`Trajectory.outputs`); the field stays for callers
+    that pass it."""
 
     step_req: float = 1e-3
     blowup_norm: float = 1e9
     record_output: bool = True
 
 
-class _Dense:
-    """Growing knot/value/slope store with cubic-Hermite evaluation."""
+_ROWS = ("V", "DIN", "DOUT", "CUM", "TAIL")  # the per-run row arrays of a store
 
-    def __init__(self, t0: float, x0: HistorySegment, capacity: int):
+
+class _Dense:
+    """Growing knot/value/slope store with cubic-Hermite evaluation.
+
+    Its row arrays (``_ROWS``) are (capacity, n).  A lock-step group of m > 1
+    runs keeps one stack whose row arrays are (capacity, m, n); each run's
+    store holds the column views of the stack and shares its knots ``K`` and
+    window lower ends ``I0`` (see :meth:`group`).  The stack goes on writing
+    the column of a run that stopped, but its store reads no row past its own
+    ``count``.
+    """
+
+    @classmethod
+    def group(cls, t0: float, x0s: list, capacity: int) -> tuple:
+        """The stack of runs from ``x0s``, whose grids and delays are equal,
+        and one store per run, filled with its initial window.  A group of
+        one is its own stack."""
+        stack = cls.__new__(cls)
+        m, n = len(x0s), x0s[0].dim
+        shape = (capacity, n) if m == 1 else (capacity, m, n)
+        stack.K = np.empty(capacity)
+        stack.I0 = np.zeros(capacity, dtype=np.intp)
+        stack.V, stack.CUM, stack.TAIL = (np.empty(shape) for _ in range(3))
+        stack.DIN = np.zeros(shape)   # slope arriving at the knot
+        stack.DOUT = np.zeros(shape)  # slope leaving the knot
+        if m == 1:
+            stack._fill(t0, x0s[0])
+            return stack, [stack]
+        stores = []
+        for i, x0 in enumerate(x0s):
+            store = cls.__new__(cls)
+            store.K, store.I0 = stack.K, stack.I0
+            for name in _ROWS:
+                setattr(store, name, getattr(stack, name)[:, i])
+            store._fill(t0, x0)
+            stores.append(store)
+        first = stores[0]
+        stack.count, stack.delay, stack.tie_gap, stack.close_knots = (
+            first.count, first.delay, first.tie_gap, first.close_knots
+        )
+        return stack, stores
+
+    def _fill(self, t0: float, x0: HistorySegment):
         k0 = x0.grid.size
-        n = x0.dim
-        self.n = n
-        self.K = np.empty(capacity)
-        self.V = np.empty((capacity, n))
-        self.DIN = np.zeros((capacity, n))   # slope arriving at the knot
-        self.DOUT = np.zeros((capacity, n))  # slope leaving the knot
+        self.n = x0.dim
         self.K[:k0] = t0 + x0.grid
         self.V[:k0] = x0.values
         slopes = np.diff(x0.values, axis=0) / np.diff(x0.grid)[:, None]
@@ -126,7 +165,6 @@ class _Dense:
         self.DIN[0] = slopes[0]
         # running trapezoid integral of the stored polyline from K[0] on,
         # so a window's integral is a difference of two rows
-        self.CUM = np.empty((capacity, n))
         self.CUM[0] = 0.0
         self.CUM[1:k0] = np.cumsum(
             (0.5 * np.diff(self.K[:k0]))[:, None] * (x0.values[1:] + x0.values[:-1]), axis=0
@@ -136,10 +174,8 @@ class _Dense:
         # rounding K - tau (in [-delay, 0]) cannot merge knots further apart
         self.tie_gap = 4.0 * float(np.spacing(x0.delay))
         self.close_knots = bool(np.diff(self.K[:k0]).min() <= self.tie_gap)
-        # each node's window: the lower end of its inner knots and its row at -delay
+        # each node's window keeps the lower end of its inner knots (I0) and its row at -delay (TAIL)
         self.node0 = k0 - 1
-        self.I0 = np.zeros(capacity, dtype=np.intp)
-        self.TAIL = np.empty((capacity, n))
 
     def append(self, t: float, x: np.ndarray, din: np.ndarray):
         c = self.count
@@ -152,18 +188,13 @@ class _Dense:
         self.CUM[c] = self.CUM[c - 1] + (0.5 * (t - t_prev)) * (x + self.V[c - 1])
         self.count = c + 1
 
-    def node_window(self, k: int, seg: _Window | None = None) -> _Window:
-        """The window the dynamics saw at node ``k`` (node 0 is t0).  The
-        integrator passes ``seg``, a window at the node's time, whose lower
-        end and window quadrature the node window keeps."""
+    def node_window(self, k: int) -> _Window:
+        """The window the dynamics saw at node ``k`` (node 0 is t0)."""
         c = self.node0 + k
-        if seg is not None:
-            self.I0[c] = seg._i0
-            self.TAIL[c] = seg._tail
-        tail = self.TAIL[c]
-        tail.flags.writeable = False
-        body = None if seg is None else seg._body
-        return _Window(self, self.K.item(c), self.I0.item(c), c, tail, self.V[c], body)
+        tail, head = self.TAIL[c], self.V[c]
+        tail.setflags(write=False)  # views: the store stays writeable
+        head.setflags(write=False)
+        return _Window(self, self.K.item(c), self.I0.item(c), c, tail, head)
 
     def _basis(self, s):
         s2 = s * s
@@ -194,21 +225,14 @@ class _Dense:
             + (h11 * dt) * self.DIN[j + 1]
         )
 
-    def window_segment(
-        self, tau: float, prov: np.ndarray | None = None, start: int | None = None
-    ) -> _Window:
-        """History snapshot on [tau - delay, tau], as a view of the store.
-
-        Inner knots are the stored knots strictly below ``tau``; the left
-        endpoint is interpolated when it falls between knots.  The row at
-        offset 0 is ``prov`` when given, for ``tau`` at or beyond the newest
-        knot: a stage's provisional state (the linear piece between the last
-        node and the stage is exactly the forward extension used by the stage
-        formulas) or the newest node's own state, which supersedes a knot at
-        ``tau``.  Otherwise it is the dense value at ``tau``.  ``start``, when
-        given, is ``searchsorted(K[:count], tau - delay, "right")``, which a
-        caller whose times only grow can keep by walking forward.
-        """
+    def _span(self, tau: float, start: int | None = None) -> tuple:
+        """``(i0, i1, tail)`` of the window [tau - delay, tau]: its inner knots
+        are ``K[i0:i1]``, the stored knots strictly below ``tau``, and
+        ``tail`` is its row at -delay (a stack's rows, one per run), read-only.
+        The row is a knot's when one sits at ``tau - delay``, else the dense
+        value there.  ``start``, when given, is
+        ``searchsorted(K[:count], tau - delay, "right")``, which a caller
+        whose times only grow can keep by walking forward."""
         r = self.delay
         c = self.count
         lo = tau - r
@@ -220,13 +244,19 @@ class _Dense:
         while i0 < c and K.item(i0) - tau <= -r:
             tail_row = i0
             i0 += 1
-        if prov is None:
-            prov = self.eval_one(tau)
         i1 = c if K.item(c - 1) < tau else int(np.searchsorted(K[:c], tau, side="left"))
         # without a fold, the search for i0 is eval_one(lo)'s own search
         tail = self._eval_in(i0 - 1, lo) if tail_row is None else self.V[tail_row]
-        tail.flags.writeable = False
-        return _Window(self, tau, i0, i1, tail, prov)
+        tail.setflags(write=False)  # freezes as flags.writeable = False does, at about half the cost
+        return i0, i1, tail
+
+    def window_segment(self, tau: float) -> _Window:
+        """History snapshot on [tau - delay, tau], as a view of the store; its
+        row at offset 0 is the dense value at ``tau``."""
+        i0, i1, tail = self._span(tau)
+        head = self.eval_one(tau)
+        head.setflags(write=False)
+        return _Window(self, tau, i0, i1, tail, head)
 
 
 class _Window(HistorySegment):
@@ -234,25 +264,18 @@ class _Window(HistorySegment):
 
     It holds the store, the index range ``i0:i1`` of the inner knots and the
     rows at -delay and 0.  ``head``, ``delayed`` and ``integral()`` cost O(1);
-    ``grid`` and ``values`` cost one O(delay/step) copy on first read and are
-    kept.  The store only appends, so a window stays valid as it grows.
-    ``_body`` is all of ``integral()`` but the head piece, computed on first
-    need; windows with the same time, inner knots and tail share it.
+    ``grid`` and ``values`` each cost one O(delay/step) copy on first read
+    and are kept.  The store only appends, so a window stays valid as it
+    grows.  ``_body`` is all of ``integral()`` but the head piece, computed
+    on first need; windows with the same time, inner knots and tail share it.
     """
 
     def __init__(self, dense: _Dense, tau: float, i0: int, i1: int, tail, head, body=None):
-        # the builders freeze the tail, which with_head passes on
-        head.flags.writeable = False
+        # the builders freeze the two rows, often a whole stack of them at once
         self.__dict__.update(
-            delay=dense.delay, _dense=dense, _tau=tau, _i0=i0, _i1=i1, _tail=tail, _head=head,
-            _body=body,
+            {"delay": dense.delay, "_dense": dense, "_tau": tau, "_i0": i0, "_i1": i1, "_tail": tail,
+             "_head": head, "_body": body}
         )
-
-    def with_head(self, head: np.ndarray) -> _Window:
-        """The same window with another row at offset 0: the RK stages that
-        share a time share the search for the lower end and the quadrature
-        of all but the head piece."""
-        return _Window(self._dense, self._tau, self._i0, self._i1, self._tail, head, self._body)
 
     @property
     def dim(self) -> int:
@@ -279,33 +302,44 @@ class _Window(HistorySegment):
             self.__dict__["_body"] = tail_piece + (C[i1 - 1] - C[i0])
         return self._body + (0.5 * (tau - K.item(i1 - 1))) * (V[i1 - 1] + self._head)
 
+    # grid and values are built apart, each on its first read, and kept in
+    # __dict__: a cached_property would take a lock on every read
     @property
     def grid(self) -> np.ndarray:
-        return self._rows[0]
+        d = self.__dict__
+        grid = d.get("_grid")
+        if grid is None:
+            if d["_dense"].close_knots:
+                return self._merged()[0]
+            grid = d["_grid"] = self._offsets()
+            grid.setflags(write=False)
+        return grid
 
     @property
     def values(self) -> np.ndarray:
-        return self._rows[1]
+        d = self.__dict__
+        vals = d.get("_values")
+        if vals is None:
+            if d["_dense"].close_knots:
+                return self._merged()[1]
+            inner = d["_dense"].V[d["_i0"] : d["_i1"]]
+            vals = d["_values"] = np.concatenate((d["_tail"][None], inner, d["_head"][None]))
+            vals.setflags(write=False)
+        return vals
 
-    @functools.cached_property
-    def _rows(self) -> tuple:
-        dense = self._dense
-        i0, i1 = self._i0, self._i1
-        size = i1 - i0 + 2
-        grid = np.empty(size)
-        vals = np.empty((size, dense.n))
-        grid[0] = -self.delay
-        vals[0] = self._tail
-        grid[1:-1] = dense.K[i0:i1] - self._tau
-        vals[1:-1] = dense.V[i0:i1]
-        grid[-1] = 0.0
-        vals[-1] = self._head
-        if dense.close_knots:
-            # keep the last knot of each run that rounded onto one offset
-            last = np.concatenate([[True], np.diff(grid[1:]) > 0.0, [True]])
-            grid, vals = grid[last], vals[last]
-        grid.flags.writeable = False
-        vals.flags.writeable = False
+    def _offsets(self) -> np.ndarray:
+        return np.concatenate(([-self.delay], self._dense.K[self._i0 : self._i1] - self._tau, [0.0]))
+
+    def _merged(self) -> tuple:
+        """Grid and values with the last knot of each run of knots that
+        rounded onto one offset: the grid decides which rows stay."""
+        grid = self._offsets()
+        vals = np.concatenate((self._tail[None], self._dense.V[self._i0 : self._i1], self._head[None]))
+        last = np.concatenate([[True], np.diff(grid[1:]) > 0.0, [True]])
+        grid, vals = grid[last], vals[last]
+        grid.setflags(write=False)
+        vals.setflags(write=False)
+        self.__dict__.update(_grid=grid, _values=vals)
         return grid, vals
 
 
@@ -371,7 +405,8 @@ class _Outputs(Sequence):
         return self._traj.times.size
 
     def __iter__(self):  # Sequence's loop would stop at an IndexError of the output map
-        return map(self.__getitem__, range(len(self)))
+        windows = map(self._traj._dense.node_window, range(len(self)))
+        return map(self._traj.system.output, self._traj.times, windows)
 
     def __getitem__(self, k: int):
         k = range(len(self))[k]  # a list's negative indices and bounds
@@ -408,110 +443,215 @@ def integrate(
     The requested step is clamped to delay_r / max(2, ceil(delay_r / step_req))
     so a whole number of steps, at least two, spans the delay: a window's row
     at -delay_r then always lies inside the dense store.  Signal switch times
-    inside the horizon are inserted as grid nodes.  Blow-up (window norm above
+    inside the horizon are inserted as grid nodes.  Blow-up (state norm above
     opts.blowup_norm) and non-finite dynamics truncate the run and are
     reported through the status field.
+
+    This is the one-run case of :func:`_integrate_runs`, which advances runs
+    whose knots coincide (same initial grid and delay, same switch times) in
+    lock-step.  A run there is bitwise this one; the dynamics are called in
+    (step, stage, run) order, so they must not depend on the call order.
+    """
+    return _integrate_runs(system, t0, [(x0, u, d)], t_end, opts)[0]
+
+
+def _integrate_runs(
+    system: RfdeSystem, t0: float, runs: list, t_end: float, opts: IntegrateOpts | None = None
+) -> list:
+    """:func:`integrate` of each ``(x0, u, d)`` in ``runs``, in order.
+
+    Runs whose dense-store knots coincide (the same initial grid and delay,
+    and the same node grid, i.e. the same switch times) form a group and
+    advance in lock-step: the window searches, the Hermite row at -delay,
+    the RK4 arithmetic and the store writes are done once per step on
+    (m, n) stacks.  Element-wise NumPy with scalar coefficients rounds each
+    row as it rounds an (n,) array, so every run is bitwise its solo run.
+    A run that stops (``blew_up`` or ``step_failure``) is not called again;
+    the rest of its group carries on.  Groups run one after another, in the
+    order of their first run.  Within a step the right-hand side is called
+    stage by stage, run by run, so it must not depend on the call order.
     """
     opts = opts or IntegrateOpts()
     r = system.delay_r
-    n = system.dim_n
-    if abs(x0.delay - r) > 1e-12:
-        raise ValueError("initial segment window does not match the system delay")
-    if x0.dim != n:
-        raise ValueError("initial segment dimension does not match the system")
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
-    if opts.step_req <= 0:
-        raise ValueError("step_req must be positive")
+    for name in ("step_req", "blowup_norm"):
+        value = getattr(opts, name)
+        if not value > 0:  # NaN fails too; inf is no blow-up guard
+            raise ValueError(f"IntegrateOpts.{name} must be positive, got {value!r}")
+    h = r / max(2, int(math.ceil(r / opts.step_req - 1e-12)))
+    groups: dict = {}
+    grids: dict = {}  # node grids by switch times, which an ensemble's members often share
+    for k, (x0, u, d) in enumerate(runs):
+        if abs(x0.delay - r) > 1e-12:
+            raise ValueError("initial segment window does not match the system delay")
+        if x0.dim != system.dim_n:
+            raise ValueError("initial segment dimension does not match the system")
+        signals = [sig for sig in (u, d) if sig is not None]
+        for sig in signals:
+            sig.eval(t0)  # signals are defined on [0, inf): this rejects t0 < 0
+        sw = np.concatenate([sig.switches_in(t0, t_end) for sig in signals]) if signals else np.empty(0)
+        tgrid = grids.get(sw.tobytes())
+        if tgrid is None:
+            tgrid = grids[sw.tobytes()] = _grid_for(t0, t_end, h, sw)
+        key = (x0.delay, x0.grid.tobytes(), tgrid.tobytes())
+        groups.setdefault(key, (tgrid, []))[1].append(k)
+    trajs = [None] * len(runs)
+    for tgrid, ks in groups.values():
+        for k, traj in zip(ks, _lockstep(system, t0, [runs[k] for k in ks], tgrid, opts)):
+            trajs[k] = traj
+    return trajs
 
-    m_sub = max(2, int(math.ceil(r / opts.step_req - 1e-12)))
-    h = r / m_sub
 
-    signals = [sig for sig in (u, d) if sig is not None]
-    for sig in signals:
-        sig.eval(t0)  # signals are defined on [0, inf): this rejects t0 < 0
-    sw = np.concatenate([sig.switches_in(t0, t_end) for sig in signals]) if signals else np.empty(0)
-    tgrid = _grid_for(t0, t_end, h, sw)
+def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts: IntegrateOpts) -> list:
+    """Trajectories of ``runs`` (x0, u, d), which share the node grid
+    ``tgrid``, the initial grid and the delay, advanced together.  A run that
+    stops keeps its column of the stack: it is not called again, its stage
+    slopes are zero from then on, and its store reads no row past its count."""
+    m = len(runs)
+    stack, stores = _Dense.group(t0, [run[0] for run in runs], runs[0][0].grid.size + tgrid.size)
+    # run p's row of an (m, n) stack array is rows(a)[p]; a group of one's arrays are (n,)
+    cols = range(m)
+    rows = (lambda a: list(map(a.__getitem__, cols))) if m > 1 else (lambda a: (a,))
+
+    def levels(width: int, signals: list) -> np.ndarray:
+        per_run = [np.zeros((tgrid.size, width)) if s is None else s.eval_many(tgrid) for s in signals]
+        return np.stack(per_run, 1) if m > 1 else per_run[0]
+
     # every switch is a node, so the levels read at a node hold until the next
-    U = u.eval_many(tgrid) if u is not None else np.zeros((tgrid.size, system.input_dim))
-    D = d.eval_many(tgrid) if d is not None else np.zeros((tgrid.size, system.d_box.shape[0]))
-    U.flags.writeable = D.flags.writeable = False
-    switched = np.any(U[1:] != U[:-1], axis=1) | np.any(D[1:] != D[:-1], axis=1)
+    U = levels(system.input_dim, [u for _, u, _ in runs])
+    D = levels(system.d_box.shape[0], [d for *_, d in runs])
+    U.setflags(write=False)
+    D.setflags(write=False)
+    switched = np.any(U[1:] != U[:-1], axis=-1) | np.any(D[1:] != D[:-1], axis=-1)
     switched[-1] = False  # the run ends at the last node: no slope leaves it
-    switched = switched.tolist()
+    switched = switched.reshape(-1, m).T.tolist()  # switched[p][j]: run p's levels change at node j + 1
 
-    dense = _Dense(t0, x0, x0.grid.size + tgrid.size)
     f = system.dynamics
-    K, V, DIN, DOUT = dense.K, dense.V, dense.DIN, dense.DOUT
+    K = stack.K
+    status, t_event = ["completed"] * m, [None] * m
+    live = list(range(m))  # the runs still advancing
+    sq = [0.0] * m  # x_next.dot(x_next) per run
     lower = 0  # searchsorted(K[:count], tau - delay, "right") at the last stage time tau
+    k2, k3, k4 = (np.empty(stack.V.shape[1:]) for _ in range(3))  # stage slopes, reused from step to step
+    k2s, k3s, k4s = rows(k2), rows(k3), rows(k4)
 
-    def window(tau: float, head: np.ndarray) -> _Window:
+    def span(tau: float) -> tuple:
         # stage times never decrease and knots only append, so the lower end walks forward
         nonlocal lower
-        lo = tau - dense.delay
-        while lower < dense.count and K.item(lower) <= lo:
+        lo = tau - stack.delay
+        while lower < stack.count and K.item(lower) <= lo:
             lower += 1
-        return dense.window_segment(tau, head, lower)
+        i0, i1, tails = stack._span(tau, lower)
+        return i0, i1, tails, rows(tails)
 
-    status = "completed"
+    def stage(outs, tau: float, i0: int, i1: int, tails, heads, like=None) -> dict:
+        """Each live run's window at ``tau``, after the dynamics saw it at
+        the levels ``us``, ``ds``; ``outs[p]`` gets run p's slope.  The
+        windows' inner knots are ``i0:i1``, and run p's rows at -delay and 0
+        are ``tails[p]`` and row p of ``heads``, which this freezes.  Windows
+        with the same time, inner knots and tail share the quadrature of all
+        but the head piece: run p's is ``like[p]``'s."""
+        heads.setflags(write=False)
+        heads = rows(heads)
+        segs = {}
+        for p in live:
+            body = None if like is None else like[p]._body
+            seg = segs[p] = _Window(stores[p], tau, i0, i1, tails[p], heads[p], body)
+            outs[p][...] = f(tau, seg, us[p], ds[p])
+        return segs
+
+    def stop(stopped: list, why: str, tb: float) -> None:
+        for p in stopped:
+            status[p], t_event[p] = why, tb
+            stores[p].count = stack.count
+            live.remove(p)
+            # its column still goes through the stack's arithmetic: keep it finite
+            k2s[p][...] = k3s[p][...] = k4s[p][...] = 0.0
+
     times = tgrid.tolist()  # Python floats: the step arithmetic is the same, with less overhead
-    seg0 = dense.node_window(0, window(times[0], V[dense.count - 1]))
-    DOUT[dense.count - 1] = np.asarray(f(times[0], seg0, U[0], D[0]), dtype=float)
+    c = stack.count - 1  # node 0
+    us, ds = rows(U[0]), rows(D[0])
+    i0, _, tails, tls = span(times[0])
+    stack.I0[c], stack.TAIL[c] = i0, tails
+    stage(rows(stack.DOUT[c]), times[0], i0, c, tls, stack.V[c])
 
     for j in range(len(times) - 1):
         ta = times[j]
         tb = times[j + 1]
         hk = tb - ta
-        uk = U[j]
-        dk = D[j]
-        c = dense.count
-        xk = V[c - 1]
-        k1 = DOUT[c - 1]
+        us, ds = rows(U[j]), rows(D[j])
+        c = stack.count
+        xk = stack.V[c - 1]
+        k1 = stack.DOUT[c - 1]
 
         tm = ta + 0.5 * hk
         if tm == ta:  # a one-ulp step has no midpoint; its start belongs to the node
             tm = tb
-        seg_m = window(tm, xk + (0.5 * hk) * k1)
-        k2 = np.asarray(f(tm, seg_m, uk, dk), dtype=float)
-        k3 = np.asarray(f(tm, seg_m.with_head(xk + (0.5 * hk) * k2), uk, dk), dtype=float)
-        seg_b = window(tb, xk + hk * k3)
-        k4 = np.asarray(f(tb, seg_b, uk, dk), dtype=float)
+        i0, i1, tails, tls = span(tm)
+        seg_m = stage(k2s, tm, i0, i1, tls, xk + (0.5 * hk) * k1)
+        stage(k3s, tm, i0, i1, tls, xk + (0.5 * hk) * k2, seg_m)
+        i0, i1, tails, tls = span(tb)
+        seg_b = stage(k4s, tb, i0, i1, tls, xk + hk * k3)
         x_next = xk + (hk / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
         # hk > 0, so x_next is non-finite whenever a stage is; a finite square
         # has finite entries, an overflowed one may still
-        sq = x_next.dot(x_next)
-        if not math.isfinite(sq) and not np.isfinite(x_next).all():
-            status = "step_failure"
-            break
+        xs = rows(x_next)
+        failed = []
+        for p in live:
+            sq[p] = xs[p].dot(xs[p])
+            if not math.isfinite(sq[p]) and not np.isfinite(xs[p]).all():
+                failed.append(p)
+        if failed:
+            stop(failed, "step_failure", tb)
+            if not live:
+                break
+            x_next[failed] = xk[failed]  # a stopped run stays at its last node
 
-        dense.append(tb, x_next, k4)
+        stack.append(tb, x_next, k4)
+        if stack.close_knots:  # the windows read it from their run's store
+            for p in live:
+                stores[p].close_knots = True
         # the node window has the lower end of k4's: appending at tb moves neither
-        seg_b = dense.node_window(j + 1, seg_b)
-        f_end = np.asarray(f(tb, seg_b, uk, dk), dtype=float)
-        if not math.isfinite(f_end.dot(f_end)) and not np.isfinite(f_end).all():
-            status = "step_failure"
-            break
-        DIN[c] = DOUT[c] = f_end
-        if switched[j]:  # new levels leave the node with a slope of their own
-            DOUT[c] = np.asarray(f(tb, seg_b, U[j + 1], D[j + 1]), dtype=float)
+        stack.I0[c], stack.TAIL[c] = i0, tails
+        f_end = stack.DOUT[c]
+        fs = rows(f_end)
+        nodes = stage(fs, tb, i0, c, tls, stack.V[c], seg_b)
+        stack.DIN[c] = f_end
+        failed, blown = [], []
+        for p in live:
+            if not math.isfinite(fs[p].dot(fs[p])) and not np.isfinite(fs[p]).all():
+                failed.append(p)  # the failed run keeps k4 arriving and no slope leaving
+                rows(stack.DIN[c])[p][...], fs[p][...] = k4s[p], 0.0
+                continue
+            if switched[p][j]:  # new levels leave the node with a slope of their own
+                fs[p][...] = f(tb, nodes[p], rows(U[j + 1])[p], rows(D[j + 1])[p])
+            if math.sqrt(sq[p]) > opts.blowup_norm:  # bitwise np.linalg.norm(x_next)
+                blown.append(p)
+        if failed or blown:
+            stop(failed, "step_failure", tb)
+            stop(blown, "blew_up", tb)
+            if not live:
+                break
 
-        if math.sqrt(sq) > opts.blowup_norm:  # bitwise np.linalg.norm(x_next)
-            status = "blew_up"
-            break
-
-    return Trajectory(
-        system=system,
-        t0=t0,
-        times=dense.K[dense.node0 : dense.count].copy(),
-        states=dense.V[dense.node0 : dense.count].copy(),
-        initial=x0,
-        u=u,
-        d=d,
-        status=status,
-        t_event=None if status == "completed" else float(tb),
-        _dense=dense,
-    )
+    for p in live:
+        stores[p].count = stack.count
+    return [
+        Trajectory(
+            system=system,
+            t0=t0,
+            times=store.K[store.node0 : store.count].copy(),
+            states=store.V[store.node0 : store.count].copy(),
+            initial=x0,
+            u=u,
+            d=d,
+            status=st,
+            t_event=te,
+            _dense=store,
+        )
+        for store, (x0, u, d), st, te in zip(stores, runs, status, t_event)
+    ]
 
 
 def _trailing_window_max(ts: np.ndarray, vals: np.ndarray, width: float) -> np.ndarray:
@@ -631,6 +771,7 @@ class ContinuityReport:
     worst_time: float
     initial_distance: float
     bound_overflowed: bool
+    worst_ratio_after_t0: float  # the largest ratio at the nodes after t0 (0.0 if none)
 
 
 def check_continuity_bound(
@@ -649,13 +790,13 @@ def check_continuity_bound(
     Both initial segments evolve under the same signals; at every node the
     window distance must stay below the initial distance amplified by
     exp(L * elapsed) with L the estimated one-sided modulus.  Equality holds
-    at t0, so the check allows a relative slack of 1e-9.
+    at t0, so the check allows a relative slack of 1e-9; ``worst_ratio``
+    is then at least 1 and ``worst_ratio_after_t0`` shows the margin.  The
+    two runs advance in lock-step when their initial windows share a grid.
     """
-    opts = opts or IntegrateOpts()
-    ta = integrate(system, t0, x0, u, d, t_end, opts)
-    tb = integrate(system, t0, y0, u, d, t_end, opts)
+    ta, tb = _integrate_runs(system, t0, [(x0, u, d), (y0, u, d)], t_end, opts)
     if ta.status != "completed" or tb.status != "completed":
-        return ContinuityReport(False, math.inf, ta.t_event or tb.t_event or t0, 0.0, False)
+        return ContinuityReport(False, math.inf, ta.t_event or tb.t_event or t0, 0.0, False, math.inf)
     if ta.times.size != tb.times.size or not np.array_equal(ta.times, tb.times):
         raise RuntimeError("paired runs produced different grids")
 
@@ -681,7 +822,8 @@ def check_continuity_bound(
         passed = not (window_dist > bound * (1.0 + 1e-9) + 1e-12).any()
     k = int(ratio.argmax())  # the first worst node
     worst_time = float(ta.times[k]) if ratio[k] > 0.0 else t0
-    return ContinuityReport(passed, float(ratio[k]), worst_time, float(d0), bool(overflow.any()))
+    after = float(ratio[1:].max(initial=0.0))
+    return ContinuityReport(passed, float(ratio[k]), worst_time, float(d0), bool(overflow.any()), after)
 
 
 # -- robust forward completeness ---------------------------------------------

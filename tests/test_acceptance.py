@@ -443,9 +443,10 @@ def test_criterion_7_pairwise_continuity_bound():
                 sys_, 0.0, x0, y0, u_sig, d_sig, plan["horizon"], moduli, opts
             )
             violations += 0 if rep.passed else 1
-            worst = max(worst, rep.worst_ratio)
+            # the ratio is 1 at t0 on every pair: the margin shows after it
+            worst = max(worst, rep.worst_ratio_after_t0)
         assert violations == 0, f"{name}: {violations} of 100 pairs broke the bound"
-        summary.append(f"{name} 0/100 (worst ratio {worst:.3f})")
+        summary.append(f"{name} 0/100 (worst ratio after t0 {worst:.3f})")
 
     announce(7, True, "violations per system: " + "; ".join(summary))
 

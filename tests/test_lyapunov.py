@@ -10,6 +10,7 @@ import pytest
 from rfdestab import (
     DiniOpts,
     HistorySegment,
+    IntegrateOpts,
     LyapunovFunctional,
     RazumikhinFunction,
     RfdeSystem,
@@ -26,7 +27,9 @@ from rfdestab import (
     exp_weight,
     history_distance,
     identity,
+    integrate,
     linear,
+    output_norm,
     power,
     sample_history,
     sup_norm,
@@ -481,3 +484,56 @@ class TestConverseEnergy:
             x=HistorySegment.constant(1.0, [0.8]),
         )
         assert val == pytest.approx(0.7 * 3.0, rel=1e-12)
+
+    @staticmethod
+    def _contracting_family(dynamics=None):
+        """Acceptance criterion 8's scalar decay, whose rate the disturbance
+        modulates within [1, 1.5], and its three constant disturbances."""
+        sys_ = RfdeSystem(
+            delay_r=0.5, dim_n=1,
+            dynamics=dynamics or (lambda t, seg, u, d: np.array([-(1.25 + d[0]) * seg.head[0]])),
+            output=lambda t, seg: seg.head, d_box=np.array([[-0.25, 0.25]]),
+        )
+        ensemble = [constant_signal(np.array([c]), box=sys_.d_box) for c in (-0.25, 0.0, 0.25)]
+        return sys_, ensemble
+
+    def test_lock_step_is_the_sequential_loop(self):
+        # the members share one grid and advance together; the value must be
+        # the one a member-by-member loop of integrate gives, bit for bit
+        sys_, ensemble = self._contracting_family()
+        ident, one, opts = identity(), constant(1.0), IntegrateOpts(step_req=2e-2)
+
+        def sequential(q, t, x):
+            R = max(t, sup_norm(x))
+            horizon = max(0.0, 0.5 * math.log(1.0 + q * float(ident(float(one(R)) * R))))
+            best = max(0.0, output_norm(sys_.output(t, x)) - 1.0 / q)
+            for dsig in ensemble:
+                traj = integrate(sys_, t, x, None, dsig, t + horizon, opts)
+                assert traj.status == "completed"
+                for tau, y in zip(traj.times, traj.outputs):
+                    best = max(best, max(0.0, output_norm(y) - 1.0 / q) * math.exp(tau - t))
+            return best
+
+        rng = np.random.default_rng(42)
+        qs = (1, 2, 3, 5, 8, 13, 21, 34, 50)
+        for k in range(200):
+            q, t = qs[k % len(qs)], float(rng.uniform(0.0, 3.0))
+            x = sample_history(rng, 0.5, 1, 3.0)
+            value = converse_functional_uq(sys_, q, ident, ident, one, ensemble, t, x, opts)
+            assert value == sequential(q, t, x)
+
+    def test_a_raising_member_propagates(self):
+        class Boom(Exception):
+            pass
+
+        def dynamics(t, seg, u, d):
+            if d[0] == 0.0 and t > 1.1:  # member 1, a few steps in
+                raise Boom(t)
+            return np.array([-(1.25 + d[0]) * seg.head[0]])
+
+        sys_, ensemble = self._contracting_family(dynamics)
+        with pytest.raises(Boom):
+            converse_functional_uq(
+                sys_, 8, identity(), identity(), constant(1.0), ensemble, 1.0,
+                HistorySegment.constant(0.5, [2.0]), IntegrateOpts(step_req=2e-2),
+            )

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import itertools
 import math
 import pickle
 from dataclasses import replace
@@ -32,7 +33,7 @@ from rfdestab import (
 )
 from rfdestab.history import _draw_block, _trapezoid
 from rfdestab.lyapunov import FALSIFY_BLOCK, _samples
-from rfdestab.simulator import _trailing_window_max, _Window
+from rfdestab.simulator import _integrate_runs, _trailing_window_max, _Window
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -625,6 +626,149 @@ class TestStageWindows:
             assert t == t_k
             for a, b in zip(got, (w.head, w.delayed, w.integral(), w.grid, w.values)):
                 assert np.array_equal(a, b)
+
+
+# members of a lock-step run: the scale of the shared initial window, whether
+# the member draws a window with its own grid, and the call (counted per
+# member) at which its dynamics return NaN, if any
+MEMBERS = st.lists(
+    st.tuples(st.floats(0.1, 3.0), st.booleans(), st.none() | st.integers(1, 40)), min_size=1, max_size=4
+)
+GROUP_BLOWUP = 20.0
+
+
+def _tagged_runs(r, steps_per_delay, t0, span, fracs, levels, seed, members):
+    """A scalar system whose disturbance carries the member's index as its
+    second level, the members' runs, and the log of every call per member.
+    The dynamics grow like x|x| past |x| ~ 1, so large members blow up."""
+    t_end = t0 + span * r
+    switches = np.unique(t0 + np.asarray(fracs) * (t_end - t0))
+    switches = switches[(switches > t0) & (switches < t_end)]
+    box = np.array([[-1.0, 1.0], [0.0, 4.0]])
+    base = sample_history(np.random.default_rng(seed), r, 1, 1.0)
+    runs, nan_at = [], []
+    for k, (scale, own_grid, nan_call) in enumerate(members):
+        x0 = sample_history(np.random.default_rng([seed, k]), r, 1, 1.0) if own_grid else base
+        lv = np.roll(np.asarray(levels), k)[: switches.size + 1]
+        d = PiecewiseSignal(switches, np.column_stack([lv, np.full(lv.size, float(k))]), box)
+        runs.append((HistorySegment(r, x0.grid, scale * x0.values), None, d))
+        nan_at.append(nan_call)
+    log = {}
+
+    def dynamics(t, seg, u, dd):
+        calls = log.setdefault(int(dd[1]), [])
+        integral = seg.integral()
+        calls.append((t, seg.head.copy(), seg.delayed.copy(), integral.copy(), seg.grid.copy(), seg.values.copy()))
+        if len(calls) == nan_at[int(dd[1])]:
+            return np.array([np.nan])
+        return dd[0] * seg.delayed - seg.head + 0.5 * integral + seg.head * np.abs(seg.head)
+
+    system = RfdeSystem(r, 1, dynamics, lambda t, seg: seg.head, box)
+    return system, runs, t_end, log
+
+
+class TestLockStep:
+    """Runs that share their knots advance together; each must be bitwise
+    the run ``integrate`` gives it alone."""
+
+    @staticmethod
+    def _assert_same_run(run, alone):
+        assert (run.status, run.t_event) == (alone.status, alone.t_event)
+        assert np.array_equal(run.times, alone.times) and np.array_equal(run.states, alone.states)
+        a, b = run._dense, alone._dense
+        assert a.count == b.count
+        for name in ("K", "V", "DIN", "DOUT", "CUM"):
+            # a NaN at t0 is stored: only the steps check their slopes
+            assert np.array_equal(getattr(a, name)[: a.count], getattr(b, name)[: b.count], equal_nan=True), name
+        for i in range(run.times.size):
+            wa, wb = a.node_window(i), b.node_window(i)
+            for x, y in zip((wa.head, wa.delayed, wa.integral()), (wb.head, wb.delayed, wb.integral())):
+                assert np.array_equal(x, y, equal_nan=True), i
+
+    @settings(max_examples=60, deadline=None)
+    @given(**DENSE_RUNS, members=MEMBERS)
+    @example(**CLOSE_SWITCH, members=[(0.5, False, None), (2.5, False, None), (1.0, False, 7)])
+    @example(**ULP_STEP, members=[(0.5, False, 13), (0.7, True, None), (3.0, False, None)])
+    @example(**WHOLE_DELAY_STEP, members=[(3.0, False, None), (0.2, False, 4), (0.4, False, None)])
+    def test_each_member_is_its_solo_run(
+        self, r, steps_per_delay, t0, span, fracs, levels, queries, seed, members
+    ):
+        system, runs, t_end, log = _tagged_runs(r, steps_per_delay, t0, span, fracs, levels, seed, members)
+        opts = IntegrateOpts(step_req=r / steps_per_delay, blowup_norm=GROUP_BLOWUP)
+        together = _integrate_runs(system, t0, runs, t_end, opts)
+        seen_together = dict(log)
+        for k, ((x0, u, d), run) in enumerate(zip(runs, together)):
+            log.clear()
+            self._assert_same_run(run, integrate(system, t0, x0, u, d, t_end, opts))
+            # the dynamics saw the same windows, in the same order per member
+            assert len(seen_together[k]) == len(log[k])
+            for got, want in zip(seen_together[k], log[k]):
+                assert got[0] == want[0]
+                assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(got[1:], want[1:]))
+        # members share a store's knots exactly when their initial grids agree
+        for a, b in itertools.combinations(range(len(runs)), 2):
+            same_grid = np.array_equal(runs[a][0].grid, runs[b][0].grid)
+            assert (together[a]._dense.K is together[b]._dense.K) == same_grid
+
+    def test_a_member_stops_while_the_others_complete(self):
+        # members 0 and 2 stay small, 1 escapes, 3 fails on its 13th call:
+        # the f_end of its third step, after the node was stored
+        kw = dict(
+            r=1.0, steps_per_delay=10, t0=0.0, span=3.0, fracs=[0.5], levels=[0.5, -0.5, 0.0, 0.0, 0.0], seed=0
+        )
+        members = [(0.2, False, None), (3.0, False, None), (0.3, False, None), (0.5, False, 13)]
+        system, runs, t_end, log = _tagged_runs(**kw, members=members)
+        opts = IntegrateOpts(step_req=0.1, blowup_norm=GROUP_BLOWUP)
+        together = _integrate_runs(system, 0.0, runs, t_end, opts)
+        assert [run.status for run in together] == ["completed", "blew_up", "completed", "step_failure"]
+        assert together[3].t_event == 0.30000000000000004 and together[3].times.size == 4
+        assert together[1].t_event < t_end
+        for (x0, u, d), run in zip(runs, together):
+            log.clear()
+            self._assert_same_run(run, integrate(system, 0.0, x0, u, d, t_end, opts))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad_call", [2, 6, 7])
+    def test_an_infinite_slope_stops_its_member_quietly(self, bad_call):
+        # member 1's slope turns infinite from a k2, k3 or k4 stage on; the
+        # stack still advances its column and interpolates its rows at -r for
+        # the others, which must raise no floating-point warning
+        calls = []
+
+        def dynamics(t, seg, u, d):
+            if d[1] == 1.0:
+                calls.append(t)
+                if len(calls) >= bad_call:
+                    return np.array([math.inf])
+            return d[0] * seg.delayed - seg.head
+
+        box = np.array([[-1.0, 1.0], [0.0, 1.0]])
+        switches = np.array([0.37, 1.4, 2.23])  # 1.4 - 1.0 rounds to just below the knot at 0.4
+        system = RfdeSystem(1.0, 1, dynamics, lambda t, seg: seg.head, box)
+        x0 = HistorySegment.constant(1.0, [1.0])
+        runs = [
+            (x0, None, PiecewiseSignal(switches, np.column_stack([[0.5, -0.5, 0.9, 0.1], np.full(4, k)]), box))
+            for k in (0.0, 1.0)
+        ]
+        opts = IntegrateOpts(step_req=0.1)
+        together = _integrate_runs(system, 0.0, runs, 3.0, opts)
+        assert [run.status for run in together] == ["completed", "step_failure"]
+        for (x0, u, d), run in zip(runs, together):
+            calls.clear()
+            self._assert_same_run(run, integrate(system, 0.0, x0, u, d, 3.0, opts))
+
+    @pytest.mark.filterwarnings("error")
+    def test_each_member_checks_its_own_slopes(self):
+        # each slope squares to 1.44e308, which is finite; the sum of two overflows
+        huge = np.array([1.2e154])
+        system = RfdeSystem(1.0, 1, lambda t, seg, u, d: huge, lambda t, seg: seg.head, np.zeros((0, 2)))
+        x0 = HistorySegment.constant(1.0, [0.0])
+        opts = IntegrateOpts(step_req=0.1)
+        together = _integrate_runs(system, 0.0, [(x0, None, None)] * 2, 1.0, opts)
+        alone = integrate(system, 0.0, x0, None, None, 1.0, opts)
+        assert alone.status == "blew_up"
+        for run in together:
+            self._assert_same_run(run, alone)
 
 
 def _whole_window_dynamics(bundle):

@@ -243,6 +243,8 @@ class TestTrajectoryAccessors:
         )
         assert traj.status == "step_failure"
         assert len(traj.outputs) == traj.times.size == traj.output_norms().size == 4
+        # the last piece is read with the slope k4 that arrived at its node
+        assert np.isfinite(traj.state(0.25)).all()
         lines = trajectory_to_csv(traj).strip().splitlines()
         assert len(lines) == 1 + traj.times.size
 
@@ -320,6 +322,29 @@ class TestBlowUpAndFailure:
         assert traj.status == "step_failure"
         assert traj.t_event == h * 6  # the end of the step [0.5, 0.6]
         assert traj.times[-1] == h * 5 and np.isfinite(traj.states).all()
+
+
+    @pytest.mark.parametrize("field", ["step_req", "blowup_norm"])
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+    def test_options_are_checked(self, field, value):
+        # NaN used to switch the blow-up guard off, -1 stopped every run after
+        # one step, and a NaN step failed on its way to an integer
+        opts = IntegrateOpts(**{field: value})
+        with pytest.raises(ValueError, match=f"IntegrateOpts.{field} must be positive"):
+            integrate(contraction(), 0.0, HistorySegment.constant(1.0, [1.0]), None, None, 1.0, opts)
+
+    def test_infinite_blowup_norm_is_no_guard(self):
+        # x' = x^2 from 2 escapes at t = 0.5: with the guard at 1e9 the run
+        # ends blew_up; without one it runs on until the state overflows
+        sys_ = scalar_system(lambda t, seg, u, d: seg.head ** 2)
+        x0 = HistorySegment.constant(1.0, [2.0])
+        guarded = integrate(sys_, 0.0, x0, None, None, 1.0, IntegrateOpts(step_req=1e-2))
+        assert guarded.status == "blew_up" and guarded.t_event == pytest.approx(0.51)
+        with np.errstate(over="ignore", invalid="ignore"):
+            opts = IntegrateOpts(step_req=1e-2, blowup_norm=math.inf)
+            free = integrate(sys_, 0.0, x0, None, None, 1.0, opts)
+        assert free.status == "step_failure" and free.t_event > guarded.t_event
+        assert np.isfinite(free.states).all() and np.abs(free.states).max() > 1e100
 
 
 class TestOutputHelpers:
@@ -445,6 +470,20 @@ class TestContinuityBound:
             sys_, 0.0, x0, y0, None, None, 2.0, replace(moduli, one_sided_state=1.5)
         )
         assert rep.passed and rep.worst_ratio <= 1.0
+
+    def test_margin_after_t0(self):
+        # x' = x at L = 1.5: the ratio is e^{-0.5 (t - t0)}, 1 at t0 and
+        # largest after it at the first node, t0 + h with h = 1e-3
+        sys_ = scalar_system(lambda t, seg, u, d: seg.head)
+        x0 = HistorySegment.constant(1.0, [1.0])
+        y0 = HistorySegment.constant(1.0, [1.1])
+        moduli = LipschitzModuli(1.5, 0.0, 0.0, RegionSpec(0.0, 2.0, 10.0), 0)
+        rep = check_continuity_bound(sys_, 0.0, x0, y0, None, None, 2.0, moduli)
+        assert rep.passed and rep.worst_ratio == 1.0 and rep.worst_time == 0.0
+        assert rep.worst_ratio_after_t0 == pytest.approx(math.exp(-0.5 * 1e-3), rel=1e-6)
+        # a pair that breaks the bound has its worst ratio after t0 too
+        rep = check_continuity_bound(sys_, 0.0, x0, y0, None, None, 2.0, replace(moduli, one_sided_state=0.5))
+        assert rep.worst_ratio_after_t0 == rep.worst_ratio == pytest.approx(math.exp(1.0), rel=1e-6)
 
     @pytest.mark.parametrize(
         "t0, L, span, expected",
