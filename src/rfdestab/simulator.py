@@ -99,11 +99,12 @@ def output_distance(ya, yb) -> float:
 
 @dataclass
 class IntegrateOpts:
-    """Step request and blow-up level of :func:`integrate`, which checks
-    that both are positive; ``blowup_norm=inf`` runs without a blow-up
-    guard.  ``record_output`` is ignored: outputs are computed from the node
-    windows on read (:attr:`Trajectory.outputs`); the field stays for callers
-    that pass it."""
+    """Step request and blow-up level of :func:`integrate`, which checks that
+    both are positive; ``blowup_norm=inf`` runs without a blow-up guard.  The
+    guard compares ``np.linalg.norm`` of each new state, which is inf above
+    about 1.34e154, so a finite ``blowup_norm`` set higher fires there.
+    ``record_output`` is ignored: outputs are computed from the node windows
+    on read (:attr:`Trajectory.outputs`); the field stays for callers that pass it."""
 
     step_req: float = 1e-3
     blowup_norm: float = 1e9
@@ -114,78 +115,60 @@ _ROWS = ("V", "DIN", "DOUT", "CUM", "TAIL")  # the per-run row arrays of a store
 
 
 class _Dense:
-    """Growing knot/value/slope store with cubic-Hermite evaluation.
+    """Knot/value/slope store with cubic-Hermite evaluation.
 
-    Its row arrays (``_ROWS``) are (capacity, n).  A lock-step group of m > 1
-    runs keeps one stack whose row arrays are (capacity, m, n); each run's
-    store holds the column views of the stack and shares its knots ``K`` and
-    window lower ends ``I0`` (see :meth:`group`).  The stack goes on writing
-    the column of a run that stopped, but its store reads no row past its own
-    ``count``.
+    Its row arrays (``_ROWS``) are (knots, n) and fill up to ``count``.  A
+    lock-step group of m > 1 runs keeps one stack whose row arrays are
+    (knots, m, n); each run's store holds the column views of the stack and
+    shares its knots ``K`` and window lower ends ``I0`` (see :meth:`group`).
+    The stack goes on writing the column of a run that stopped, but its
+    store reads no row past its own ``count``.
     """
 
     @classmethod
-    def group(cls, t0: float, x0s: list, capacity: int) -> tuple:
-        """The stack of runs from ``x0s``, whose grids and delays are equal,
-        and one store per run, filled with its initial window.  A group of
-        one is its own stack."""
+    def group(cls, t0: float, x0s: list, tgrid: np.ndarray) -> tuple:
+        """The stack of runs from ``x0s`` (equal grids and delays) on the node
+        grid ``tgrid``, and one store per run; a group of one is its own
+        stack.  Before the first step ``K`` holds every knot, the stack the
+        initial windows' rows, slopes and running integral, and each store
+        the ``close_knots`` of all of ``K`` (merging a window without a tie changes nothing)."""
+        x0 = x0s[0]
+        k0 = x0.grid.size
+        V0 = x0.values if len(x0s) == 1 else np.stack([x.values for x in x0s], 1)
+        per_knot = (-1,) + (1,) * (V0.ndim - 1)  # a knot-wise factor, broadcast over the rows
         stack = cls.__new__(cls)
-        m, n = len(x0s), x0s[0].dim
-        shape = (capacity, n) if m == 1 else (capacity, m, n)
-        stack.K = np.empty(capacity)
-        stack.I0 = np.zeros(capacity, dtype=np.intp)
+        K = stack.K = np.concatenate((t0 + x0.grid, tgrid[1:]))
+        # each node's window keeps the lower end of its inner knots (I0) and its row at -delay (TAIL)
+        stack.I0 = np.zeros(K.size, dtype=np.intp)
+        shape = K.shape + V0.shape[1:]
         stack.V, stack.CUM, stack.TAIL = (np.empty(shape) for _ in range(3))
         stack.DIN = np.zeros(shape)   # slope arriving at the knot
         stack.DOUT = np.zeros(shape)  # slope leaving the knot
-        if m == 1:
-            stack._fill(t0, x0s[0])
-            return stack, [stack]
-        stores = []
-        for i, x0 in enumerate(x0s):
-            store = cls.__new__(cls)
-            store.K, store.I0 = stack.K, stack.I0
-            for name in _ROWS:
-                setattr(store, name, getattr(stack, name)[:, i])
-            store._fill(t0, x0)
-            stores.append(store)
-        first = stores[0]
-        stack.count, stack.delay, stack.tie_gap, stack.close_knots = (
-            first.count, first.delay, first.tie_gap, first.close_knots
-        )
-        return stack, stores
-
-    def _fill(self, t0: float, x0: HistorySegment):
-        k0 = x0.grid.size
-        self.n = x0.dim
-        self.K[:k0] = t0 + x0.grid
-        self.V[:k0] = x0.values
-        slopes = np.diff(x0.values, axis=0) / np.diff(x0.grid)[:, None]
-        self.DOUT[: k0 - 1] = slopes
-        self.DIN[1:k0] = slopes
-        self.DIN[0] = slopes[0]
+        slopes = np.diff(V0, axis=0) / np.diff(x0.grid).reshape(per_knot)
+        stack.V[:k0], stack.DOUT[: k0 - 1], stack.DIN[1:k0], stack.DIN[0] = V0, slopes, slopes, slopes[0]
         # running trapezoid integral of the stored polyline from K[0] on,
         # so a window's integral is a difference of two rows
-        self.CUM[0] = 0.0
-        self.CUM[1:k0] = np.cumsum(
-            (0.5 * np.diff(self.K[:k0]))[:, None] * (x0.values[1:] + x0.values[:-1]), axis=0
-        )
-        self.count = k0
-        self.delay = x0.delay
+        stack.CUM[0] = 0.0
+        widths = (0.5 * np.diff(K[:k0])).reshape(per_knot)
+        stack.CUM[1:k0] = np.cumsum(widths * (V0[1:] + V0[:-1]), axis=0)
         # rounding K - tau (in [-delay, 0]) cannot merge knots further apart
-        self.tie_gap = 4.0 * float(np.spacing(x0.delay))
-        self.close_knots = bool(np.diff(self.K[:k0]).min() <= self.tie_gap)
-        # each node's window keeps the lower end of its inner knots (I0) and its row at -delay (TAIL)
-        self.node0 = k0 - 1
+        close = bool(np.diff(K).min() <= 4.0 * float(np.spacing(x0.delay)))
+        stack.n, stack.delay, stack.count, stack.node0, stack.close_knots = x0.dim, x0.delay, k0, k0 - 1, close
+        if len(x0s) == 1:
+            return stack, [stack]
+        stores = [cls.__new__(cls) for _ in x0s]
+        for i, store in enumerate(stores):  # by setattr: a __dict__ update would slow every read of a store
+            for name in ("K", "I0", "n", "delay", "count", "node0", "close_knots", *_ROWS):
+                value = getattr(stack, name)  # the stack's field, or its column of a row array
+                setattr(store, name, value[:, i] if name in _ROWS else value)
+        return stack, stores
 
-    def append(self, t: float, x: np.ndarray, din: np.ndarray):
+    def append(self, x: np.ndarray):
+        """Store the row of the next knot of ``K`` and its running integral;
+        the caller writes its slopes."""
         c = self.count
-        t_prev = self.K.item(c - 1)
-        if t - t_prev <= self.tie_gap:
-            self.close_knots = True
-        self.K[c] = t
         self.V[c] = x
-        self.DIN[c] = din
-        self.CUM[c] = self.CUM[c - 1] + (0.5 * (t - t_prev)) * (x + self.V[c - 1])
+        self.CUM[c] = self.CUM[c - 1] + (0.5 * (self.K.item(c) - self.K.item(c - 1))) * (x + self.V[c - 1])
         self.count = c + 1
 
     def node_window(self, k: int) -> _Window:
@@ -460,9 +443,10 @@ def _integrate_runs(
 ) -> list:
     """:func:`integrate` of each ``(x0, u, d)`` in ``runs``, in order.
 
-    Runs whose dense-store knots coincide (the same initial grid and delay,
-    and the same node grid, i.e. the same switch times) form a group and
-    advance in lock-step: the window searches, the Hermite row at -delay,
+    Runs with the same delay, initial grid and set of switch times (of input
+    and disturbance together) have the same knots.  They form a group, whose
+    node grid is built and whose store is set up once (:meth:`_Dense.group`),
+    and advance in lock-step: the window searches, the Hermite row at -delay,
     the RK4 arithmetic and the store writes are done once per step on
     (m, n) stacks.  Element-wise NumPy with scalar coefficients rounds each
     row as it rounds an (n,) array, so every run is bitwise its solo run.
@@ -481,7 +465,6 @@ def _integrate_runs(
             raise ValueError(f"IntegrateOpts.{name} must be positive, got {value!r}")
     h = r / max(2, int(math.ceil(r / opts.step_req - 1e-12)))
     groups: dict = {}
-    grids: dict = {}  # node grids by switch times, which an ensemble's members often share
     for k, (x0, u, d) in enumerate(runs):
         if abs(x0.delay - r) > 1e-12:
             raise ValueError("initial segment window does not match the system delay")
@@ -490,14 +473,11 @@ def _integrate_runs(
         signals = [sig for sig in (u, d) if sig is not None]
         for sig in signals:
             sig.eval(t0)  # signals are defined on [0, inf): this rejects t0 < 0
-        sw = np.concatenate([sig.switches_in(t0, t_end) for sig in signals]) if signals else np.empty(0)
-        tgrid = grids.get(sw.tobytes())
-        if tgrid is None:
-            tgrid = grids[sw.tobytes()] = _grid_for(t0, t_end, h, sw)
-        key = (x0.delay, x0.grid.tobytes(), tgrid.tobytes())
-        groups.setdefault(key, (tgrid, []))[1].append(k)
+        sw = np.unique(np.concatenate([sig.switches_in(t0, t_end) for sig in signals] or [np.empty(0)]))
+        groups.setdefault((x0.delay, x0.grid.tobytes(), sw.tobytes()), (sw, []))[1].append(k)
     trajs = [None] * len(runs)
-    for tgrid, ks in groups.values():
+    for sw, ks in groups.values():
+        tgrid = _grid_for(t0, t_end, h, sw)
         for k, traj in zip(ks, _lockstep(system, t0, [runs[k] for k in ks], tgrid, opts)):
             trajs[k] = traj
     return trajs
@@ -509,7 +489,7 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
     stops keeps its column of the stack: it is not called again, its stage
     slopes are zero from then on, and its store reads no row past its count."""
     m = len(runs)
-    stack, stores = _Dense.group(t0, [run[0] for run in runs], runs[0][0].grid.size + tgrid.size)
+    stack, stores = _Dense.group(t0, [run[0] for run in runs], tgrid)
     # run p's row of an (m, n) stack array is rows(a)[p]; a group of one's arrays are (n,)
     cols = range(m)
     rows = (lambda a: list(map(a.__getitem__, cols))) if m > 1 else (lambda a: (a,))
@@ -531,16 +511,16 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
     K = stack.K
     status, t_event = ["completed"] * m, [None] * m
     live = list(range(m))  # the runs still advancing
-    sq = [0.0] * m  # x_next.dot(x_next) per run
+    norms = [0.0] * m  # np.linalg.norm(x_next) per run
     lower = 0  # searchsorted(K[:count], tau - delay, "right") at the last stage time tau
     k2, k3, k4 = (np.empty(stack.V.shape[1:]) for _ in range(3))  # stage slopes, reused from step to step
     k2s, k3s, k4s = rows(k2), rows(k3), rows(k4)
 
     def span(tau: float) -> tuple:
-        # stage times never decrease and knots only append, so the lower end walks forward
+        # stage times never decrease, so the lower end walks forward; tau's node in K stops it
         nonlocal lower
         lo = tau - stack.delay
-        while lower < stack.count and K.item(lower) <= lo:
+        while K.item(lower) <= lo:
             lower += 1
         i0, i1, tails = stack._span(tau, lower)
         return i0, i1, tails, rows(tails)
@@ -595,13 +575,13 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
         seg_b = stage(k4s, tb, i0, i1, tls, xk + hk * k3)
         x_next = xk + (hk / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-        # hk > 0, so x_next is non-finite whenever a stage is; a finite square
+        # hk > 0, so x_next is non-finite whenever a stage is; a finite norm
         # has finite entries, an overflowed one may still
         xs = rows(x_next)
         failed = []
         for p in live:
-            sq[p] = xs[p].dot(xs[p])
-            if not math.isfinite(sq[p]) and not np.isfinite(xs[p]).all():
+            norms[p] = _norm(xs[p])
+            if not math.isfinite(norms[p]) and not np.isfinite(xs[p]).all():
                 failed.append(p)
         if failed:
             stop(failed, "step_failure", tb)
@@ -609,10 +589,7 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
                 break
             x_next[failed] = xk[failed]  # a stopped run stays at its last node
 
-        stack.append(tb, x_next, k4)
-        if stack.close_knots:  # the windows read it from their run's store
-            for p in live:
-                stores[p].close_knots = True
+        stack.append(x_next)
         # the node window has the lower end of k4's: appending at tb moves neither
         stack.I0[c], stack.TAIL[c] = i0, tails
         f_end = stack.DOUT[c]
@@ -621,13 +598,13 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
         stack.DIN[c] = f_end
         failed, blown = [], []
         for p in live:
-            if not math.isfinite(fs[p].dot(fs[p])) and not np.isfinite(fs[p]).all():
+            if not math.isfinite(math.hypot(*fs[p].tolist())) and not np.isfinite(fs[p]).all():
                 failed.append(p)  # the failed run keeps k4 arriving and no slope leaving
                 rows(stack.DIN[c])[p][...], fs[p][...] = k4s[p], 0.0
                 continue
             if switched[p][j]:  # new levels leave the node with a slope of their own
                 fs[p][...] = f(tb, nodes[p], rows(U[j + 1])[p], rows(D[j + 1])[p])
-            if math.sqrt(sq[p]) > opts.blowup_norm:  # bitwise np.linalg.norm(x_next)
+            if norms[p] > opts.blowup_norm:
                 blown.append(p)
         if failed or blown:
             stop(failed, "step_failure", tb)
@@ -652,6 +629,14 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
         )
         for store, (x0, u, d), st, te in zip(stores, runs, status, t_event)
     ]
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)``, bit for bit, quiet when its square overflows (above about 1.34e154)."""
+    if math.hypot(*x.tolist()) < 1e154:  # hypot cannot overflow, and this square cannot either
+        return math.sqrt(x.dot(x))
+    with np.errstate(over="ignore"):
+        return math.sqrt(x.dot(x))
 
 
 def _trailing_window_max(ts: np.ndarray, vals: np.ndarray, width: float) -> np.ndarray:

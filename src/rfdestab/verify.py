@@ -279,17 +279,9 @@ def fit_kl_envelope(
             acc = np.maximum(acc, interp)
         tables.append((grid, acc))
     # enforce: nondecreasing in s across bins (cumulative max on a merged grid)
-    merged = np.unique(np.concatenate([g for g, _ in tables]))
-    rows = []
-    running = np.zeros(merged.size)
-    for grid, acc in tables:
-        row = np.interp(merged, grid, acc)
-        running = np.maximum(running, row)
-        rows.append(running.copy())
-    rows = [r * inflate for r in rows]
+    t_grid = np.unique(np.concatenate([g for g, _ in tables]))
+    table = np.maximum.accumulate(np.vstack([np.interp(t_grid, g, a) for g, a in tables]), axis=0) * inflate
     edges_arr = np.asarray(edges)
-    table = np.vstack(rows)
-    t_grid = merged
 
     def evaluate(s: float, t: float) -> float:
         s = float(s)

@@ -22,6 +22,7 @@ from rfdestab import (
     SamplerSpec,
     SignalSpec,
     build_example,
+    constant_signal,
     exp_weight,
     extend,
     integrate,
@@ -494,6 +495,27 @@ class TestDenseWindows:
                 assert np.array_equal(dup.delayed, view.delayed)
                 assert np.array_equal(dup.integral(), view.integral())
 
+    @pytest.mark.parametrize("blowup, t_stop", [(12.0, 0.45), (20.0, 0.62)])
+    def test_a_run_that_stops_before_its_close_switches(self, blowup, t_stop):
+        # d switches at 0.8 and one ulp later: the store knows of the tie
+        # from the start, but the run blows up before it, so each window must
+        # be the one of the same run without the switches, which has no tie
+        r, box = 0.5, np.array([[-1.0, 1.0]])
+        x0 = HistorySegment(r, np.array([-0.5, -0.2, 0.0]), np.array([[1.0], [0.5], [3.0]]))
+        system = RfdeSystem(
+            r, 1, lambda t, seg, u, d: 3.0 * seg.head + d + 0.1 * seg.integral(), lambda t, seg: seg.head, box
+        )
+        pair = PiecewiseSignal([0.8, np.nextafter(0.8, 2.0)], [[0.5], [-0.5], [0.5]], box)
+        opts = IntegrateOpts(step_req=1e-2, blowup_norm=blowup)
+        close, plain = (integrate(system, 0.0, x0, None, d, 2.0, opts) for d in (pair, constant_signal([0.5], box)))
+        assert close.status == plain.status == "blew_up" and close.t_event == plain.t_event == t_stop
+        assert np.array_equal(close.times, plain.times) and np.array_equal(close.states, plain.states)
+        windows = [(close._dense.node_window(k), plain._dense.node_window(k)) for k in range(close.times.size)]
+        windows += [(close.history(t), plain.history(t)) for t in np.linspace(0.0, t_stop, 37)]
+        for a, b in windows:
+            for x, y in zip((a.grid, a.values, a.integral()), (b.grid, b.values, b.integral())):
+                assert np.array_equal(x, y)
+
 
 def _stage_run(r, steps_per_delay, t0, span, fracs, levels, seed):
     """``_window_run``'s run with dynamics that read the O(1) accessors.  At
@@ -769,6 +791,35 @@ class TestLockStep:
         assert alone.status == "blew_up"
         for run in together:
             self._assert_same_run(run, alone)
+
+    @settings(max_examples=30, deadline=None)
+    @given(**DENSE_RUNS)
+    @example(**CLOSE_SWITCH)
+    def test_members_with_one_switch_set_share_their_knots(
+        self, r, steps_per_delay, t0, span, fracs, levels, queries, seed
+    ):
+        # member 0's input switches at the first half of the switch times and
+        # its disturbance at the rest; member 1's the other way round
+        t_end = t0 + span * r
+        switches = np.unique(t0 + np.asarray(fracs) * (t_end - t0))
+        switches = switches[(switches > t0) & (switches < t_end)]
+        first, rest = np.split(switches, [switches.size // 2])
+        box = np.array([[-1.0, 1.0]])
+
+        def signal(times):
+            return PiecewiseSignal(times, np.asarray(levels[: times.size + 1])[:, None], box)
+
+        system = RfdeSystem(
+            r, 1, lambda t, seg, u, d: u * seg.delayed + d * seg.head - 0.5 * seg.integral(),
+            lambda t, seg: seg.head, box, u_box=box,
+        )
+        x0 = sample_history(np.random.default_rng(seed), r, 1, 1.0)
+        runs = [(x0, signal(first), signal(rest)), (x0, signal(rest), signal(first))]
+        opts = IntegrateOpts(step_req=r / steps_per_delay)
+        together = _integrate_runs(system, t0, runs, t_end, opts)
+        assert together[0]._dense.K is together[1]._dense.K
+        for (x0, u, d), run in zip(runs, together):
+            self._assert_same_run(run, integrate(system, t0, x0, u, d, t_end, opts))
 
 
 def _whole_window_dynamics(bundle):

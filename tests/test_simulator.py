@@ -346,6 +346,26 @@ class TestBlowUpAndFailure:
         assert free.status == "step_failure" and free.t_event > guarded.t_event
         assert np.isfinite(free.states).all() and np.abs(free.states).max() > 1e100
 
+    @pytest.mark.filterwarnings("error")
+    def test_the_checks_of_a_huge_state_are_quiet(self):
+        # x' = x from 1e154 passes 1.34e154, where the square of the state
+        # overflows: the checks raise no warning and change no value, so the
+        # states are those of the run from 2**-512 times as much, scaled up
+        # (a power of two scales every step exactly)
+        sys_ = scalar_system(lambda t, seg, u, d: seg.head)
+        opts = IntegrateOpts(step_req=1e-2, blowup_norm=math.inf)
+        big = integrate(sys_, 0.0, HistorySegment.constant(1.0, [1e154]), None, None, 2.0, opts)
+        assert big.status == "completed" and big.t_event is None
+        assert np.isfinite(big.states).all() and big.states.max() > 7e154
+        small = integrate(sys_, 0.0, HistorySegment.constant(1.0, [math.ldexp(1e154, -512)]), None, None, 2.0, opts)
+        assert np.array_equal(big.states, np.ldexp(small.states, 512))
+        # the guard compares np.linalg.norm, which is inf from about 1.34e154
+        # on, so a guard set higher fires there
+        opts = IntegrateOpts(step_req=1e-2, blowup_norm=1e200)
+        capped = integrate(sys_, 0.0, HistorySegment.constant(1.0, [1e154]), None, None, 2.0, opts)
+        assert capped.status == "blew_up" and capped.t_event == pytest.approx(0.3)
+        assert 1.34e154 < capped.states[-1, 0] < 1.35e154
+
 
 class TestOutputHelpers:
     def test_output_norm_vector_and_window(self):
