@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .compfn import constant
@@ -403,7 +402,6 @@ def run(cfg: RunConfig) -> int:
             "rfdestab": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "artifacts": writer.hashes,
         "exit_status": status,

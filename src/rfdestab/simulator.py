@@ -82,11 +82,11 @@ class RfdeSystem:
 
 
 def output_norm(y) -> float:
-    """Norm of an output sample: Euclidean for vectors, sup for windows."""
+    """Norm of an output sample: Euclidean for vectors (``np.linalg.norm``, bit
+    for bit, and quietly inf where its square overflows), sup for windows."""
     if isinstance(y, HistorySegment):
         return sup_norm(y)
-    y = np.asarray(y, dtype=float).ravel(order="K")
-    return math.sqrt(y.dot(y))  # np.linalg.norm(y), bit for bit
+    return _norm(np.asarray(y, dtype=float).ravel(order="K"))
 
 
 def output_distance(ya, yb) -> float:

@@ -189,8 +189,11 @@ def verify_v_decay_estimate(
 
     V(t, window) must stay below max{sigma(a(beta(t0) * initial norm),
     elapsed), sup over input times tau of sigma(zeta(delta(tau)|u(tau)|),
-    t - tau)}.  ``sigma`` must come from ``kl_from_rate`` so the second term
-    can reuse the flow's evolution property.
+    t - tau)}.  Only the input term needs ``sigma`` to come from
+    ``kl_from_rate``: it reads the running sup through :func:`fading_sup`,
+    which uses the flow's semigroup property.  Without inputs (or without
+    ``zeta`` and ``delta``) any :class:`KlFn` works, such as
+    ``energy-bounded-by-initial``'s ``hold``, sigma(s, t) = s.
     """
 
     def series(traj):

@@ -150,7 +150,7 @@ class TestSimulate:
             assert hashlib.sha256(files[name]).hexdigest() == digest
         assert manifest["exit_status"] == 0
         assert manifest["config"]["seed"] == 2
-        for key in ("rfdestab", "python", "numpy", "scipy"):
+        for key in ("rfdestab", "python", "numpy"):
             assert manifest["versions"][key]
 
     def test_output_map_runs_once_per_node(self, tmp_path, monkeypatch):

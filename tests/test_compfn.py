@@ -19,6 +19,7 @@ from rfdestab import (
     linear,
     power,
 )
+from rfdestab import compfn
 from rfdestab.compfn import FLOW_ATOL, FLOW_T_MAX
 
 
@@ -141,7 +142,7 @@ class TestKlFromRate:
     @pytest.mark.parametrize("rate", [linear(1.0), power(2.0)], ids=["linear", "square"])
     def test_distinct_levels_retain_bounded_memory(self, rate):
         sigma = kl_from_rate(rate)
-        sigma(1.0, 0.5)  # warm-up solve: SciPy's ODE suite loads outside the trace
+        sigma(1.0, 0.5)  # warm-up solve, outside the trace
         levels = np.linspace(0.01, 2.0, 100)  # rising, so each node queries a new value
         times = 0.05 * np.arange(levels.size)
         tracemalloc.start()
@@ -153,16 +154,14 @@ class TestKlFromRate:
         assert retained < 1_000_000
 
     def test_repeated_query_past_the_solve_horizon_reuses_its_solutions(self, monkeypatch):
-        import scipy.integrate
-
         solves = []
-        rk45 = scipy.integrate.RK45
 
-        def counting(*args, **kwargs):
-            solves.append(args[2])  # the initial value
-            return rk45(*args, **kwargs)
+        class Counting(compfn._SteppedFlow):
+            def __init__(self, rhs, s):
+                solves.append(s)
+                super().__init__(rhs, s)
 
-        monkeypatch.setattr(scipy.integrate, "RK45", counting)
+        monkeypatch.setattr(compfn, "_SteppedFlow", Counting)
         sigma = kl_from_rate(linear(1.0))
         ts = np.linspace(0.0, 100.0, 11)  # past FLOW_T_MAX = 60: chains through sigma(1, 60)
         first = sigma.eval_t_array(1.0, ts)
@@ -172,34 +171,69 @@ class TestKlFromRate:
 
     @pytest.mark.parametrize("rate", [identity(), power(2.0)], ids=["identity", "square"])
     def test_values_are_the_bits_of_a_full_solve(self, rate):
-        from scipy.integrate import solve_ivp
-
-        def rhs(t, y):
-            return [0.0] if y[0] <= 0.0 else [-float(rate(y[0]))]
+        def rhs(y):
+            return 0.0 if y <= 0.0 else -float(rate(y))
 
         def full_solve(s):
-            return solve_ivp(
-                rhs, (0.0, FLOW_T_MAX), [s],
-                method="RK45", rtol=1e-10, atol=FLOW_ATOL, dense_output=True,
-            )
+            sol = compfn._SteppedFlow(rhs, s)
+            sol(np.array([FLOW_T_MAX]))  # steps the whole solve before anything is read
+            return sol
 
         def oracle(s, ts):
             # the flow's definition on one complete solve per chained horizon
             ts = np.asarray(ts, dtype=float)
             out = np.where(ts <= 0.0, s, np.nan)
             inside = (ts > 0.0) & (ts <= FLOW_T_MAX)
-            out[inside] = np.clip(full_solve(s).sol(ts[inside])[0], 0.0, None)
+            out[inside] = np.clip(full_solve(s)(ts[inside]), 0.0, None)
             past = ts > FLOW_T_MAX
             if past.any():
                 out[past] = oracle(float(oracle(s, FLOW_T_MAX)), ts[past] - FLOW_T_MAX)
             return out
 
         s = 1.5
+        full = full_solve(s)
+        step_times = [row[0] for row in full.rows] + [full.t]
         sigma = kl_from_rate(rate)
         # a short query first, so the later ones extend a partly stepped solution
-        queries = [0.02, full_solve(s).t, np.linspace(-1.0, 130.0, 263), FLOW_T_MAX]
+        queries = [0.02, step_times, np.linspace(-1.0, 130.0, 263), FLOW_T_MAX]
         for ts in queries:
             assert sigma.flow(s, ts).tobytes() == oracle(s, ts).tobytes()
+
+    @pytest.mark.parametrize(
+        "rate",
+        [identity(), power(2.0), lambda y: y / (1.0 + y) + np.sin(y) ** 2, lambda y: 1e160 if y > 0.5 else y],
+        ids=["identity", "square", "no-closed-form", "first-slope-norm-overflows"],
+    )
+    def test_takes_the_steps_of_scipys_rk45(self, rate):
+        from scipy.integrate import solve_ivp
+
+        calls = {"flow": 0, "rk45": 0}
+
+        def counted(key):
+            def fn(y):
+                calls[key] += 1
+                return rate(y)
+
+            return fn
+
+        def rhs(t, y):
+            return [0.0] if y[0] <= 0.0 else [-float(scipy_rate(y[0]))]
+
+        def oracle(s, ts):
+            with np.errstate(all="ignore"):  # RK45's own norms overflow on a slope of -1e160
+                sol = solve_ivp(
+                    rhs, (0.0, FLOW_T_MAX), [s],
+                    method="RK45", rtol=1e-10, atol=FLOW_ATOL, dense_output=True,
+                ).sol
+            return np.clip(sol(ts)[0], 0.0, None)
+
+        scipy_rate = counted("rk45")
+        sigma = kl_from_rate(counted("flow"))
+        calls["flow"] = 0  # drop the class probes
+        ts = np.linspace(0.0, FLOW_T_MAX, 241)[1:]  # a whole solve, read every 0.25
+        for s in np.logspace(-6.0, 3.0, 10):
+            assert np.max(np.abs(sigma.eval_t_array(s, ts) - oracle(s, ts))) <= 1e-12
+            assert calls["flow"] == calls["rk45"]  # the same steps, accepted and rejected
 
     def test_query_order_does_not_change_the_bits(self):
         rate = identity()
@@ -261,14 +295,27 @@ class TestKlFromRate:
         with pytest.raises(ValueError, match=rf"decay rate is nan at s={s!r};"):
             kl_from_rate(rate)
 
+    @pytest.mark.parametrize("s", [np.inf, np.nan])
+    def test_a_non_finite_initial_value_is_refused(self, s):
+        sigma = kl_from_rate(linear(1.0))
+        with pytest.raises(ValueError, match="finite"):
+            sigma(s, 1.0)
+
     def test_fading_sup_needs_a_rate_flow(self):
         sigma = KlFn(fn=lambda s, t: s * np.exp(-t), name="exp")
         with pytest.raises(ValueError, match="flow-backed"):
             fading_sup(sigma, np.ones(3), np.arange(3.0))
 
     def test_import_leaves_the_ode_suite_unloaded(self):
-        # SciPy's ODE suite loads only when a rate flow is first solved
-        code = "import sys, rfdestab; assert 'scipy.integrate' not in sys.modules"
+        # the rate flows step themselves: no query loads SciPy
+        code = (
+            "import sys, numpy as np, rfdestab\n"
+            "sigma = rfdestab.kl_from_rate(rfdestab.linear(1.0))\n"
+            "assert sigma(1.0, 0.5) > 0.0\n"
+            "rfdestab.fading_sup(sigma, np.ones(3), np.arange(3.0))\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n"
+        )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 

@@ -1,8 +1,9 @@
 """Source-level checks of the package: the package exports exactly its
 modules' public APIs, every exported checker is reached by a certificate, the
 command line, a demo or the benchmark, README's claims table names the
-bundles' certificates, no module keeps an import it does not use, and no
-private function or method keeps a parameter it does not read."""
+bundles' certificates, no module keeps an import it does not use or imports
+SciPy, and no private function or method keeps a parameter it does not
+read."""
 
 import ast
 import re
@@ -90,6 +91,21 @@ def test_no_unused_imports():
     modules = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert not unused, unused
+
+
+def test_no_module_imports_scipy():
+    # NumPy is the package's only dependency; SciPy is a test-only reference
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.relative_to(ROOT)}:{node.lineno} {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert not found, found
 
 
 def _unread_parameters(path: Path) -> list:

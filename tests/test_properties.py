@@ -26,6 +26,7 @@ from rfdestab import (
     exp_weight,
     extend,
     integrate,
+    output_norm,
     power,
     sample_history,
     sample_signal,
@@ -105,6 +106,14 @@ class TestSupNorm:
         # their norm by up to 3 ulps in a random probe, hence the 8-ulp band
         between = np.linalg.norm(seg.eval_many(-seg.delay * np.asarray(fracs)), axis=1)
         assert between.max() <= best + 8.0 * np.spacing(best)
+
+
+class TestOutputNorm:
+    @SETTINGS
+    @given(st.lists(st.floats(-1e150, 1e150, allow_nan=False), min_size=1, max_size=6))
+    def test_is_numpys_norm_bit_for_bit(self, entries):
+        y = np.asarray(entries)
+        assert output_norm(y) == np.linalg.norm(y)
 
 
 class TestExtend:

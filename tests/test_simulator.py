@@ -373,6 +373,12 @@ class TestOutputHelpers:
         seg = HistorySegment.constant(1.0, [3.0, 4.0])
         assert output_norm(seg) == pytest.approx(5.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_output_norm_of_a_huge_vector_is_a_quiet_inf(self):
+        # the square of 1e200 overflows: np.linalg.norm gives inf there too
+        assert output_norm(np.full(3, 1e200)) == math.inf
+        assert output_norm(np.full(3, 1e150)) == float(np.linalg.norm(np.full(3, 1e150)))
+
     def test_output_distance(self):
         assert output_distance(np.array([1.0]), np.array([3.0])) == pytest.approx(2.0)
         a = HistorySegment.constant(1.0, [1.0])
