@@ -31,7 +31,7 @@ from rfdestab import (
     power,
     sample_history,
     sample_signal,
-    verify_rgaos_envelope,
+    verify_ios_envelope,
 )
 
 
@@ -70,17 +70,19 @@ def main() -> None:
                    for s in (0.1, 1.0, 3.0) for t in (0.0, 0.7, 2.5))
     print(f"rate-flow envelopes vs closed forms: {gap_lin:.2e}, {gap_quad:.2e}")
 
+    one = constant(1.0)
     sys_ = contracting_system()
     fit_runs = ensemble(sys_, 24, 2.0, 6.0, seed=0)
-    sigma = fit_kl_envelope(fit_runs, constant(1.0), bins=4)
+    sigma = fit_kl_envelope(fit_runs, one, bins=4)
     print(f"fitted envelope from 24 runs: sigma(2, 0) = {sigma(2.0, 0.0):.4f}, "
           f"sigma(2, 3) = {sigma(2.0, 3.0):.4f}, sigma(2, 6) = {sigma(2.0, 6.0):.4f}")
 
     # an envelope fitted from finitely many runs is only an empirical
     # majorant: a fresh batch can undercut it, and the check reports exactly
-    # where
+    # where; the runs have no input, so the input-to-output check's gain
+    # term is zero and it checks the decay envelope alone
     fresh = ensemble(sys_, 12, 1.8, 6.0, seed=99)
-    check = verify_rgaos_envelope(fresh, sigma, constant(1.0))
+    check = verify_ios_envelope(fresh, sigma, one, one, one)
     print(f"12 fresh runs vs 5%-inflated fit: {check.verdict} "
           f"(worst slack {min(check.slacks):.3e})")
     if check.witness is not None:
@@ -89,14 +91,14 @@ def main() -> None:
               f"vs allowed {allowed:.4f}")
 
     # more inflation (or more fit members) restores domination
-    sigma_wide = fit_kl_envelope(fit_runs, constant(1.0), bins=4, inflate=1.3)
-    check_wide = verify_rgaos_envelope(fresh, sigma_wide, constant(1.0))
+    sigma_wide = fit_kl_envelope(fit_runs, one, bins=4, inflate=1.3)
+    check_wide = verify_ios_envelope(fresh, sigma_wide, one, one, one)
     print(f"same runs vs 30%-inflated fit: {check_wide.verdict} "
           f"(worst slack {min(check_wide.slacks):.3e})")
 
     # an envelope that decays faster than the system cannot hold
     too_fast = KlFn(fn=lambda s, t: s * math.exp(-4.0 * t), name="too-fast")
-    bad = verify_rgaos_envelope(fresh, too_fast, constant(1.0))
+    bad = verify_ios_envelope(fresh, too_fast, one, one, one)
     i, t_w, observed, allowed = bad.witness
     print(f"over-tight envelope: {bad.verdict} — run {i} at t={t_w:.3f} "
           f"observed {observed:.4f} > allowed {allowed:.4f}")

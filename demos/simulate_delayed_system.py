@@ -61,7 +61,7 @@ def main() -> None:
     print(f"unstable run: status={boom.status}, stopped at t={boom.t_event:g} "
           f"(guard 1e6)")
 
-    csv = trajectory_to_csv(traj)
+    csv = trajectory_to_csv(traj, list(traj.outputs))
     print("csv head:")
     for line in csv.splitlines()[:3]:
         print("  " + line)

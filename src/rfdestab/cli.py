@@ -26,7 +26,7 @@ from .compfn import constant
 from .examples import REGISTRY, ExampleBundle, _disturbed_runs, build_example
 from .history import HistorySegment, sample_history
 from .signals import SignalSpec, constant_signal, sample_signal
-from .simulator import IntegrateOpts, _csv_text, integrate, output_norm
+from .simulator import IntegrateOpts, integrate, output_norm, trajectory_to_csv
 from .verify import fit_kl_envelope
 
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
@@ -242,7 +242,7 @@ def _cmd_simulate(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter
         raise ConfigError(f"simulate.t0 must be nonnegative with a signal, got {t0!r}")
     traj = integrate(system, t0, x0, u_sig, d_sig, t_end, IntegrateOpts(step_req=step))
     outputs = list(traj.outputs)  # the output map runs once per node
-    writer.write_text("trajectory.csv", _csv_text(traj, outputs))
+    writer.write_text("trajectory.csv", trajectory_to_csv(traj, outputs))
     report = {
         "status": traj.status,
         "t0": t0,

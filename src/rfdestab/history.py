@@ -203,13 +203,18 @@ def _interp(grid: np.ndarray, values: np.ndarray, th: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row."""
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
+
+
 def sup_norm(segment: HistorySegment) -> float:
     """Largest Euclidean value norm over the window.
 
     The norm is convex along every linear piece of the segment, so its
     maximum sits at a grid offset: the result is the largest knot norm.
     """
-    return float(np.sqrt(np.einsum("ij,ij->i", segment.values, segment.values)).max())
+    return float(_row_norms(segment.values).max())
 
 
 def extend(segment: HistorySegment, v, step: float) -> HistorySegment:
@@ -263,7 +268,7 @@ def history_distance(a: HistorySegment, b: HistorySegment) -> float:
         raise ValueError("segments live on different windows")
     grid = np.union1d(a.grid, b.grid)
     diff = a.eval_many(grid) - b.eval_many(grid)
-    return float(np.sqrt(np.einsum("ij,ij->i", diff, diff)).max())
+    return float(_row_norms(diff).max())
 
 
 def sample_history(
@@ -433,7 +438,7 @@ def _build_windows(delay, offsets: np.ndarray, rows: np.ndarray, sizes: np.ndarr
 
 def clip_to_ball(segment: HistorySegment, norm_bound: float) -> HistorySegment:
     """Radially rescale grid values so every point norm is at most the bound."""
-    norms = np.sqrt(np.einsum("ij,ij->i", segment.values, segment.values))
+    norms = _row_norms(segment.values)
     if norms.size == 0 or norms.max() <= norm_bound:
         return segment
     scale = np.minimum(1.0, norm_bound / np.maximum(norms, 1e-300))

@@ -873,13 +873,9 @@ def check_rfc(
 
 # -- serialization ---------------------------------------------------------------
 
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """CSV text: t, state columns, state norm, output columns or norm."""
-    return _csv_text(traj, list(traj.outputs))
-
-
-def _csv_text(traj: Trajectory, outputs: list) -> str:
-    """``trajectory_to_csv`` on outputs already read, one per node."""
+def trajectory_to_csv(traj: Trajectory, outputs: list) -> str:
+    """CSV text: t, state columns, state norm, output columns or norm, from
+    ``outputs`` already read, one per node (such as ``list(traj.outputs)``)."""
     n = traj.states.shape[1]
     header = ["t"] + [f"x_{i+1}" for i in range(n)] + ["|x|"]
     y0 = outputs[0]

@@ -1,13 +1,14 @@
 """Trajectory-level verification of decay envelopes and energy estimates.
 
 Given simulated trajectories, these checks compare recorded output norms (or
-energy values) against candidate envelopes: a pure decay envelope seeded by
-the initial window size, an input-to-output form that adds a running
-weighted-gain term, and the energy-level variant driven by a rate-flow
-envelope.  All checks are grid-pointwise with explicit slacks and report the
-worst offending sample; they are falsifiers over the supplied trajectory set,
-not proofs.  Also here: the monotone-decay check of an energy series and an
-empirical envelope fitter.
+energy values) against candidate envelopes: the input-to-output form, a decay
+envelope seeded by the initial window size or a running weighted-gain term,
+whichever is larger (without an input it is the pure decay check), and the
+energy-level variant, whose input term fades along a rate flow.  All checks
+are grid-pointwise with explicit slacks and report the worst offending
+sample; they are falsifiers over the supplied trajectory set, not proofs.
+Also here: the monotone-decay check of an energy series and an empirical
+envelope fitter.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .simulator import RfdeSystem, Trajectory, _trailing_window_max
 
 __all__ = [
     "EnvelopeCheck",
-    "verify_rgaos_envelope",
     "verify_ios_envelope",
     "verify_v_decay_estimate",
     "check_monotone_decay",
@@ -93,9 +93,10 @@ def _envelope_check(trajs: Sequence[Trajectory], series: Callable, tolerance: fl
 
     ``series(traj)`` returns (times, observed, allowed) for a completed
     trajectory.  Its slack is the minimum of allowed minus observed (+inf
-    when there is nothing to compare); a trajectory that did not complete
-    gets -inf and its truncation point as witness.  The worst sample is the
-    witness, kept only when the check fails.
+    when there is nothing to compare, NaN when a compared value is NaN); a
+    trajectory that did not complete gets -inf at its truncation point.  The
+    worst sample is the witness, kept only when the check fails: a NaN slack
+    ranks with -inf, and ties keep the first.
     """
     slacks = []
     reasons = {}
@@ -103,21 +104,23 @@ def _envelope_check(trajs: Sequence[Trajectory], series: Callable, tolerance: fl
     worst = math.inf
     for i, traj in enumerate(trajs):
         if traj.status != "completed":
-            slacks.append(-math.inf)
+            slack = -math.inf
             reasons[i] = f"the run stopped ({traj.status}) at t = {traj.t_event!r}"
-            witness = (i, traj.t_event or traj.t0, math.inf, 0.0)
-            continue
-        times, observed, allowed = series(traj)
-        if observed.size == 0:
-            slacks.append(math.inf)
-            reasons[i] = "nothing to compare"
-            continue
-        slack_arr = allowed - observed
-        k = int(np.argmin(slack_arr))
-        slacks.append(float(slack_arr[k]))
-        if slack_arr[k] < worst:
-            worst = float(slack_arr[k])
-            witness = (i, float(times[k]), float(observed[k]), float(allowed[k]))
+            sample = (i, traj.t_event or traj.t0, math.inf, 0.0)
+        else:
+            times, observed, allowed = series(traj)
+            if observed.size == 0:
+                slacks.append(math.inf)
+                reasons[i] = "nothing to compare"
+                continue
+            slack_arr = allowed - observed
+            k = int(np.argmin(slack_arr))  # the first NaN, if there is one
+            slack = float(slack_arr[k])
+            sample = (i, float(times[k]), float(observed[k]), float(allowed[k]))
+        slacks.append(slack)
+        rank = -math.inf if math.isnan(slack) else slack
+        if rank < worst:
+            worst, witness = rank, sample
     passed = all(s >= -tolerance for s in slacks)
     return EnvelopeCheck(
         "pass" if passed else "fail", slacks, tolerance, None if passed else witness, reasons
@@ -135,26 +138,6 @@ def _input_levels(traj: Trajectory, gain: ComparisonFn, weight: ComparisonFn) ->
     return np.array([_guard_level(gain, weight, t, traj.u.eval(t)) for t in traj.times])
 
 
-def verify_rgaos_envelope(
-    trajs: Sequence[Trajectory],
-    sigma: KlFn,
-    beta: ComparisonFn,
-    tolerance: float = 1e-9,
-) -> EnvelopeCheck:
-    """Check recorded output norms against the pure decay envelope
-    sigma(beta(t0) * initial window norm, elapsed) at every grid time.
-
-    A trajectory that did not complete fails with its truncation point as
-    witness.
-    """
-
-    def series(traj):
-        s0 = float(beta(traj.t0)) * sup_norm(traj.initial)
-        return traj.times, traj.output_norms(), sigma.eval_t_array(s0, traj.times - traj.t0)
-
-    return _envelope_check(trajs, series, tolerance)
-
-
 def verify_ios_envelope(
     trajs: Sequence[Trajectory],
     sigma: KlFn,
@@ -163,7 +146,17 @@ def verify_ios_envelope(
     delta: ComparisonFn,
     tolerance: float = 1e-9,
 ) -> EnvelopeCheck:
-    """Check output norms against max{decay envelope, running weighted gain}."""
+    """Check output norms against max{sigma(beta(t0) * initial window norm,
+    elapsed), running max of gamma(delta(t)|u(t)|)} at every grid time.
+
+    Without an input (``u`` None) the gain term is zero, so this is the
+    output-decay (RGAOS) check with allowed series max{sigma, 0}.  That is
+    sigma itself wherever sigma is >= 0 (as every KL function is) or NaN;
+    only an envelope that goes negative, and so is no KL function, is
+    raised to 0.
+    A trajectory that did not complete fails with its truncation point as
+    witness.
+    """
 
     def series(traj):
         s0 = float(beta(traj.t0)) * sup_norm(traj.initial)

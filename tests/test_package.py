@@ -1,6 +1,6 @@
 """Source-level checks of the package: the package exports exactly its
 modules' public APIs, every exported checker is reached by a certificate, the
-command line, a demo or the benchmark, README's claims table names the
+command line or a demo (not by the benchmark), README's claims table names the
 bundles' certificates, no module keeps an import it does not use or imports
 SciPy, and no private function or method keeps a parameter it does not
 read."""
@@ -53,13 +53,14 @@ def test_package_exports_are_the_module_apis():
 
 
 def test_every_exported_checker_is_reached():
-    callers = [PACKAGE / "examples.py", PACKAGE / "cli.py"]
-    callers += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    # demos count until every checker is held by a certificate; the benchmark
+    # only times checkers, so it holds no claim and does not count
+    callers = [PACKAGE / "examples.py", PACKAGE / "cli.py"] + sorted((ROOT / "demos").glob("*.py"))
     text = "\n".join(p.read_text() for p in callers)
     checkers = [n for n in _module_apis() if n.startswith(CHECKER_PREFIXES)]
     assert checkers
     unreached = [n for n in checkers if not re.search(rf"\b{re.escape(n)}\b", text)]
-    assert not unreached, f"exported but run by no certificate, command, demo or benchmark: {unreached}"
+    assert not unreached, f"exported but run by no certificate, command or demo: {unreached}"
 
 
 def test_readme_claims_table_names_the_bundles_certificates():

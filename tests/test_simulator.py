@@ -28,7 +28,7 @@ from rfdestab import (
     sample_history,
     sample_signal,
     trajectory_to_csv,
-    verify_rgaos_envelope,
+    verify_ios_envelope,
 )
 from rfdestab.simulator import _uniform_box
 
@@ -245,7 +245,7 @@ class TestTrajectoryAccessors:
         assert len(traj.outputs) == traj.times.size == traj.output_norms().size == 4
         # the last piece is read with the slope k4 that arrived at its node
         assert np.isfinite(traj.state(0.25)).all()
-        lines = trajectory_to_csv(traj).strip().splitlines()
+        lines = trajectory_to_csv(traj, list(traj.outputs)).strip().splitlines()
         assert len(lines) == 1 + traj.times.size
 
     def test_record_output_is_inert(self):
@@ -271,14 +271,16 @@ class TestTrajectoryAccessors:
             for flag in (True, False)
         ]
         assert values[0] == values[1]
+        # the run has an input; the roomy envelope still dominates the gain term
+        one = constant(1.0)
         roomy = KlFn(fn=lambda s, t: 1e6, name="roomy")
-        assert verify_rgaos_envelope([off], roomy, constant(1.0)).passed
+        assert verify_ios_envelope([off], roomy, one, one, one).passed
 
     def test_csv_round_trip_shape(self):
         sys_ = contraction()
         x0 = HistorySegment.constant(1.0, [1.0])
         traj = integrate(sys_, 0.0, x0, None, None, 1.0, IntegrateOpts(step_req=0.1))
-        text = trajectory_to_csv(traj)
+        text = trajectory_to_csv(traj, list(traj.outputs))
         lines = text.strip().splitlines()
         assert lines[0] == "t,x_1,|x|,out_1"
         body = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])

@@ -1,5 +1,8 @@
 """Trajectory-level envelope checks, monotone decay, and envelope fits."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -20,12 +23,13 @@ from rfdestab import (
     power,
     sample_history,
     sample_signal,
+    sup_norm,
     verify_ios_envelope,
-    verify_rgaos_envelope,
     verify_v_decay_estimate,
 )
 
 ZERO_D = np.array([[0.0, 0.0]])
+ONE = constant(1.0)  # beta, and the gains, which input-free runs never read
 
 CONTRACTION = RfdeSystem(
     delay_r=1.0,
@@ -47,25 +51,31 @@ def contraction_ensemble(count=8, horizon=6.0, seed=0, norm=2.0):
     ]
 
 
+def escaping_run():
+    """x' = x^2 from x = 2: escapes at t = 0.5, so the blow-up guard stops it."""
+    esc = RfdeSystem(1.0, 1, lambda t, seg, u, d: seg.head ** 2, lambda t, seg: seg.head, ZERO_D)
+    return integrate(esc, 0.0, HistorySegment.constant(1.0, [2.0]), None, None, 1.0)
+
+
 class TestRgaosEnvelope:
     def test_zero_trajectories_pass_any_envelope(self):
         x0 = HistorySegment.constant(1.0, [0.0])
         trajs = [integrate(CONTRACTION, 0.0, x0, None, None, 3.0)]
         sigma = KlFn(fn=lambda s, t: s * np.exp(-5 * t))
-        rep = verify_rgaos_envelope(trajs, sigma, constant(1.0))
+        rep = verify_ios_envelope(trajs, sigma, ONE, ONE, ONE)
         assert rep.verdict == "pass"
 
     def test_exact_decay_envelope_passes(self):
         trajs = contraction_ensemble()
         sigma = KlFn(fn=lambda s, t: s * np.exp(-t))
-        rep = verify_rgaos_envelope(trajs, sigma, constant(1.0), tolerance=1e-6)
+        rep = verify_ios_envelope(trajs, sigma, ONE, ONE, ONE, tolerance=1e-6)
         assert rep.verdict == "pass"
         assert min(rep.slacks) >= -1e-6
 
     def test_too_fast_envelope_fails_with_witness(self):
         trajs = contraction_ensemble()
         sigma = KlFn(fn=lambda s, t: s * np.exp(-2 * t))
-        rep = verify_rgaos_envelope(trajs, sigma, constant(1.0))
+        rep = verify_ios_envelope(trajs, sigma, ONE, ONE, ONE)
         assert rep.verdict == "fail"
         assert rep.witness is not None
         idx, t_w, observed, allowed = rep.witness
@@ -75,48 +85,65 @@ class TestRgaosEnvelope:
         trajs = contraction_ensemble(count=4)
         small = KlFn(fn=lambda s, t: s * np.exp(-2 * t))
         big = KlFn(fn=lambda s, t: 2.0 * s * np.exp(-t))
-        rep_small = verify_rgaos_envelope(trajs, small, constant(1.0))
-        rep_big = verify_rgaos_envelope(trajs, big, constant(1.0))
+        rep_small = verify_ios_envelope(trajs, small, ONE, ONE, ONE)
+        rep_big = verify_ios_envelope(trajs, big, ONE, ONE, ONE)
         assert rep_small.verdict == "fail" and rep_big.verdict == "pass"
 
     def test_blown_up_trajectory_fails(self):
-        esc = RfdeSystem(
-            delay_r=1.0,
-            dim_n=1,
-            dynamics=lambda t, seg, u, d: seg.values[-1] ** 2,
-            output=lambda t, seg: seg.values[-1],
-            d_box=ZERO_D,
-        )
-        traj = integrate(esc, 0.0, HistorySegment.constant(1.0, [2.0]), None, None, 1.0)
+        traj = escaping_run()
         assert traj.status == "blew_up"
         sigma = KlFn(fn=lambda s, t: 1e12 * s)
-        rep = verify_rgaos_envelope([traj], sigma, constant(1.0))
+        rep = verify_ios_envelope([traj], sigma, ONE, ONE, ONE)
         assert rep.verdict == "fail"
 
     def test_blown_up_report_is_strict_json(self):
-        import json
-
-        esc = RfdeSystem(1.0, 1, lambda t, seg, u, d: seg.head ** 2, lambda t, seg: seg.head, ZERO_D)
-        blown = integrate(esc, 0.0, HistorySegment.constant(1.0, [2.0]), None, None, 1.0)
-        trajs = [contraction_ensemble(count=1)[0], blown]
-        rep = verify_rgaos_envelope(trajs, KlFn(fn=lambda s, t: 1e12 * s), constant(1.0))
+        trajs = [contraction_ensemble(count=1)[0], escaping_run()]
+        rep = verify_ios_envelope(trajs, KlFn(fn=lambda s, t: 1e12 * s), ONE, ONE, ONE)
         data = json.loads(json.dumps(rep.to_json_dict(), allow_nan=False))
         assert data["slacks"][0] > 0.0 and data["slacks"][1] is None
         assert data["witness"]["trajectory"] == 1 and data["witness"]["observed"] is None
         assert set(data["nonfinite"]) == {"slacks[1]", "witness.observed"}
         assert data["nonfinite"]["slacks[1]"].startswith("-inf: the run stopped (blew_up) at t = ")
 
+    def test_first_stopped_run_stays_the_witness(self):
+        # a passing sample of a later run must not replace the stop
+        blown, ok = escaping_run(), contraction_ensemble(count=1)[0]
+        sigma = KlFn(fn=lambda s, t: 1e12 * s)
+        for trajs, i in (([blown, ok], 0), ([ok, blown], 1), ([blown, ok, blown], 0)):
+            rep = verify_ios_envelope(trajs, sigma, ONE, ONE, ONE)
+            assert rep.verdict == "fail"
+            assert rep.witness == (i, blown.t_event, math.inf, 0.0)
+
+    def test_nan_envelope_witness_is_the_first_nan_sample(self):
+        trajs = contraction_ensemble(count=3)
+        sigma = KlFn(fn=lambda s, t: math.nan if t >= 1.0 else 10.0 * s)
+        rep = verify_ios_envelope(trajs, sigma, ONE, ONE, ONE)
+        assert rep.verdict == "fail" and all(math.isnan(x) for x in rep.slacks)
+        i, t_w, observed, allowed = rep.witness
+        times = trajs[0].times
+        assert i == 0 and t_w == times[times >= 1.0][0] and math.isnan(allowed)
+        assert observed == trajs[0].output_norms()[times >= 1.0][0]
+        data = json.loads(json.dumps(rep.to_json_dict(), allow_nan=False))
+        assert data["witness"]["allowed"] is None and "witness.allowed" in data["nonfinite"]
+
 
 class TestIosEnvelope:
-    def test_zero_input_agrees_with_rgaos(self):
+    def test_zero_input_is_the_decay_envelope_check(self):
+        # without an input the allowed series is the decay envelope itself:
+        # every slack is min(sigma(beta(t0) |x0|, t - t0) - |y(t)|), bitwise
         trajs = contraction_ensemble(count=5)
-        for rate in (1.0, 2.0):
-            sigma = KlFn(fn=lambda s, t, r_=rate: s * np.exp(-r_ * t))
-            a = verify_rgaos_envelope(trajs, sigma, constant(1.0))
-            b = verify_ios_envelope(
-                trajs, sigma, constant(1.0), gamma=linear(1.0), delta=constant(1.0)
-            )
-            assert a.verdict == b.verdict
+        beta = constant(1.5)
+        envelopes = (
+            KlFn(fn=lambda s, t: s * np.exp(-t)),
+            KlFn(fn=lambda s, t: s * np.exp(-2.0 * t)),
+            kl_from_rate(linear(1.0)),
+            fit_kl_envelope(contraction_ensemble(count=6, seed=3), beta, bins=3),
+        )
+        for sigma in envelopes:
+            rep = verify_ios_envelope(trajs, sigma, beta, linear(1.0), ONE)
+            for tr, slack in zip(trajs, rep.slacks):
+                env = sigma.eval_t_array(1.5 * sup_norm(tr.initial), tr.times - tr.t0)
+                assert slack == np.min(env - tr.output_norms())
 
     def test_gain_term_covers_forced_response(self):
         sys_u = RfdeSystem(
@@ -209,7 +236,7 @@ class TestFitEnvelope:
     def test_fit_majorizes_training_set(self):
         trajs = contraction_ensemble(count=12, horizon=4.0, seed=7)
         sigma = fit_kl_envelope(trajs, constant(1.0), bins=4)
-        rep = verify_rgaos_envelope(trajs, sigma, constant(1.0), tolerance=1e-9)
+        rep = verify_ios_envelope(trajs, sigma, ONE, ONE, ONE, tolerance=1e-9)
         assert rep.verdict == "pass"
 
     def test_empty_ensemble_rejected(self):
