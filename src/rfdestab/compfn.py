@@ -46,15 +46,20 @@ def identity() -> ComparisonFn:
     return ComparisonFn(lambda s: s, "identity")
 
 
+def _require_positive(**params) -> None:
+    """Reject a constructor parameter that is not finite and positive (None means "default")."""
+    for key, value in params.items():
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"parameter {key} must be finite and positive, got {value!r}")
+
+
 def linear(c: float) -> ComparisonFn:
-    if c <= 0:
-        raise ValueError("linear gain needs a positive slope")
+    _require_positive(c=c)
     return ComparisonFn(lambda s: c * s, f"linear({c!r})")
 
 
 def power(p: float, scale: float = 1.0) -> ComparisonFn:
-    if p <= 0 or scale <= 0:
-        raise ValueError("power gain needs positive exponent and scale")
+    _require_positive(p=p, scale=scale)
 
     def fn(s):
         return scale * np.abs(s) ** p
@@ -63,12 +68,13 @@ def power(p: float, scale: float = 1.0) -> ComparisonFn:
 
 
 def exp_weight(c: float) -> ComparisonFn:
+    if not math.isfinite(c):
+        raise ValueError(f"exp_weight needs a finite rate, got {c!r}")
     return ComparisonFn(lambda t: np.exp(c * np.asarray(t, dtype=float)), f"exp_weight({c!r})")
 
 
 def constant(c: float) -> ComparisonFn:
-    if c <= 0:
-        raise ValueError("constant weights must be positive")
+    _require_positive(c=c)
     return ComparisonFn(lambda t: c * np.ones_like(np.asarray(t, dtype=float)), f"constant({c!r})")
 
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from .compfn import (
     KlFn,
+    _require_positive,
     constant,
     exp_weight,
     linear,
@@ -112,13 +113,6 @@ class ExampleBundle:
             if cert.name == name:
                 return cert
         raise KeyError(f"no certificate named {name!r} in bundle {self.name!r}")
-
-
-def _require_positive(**params) -> None:
-    """Reject a constructor parameter that is not finite and positive (None means "default")."""
-    for key, value in params.items():
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ValueError(f"parameter {key} must be finite and positive, got {value!r}")
 
 
 def _sweep(norm_bound: float, check: Callable) -> Callable:

@@ -124,13 +124,11 @@ class HistorySegment:
             )
         theta = min(max(theta, -self.delay), 0.0)
         grid = self.grid
+        # the grid runs from exactly -delay to exactly 0, so i is in [0, size - 1],
+        # and i = size - 1 only at theta = 0, an exact knot
         i = int(np.searchsorted(grid, theta, side="right")) - 1
-        if i < 0:
-            i = 0
         if grid[i] == theta:
             return self.values[i].copy()
-        if i >= grid.size - 1:
-            return self.values[-1].copy()
         w = (theta - grid[i]) / (grid[i + 1] - grid[i])
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]
 

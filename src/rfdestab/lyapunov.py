@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -146,6 +147,22 @@ def _analytic(dini: Callable, t: float, x, v) -> float:
     return out
 
 
+def _ladder(hs, base: float, rung: Callable) -> float:
+    """The quotient ladder from the energy ``base`` now: at each step h in
+    ``hs``, the largest of the energies ``rung(h)`` h ahead gives the quotient
+    (max - base)/h, and :func:`_extrapolate` takes the quotients to step 0.
+    An energy that is not finite raises ValueError."""
+    if not math.isfinite(base):
+        raise ValueError("energy evaluated to a non-finite value")
+    qs = []
+    for h in hs:
+        arr = np.asarray(rung(h))
+        if not np.isfinite(arr).all():
+            raise ValueError("energy evaluated to a non-finite value")
+        qs.append(float((arr.max() - base) / h))
+    return _extrapolate(hs, qs)
+
+
 def dini_functional(
     V: LyapunovFunctional,
     t: float,
@@ -166,21 +183,15 @@ def dini_functional(
         return _analytic(V.analytic_dini, t, x, v)
     v = np.asarray(v, dtype=float)
     base = float(V.evaluator(t, x))
-    if not math.isfinite(base):
-        raise ValueError("functional evaluated to a non-finite value")
-    hs = _steps_below(x.delay)
     dirs = _probe_directions(x.dim)
-    qs = []
-    for h in hs:
+
+    def rung(h: float) -> list:
         slid = extend(x, v, h)
-        vals = [float(V.evaluator(t + h, slid))]
-        for dvec in dirs:
-            vals.append(float(V.evaluator(t + h, slid.add_constant((h * h) * dvec))))
-        arr = np.asarray(vals)
-        if not np.isfinite(arr).all():
-            raise ValueError("functional evaluated to a non-finite value")
-        qs.append(float((arr.max() - base) / h))
-    return _extrapolate(hs, qs)
+        return [float(V.evaluator(t + h, slid))] + [
+            float(V.evaluator(t + h, slid.add_constant((h * h) * dvec))) for dvec in dirs
+        ]
+
+    return _ladder(_steps_below(x.delay), base, rung)
 
 
 def dini_pointwise(
@@ -196,16 +207,7 @@ def dini_pointwise(
     if Vr.analytic_dini is not None and opts.use_analytic:
         return _analytic(Vr.analytic_dini, t, x, v)
     v = np.asarray(v, dtype=float)
-    base = float(Vr.evaluator(t, x))
-    if not math.isfinite(base):
-        raise ValueError("function evaluated to a non-finite value")
-    qs = []
-    for h in LADDER_STEPS:
-        val = float(Vr.evaluator(t + h, x + h * v))
-        if not math.isfinite(val):
-            raise ValueError("function evaluated to a non-finite value")
-        qs.append((val - base) / h)
-    return _extrapolate(LADDER_STEPS, qs)
+    return _ladder(LADDER_STEPS, float(Vr.evaluator(t, x)), lambda h: float(Vr.evaluator(t + h, x + h * v)))
 
 
 # -- sampling ---------------------------------------------------------------------
@@ -449,8 +451,8 @@ def converse_functional_uq(
     in lock-step, each bitwise its solo run; every member is integrated
     before any output is read.
     """
-    if q <= 0:
-        raise ValueError("q must be a positive integer")
+    if isinstance(q, bool) or not isinstance(q, numbers.Integral) or q < 1:
+        raise ValueError(f"q must be a positive integer, got {q!r}")
     opts = opts or IntegrateOpts(step_req=1e-2)
     R = max(float(t), sup_norm(x))
     arg = 1.0 + q * float(a2(float(beta(R)) * R))

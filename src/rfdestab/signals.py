@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .compfn import _require_positive
+
 __all__ = ["PiecewiseSignal", "SignalSpec", "sample_signal", "constant_signal"]
 
 _T_TOL = 1e-12
@@ -96,8 +98,7 @@ class SignalSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "box", _as_box(self.box))
-        if self.horizon <= 0 or self.mean_dwell <= 0:
-            raise ValueError("horizon and mean_dwell must be positive")
+        _require_positive(horizon=self.horizon, mean_dwell=self.mean_dwell)
 
 
 def sample_signal(spec: SignalSpec) -> PiecewiseSignal:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -188,10 +188,9 @@ class _Dense:
         return self._eval_in(int(np.searchsorted(self.K[: self.count], t, side="right")) - 1, t)
 
     def _eval_in(self, j: int, t: float) -> np.ndarray:
-        """Dense value at ``t``, which the search put after knot ``j``."""
+        """Dense value at ``t``, which the search put after knot ``j``.  Every
+        caller asks at t >= K[0] = t0 - delay, so j >= 0."""
         c = self.count
-        if j < 0:
-            j = 0
         if j >= c - 1:
             j = c - 2
         ta, tb = self.K.item(j), self.K.item(j + 1)
@@ -333,10 +332,10 @@ class Trajectory:
     ``times``/``states`` cover the accepted nodes from t0 on; the initial
     window and the cubic-Hermite slope data stay available through
     :meth:`history` and :meth:`state`, which reproduce the supplied initial
-    segment exactly at its grid points.  ``outputs`` holds one output per
-    node, computed from the node window each time it is read, so an output
-    map that fails raises when its output is read, not inside
-    :func:`integrate`.
+    segment exactly at its grid points.  ``outputs`` is an iterator over
+    one output per node, built on each read and computed from the node
+    windows as it advances, so an output map that fails raises when its
+    output is reached, not inside :func:`integrate`.
     """
 
     system: RfdeSystem
@@ -370,30 +369,12 @@ class Trajectory:
         return self._dense.window_segment(self._clamped(t))
 
     @property
-    def outputs(self) -> _Outputs:
-        # built on each read: a stored view of self would be a reference cycle
-        return _Outputs(self)
+    def outputs(self) -> Iterator:
+        """``system.output(times[k], node window k)`` for each node k, in order."""
+        return map(self.system.output, self.times, map(self._dense.node_window, range(self.times.size)))
 
     def output_norms(self) -> np.ndarray:
         return np.array([output_norm(y) for y in self.outputs])
-
-
-class _Outputs(Sequence):
-    """Item k is ``system.output(times[k], node window k)``, computed on every read."""
-
-    def __init__(self, traj: Trajectory):
-        self._traj = traj
-
-    def __len__(self) -> int:
-        return self._traj.times.size
-
-    def __iter__(self):  # Sequence's loop would stop at an IndexError of the output map
-        windows = map(self._traj._dense.node_window, range(len(self)))
-        return map(self._traj.system.output, self._traj.times, windows)
-
-    def __getitem__(self, k: int):
-        k = range(len(self))[k]  # a list's negative indices and bounds
-        return self._traj.system.output(self._traj.times[k], self._traj._dense.node_window(k))
 
 
 def _grid_for(t0: float, t_end: float, h: float, switches: np.ndarray) -> np.ndarray:

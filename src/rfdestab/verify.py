@@ -92,11 +92,11 @@ def _envelope_check(trajs: Sequence[Trajectory], series: Callable, tolerance: fl
     """Compare observed values with allowed ones along every trajectory.
 
     ``series(traj)`` returns (times, observed, allowed) for a completed
-    trajectory.  Its slack is the minimum of allowed minus observed (+inf
-    when there is nothing to compare, NaN when a compared value is NaN); a
-    trajectory that did not complete gets -inf at its truncation point.  The
-    worst sample is the witness, kept only when the check fails: a NaN slack
-    ranks with -inf, and ties keep the first.
+    trajectory, at least one value each.  Its slack is the minimum of
+    allowed minus observed (NaN when a compared value is NaN); a trajectory
+    that did not complete gets -inf at its truncation point.  The worst
+    sample is the witness, kept only when the check fails: a NaN slack ranks
+    with -inf, and ties keep the first.
     """
     slacks = []
     reasons = {}
@@ -109,10 +109,6 @@ def _envelope_check(trajs: Sequence[Trajectory], series: Callable, tolerance: fl
             sample = (i, traj.t_event or traj.t0, math.inf, 0.0)
         else:
             times, observed, allowed = series(traj)
-            if observed.size == 0:
-                slacks.append(math.inf)
-                reasons[i] = "nothing to compare"
-                continue
             slack_arr = allowed - observed
             k = int(np.argmin(slack_arr))  # the first NaN, if there is one
             slack = float(slack_arr[k])
@@ -210,24 +206,29 @@ def check_monotone_decay(
     """Check that a scalar reading never increases along each trajectory.
 
     ``values_fn(times, states)`` maps the node times and the state rows to a
-    scalar series.  With ``window_delay`` set, each node's reading is replaced
-    by the maximum of the series over the trailing window of that width (the
-    initial segment's nodes are included so early windows are complete) before
-    the monotonicity test.  A step from w0 to w1 violates when
+    scalar series, one value per time (ValueError otherwise).  With
+    ``window_delay`` set, each node's reading is replaced by the maximum of
+    the series over the trailing window of that width (the initial segment's
+    nodes are included so early windows are complete) before the
+    monotonicity test.  A step from w0 to w1 violates when
     ``w1 > w0 + rel_slack * (1 + |w0|)``; per-trajectory slacks record the
     worst margin and the report's witness is the worst offending node.
     """
 
+    def readings(ts, states):
+        w = np.asarray(values_fn(ts, states), dtype=float)
+        if w.shape != ts.shape:
+            raise ValueError(f"values_fn must return one value per time, shape {ts.shape}; got {w.shape}")
+        return w
+
     def series(traj):
         if window_delay is None:
-            w = np.asarray(values_fn(traj.times, traj.states), dtype=float)
+            w = readings(traj.times, traj.states)
         else:
             pre_t = traj.t0 + traj.initial.grid[:-1]
             ts = np.concatenate([pre_t, traj.times])
             states = np.vstack([traj.initial.values[:-1], traj.states])
-            w = _trailing_window_max(
-                ts, np.asarray(values_fn(ts, states), dtype=float), window_delay
-            )[pre_t.size:]
+            w = _trailing_window_max(ts, readings(ts, states), window_delay)[pre_t.size:]
         return traj.times[1:], w[1:], w[:-1] + rel_slack * (1.0 + np.abs(w[:-1]))
 
     return _envelope_check(trajs, series, 0.0)

@@ -52,6 +52,35 @@ class TestBuiltins:
         assert constant(5.0)(123.0) == 5.0
 
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: linear(np.nan),
+            lambda: linear(np.inf),
+            lambda: power(np.nan),
+            lambda: power(np.inf),
+            lambda: power(2.0, np.nan),
+            lambda: power(2.0, np.inf),
+            lambda: constant(np.nan),
+            lambda: constant(np.inf),
+            lambda: exp_weight(np.nan),
+            lambda: exp_weight(np.inf),
+            lambda: exp_weight(-np.inf),
+        ],
+        ids=[
+            "linear-nan", "linear-inf", "power-nan", "power-inf", "power-scale-nan",
+            "power-scale-inf", "constant-nan", "constant-inf", "exp_weight-nan",
+            "exp_weight-inf", "exp_weight-minus-inf",
+        ],
+    )
+    def test_a_parameter_that_is_not_finite_is_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_a_negative_exponential_rate_is_a_fading_weight(self):
+        assert exp_weight(-1.0)(1.0) == pytest.approx(np.exp(-1.0))
+
+
 CLASS_GRID = np.logspace(-9.0, 6.0, 64)
 
 

@@ -34,7 +34,7 @@ from rfdestab import (
     sample_history,
     sup_norm,
 )
-from rfdestab.lyapunov import FALSIFY_BLOCK
+from rfdestab.lyapunov import FALSIFY_BLOCK, LADDER_STEPS, _extrapolate
 
 ZERO_D = np.array([[0.0, 0.0]])
 
@@ -143,6 +143,72 @@ class TestDiniPointwise:
             exact = Vr.analytic_dini(t, x, v)
             est = dini_pointwise(Vr, t, x, v, NUMERIC)
             assert est == pytest.approx(exact, abs=max(1e-3, 1e-3 * abs(exact)))
+
+
+    def test_numeric_value_is_the_extrapolated_quotient_ladder(self):
+        def energy(t, x):
+            return float(np.exp(-t) * np.dot(x, x) + np.abs(x).max())
+
+        Vr = RazumikhinFunction(evaluator=energy)
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            t, x, v = rng.uniform(0.0, 2.0), rng.normal(size=3), rng.normal(size=3)
+            base = energy(t, x)
+            qs = [(energy(t + h, x + h * v) - base) / h for h in LADDER_STEPS]
+            expected = _extrapolate(LADDER_STEPS, qs)
+            assert dini_pointwise(Vr, t, x, v, NUMERIC) == expected  # bitwise
+
+
+NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+
+
+class TestLadderGuards:
+    """The numeric ladder refuses an energy that is not finite, at the base
+    point or on a rung, for window functionals and pointwise functions alike;
+    a falsification sweep counts such a sample as a failure to evaluate."""
+
+    @NON_FINITE
+    def test_a_base_energy_that_is_not_finite(self, bad):
+        V = LyapunovFunctional(evaluator=lambda t, seg: bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            dini_functional(V, 0.0, HistorySegment.constant(1.0, [1.0]), np.ones(1), NUMERIC)
+        Vr = RazumikhinFunction(evaluator=lambda t, x: bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            dini_pointwise(Vr, 0.0, np.ones(1), np.ones(1), NUMERIC)
+
+    @NON_FINITE
+    @pytest.mark.parametrize("h", LADDER_STEPS)
+    def test_a_rung_that_is_not_finite(self, bad, h):
+        # finite at the base time 0 and on the longer rungs before step h
+        V = LyapunovFunctional(evaluator=lambda t, seg: float(seg.head[0] ** 2) if t == 0.0 or t > h else bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            dini_functional(V, 0.0, HistorySegment.constant(1.0, [1.0]), np.ones(1), NUMERIC)
+        Vr = RazumikhinFunction(evaluator=lambda t, x: float(x[0] ** 2) if t == 0.0 or t > h else bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            dini_pointwise(Vr, 0.0, np.ones(1), np.ones(1), NUMERIC)
+
+    @NON_FINITE
+    def test_a_functional_sweep_counts_a_non_finite_rung_as_a_failure(self, bad):
+        # sample times in [0.995, 1]: every first rung lands after t = 1
+        V = LyapunovFunctional(evaluator=lambda t, seg: float(seg.head[0] ** 2) if t <= 1.0 else bad)
+        spec = SamplerSpec(t_lo=0.995, t_hi=1.0, samples=100, seed=0)
+        rep = check_lyapunov_ios(
+            zero_input_system(), V, power(2.0), constant(1.0), linear(1.0), spec, dini_opts=NUMERIC
+        )
+        assert rep.eval_failures == 100 and rep.samples_tested == 0
+        assert rep.first_failure["type"] == "ValueError"
+        assert "non-finite" in rep.first_failure["message"]
+
+    @NON_FINITE
+    def test_a_pointwise_sweep_counts_a_non_finite_rung_as_a_failure(self, bad):
+        Vr = RazumikhinFunction(evaluator=lambda t, x: float(x[0] ** 2) if t <= 1.0 else bad)
+        spec = SamplerSpec(t_lo=0.995, t_hi=1.0, samples=200, seed=0)
+        rep = check_razumikhin(CONTRACTION, Vr, a=linear(0.5), rho=linear(1.0), spec=spec, dini_opts=NUMERIC)
+        # sample times in [0.995, 1]: every sample the guard lets through fails on its first rung
+        assert rep.eval_failures > 0 and rep.samples_tested == 0
+        assert rep.eval_failures + rep.guard_skipped == 200
+        assert rep.first_failure["type"] == "ValueError"
+        assert "non-finite" in rep.first_failure["message"]
 
 
 def zero_input_system(dynamics=lambda t, seg, u, d: -seg.head + u[0]):
@@ -440,6 +506,24 @@ class TestConverseEnergy:
             t=0.0, x=HistorySegment.constant(1.0, [0.0]),
         )
         assert val == 0.0
+
+    @pytest.mark.parametrize("q", [np.nan, 2.5, np.inf, True, 3.0], ids=["nan", "2.5", "inf", "True", "3.0"])
+    def test_q_must_be_an_integer_of_at_least_one(self, q):
+        with pytest.raises(ValueError, match="positive integer"):
+            converse_functional_uq(
+                CONTRACTION, q=q, a1=identity(), a2=identity(), beta=constant(1.0),
+                disturbance_ensemble=[constant_signal([0.0])],
+                t=0.0, x=HistorySegment.constant(1.0, [0.5]),
+            )
+
+    def test_a_numpy_integer_q_is_an_integer(self):
+        kwargs = dict(
+            a1=identity(), a2=identity(), beta=constant(1.0),
+            disturbance_ensemble=[constant_signal([0.0])], t=0.0, x=HistorySegment.constant(1.0, [0.5]),
+        )
+        assert converse_functional_uq(CONTRACTION, q=np.int64(4), **kwargs) == converse_functional_uq(
+            CONTRACTION, q=4, **kwargs
+        )
 
     def test_clamp_zeroes_small_state(self):
         # x : 0.05 e^{-tau}; a1 = id, q = 10: every term <= max(0, 0.05 e^{-s} - 0.1) e^s = 0

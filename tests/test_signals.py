@@ -55,6 +55,15 @@ class TestSampling:
         sig = sample_signal(spec)
         assert sig.switch_times.size == 0
 
+    @pytest.mark.parametrize(
+        "horizon, mean_dwell",
+        [(np.nan, 0.5), (3.0, np.nan), (np.inf, 1.0), (3.0, np.inf)],
+    )
+    def test_a_horizon_or_dwell_that_is_not_finite_is_rejected(self, horizon, mean_dwell):
+        # an infinite horizon would keep sample_signal drawing switches forever
+        with pytest.raises(ValueError):
+            SignalSpec(np.array([[-1.0, 1.0]]), horizon, mean_dwell)
+
     def test_determinism(self):
         spec = SignalSpec(np.array([[-1.0, 1.0]]), horizon=20.0, mean_dwell=0.3, seed=11)
         a = sample_signal(spec)

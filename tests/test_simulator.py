@@ -242,7 +242,7 @@ class TestTrajectoryAccessors:
             IntegrateOpts(step_req=0.1),
         )
         assert traj.status == "step_failure"
-        assert len(traj.outputs) == traj.times.size == traj.output_norms().size == 4
+        assert len(list(traj.outputs)) == traj.times.size == traj.output_norms().size == 4
         # the last piece is read with the slope k4 that arrived at its node
         assert np.isfinite(traj.state(0.25)).all()
         lines = trajectory_to_csv(traj, list(traj.outputs)).strip().splitlines()
@@ -259,8 +259,9 @@ class TestTrajectoryAccessors:
             for flag in (True, False)
         )
         assert np.array_equal(on.times, off.times) and np.array_equal(on.states, off.states)
-        assert len(on.outputs) == len(off.outputs) == on.times.size
-        assert all(_same_window(a, b) for a, b in zip(on.outputs, off.outputs))
+        outs_on, outs_off = list(on.outputs), list(off.outputs)
+        assert len(outs_on) == len(outs_off) == on.times.size  # before zip, which stops at the shorter
+        assert all(_same_window(a, b) for a, b in zip(outs_on, outs_off))
         # a converse probe and an envelope check read the outputs either way
         ensemble = [constant_signal(np.array([0.5]), box=system.d_box)]
         values = [
@@ -275,6 +276,49 @@ class TestTrajectoryAccessors:
         one = constant(1.0)
         roomy = KlFn(fn=lambda s, t: 1e6, name="roomy")
         assert verify_ios_envelope([off], roomy, one, one, one).passed
+
+    def test_outputs_are_read_lazily_once_per_node_in_order(self):
+        seen = []
+
+        def output(t, seg):
+            seen.append(t)
+            return seg.head.copy()
+
+        traj = integrate(
+            scalar_system(lambda t, seg, u, d: -seg.head, output=output), 0.0,
+            HistorySegment.constant(1.0, [1.0]), None, None, 1.0, IntegrateOpts(step_req=0.1),
+        )
+        assert seen == []  # integrate never calls the output map
+        first = list(traj.outputs)
+        assert seen == traj.times.tolist()
+        second = list(traj.outputs)
+        assert seen == 2 * traj.times.tolist()  # each read calls it again, node by node
+        assert len(first) == len(second) == traj.times.size
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+        assert all(np.array_equal(y, x) for y, x in zip(first, traj.states))
+
+    def test_a_failing_output_raises_when_its_node_is_reached(self):
+        class Boom(Exception):
+            pass
+
+        k = 3
+        failing = []  # the time of node k, once the run has it
+
+        def output(t, seg):
+            if t in failing:
+                raise Boom(t)
+            return seg.head
+
+        traj = integrate(
+            scalar_system(lambda t, seg, u, d: -seg.head, output=output), 0.0,
+            HistorySegment.constant(1.0, [1.0]), None, None, 1.0, IntegrateOpts(step_req=0.1),
+        )
+        failing.append(traj.times[k])
+        outputs = iter(traj.outputs)
+        for _ in range(k):
+            next(outputs)  # nodes before k read fine
+        with pytest.raises(Boom):
+            next(outputs)
 
     def test_csv_round_trip_shape(self):
         sys_ = contraction()

@@ -267,6 +267,21 @@ class TestMonotoneDecay:
         assert rep.verdict == "fail"
         assert rep.witness is not None
 
+    @pytest.mark.parametrize("window_delay", [None, 1.0])
+    @pytest.mark.parametrize(
+        "values_fn",
+        [lambda ts, xs: np.array([5.0]), lambda ts, xs: np.abs(xs[1:, 0])],
+        ids=["one value", "one value short"],
+    )
+    def test_a_series_of_the_wrong_length_is_rejected(self, values_fn, window_delay):
+        traj = integrate(
+            CONTRACTION, 0.0, HistorySegment.constant(1.0, [1.0]), None, None, 2.0,
+            IntegrateOpts(step_req=0.1),
+        )
+        assert traj.times.size == 21
+        with pytest.raises(ValueError, match="one value per time"):
+            check_monotone_decay([traj], values_fn, window_delay=window_delay)
+
     def test_windowed_sup_smooths_transient_ripples(self):
         # |x1| of the rotation rises on half-periods but equals a constant
         # amplitude envelope; with conserved energy the window sup of the
