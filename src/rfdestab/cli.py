@@ -203,8 +203,17 @@ def _signal_from(sc: dict, channel: str, box, t_hi: float, seed: int):
             raise ConfigError(f"{need}, got {value.tolist()}") from exc
     if kind == "random":
         mean_dwell = _number(f"{key}.mean_dwell", spec.get("mean_dwell", 0.5), float, _POSITIVE)
-        return sample_signal(SignalSpec(box, max(t_hi, 1e-6), mean_dwell, seed=seed))
+        return sample_signal(_signal_spec(f"{key}.mean_dwell", box, max(t_hi, 1e-6), mean_dwell, seed))
     raise ConfigError(f"unknown signal kind {kind!r}")
+
+
+def _signal_spec(key: str, box: np.ndarray, horizon: float, mean_dwell: float, seed: int) -> SignalSpec:
+    """``SignalSpec(box, horizon, mean_dwell, seed=seed)``; a mean dwell too
+    short for the horizon is a ConfigError on ``key``."""
+    try:
+        return SignalSpec(box, horizon, mean_dwell, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"{key} is too short for the horizon: {exc}") from exc
 
 
 def _initial_from(spec, delay: float, dim: int, rng) -> HistorySegment:
@@ -350,6 +359,7 @@ def _cmd_envelope(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter
     t_points = setting("t_points", 33, int, _AT_LEAST_1)
     rng = np.random.default_rng(cfg.seed)
     opts = IntegrateOpts(step_req=step)
+    _signal_spec("envelope.mean_dwell", system.d_box, duration, mean_dwell, 0)  # rejects a dwell no run can draw
     trajs = _disturbed_runs(system, rng, count, norm_bound, duration, mean_dwell, opts)
     completed = sum(tr.status == "completed" for tr in trajs)
     sigma = fit_kl_envelope(trajs, constant(1.0), bins=bins)

@@ -16,6 +16,7 @@ from .compfn import _require_positive
 __all__ = ["PiecewiseSignal", "SignalSpec", "sample_signal", "constant_signal"]
 
 _T_TOL = 1e-12
+_MAX_MEAN_SWITCHES = 1e6  # horizon / mean_dwell of a random signal; the repo's largest is 1,200
 
 
 def _as_box(box) -> np.ndarray:
@@ -72,6 +73,9 @@ class PiecewiseSignal:
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
+        before = ts < -_T_TOL  # NaN is not: eval reads it as past the last switch
+        if before.any():
+            raise ValueError(f"signals are defined on [0, inf); got t={float(ts[before][0])!r}")
         idx = np.searchsorted(self.switch_times, ts, side="right")
         return self.values[idx]
 
@@ -89,7 +93,9 @@ def constant_signal(value, box=None) -> PiecewiseSignal:
 
 @dataclass(frozen=True)
 class SignalSpec:
-    """Recipe for a random signal: box, horizon, mean dwell time, seed."""
+    """Recipe for a random signal: box, horizon, mean dwell time, seed.  The
+    mean switch count horizon / mean_dwell may be at most 1e6: each switch is
+    drawn in a Python loop."""
 
     box: np.ndarray
     horizon: float
@@ -99,6 +105,11 @@ class SignalSpec:
     def __post_init__(self):
         object.__setattr__(self, "box", _as_box(self.box))
         _require_positive(horizon=self.horizon, mean_dwell=self.mean_dwell)
+        if self.horizon / self.mean_dwell > _MAX_MEAN_SWITCHES:
+            raise ValueError(
+                f"mean switch count horizon / mean_dwell = {self.horizon / self.mean_dwell!r} "
+                f"exceeds {_MAX_MEAN_SWITCHES:.0e}"
+            )
 
 
 def sample_signal(spec: SignalSpec) -> PiecewiseSignal:

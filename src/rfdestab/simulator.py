@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _EXP_CAP = 709.0  # largest safe argument for math.exp
+_AHEAD = 256  # most nodes, and midpoints, whose rows at -delay one pass evaluates
 
 
 @dataclass(frozen=True)
@@ -114,15 +115,33 @@ class IntegrateOpts:
 _ROWS = ("V", "DIN", "DOUT", "CUM", "TAIL")  # the per-run row arrays of a store
 
 
+def _window_ends(K: np.ndarray, taus: np.ndarray, delay: float) -> tuple:
+    """Lower end ``i0`` and row time of the window [tau - delay, tau] for each
+    of ``taus`` (none above ``K[-1]``).  Its inner knots start at
+    ``searchsorted(K, tau - delay, "right")``, moved past each knot whose
+    offset still rounds onto -delay, so the offset grid stays strictly
+    increasing.  Its row at -delay is the dense value at the row time: the
+    last knot so passed, else tau - delay, whose interval ends at knot ``i0``."""
+    lo = taus - delay
+    i0 = np.searchsorted(K[:-1], lo, side="right")
+    fold = K[i0] - taus <= -delay
+    while fold.any():
+        i0 += fold
+        fold = K[i0] - taus <= -delay
+    return i0, np.maximum(K[i0 - 1], lo)
+
+
 class _Dense:
     """Knot/value/slope store with cubic-Hermite evaluation.
 
-    Its row arrays (``_ROWS``) are (knots, n) and fill up to ``count``.  A
-    lock-step group of m > 1 runs keeps one stack whose row arrays are
-    (knots, m, n); each run's store holds the column views of the stack and
-    shares its knots ``K`` and window lower ends ``I0`` (see :meth:`group`).
-    The stack goes on writing the column of a run that stopped, but its
-    store reads no row past its own ``count``.
+    Its row arrays (``_ROWS``) fill up to ``count``: ``V``, ``DIN``,
+    ``DOUT`` and ``CUM`` are (knots, n), one row per knot of ``K``, and
+    ``TAIL`` is (nodes, n), the row at -delay of each node's window, whose
+    inner knots start at ``I0`` (see :meth:`group`).  A lock-step group of
+    m > 1 runs keeps one stack whose row arrays are (rows, m, n); each run's
+    store holds the column views of the stack and shares its knots and lower
+    ends.  The stack goes on writing the column of a run that stopped, but
+    its store reads no row past its own ``count``.
     """
 
     @classmethod
@@ -131,17 +150,26 @@ class _Dense:
         grid ``tgrid``, and one store per run; a group of one is its own
         stack.  Before the first step ``K`` holds every knot, the stack the
         initial windows' rows, slopes and running integral, and each store
-        the ``close_knots`` of all of ``K`` (merging a window without a tie changes nothing)."""
+        the ``close_knots`` of all of ``K`` (merging a window without a tie
+        changes nothing).  The window of every stage time has its lower end
+        and row time at -delay fixed here (:func:`_window_ends`): the nodes'
+        lower ends are ``I0``, and the plan the steps fill the rows from is
+        returned with the stores: the step midpoints, their lower ends, and
+        the row times of the nodes and the midpoints."""
         x0 = x0s[0]
         k0 = x0.grid.size
         V0 = x0.values if len(x0s) == 1 else np.stack([x.values for x in x0s], 1)
         per_knot = (-1,) + (1,) * (V0.ndim - 1)  # a knot-wise factor, broadcast over the rows
         stack = cls.__new__(cls)
         K = stack.K = np.concatenate((t0 + x0.grid, tgrid[1:]))
-        # each node's window keeps the lower end of its inner knots (I0) and its row at -delay (TAIL)
-        stack.I0 = np.zeros(K.size, dtype=np.intp)
+        ta, tb = tgrid[:-1], tgrid[1:]
+        tm = ta + 0.5 * (tb - ta)
+        mids = np.where(tm == ta, tb, tm)  # a one-ulp step has no midpoint; its start belongs to the node
+        stack.I0, node_at = _window_ends(K, tgrid, x0.delay)
+        mid_i0, mid_at = _window_ends(K, mids, x0.delay)
         shape = K.shape + V0.shape[1:]
-        stack.V, stack.CUM, stack.TAIL = (np.empty(shape) for _ in range(3))
+        stack.V, stack.CUM = np.empty(shape), np.empty(shape)
+        stack.TAIL = np.empty(tgrid.shape + V0.shape[1:])
         stack.DIN = np.zeros(shape)   # slope arriving at the knot
         stack.DOUT = np.zeros(shape)  # slope leaving the knot
         slopes = np.diff(V0, axis=0) / np.diff(x0.grid).reshape(per_knot)
@@ -154,14 +182,15 @@ class _Dense:
         # rounding K - tau (in [-delay, 0]) cannot merge knots further apart
         close = bool(np.diff(K).min() <= 4.0 * float(np.spacing(x0.delay)))
         stack.n, stack.delay, stack.count, stack.node0, stack.close_knots = x0.dim, x0.delay, k0, k0 - 1, close
+        plan = (mids, mid_i0, node_at, mid_at)
         if len(x0s) == 1:
-            return stack, [stack]
+            return stack, [stack], plan
         stores = [cls.__new__(cls) for _ in x0s]
         for i, store in enumerate(stores):  # by setattr: a __dict__ update would slow every read of a store
             for name in ("K", "I0", "n", "delay", "count", "node0", "close_knots", *_ROWS):
                 value = getattr(stack, name)  # the stack's field, or its column of a row array
                 setattr(store, name, value[:, i] if name in _ROWS else value)
-        return stack, stores
+        return stack, stores, plan
 
     def append(self, x: np.ndarray):
         """Store the row of the next knot of ``K`` and its running integral;
@@ -174,78 +203,61 @@ class _Dense:
     def node_window(self, k: int) -> _Window:
         """The window the dynamics saw at node ``k`` (node 0 is t0)."""
         c = self.node0 + k
-        tail, head = self.TAIL[c], self.V[c]
+        tail, head = self.TAIL[k], self.V[c]
         tail.setflags(write=False)  # views: the store stays writeable
         head.setflags(write=False)
-        return _Window(self, self.K.item(c), self.I0.item(c), c, tail, head)
-
-    def _basis(self, s):
-        s2 = s * s
-        s3 = s2 * s
-        return 2 * s3 - 3 * s2 + 1, s3 - 2 * s2 + s, -2 * s3 + 3 * s2, s3 - s2
+        return _Window(self, self.K.item(c), self.I0.item(k), c, tail, head)
 
     def eval_one(self, t: float) -> np.ndarray:
-        return self._eval_in(int(np.searchsorted(self.K[: self.count], t, side="right")) - 1, t)
+        return self.eval_many(np.array([t]))[0]
 
-    def _eval_in(self, j: int, t: float) -> np.ndarray:
-        """Dense value at ``t``, which the search put after knot ``j``.  Every
-        caller asks at t >= K[0] = t0 - delay, so j >= 0."""
+    def eval_many(self, ts: np.ndarray) -> np.ndarray:
+        """Dense values at the times ``ts``, none below K[0] = t0 - delay, one
+        row (a stack's rows, one per run) each: a stored knot's row, else the
+        cubic Hermite of the two stored knots around the time."""
         c = self.count
-        if j >= c - 1:
-            j = c - 2
-        ta, tb = self.K.item(j), self.K.item(j + 1)
-        if t == ta:
-            return self.V[j]
-        if t == tb:
-            return self.V[j + 1]
+        K, V = self.K, self.V
+        j = np.minimum(np.searchsorted(K[:c], ts, side="right") - 1, c - 2)
+        ta, tb = K[j], K[j + 1]
         dt = tb - ta
-        h00, h10, h01, h11 = self._basis((t - ta) / dt)
-        return (
-            h00 * self.V[j]
-            + (h10 * dt) * self.DOUT[j]
-            + h01 * self.V[j + 1]
-            + (h11 * dt) * self.DIN[j + 1]
-        )
-
-    def _span(self, tau: float, start: int | None = None) -> tuple:
-        """``(i0, i1, tail)`` of the window [tau - delay, tau]: its inner knots
-        are ``K[i0:i1]``, the stored knots strictly below ``tau``, and
-        ``tail`` is its row at -delay (a stack's rows, one per run), read-only.
-        The row is a knot's when one sits at ``tau - delay``, else the dense
-        value there.  ``start``, when given, is
-        ``searchsorted(K[:count], tau - delay, "right")``, which a caller
-        whose times only grow can keep by walking forward."""
-        r = self.delay
-        c = self.count
-        lo = tau - r
-        K = self.K
-        i0 = int(np.searchsorted(K[:c], lo, side="right")) if start is None else start
-        tail_row = i0 - 1 if i0 > 0 and K.item(i0 - 1) == lo else None
-        # a knot just above lo can still land on offset -r after subtraction;
-        # fold it into the tail so the offset grid stays strictly increasing
-        while i0 < c and K.item(i0) - tau <= -r:
-            tail_row = i0
-            i0 += 1
-        i1 = c if K.item(c - 1) < tau else int(np.searchsorted(K[:c], tau, side="left"))
-        # without a fold, the search for i0 is eval_one(lo)'s own search
-        tail = self._eval_in(i0 - 1, lo) if tail_row is None else self.V[tail_row]
-        tail.setflags(write=False)  # freezes as flags.writeable = False does, at about half the cost
-        return i0, i1, tail
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 only on knots that rounded together
+            s = (ts - ta) / dt
+        s2 = s * s
+        s3 = s2 * s
+        per_row = (-1,) + (1,) * (V.ndim - 1)
+        h00 = (2 * s3 - 3 * s2 + 1).reshape(per_row)
+        h10 = ((s3 - 2 * s2 + s) * dt).reshape(per_row)
+        h01 = (-2 * s3 + 3 * s2).reshape(per_row)
+        h11 = ((s3 - s2) * dt).reshape(per_row)
+        va, vb = V[j], V[j + 1]
+        out = h00 * va + h10 * self.DOUT[j] + h01 * vb + h11 * self.DIN[j + 1]
+        on_b = ts == tb
+        out[on_b] = vb[on_b]
+        on_a = ts == ta
+        out[on_a] = va[on_a]
+        return out
 
     def window_segment(self, tau: float) -> _Window:
         """History snapshot on [tau - delay, tau], as a view of the store; its
         row at offset 0 is the dense value at ``tau``."""
-        i0, i1, tail = self._span(tau)
-        head = self.eval_one(tau)
+        c, K = self.count, self.K
+        (i0,), (at,) = _window_ends(K, np.array([tau]), self.delay)
+        i1 = c if K.item(c - 1) < tau else int(np.searchsorted(K[:c], tau, side="left"))
+        tail, head = self.eval_many(np.array([at, tau]))
+        tail.setflags(write=False)  # freezes as flags.writeable = False does, at about half the cost
         head.setflags(write=False)
-        return _Window(self, tau, i0, i1, tail, head)
+        return _Window(self, tau, int(i0), i1, tail, head)
 
 
 class _Window(HistorySegment):
     """The window [tau - delay, tau] of a dense store, without a copy.
 
     It holds the store, the index range ``i0:i1`` of the inner knots and the
-    rows at -delay and 0.  ``head``, ``delayed`` and ``integral()`` cost O(1);
+    rows at -delay and 0.  A stage window's ``i0`` and row at -delay come
+    from the group's set-up and look-ahead (:meth:`_Dense.group`,
+    :func:`_lockstep`), any other's from :func:`_window_ends` and
+    :meth:`_Dense.eval_many` on the spot; both are the same search, fold
+    and Hermite.  ``head``, ``delayed`` and ``integral()`` cost O(1);
     ``grid`` and ``values`` each cost one O(delay/step) copy on first read
     and are kept.  The store only appends, so a window stays valid as it
     grows.  ``_body`` is all of ``integral()`` but the head piece, computed
@@ -427,10 +439,14 @@ def _integrate_runs(
     Runs with the same delay, initial grid and set of switch times (of input
     and disturbance together) have the same knots.  They form a group, whose
     node grid is built and whose store is set up once (:meth:`_Dense.group`),
-    and advance in lock-step: the window searches, the Hermite row at -delay,
-    the RK4 arithmetic and the store writes are done once per step on
-    (m, n) stacks.  Element-wise NumPy with scalar coefficients rounds each
-    row as it rounds an (n,) array, so every run is bitwise its solo run.
+    and advance in lock-step.  Every stage window's lower end is found at
+    set-up; its row at -delay is the dense value at a time before the step's
+    start (steps are at most delay / 2), so the rows of about a delay of
+    steps are evaluated at once, in one Hermite pass, as soon as the knots
+    they read are stored.  The RK4 arithmetic and the store writes are done
+    once per step on (m, n) stacks.  Element-wise NumPy with scalar or
+    per-row coefficients rounds each row as it rounds an (n,) array, so
+    every run is bitwise its solo run.
     A run that stops (``blew_up`` or ``step_failure``) is not called again;
     the rest of its group carries on.  Groups run one after another, in the
     order of their first run.  Within a step the right-hand side is called
@@ -468,9 +484,16 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
     """Trajectories of ``runs`` (x0, u, d), which share the node grid
     ``tgrid``, the initial grid and the delay, advanced together.  A run that
     stops keeps its column of the stack: it is not called again, its stage
-    slopes are zero from then on, and its store reads no row past its count."""
+    slopes are zero from then on, and its store reads no row past its count.
+
+    A stage at time tau reads its row at -delay on the knot interval that
+    ends at its window's lower end, and tau - delay lies before the step's
+    start ``K[count - 1]``, so every knot it reads is stored before its step.
+    When a step's rows are not there yet, ``rows_ahead`` evaluates every
+    row whose knots are stored (up to ``_AHEAD`` nodes and midpoints) in
+    one pass, into ``TAIL`` for the nodes and ``MID`` for the midpoints."""
     m = len(runs)
-    stack, stores = _Dense.group(t0, [run[0] for run in runs], tgrid)
+    stack, stores, (mids, mid_i0, node_at, mid_at) = _Dense.group(t0, [run[0] for run in runs], tgrid)
     # run p's row of an (m, n) stack array is rows(a)[p]; a group of one's arrays are (n,)
     cols = range(m)
     rows = (lambda a: list(map(a.__getitem__, cols))) if m > 1 else (lambda a: (a,))
@@ -489,28 +512,39 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
     switched = switched.reshape(-1, m).T.tolist()  # switched[p][j]: run p's levels change at node j + 1
 
     f = system.dynamics
-    K = stack.K
     status, t_event = ["completed"] * m, [None] * m
     live = list(range(m))  # the runs still advancing
     norms = [0.0] * m  # np.linalg.norm(x_next) per run
-    lower = 0  # searchsorted(K[:count], tau - delay, "right") at the last stage time tau
     k2, k3, k4 = (np.empty(stack.V.shape[1:]) for _ in range(3))  # stage slopes, reused from step to step
     k2s, k3s, k4s = rows(k2), rows(k3), rows(k4)
 
-    def span(tau: float) -> tuple:
-        # stage times never decrease, so the lower end walks forward; tau's node in K stops it
-        nonlocal lower
-        lo = tau - stack.delay
-        while K.item(lower) <= lo:
-            lower += 1
-        i0, i1, tails = stack._span(tau, lower)
-        return i0, i1, tails, rows(tails)
+    MID = np.empty(mids.shape + stack.V.shape[1:])  # each step's midpoint row at -delay
 
-    def stage(outs, tau: float, i0: int, i1: int, tails, heads, like=None) -> dict:
+    def rows_ahead(k: int, j: int) -> tuple:
+        """Store the rows at -delay of the nodes from ``k`` on and of the
+        midpoints from ``j`` on whose interval's right knot (the window's
+        lower end) is stored, in one pass; return the first node and midpoint
+        whose is not.  Steps of at most delay / 2 make that the next step's
+        stages and those of about a delay after them.  The rows of a run
+        that stops before it reads them may overflow: no warning."""
+        c = stack.count - 1
+        k1 = min(int(np.searchsorted(stack.I0, c, side="right")), k + _AHEAD)
+        j1 = min(int(np.searchsorted(mid_i0, c, side="right")), j + _AHEAD)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ahead = stack.eval_many(np.concatenate((node_at[k:k1], mid_at[j:j1])))
+        stack.TAIL[k:k1], MID[j:j1] = ahead[: k1 - k], ahead[k1 - k :]
+        return k1, j1
+
+    def tails(a: np.ndarray) -> list:
+        """Each run's row of the stack row ``a`` at -delay, read-only."""
+        a.setflags(write=False)  # freezes as flags.writeable = False does, at about half the cost
+        return rows(a)
+
+    def stage(outs, tau: float, i0: int, i1: int, tls, heads, like=None) -> dict:
         """Each live run's window at ``tau``, after the dynamics saw it at
         the levels ``us``, ``ds``; ``outs[p]`` gets run p's slope.  The
         windows' inner knots are ``i0:i1``, and run p's rows at -delay and 0
-        are ``tails[p]`` and row p of ``heads``, which this freezes.  Windows
+        are ``tls[p]`` and row p of ``heads``, which this freezes.  Windows
         with the same time, inner knots and tail share the quadrature of all
         but the head piece: run p's is ``like[p]``'s."""
         heads.setflags(write=False)
@@ -518,7 +552,7 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
         segs = {}
         for p in live:
             body = None if like is None else like[p]._body
-            seg = segs[p] = _Window(stores[p], tau, i0, i1, tails[p], heads[p], body)
+            seg = segs[p] = _Window(stores[p], tau, i0, i1, tls[p], heads[p], body)
             outs[p][...] = f(tau, seg, us[p], ds[p])
         return segs
 
@@ -531,11 +565,10 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
             k2s[p][...] = k3s[p][...] = k4s[p][...] = 0.0
 
     times = tgrid.tolist()  # Python floats: the step arithmetic is the same, with less overhead
+    nodes_ready, mids_ready = rows_ahead(0, 0)  # the nodes and midpoints whose rows at -delay are stored
     c = stack.count - 1  # node 0
     us, ds = rows(U[0]), rows(D[0])
-    i0, _, tails, tls = span(times[0])
-    stack.I0[c], stack.TAIL[c] = i0, tails
-    stage(rows(stack.DOUT[c]), times[0], i0, c, tls, stack.V[c])
+    stage(rows(stack.DOUT[c]), times[0], stack.I0.item(0), c, tails(stack.TAIL[0]), stack.V[c])
 
     for j in range(len(times) - 1):
         ta = times[j]
@@ -545,15 +578,14 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
         c = stack.count
         xk = stack.V[c - 1]
         k1 = stack.DOUT[c - 1]
+        if nodes_ready <= j + 1:  # node j + 1's lower end is at least its midpoint's
+            nodes_ready, mids_ready = rows_ahead(nodes_ready, mids_ready)
 
-        tm = ta + 0.5 * hk
-        if tm == ta:  # a one-ulp step has no midpoint; its start belongs to the node
-            tm = tb
-        i0, i1, tails, tls = span(tm)
-        seg_m = stage(k2s, tm, i0, i1, tls, xk + (0.5 * hk) * k1)
-        stage(k3s, tm, i0, i1, tls, xk + (0.5 * hk) * k2, seg_m)
-        i0, i1, tails, tls = span(tb)
-        seg_b = stage(k4s, tb, i0, i1, tls, xk + hk * k3)
+        tm, i0, tls = mids.item(j), mid_i0.item(j), tails(MID[j])
+        seg_m = stage(k2s, tm, i0, c, tls, xk + (0.5 * hk) * k1)
+        stage(k3s, tm, i0, c, tls, xk + (0.5 * hk) * k2, seg_m)
+        i0, tls = stack.I0.item(j + 1), tails(stack.TAIL[j + 1])
+        seg_b = stage(k4s, tb, i0, c, tls, xk + hk * k3)
         x_next = xk + (hk / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
         # hk > 0, so x_next is non-finite whenever a stage is; a finite norm
@@ -571,8 +603,7 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
             x_next[failed] = xk[failed]  # a stopped run stays at its last node
 
         stack.append(x_next)
-        # the node window has the lower end of k4's: appending at tb moves neither
-        stack.I0[c], stack.TAIL[c] = i0, tails
+        # the node window is k4's: appending at tb moves neither end of its inner knots
         f_end = stack.DOUT[c]
         fs = rows(f_end)
         nodes = stage(fs, tb, i0, c, tls, stack.V[c], seg_b)
@@ -770,8 +801,7 @@ def check_continuity_bound(
     # before t0 are read from each run's dense store
     pre = np.union1d(t0 + x0.grid, t0 + y0.grid)
     pre = pre[pre < t0]
-    pre_rows = (ta._dense.eval_one(t) - tb._dense.eval_one(t) for t in pre)
-    diff = np.vstack([*pre_rows, ta.states - tb.states])
+    diff = np.vstack([ta._dense.eval_many(pre) - tb._dense.eval_many(pre), ta.states - tb.states])
     knots = np.concatenate([pre, ta.times])
     dn = np.linalg.norm(diff, axis=1)
     window_dist = _trailing_window_max(knots, dn, system.delay_r)[pre.size :]

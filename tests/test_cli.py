@@ -645,6 +645,29 @@ class TestErrorPaths:
         assert main(["--config", cfg2]) == 2
         assert "'spline'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"command": "simulate", "simulate": {"disturbance": {"kind": "random", "mean_dwell": 1e-300}}},
+            {"command": "envelope", "system": "example-5.2", "samples": 2, "horizon": 0.5,
+             "envelope": {"mean_dwell": 1e-300}},
+        ],
+        ids=["simulate", "envelope"],
+    )
+    def test_a_dwell_too_short_for_the_horizon_exits_2(self, tmp_path, payload):
+        # drawing its switches one by one would not end: the run must refuse it
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        base = {"system": "example-5.4", "seed": 0, "step": 1e-2, "out": str(tmp_path / "a")}
+        cfg = write_config(tmp_path, dict(base, **payload))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rfdestab", "--config", cfg], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "mean_dwell is too short for the horizon" in proc.stderr
+
 
 # ---------------------------------------------------------------------------
 # determinism and entry points

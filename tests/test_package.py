@@ -2,8 +2,8 @@
 modules' public APIs, every exported checker is reached by a certificate, the
 command line or a demo (not by the benchmark), README's claims table names the
 bundles' certificates, no module keeps an import it does not use or imports
-SciPy, and no private function or method keeps a parameter it does not
-read."""
+SciPy, no private function or method keeps a parameter it does not read,
+and every private definition is referenced."""
 
 import ast
 import re
@@ -134,3 +134,27 @@ def _unread_parameters(path: Path) -> list:
 def test_no_unread_parameters():
     unread = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in _unread_parameters(path)]
     assert not unread, unread
+
+
+def test_no_unreferenced_private_definitions():
+    # every private function, method or class is read somewhere in the
+    # package (by name or as an attribute), not only defined
+    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreferenced = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, kinds)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+    assert not unreferenced, unreferenced

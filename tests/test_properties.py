@@ -377,12 +377,47 @@ ULP_STEP = dict(
     r=1.0, steps_per_delay=2, t0=262144.0, span=2.0, fracs=[2.4172877385693633e-11],
     levels=[0.0] * 5, queries=[], seed=0,
 )
+# a switch 4e-10 below the base node t0 + r, within 1e-9 h of it: the grid
+# drops that node, so the step after the switch is h + 4e-10, the longest a
+# grid makes, and its stages' rows at -r must still read stored knots only
+DROPPED_NODE = dict(
+    r=1.0, steps_per_delay=2, t0=0.0, span=2.0, fracs=[0.4999999998],
+    levels=[0.5, -0.5, 0.0, 0.0, 0.0], queries=[], seed=0,
+)
+# 300 steps a delay: more than one look-ahead pass (at most 256 nodes) a delay
+MANY_STEPS = dict(
+    r=1.0, steps_per_delay=300, t0=0.0, span=3.0, fracs=[0.5],
+    levels=[0.5, -0.5, 0.0, 0.0, 0.0], queries=[], seed=0,
+)
 # a step request of a whole delay, where t0 + r - r rounds one ulp above t0:
 # with h = r the window's row at -r would lie past the store's last node
 WHOLE_DELAY_STEP = dict(
     r=1.6344240681559816, steps_per_delay=1, t0=1.3760699688623768, span=1.0, fracs=[],
     levels=[0.0] * 5, queries=[], seed=0,
 )
+
+
+def _hermite_at(dense, t):
+    """The dense value at ``t`` by the scalar cubic Hermite of the two stored
+    knots around it (a knot's own row on a knot), written out here so the
+    reference shares no code with the store's evaluator."""
+    c, K, V = dense.count, dense.K, dense.V
+    j = min(int(np.searchsorted(K[:c], t, side="right")) - 1, c - 2)
+    ta, tb = float(K[j]), float(K[j + 1])
+    if t == ta:
+        return V[j]
+    if t == tb:
+        return V[j + 1]
+    dt = tb - ta
+    s = (t - ta) / dt
+    s2 = s * s
+    s3 = s2 * s
+    return (
+        (2 * s3 - 3 * s2 + 1) * V[j]
+        + ((s3 - 2 * s2 + s) * dt) * dense.DOUT[j]
+        + (-2 * s3 + 3 * s2) * V[j + 1]
+        + ((s3 - s2) * dt) * dense.DIN[j + 1]
+    )
 
 
 def _copied_window(dense, t, head=None):
@@ -401,11 +436,11 @@ def _copied_window(dense, t, head=None):
     grid = np.empty(size)
     vals = np.empty((size, dense.n))
     grid[0] = -r
-    vals[0] = dense.eval_one(lo) if tail_row is None else dense.V[tail_row]
+    vals[0] = _hermite_at(dense, lo) if tail_row is None else dense.V[tail_row]
     grid[1:-1] = K[i0:i1] - t
     vals[1:-1] = dense.V[i0:i1]
     grid[-1] = 0.0
-    vals[-1] = dense.eval_one(t) if head is None else head
+    vals[-1] = _hermite_at(dense, t) if head is None else head
     if dense.close_knots:
         last = np.concatenate([[True], np.diff(grid[1:]) > 0.0, [True]])
         grid, vals = grid[last], vals[last]
@@ -432,7 +467,7 @@ class TestDenseWindows:
             assert np.array_equal(seg.values[-1], traj.state(t))
             # a knot at t - r, or one whose offset rounds onto -r, gives the row at -r
             folded = np.nonzero((K == t - r) | ((K > t - r) & (K - t <= -r)))[0]
-            tail = V[folded[-1]] if folded.size else dense.eval_one(t - r)
+            tail = V[folded[-1]] if folded.size else _hermite_at(dense, t - r)
             assert np.array_equal(seg.values[0], tail)
 
     @settings(max_examples=100, deadline=None)
@@ -531,7 +566,7 @@ def _stage_run(r, steps_per_delay, t0, span, fracs, levels, seed):
     every call it records the time, the window, the window's integral and
     the lower end and row at -r that a search over the store as it stands
     gives: ``searchsorted(K[:count], t - r, "right")``, then the fold of
-    knots whose offsets round onto -r."""
+    knots whose offsets round onto -r, and the row by :func:`_hermite_at`."""
     t_end = t0 + span * r
     switches = np.unique(t0 + np.asarray(fracs) * (t_end - t0))
     switches = switches[(switches > t0) & (switches < t_end)]
@@ -547,7 +582,7 @@ def _stage_run(r, steps_per_delay, t0, span, fracs, levels, seed):
         while i0 < c and K[i0] - t <= -dense.delay:
             tail_row = i0
             i0 += 1
-        tail = dense.eval_one(lo) if tail_row is None else dense.V[tail_row]
+        tail = _hermite_at(dense, lo) if tail_row is None else dense.V[tail_row]
         integral = seg.integral()
         seen.append((t, seg, integral, i0, tail.copy()))
         return dd[0] * seg.delayed - seg.head + 0.5 * integral
@@ -559,15 +594,18 @@ def _stage_run(r, steps_per_delay, t0, span, fracs, levels, seed):
 
 
 class TestStageWindows:
-    """The integrator walks each window's lower end forward instead of
-    searching for it, and the windows that share a time share the quadrature
-    of all but the head piece; neither may change a bit."""
+    """The integrator finds every stage window's lower end and row at -r
+    before it steps, and the windows that share a time share the quadrature
+    of all but the head piece; neither may change a bit from a search over
+    the store as it stands at the stage."""
 
     @settings(max_examples=100, deadline=None)
     @given(**DENSE_RUNS)
     @example(**CLOSE_SWITCH)
     @example(**ULP_STEP)
-    def test_walked_lower_end_is_the_search(
+    @example(**DROPPED_NODE)
+    @example(**MANY_STEPS)
+    def test_lower_end_is_the_search(
         self, r, steps_per_delay, t0, span, fracs, levels, queries, seed
     ):
         traj, seen = _stage_run(r, steps_per_delay, t0, span, fracs, levels, seed)

@@ -34,6 +34,15 @@ class TestEval:
         with pytest.raises(ValueError):
             PiecewiseSignal(np.array([]), np.array([[2.0]]), np.array([[0.0, 1.0]]))
 
+    def test_eval_many_rejects_negative_times_as_eval_does(self):
+        sig = constant_signal([1.0])
+        with pytest.raises(ValueError, match=r"defined on \[0, inf\); got t=-1.0"):
+            sig.eval_many([-1.0])
+        with pytest.raises(ValueError, match=r"got t=-1.0"):
+            sig.eval(-1.0)
+        # NaN and the tolerance below zero read as eval reads them
+        assert np.array_equal(sig.eval_many([np.nan, -1e-13]), [sig.eval(np.nan), sig.eval(-1e-13)])
+
     def test_switch_times_strictly_increasing(self):
         with pytest.raises(ValueError):
             PiecewiseSignal(
@@ -63,6 +72,12 @@ class TestSampling:
         # an infinite horizon would keep sample_signal drawing switches forever
         with pytest.raises(ValueError):
             SignalSpec(np.array([[-1.0, 1.0]]), horizon, mean_dwell)
+
+    def test_a_dwell_too_short_for_the_horizon_is_rejected(self):
+        # sample_signal would loop about horizon / mean_dwell times
+        with pytest.raises(ValueError, match="mean switch count"):
+            SignalSpec(np.array([[-1.0, 1.0]]), 3.0, 1e-300)
+        SignalSpec(np.array([[-1.0, 1.0]]), 3.0, 3e-6)  # a million switches on average is allowed
 
     def test_determinism(self):
         spec = SignalSpec(np.array([[-1.0, 1.0]]), horizon=20.0, mean_dwell=0.3, seed=11)

@@ -1,5 +1,6 @@
 """Method-of-steps integration, moduli estimation, continuity bound, completeness probe."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -30,7 +31,7 @@ from rfdestab import (
     trajectory_to_csv,
     verify_ios_envelope,
 )
-from rfdestab.simulator import _uniform_box
+from rfdestab.simulator import _integrate_runs, _uniform_box
 
 ZERO_D = np.array([[0.0, 0.0]])
 
@@ -614,3 +615,55 @@ class TestRfc:
         rep = check_rfc(sys_, s=1.0, T=2.0, n_traj=10, rng=np.random.default_rng(9))
         assert rep.verdict == "no_counterexample"
         assert np.isfinite(rep.sup_norm_observed)
+
+
+def _digest(traj) -> str:
+    """sha256 of a trajectory's node times and states, in that order."""
+    return hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest()
+
+
+PINNED = {
+    "example-5.2": "7d03b768efe318791dbacaaee4fdf6c22a908e8a6497f7bea6fbbbd33658244e",
+    "example-4.8": "5bb5d36eae8f9d2cc415dba737a2d5f896cae64df8621ef122dd2e6dce7d90b4",
+    "group": [
+        "b808744f30a026aae7ac3bc47b6eaa195fe8f6900841f9663d6e68fbd8a73755",
+        "b7a80a1def16cf763371e500889c89e38fca7f16f65471a643287d3fb1e0b2c4",
+        "f6a2c3f7fee6b5f6af28fe609d15e65e1301f5979a4523cf291c9738af716e29",
+    ],
+}
+
+
+class TestPinnedBits:
+    """Node times and states of three runs, recorded when each stage
+    evaluated its own row at -delay; an integrator that keeps every bit
+    keeps these digests."""
+
+    def test_example_5_2_ensemble_member(self):
+        # the first member of energy-bounded-by-initial's seed-0 ensemble
+        sys_ = build_example("example-5.2").system
+        rng = np.random.default_rng(0)
+        x0 = sample_history(rng, sys_.delay_r, sys_.dim_n, 1.0)
+        d = sample_signal(SignalSpec(sys_.d_box, 1.4, 0.4, seed=int(rng.integers(2**32))))
+        traj = integrate(sys_, 0.0, x0, None, d, 1.4, IntegrateOpts(step_req=2e-4))
+        assert traj.status == "completed" and traj.times.size == 7001 + d.switches_in(0.0, 1.4).size
+        assert _digest(traj) == PINNED["example-5.2"]
+
+    def test_example_4_8_with_switching_input_and_disturbance(self):
+        sys_ = build_example("example-4.8").system
+        x0 = sample_history(np.random.default_rng(2), sys_.delay_r, sys_.dim_n, 1.0)
+        u = sample_signal(SignalSpec(sys_.u_box, 3.0, 0.3, seed=1))
+        d = sample_signal(SignalSpec(sys_.d_box, 3.0, 0.3, seed=2))
+        traj = integrate(sys_, 0.0, x0, u, d, 3.0, IntegrateOpts(step_req=1e-2))
+        assert traj.status == "completed" and u.switches_in(0.0, 3.0).size >= 3
+        assert _digest(traj) == PINNED["example-4.8"]
+
+    def test_constant_disturbance_group(self):
+        # the runs converse_functional_uq integrates: one window from t > 0,
+        # one constant disturbance per member, all in one lock-step group
+        sys_ = build_example("example-5.2").system
+        x0 = sample_history(np.random.default_rng(5), sys_.delay_r, sys_.dim_n, 1.0)
+        runs = [(x0, None, constant_signal([c], box=sys_.d_box)) for c in (-1.0, 0.0, 1.0)]
+        trajs = _integrate_runs(sys_, 0.3, runs, 1.1, IntegrateOpts(step_req=1e-2))
+        assert [t.status for t in trajs] == ["completed"] * 3
+        assert trajs[0]._dense.K is trajs[2]._dense.K  # one group
+        assert [_digest(t) for t in trajs] == PINNED["group"]
