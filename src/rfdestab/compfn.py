@@ -16,6 +16,8 @@ from typing import Callable
 
 import numpy as np
 
+from .history import _norm
+
 __all__ = [
     "ComparisonFn",
     "KlFn",
@@ -81,7 +83,7 @@ def constant(c: float) -> ComparisonFn:
 def _guard_level(gain, weight, t: float, u) -> float:
     """The input level gain(weight(t)|u|) that the guarded decay conditions
     and the input-to-output envelopes compare against."""
-    return float(gain(float(weight(t)) * float(np.linalg.norm(u))))
+    return float(gain(float(weight(t)) * _norm(np.asarray(u, dtype=float).ravel(order="K"))))
 
 
 # -- KL envelopes from decay rates --------------------------------------------

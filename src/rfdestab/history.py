@@ -14,6 +14,7 @@ they check what their inputs decide and use the private builder ``_segment``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,7 +147,7 @@ class HistorySegment:
         """Shift every value row by the constant vector ``w``."""
         values = self.values + np.atleast_1d(np.asarray(w, dtype=float))
         if values.shape != self.values.shape or not np.isfinite(values).all():
-            raise ValueError(f"offset rows must be finite, of shape ({self.dim},)")
+            raise ValueError(_OFFSET_ROWS.format(self.dim))
         return _segment(self.delay, self.grid, values)
 
     # -- serialization -------------------------------------------------------
@@ -173,6 +174,20 @@ def _segment(delay, grid: np.ndarray, values: np.ndarray) -> HistorySegment:
     seg = object.__new__(HistorySegment)
     seg.__dict__.update(delay=delay, grid=grid, values=values)
     return seg
+
+
+_OFFSET_ROWS = "offset rows must be finite, of shape ({},)"
+
+
+def _offset_windows(segment: HistorySegment, offsets: np.ndarray) -> Iterator[HistorySegment]:
+    """``segment.add_constant(w)`` for each row w of ``offsets``, bitwise, with
+    every window's rows from one broadcast add.  The windows come one at a
+    time, and one whose rows are not finite raises ``add_constant``'s
+    ValueError when it is reached, not before."""
+    for values in segment.values + offsets[:, None, :]:
+        if not np.isfinite(values).all():
+            raise ValueError(_OFFSET_ROWS.format(segment.dim))
+        yield _segment(segment.delay, segment.grid, values)
 
 
 def _trapezoid(y: np.ndarray, x: np.ndarray) -> np.float64:
@@ -206,6 +221,15 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a 1-D float array, bit for bit, quiet when its
+    square overflows (above about 1.34e154)."""
+    if math.hypot(*x.tolist()) < 1e154:  # hypot cannot overflow, and this square cannot either
+        return math.sqrt(x.dot(x))
+    with np.errstate(over="ignore"):
+        return math.sqrt(x.dot(x))
+
+
 def sup_norm(segment: HistorySegment) -> float:
     """Largest Euclidean value norm over the window.
 
@@ -233,26 +257,38 @@ def extend(segment: HistorySegment, v, step: float) -> HistorySegment:
     if v.shape != (segment.dim,):
         raise ValueError(f"slope must have shape ({segment.dim},)")
     r = segment.delay
-    grid = segment.grid
-    x0 = segment.values[-1]
+    grid, values = segment.grid, segment.values
 
     # knots moved back by step that survive inside [-r, -step)
-    lo = step - r  # old offsets strictly above this survive
+    lo = step - r  # old offsets strictly above this survive; lo is in [-r, 0)
     i0 = int(np.searchsorted(grid, lo, side="right"))
     keep = grid[i0:] - step          # in (-r, 0]; the 0 maps to -step
-    keep_vals = segment.values[i0:]
+    keep_vals = values[i0:]
     if (keep[1:] <= keep[:-1]).any():
         # neighbours closer than the rounding of the subtraction landed on
         # one offset; keep the last, so the knot at -step still carries x(0)
         last = np.append(keep[1:] > keep[:-1], True)
         keep, keep_vals = keep[last], keep_vals[last]
 
-    # head knot -r unless a moved knot landed on it; keep[-1] = -step carries
-    # x(0), and the ramp ends at the top knot 0
-    new_grid = np.concatenate([[-r], keep, [0.0]])
-    new_vals = np.vstack([segment.eval(lo), keep_vals, x0 + step * v])
-    if keep[0] == -r:
-        new_grid, new_vals = new_grid[1:], new_vals[1:]
+    # head knot -r with the row at lo, unless a moved knot landed on it;
+    # keep[-1] = -step carries x(0), and the ramp ends at the top knot 0
+    head = int(keep[0] != -r)
+    size = head + keep.size + 1
+    new_grid = np.empty(size)
+    new_vals = np.empty((size, segment.dim))
+    if head:
+        # segment.eval(lo): grid[i0 - 1] <= lo < grid[i0], found by the search above
+        a = grid[i0 - 1]
+        new_grid[0] = -r
+        if a == lo:
+            new_vals[0] = values[i0 - 1]
+        else:
+            w = (lo - a) / (grid[i0] - a)
+            new_vals[0] = (1.0 - w) * values[i0 - 1] + w * values[i0]
+    new_grid[head:-1] = keep
+    new_grid[-1] = 0.0
+    new_vals[head:-1] = keep_vals
+    new_vals[-1] = values[-1] + step * v
     if (new_grid[1:] <= new_grid[:-1]).any():
         raise ValueError("grid offsets must be strictly increasing")
     if not np.isfinite(new_vals).all():

@@ -17,6 +17,7 @@ truncated-horizon converse energy :func:`converse_functional_uq`.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import asdict, dataclass
@@ -25,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .compfn import ComparisonFn, _guard_level
-from .history import HistorySegment, _draw_block, extend, sup_norm
+from .history import HistorySegment, _draw_block, _offset_windows, extend, sup_norm
 from .simulator import IntegrateOpts, RfdeSystem, _integrate_runs, output_norm
 
 __all__ = [
@@ -64,7 +65,9 @@ class RazumikhinFunction:
     """Nonnegative pointwise function V(t, x) defined for t >= -r.
 
     ``evaluator_many(ts, X)``, when given, evaluates rows of X at paired
-    times in one call and speeds up window-sup guards.
+    times in one call and speeds up window-sup guards.  It must be row-wise:
+    row i of its result depends only on ``(ts[i], X[i])``, because the
+    falsifiers evaluate the rows of a whole block of windows in one call.
     """
 
     evaluator: Callable[[float, np.ndarray], float]
@@ -76,9 +79,15 @@ class RazumikhinFunction:
         return float(self.evaluator(t, np.asarray(x, dtype=float)))
 
     def along(self, ts: np.ndarray, X: np.ndarray) -> np.ndarray:
-        if self.evaluator_many is not None:
-            return np.asarray(self.evaluator_many(ts, X), dtype=float)
-        return np.array([float(self.evaluator(t, x)) for t, x in zip(ts, X)])
+        """V at each ``(ts[i], X[i])``: one value per row, or ValueError."""
+        if self.evaluator_many is None:
+            return np.array([float(self.evaluator(t, x)) for t, x in zip(ts, X)])
+        out = np.asarray(self.evaluator_many(ts, X), dtype=float)
+        if out.shape != (len(ts),):
+            raise ValueError(
+                f"evaluator_many must return one value per row, shape ({len(ts)},); got {out.shape}"
+            )
+        return out
 
 
 LADDER_STEPS = (1e-2, 1e-3, 1e-4)
@@ -176,7 +185,8 @@ def dini_functional(
     [V(t+h, slid window + h*y) - V(t, x)]/h are taken over the LADDER_STEPS
     shorter than the window with y = 0 and LADDER_PROBES sphere probes of
     radius h, and the largest quotient at the smallest step is returned.  An
-    analytic expression, when attached, wins.
+    analytic expression, when attached, wins.  A rung's probe windows come
+    from one broadcast add, each bitwise ``slid.add_constant((h*h)*dvec)``.
     """
     opts = opts or DiniOpts()
     if V.analytic_dini is not None and opts.use_analytic:
@@ -187,9 +197,8 @@ def dini_functional(
 
     def rung(h: float) -> list:
         slid = extend(x, v, h)
-        return [float(V.evaluator(t + h, slid))] + [
-            float(V.evaluator(t + h, slid.add_constant((h * h) * dvec))) for dvec in dirs
-        ]
+        windows = itertools.chain([slid], _offset_windows(slid, (h * h) * dirs))
+        return [float(V.evaluator(t + h, seg)) for seg in windows]
 
     return _ladder(_steps_below(x.delay), base, rung)
 
@@ -289,17 +298,25 @@ def _samples(sys: RfdeSystem, spec: SamplerSpec, draw_u: bool):
             yield t, seg, u if draw_u else sys.zero_input(), d
 
 
+# the errors a sweep counts as a sample's failure to evaluate
+_EVAL_ERRORS = (ValueError, FloatingPointError, ZeroDivisionError, OverflowError)
+
+
 def _falsify(
     sys: RfdeSystem,
     spec: SamplerSpec,
     tol: float,
     draw_u: bool,
     sample_fn: Callable,
+    screen: Callable | None = None,
 ) -> FalsificationReport:
-    """Shared sampling loop.
+    """Shared sampling loop, over the samples of :func:`_samples` a block at a time.
 
-    ``sample_fn(t, seg, u, d)`` returns None for a sample its guard skips and
-    (residual, derivative_scale) otherwise.
+    ``sample_fn(t, seg, u, d, mark)`` returns None for a sample its guard
+    skips and (residual, derivative_scale) otherwise.  ``screen(times,
+    windows)``, when given, runs once for each block, before its samples, and
+    gives one ``mark`` per window (:func:`check_razumikhin` screens the
+    block's window guards in one call); without it every mark is None.
     """
     worst = -math.inf
     worst_wit = None
@@ -308,24 +325,31 @@ def _falsify(
     failures = 0
     first_failure = None
     tested = 0
-    for t, seg, u, d in _samples(sys, spec, draw_u):
-        try:
-            out = sample_fn(t, seg, u, d)
-        except (ValueError, FloatingPointError, ZeroDivisionError, OverflowError) as err:
-            failures += 1
-            if first_failure is None:
-                first_failure = {"type": type(err).__name__, "message": str(err)}
-            continue
-        if out is None:
-            skipped += 1
-            continue
-        residual, scale = out
-        tested += 1
-        if residual > worst:
-            worst = residual
-            worst_wit = (t, seg, u, d, residual)
-        if residual > tol + tol * abs(scale):
-            found = True
+    samples = _samples(sys, spec, draw_u)
+    while block := list(itertools.islice(samples, FALSIFY_BLOCK)):
+        if screen is None:
+            marks = [None] * len(block)
+        else:
+            times, windows, _, _ = zip(*block)
+            marks = screen(times, windows)
+        for (t, seg, u, d), mark in zip(block, marks):
+            try:
+                out = sample_fn(t, seg, u, d, mark)
+            except _EVAL_ERRORS as err:
+                failures += 1
+                if first_failure is None:
+                    first_failure = {"type": type(err).__name__, "message": str(err)}
+                continue
+            if out is None:
+                skipped += 1
+                continue
+            residual, scale = out
+            tested += 1
+            if residual > worst:
+                worst = residual
+                worst_wit = (t, seg, u, d, residual)
+            if residual > tol + tol * abs(scale):
+                found = True
     if found:
         verdict = "counterexample"
     elif failures > max(1, spec.samples // 10) or tested == 0:
@@ -346,6 +370,20 @@ def _falsify(
     )
 
 
+def _window_tops(Vr: RazumikhinFunction, times, windows) -> list:
+    """(largest value, all finite) of Vr(t + theta, x(theta)) over each
+    window's grid, for windows at times ``times``, from one ``Vr.along`` call
+    over all their rows.  With a row-wise ``evaluator_many``, each pair is
+    bitwise what the window's own call ``Vr.along(t + seg.grid, seg.values)``
+    gives."""
+    sizes = [seg.grid.size for seg in windows]
+    starts = np.cumsum(sizes) - sizes
+    ts = np.repeat(times, sizes) + np.concatenate([seg.grid for seg in windows])
+    vals = Vr.along(ts, np.concatenate([seg.values for seg in windows]))
+    tops = np.maximum.reduceat(vals, starts).tolist()
+    return list(zip(tops, np.logical_and.reduceat(np.isfinite(vals), starts).tolist()))
+
+
 def check_lyapunov_ios(
     sys: RfdeSystem,
     V: LyapunovFunctional,
@@ -363,7 +401,7 @@ def check_lyapunov_ios(
         raise ValueError("system declares no input channel")
     tol = _default_tol(V.analytic_dini is not None, tolerance)
 
-    def sample_fn(t, seg, u, d):
+    def sample_fn(t, seg, u, d, _):
         val = float(V.evaluator(t, seg))
         if not _guard_level(zeta, delta, t, u) <= val:
             return None
@@ -393,6 +431,14 @@ def check_razumikhin(
     derivative + rate(t, Vr(t, x(0))) must stay below tolerance.  ``rho`` is
     either a comparison function of V or a callable (t, V) for time-varying
     rates.
+
+    The window values of a block's guards come from one ``Vr.along`` call
+    over all of the block's window rows (so ``evaluator_many`` must be
+    row-wise), and each window's largest value and finiteness are reduced
+    from it.  Each sample evaluates Vr(t, x(0)) first, then reads them.  When
+    the block call raises an error a sweep counts, each of the block's
+    samples makes its own window's call instead, after its Vr(t, x(0)), so
+    failures are counted, and the first reported, in sample order.
     """
     s_grid = np.logspace(-6, 3, 50)
     gains = np.array([float(a(s)) for s in s_grid])
@@ -408,13 +454,19 @@ def check_razumikhin(
     tol = _default_tol(Vr.analytic_dini is not None, tolerance)
     draw_u = sys.u_box is not None and zeta is not None
 
-    def sample_fn(t, seg, u, d):
+    def screen(times, windows):
+        try:
+            return _window_tops(Vr, times, windows)
+        except _EVAL_ERRORS:
+            return [None] * len(windows)  # each sample makes its own call, in turn
+
+    def sample_fn(t, seg, u, d, screened):
         x0 = seg.values[-1]
         v0 = float(Vr.evaluator(t, x0))
-        window_vals = Vr.along(t + seg.grid, seg.values)
-        if not np.isfinite(window_vals).all():
+        top, finite = screened if screened is not None else _window_tops(Vr, [t], [seg])[0]
+        if not finite:
             raise ValueError("window evaluation produced non-finite values")
-        if float(a(float(window_vals.max()))) > v0:
+        if float(a(top)) > v0:
             return None
         if draw_u and _guard_level(zeta, delta, t, u) > v0:
             return None
@@ -422,7 +474,7 @@ def check_razumikhin(
         dv = dini_pointwise(Vr, t, x0, v, dini_opts)
         return dv + rate(t, v0), dv
 
-    return _falsify(sys, spec, tol, draw_u, sample_fn)
+    return _falsify(sys, spec, tol, draw_u, sample_fn, screen)
 
 
 # -- truncated converse construction ----------------------------------------------

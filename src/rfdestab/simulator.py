@@ -25,7 +25,15 @@ from typing import Callable
 
 import numpy as np
 
-from .history import HistorySegment, _box_range, clip_to_ball, history_distance, sample_history, sup_norm
+from .history import (
+    HistorySegment,
+    _box_range,
+    _norm,
+    clip_to_ball,
+    history_distance,
+    sample_history,
+    sup_norm,
+)
 from .signals import PiecewiseSignal, _draw_signal
 
 __all__ = [
@@ -641,14 +649,6 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
         )
         for store, (x0, u, d), st, te in zip(stores, runs, status, t_event)
     ]
-
-
-def _norm(x: np.ndarray) -> float:
-    """``np.linalg.norm(x)``, bit for bit, quiet when its square overflows (above about 1.34e154)."""
-    if math.hypot(*x.tolist()) < 1e154:  # hypot cannot overflow, and this square cannot either
-        return math.sqrt(x.dot(x))
-    with np.errstate(over="ignore"):
-        return math.sqrt(x.dot(x))
 
 
 def _trailing_window_max(ts: np.ndarray, vals: np.ndarray, width: float) -> np.ndarray:

@@ -81,6 +81,27 @@ class TestBuiltins:
         assert exp_weight(-1.0)(1.0) == pytest.approx(np.exp(-1.0))
 
 
+class TestGuardLevel:
+    """gain(weight(t)|u|) with the package's one Euclidean norm: bitwise
+    ``np.linalg.norm``, and quiet where its square overflows."""
+
+    def test_bitwise_the_numpy_norm_form(self):
+        rng = np.random.default_rng(3)
+        weight = exp_weight(2.0)
+        # sizes up to 1e150, where no square overflows; the quartic gain up to 1e70
+        for gain, top in [(power(4.0, 0.5), 70), (identity(), 150)]:
+            for _ in range(1000):
+                u = rng.normal(size=rng.integers(0, 5)) * 10.0 ** rng.uniform(-top, top)
+                t = float(rng.uniform(0.0, 5.0))
+                ref = float(gain(float(weight(t)) * float(np.linalg.norm(u))))
+                assert compfn._guard_level(gain, weight, t, u) == ref
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_square_gives_inf_without_a_warning(self):
+        assert compfn._guard_level(identity(), constant(1.0), 0.0, np.array([1e200])) == np.inf
+        assert compfn._guard_level(identity(), constant(1.0), 0.0, [3.0, 4.0]) == 5.0
+
+
 CLASS_GRID = np.logspace(-9.0, 6.0, 64)
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from rfdestab import (
     dini_functional,
     dini_pointwise,
     exp_weight,
+    extend,
     history_distance,
     identity,
     integrate,
@@ -113,6 +115,27 @@ class TestDiniFunctional:
         seg = HistorySegment.constant(1.0, [1.5])
         est = dini_functional(V, 0.0, seg, np.zeros(1))
         assert est == pytest.approx(-2 * 1.5 ** 2, abs=1e-5)
+
+    def test_numeric_ladders_and_slides_are_pinned(self):
+        # sha256 over 2,000 seeded numeric Dini values of example-4.8's window
+        # energy and the windows extend slides them to, recorded when each
+        # rung built its probes and each slide its rows one at a time
+        bundle = build_example("example-4.8")
+        sys_, V = bundle.system, bundle.functional
+        r = sys_.delay_r
+        rng = np.random.default_rng(48)
+        digest = hashlib.sha256()
+        for _ in range(2000):
+            t = float(rng.uniform(0.0, 5.0))
+            seg = sample_history(rng, r, sys_.dim_n, 2.0)
+            v = rng.uniform(-4.0, 4.0, sys_.dim_n)
+            digest.update(np.float64(dini_functional(V, t, seg, v, NUMERIC)).tobytes())
+            # a slide whose lower end lands on or next to a knot, and one anywhere
+            knot = float(seg.grid[rng.integers(1, seg.grid.size - 1)])
+            for step in (knot + r, float(rng.uniform(0.0, r))):
+                slid = extend(seg, v, step)
+                digest.update(slid.grid.tobytes() + slid.values.tobytes())
+        assert digest.hexdigest() == "64d8e2556c500f295e266fed45f0ee2c7f443c44b53778b45544732e9405ad43"
 
 
 class TestDiniPointwise:
@@ -327,6 +350,31 @@ class TestRazumikhinFalsifier:
         )
         assert rep.verdict == "no_counterexample"
 
+    def test_evaluator_many_must_give_one_value_per_row(self):
+        # a scalar or a first row alone would broadcast into the window-sup
+        # guard and let every sample, or the wrong ones, through
+        bundle = build_example("example-5.2")
+        Vr = bundle.pointwise
+        rate = 4.0 * bundle.params["c"] / 33.0
+        spec = SamplerSpec(0.0, 5.0, 2.0, 400, seed=0)
+
+        def sweep(many):
+            swapped = RazumikhinFunction(Vr.evaluator, Vr.analytic_dini, many, Vr.name)
+            return check_razumikhin(
+                bundle.system, swapped, linear(0.5), lambda t, v: rate * math.exp(t) * v, spec
+            )
+
+        rep = sweep(Vr.evaluator_many)
+        assert (rep.samples_tested, rep.guard_skipped, rep.eval_failures) == (218, 182, 0)
+        for wrong, shape in [(lambda ts, X: 0.0, "()"), (lambda ts, X: Vr.evaluator_many(ts, X)[:1], "(1,)")]:
+            with pytest.raises(ValueError, match=r"one value per row, shape \(3,\); got " + re.escape(shape)):
+                RazumikhinFunction(Vr.evaluator, evaluator_many=wrong).along(np.zeros(3), np.ones((3, 2)))
+            rep = sweep(wrong)
+            assert (rep.samples_tested, rep.guard_skipped, rep.eval_failures) == (0, 0, 400)
+            assert rep.verdict == "inconclusive"
+            assert rep.first_failure["type"] == "ValueError"
+            assert rep.first_failure["message"].endswith(f"got {shape}")
+
     def test_a_must_be_below_identity(self):
         Vr = RazumikhinFunction(evaluator=lambda t, x: float(x[0] ** 2))
         with pytest.raises(ValueError):
@@ -407,6 +455,12 @@ BLOCK_REPORTS = {
         64: "e5b202842f27973d69815d71d2e576e7d99eab5968ceb31b8e4e1c0a734c9b3c",
         65: "8deeb0bb99787bfe2d88af077ac6967e826a038bc5bf19dcc1da893716728dcc",
         131: "a526b4c9c9fa1249d575e3841a3a178968a71be0261d1826ed2289382bd62116",
+    },
+    ("example-5.2", "guarded-exponential-decay"): {
+        63: "b01cf86452442405ee43900372c4420930e237227690a2ed3f17ce42ba7f536f",
+        64: "51334588ee058e5f3f8fa61d6f43753a92103fc1e23e3adbe50f256dabe9ec60",
+        65: "4abec1946620817b918bb7d1a8da1433f9891966e1709857480850c5695078b8",
+        131: "52b9051ce8fadfb48b0c1efe9d7e5228692e6cc958980dd0ce6911982622525c",
     },
 }
 

@@ -18,14 +18,18 @@ from rfdestab import (
     KlFn,
     LyapunovFunctional,
     PiecewiseSignal,
+    RazumikhinFunction,
     RfdeSystem,
     SamplerSpec,
     SignalSpec,
     build_example,
+    check_razumikhin,
     constant_signal,
+    dini_pointwise,
     exp_weight,
     extend,
     integrate,
+    linear,
     output_norm,
     power,
     sample_history,
@@ -34,7 +38,7 @@ from rfdestab import (
     verify_v_decay_estimate,
 )
 from rfdestab.history import _draw_block, _trapezoid
-from rfdestab.lyapunov import FALSIFY_BLOCK, _samples
+from rfdestab.lyapunov import FALSIFY_BLOCK, _samples, _window_tops
 from rfdestab.simulator import _integrate_runs, _trailing_window_max, _Window
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -148,6 +152,49 @@ class TestExtend:
         assert np.abs(out.eval(-step - eps) - seg.eval(-eps)).max() <= scale + shift_err
         assert np.abs(out.eval(-step + eps) - (seg.values[-1] + eps * v)).max() <= scale
 
+    @SETTINGS
+    @given(segments(), st.lists(finite, min_size=2, max_size=2), st.floats(0.0, 1.0, exclude_max=True))
+    @example(  # two knots closer than the rounding of the shift by -step
+        HistorySegment(1.0, np.array([-1.0, -1.17549435e-38, 0.0]), np.array([[0.0, 0], [0, 0], [0, 1]])),
+        [0.0, 0.0],
+        0.5,
+    )
+    @example(  # a moved knot lands on -r, so the row at the lower end is dropped
+        HistorySegment(1.0, np.array([-1.0, -0.36303831267854564, 0.0]), np.array([[1.0, 2], [3, 4], [5, 6]])),
+        [1.0, -1.0],
+        0.6369616873214543,
+    )
+    @example(  # the lower end lands exactly on a knot
+        HistorySegment(2.0, np.array([-2.0, -1.5, 0.0]), np.array([[1.0, 2], [3, 4], [5, 6]])),
+        [1.0, -1.0],
+        0.25,
+    )
+    def test_bitwise_the_stacked_construction(self, seg, v, frac):
+        step = frac * seg.delay
+        out, ref = extend(seg, v, step), _extend_by_stacking(seg, v, step)
+        assert out.grid.tobytes() == ref.grid.tobytes()
+        assert out.values.tobytes() == ref.values.tobytes()
+
+
+def _extend_by_stacking(segment, v, step):
+    """``extend`` as it was written before it filled preallocated rows: the
+    row at the lower end from ``eval``, then ``concatenate`` and ``vstack``."""
+    if step == 0.0:
+        return segment
+    v = np.asarray(v, dtype=float)
+    r, grid = segment.delay, segment.grid
+    lo = step - r
+    i0 = int(np.searchsorted(grid, lo, side="right"))
+    keep, keep_vals = grid[i0:] - step, segment.values[i0:]
+    if (keep[1:] <= keep[:-1]).any():
+        last = np.append(keep[1:] > keep[:-1], True)
+        keep, keep_vals = keep[last], keep_vals[last]
+    new_grid = np.concatenate([[-r], keep, [0.0]])
+    new_vals = np.vstack([segment.eval(lo), keep_vals, segment.values[-1] + step * v])
+    if keep[0] == -r:
+        new_grid, new_vals = new_grid[1:], new_vals[1:]
+    return HistorySegment(r, new_grid, new_vals)
+
 
 def _validated_sample(rng, delay, dim, norm_bound):
     """``sample_history`` as it was built before its one-pass construction:
@@ -222,6 +269,20 @@ class _ZeroNormals:
         return getattr(self._rng, name)
 
 
+# a falsifier block's draws: its seed, window shape, norm bound and time range
+BLOCK_DRAWS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 4),
+    delay=st.floats(1e-4, 1e3),
+    norm_bound=st.one_of(st.sampled_from([0.0, 1e6]), st.floats(1e-6, 1e3)),
+    t_lo=finite,
+    t_width=st.floats(0.0, 1e3),
+)
+BLOCK_COUNTS = st.one_of(
+    st.sampled_from([1, FALSIFY_BLOCK, FALSIFY_BLOCK + 1]), st.integers(2, FALSIFY_BLOCK)
+)
+
+
 class TestSampleHistory:
     @SETTINGS
     @given(
@@ -244,15 +305,8 @@ class TestSampleHistory:
 
     @SETTINGS
     @given(
-        seed=st.integers(0, 2**32 - 1),
-        dim=st.integers(1, 4),
-        delay=st.floats(1e-4, 1e3),
-        norm_bound=st.one_of(st.sampled_from([0.0, 1e6]), st.floats(1e-6, 1e3)),
-        t_lo=finite,
-        t_width=st.floats(0.0, 1e3),
-        count=st.one_of(
-            st.sampled_from([1, FALSIFY_BLOCK, FALSIFY_BLOCK + 1]), st.integers(2, FALSIFY_BLOCK)
-        ),
+        **BLOCK_DRAWS,
+        count=BLOCK_COUNTS,
         draw_u=st.booleans(),
         u_box=st.sampled_from([None, [[-1.0, 1.0]], [[0.3, 0.3], [-2.0, 2.0]]]),
         d_box=st.sampled_from([np.zeros((0, 2)), [[0.0, 0.0]], [[-0.25, 0.25], [1.0, 1.0]]]),
@@ -320,6 +374,110 @@ class TestSampleHistory:
         back = HistorySegment.from_json_dict(data)
         assert back.to_json_dict() == data
         assert back.dim == 2 and back.delay == data["r"]
+
+
+def _screen_energy(nan_cut, raise_cut, max_rows):
+    """A row-wise batch energy, e^(-|t|/1e3)|x|^2, that is NaN on rows whose
+    first coordinate is above ``nan_cut`` and raises on a call with a row
+    above ``raise_cut`` or with more than ``max_rows`` rows."""
+
+    def many(ts, X):
+        if X.shape[0] > max_rows:
+            raise ZeroDivisionError(f"{X.shape[0]} rows")
+        if (X[:, 0] > raise_cut).any():
+            first = ts[np.argmax(X[:, 0] > raise_cut)]
+            raise ValueError(f"a row above {raise_cut!r}, first at t={first!r}")
+        out = np.exp(-np.abs(ts) / 1e3) * np.einsum("ij,ij->i", X, X)
+        out[X[:, 0] > nan_cut] = np.nan
+        return out
+
+    return many
+
+
+def _razumikhin_by_window(sys_, Vr, a, rho, spec):
+    """check_razumikhin's counts, verdict and first failure, computed one
+    window at a time, each window making its own ``Vr.along`` call."""
+    tested = skipped = failures = 0
+    first, found = None, False
+    for t, seg, u, d in _samples(sys_, spec, False):
+        try:
+            x0 = seg.values[-1]
+            v0 = float(Vr.evaluator(t, x0))
+            vals = Vr.along(t + seg.grid, seg.values)
+            if not np.isfinite(vals).all():
+                raise ValueError("window evaluation produced non-finite values")
+            if float(a(float(vals.max()))) > v0:
+                skipped += 1
+                continue
+            v = np.asarray(sys_.dynamics(t, seg, u, d), dtype=float)
+            dv = dini_pointwise(Vr, t, x0, v)
+            residual = dv + float(rho(v0))
+        except (ValueError, FloatingPointError, ZeroDivisionError, OverflowError) as err:
+            failures += 1
+            first = first or {"type": type(err).__name__, "message": str(err)}
+            continue
+        tested += 1
+        found = found or residual > 1e-9 + 1e-9 * abs(dv)
+    if found:
+        verdict = "counterexample"
+    elif failures > max(1, spec.samples // 10) or tested == 0:
+        verdict = "inconclusive"
+    else:
+        verdict = "no_counterexample"
+    return verdict, tested, skipped, failures, first
+
+
+class TestWindowScreen:
+    """check_razumikhin screens a block's window guards with one ``along``
+    call: each window's largest value and finiteness are bitwise its own
+    call's, and a batch energy that gives NaN or raises leaves the report as
+    a window-at-a-time sweep gives it."""
+
+    CUTS = dict(
+        nan_cut=st.one_of(st.just(math.inf), st.floats(-1.0, 1.0)),
+        raise_cut=st.one_of(st.just(math.inf), st.floats(-1.0, 1.0)),
+        max_rows=st.sampled_from([10**9, 200, 37]),
+    )
+
+    @SETTINGS
+    @given(**BLOCK_DRAWS, count=BLOCK_COUNTS, nan_cut=CUTS["nan_cut"])
+    def test_each_window_is_its_own_call(self, seed, dim, delay, norm_bound, t_lo, t_width, count, nan_cut):
+        sys_ = RfdeSystem(delay, dim, None, None, np.zeros((0, 2)))
+        spec = SamplerSpec(t_lo, t_lo + t_width, norm_bound, count, seed)
+        many = _screen_energy(nan_cut * norm_bound, math.inf, 10**9)
+        Vr = RazumikhinFunction(lambda t, x: 0.0, evaluator_many=many)
+        times, windows, _, _ = zip(*_samples(sys_, spec, False))
+        for t, seg, (top, finite) in zip(times, windows, _window_tops(Vr, times, windows)):
+            vals = Vr.along(t + seg.grid, seg.values)
+            assert type(top) is float and type(finite) is bool
+            assert finite == bool(np.isfinite(vals).all())
+            if not np.isnan(vals).any():
+                assert np.float64(top).tobytes() == vals.max().tobytes()
+            else:
+                assert math.isnan(top)
+
+    @SETTINGS
+    @given(
+        seed=BLOCK_DRAWS["seed"],
+        dim=st.integers(1, 3),
+        count=st.sampled_from([FALSIFY_BLOCK - 1, 2 * FALSIFY_BLOCK + 3]),
+        rate=st.sampled_from([1.0, 3.0]),
+        **CUTS,
+    )
+    def test_a_faulty_batch_energy_gives_the_window_at_a_time_report(
+        self, seed, dim, count, rate, nan_cut, raise_cut, max_rows
+    ):
+        # x' = -x(0) and V = |x|^2 along the rows: the residual is (rate - 2)|x(0)|^2
+        sys_ = RfdeSystem(0.5, dim, lambda t, seg, u, d: -seg.head, lambda t, seg: seg.head, np.zeros((0, 2)))
+        Vr = RazumikhinFunction(
+            evaluator=lambda t, x: float(x.dot(x)),
+            analytic_dini=lambda t, x, v: 2.0 * float(x.dot(v)),
+            evaluator_many=_screen_energy(nan_cut, raise_cut, max_rows),
+        )
+        spec = SamplerSpec(0.0, 5.0, 1.0, count, seed)
+        rep = check_razumikhin(sys_, Vr, linear(0.5), linear(rate), spec)
+        ref = _razumikhin_by_window(sys_, Vr, linear(0.5), linear(rate), spec)
+        assert (rep.verdict, rep.samples_tested, rep.guard_skipped, rep.eval_failures, rep.first_failure) == ref
 
 
 def _window_run(r, steps_per_delay, t0, span, fracs, levels, seed):
