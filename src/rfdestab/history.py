@@ -145,8 +145,11 @@ class HistorySegment:
 
     def add_constant(self, w) -> "HistorySegment":
         """Shift every value row by the constant vector ``w``."""
-        values = self.values + np.atleast_1d(np.asarray(w, dtype=float))
-        if values.shape != self.values.shape or not np.isfinite(values).all():
+        w = np.atleast_1d(np.asarray(w, dtype=float))
+        if w.shape != (self.dim,):
+            raise ValueError(_OFFSET_ROWS.format(self.dim))
+        values = self.values + w
+        if not np.isfinite(values).all():
             raise ValueError(_OFFSET_ROWS.format(self.dim))
         return _segment(self.delay, self.grid, values)
 

@@ -440,6 +440,8 @@ def check_razumikhin(
     samples makes its own window's call instead, after its Vr(t, x(0)), so
     failures are counted, and the first reported, in sample order.
     """
+    if (zeta is None) != (delta is None):
+        raise ValueError("zeta and delta make one input guard: give both or neither")
     s_grid = np.logspace(-6, 3, 50)
     gains = np.array([float(a(s)) for s in s_grid])
     if not np.all(gains < s_grid):

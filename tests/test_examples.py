@@ -192,16 +192,24 @@ class TestSaturatedScalarBundle:
         rep = bundle.certificate("band-energy-decay").runner(samples=400)
         assert rep.verdict == "no_counterexample"
 
-    def test_constant_input_gain_certificate(self):
-        bundle = example_5_4()
-        rep = bundle.certificate("constant-input-gain").runner(step=4e-3)
-        assert rep.verdict == "pass"
-        for case in rep.details["cases"]:
-            assert case["tail_sup"] <= case["allowed"]
-
     def test_fitted_envelope_certificate_defaults(self, fitted_envelope_report):
         # the run is shared with acceptance criterion 4 (tests/conftest.py)
         assert fitted_envelope_report.verdict == "pass"
+
+    def test_fitted_envelope_certificate_can_fail(self, monkeypatch):
+        # a run that starts outside the dead band has a nonzero output, so a
+        # quarter of the fitted envelope is crossed early in some test run
+        fit = rfdestab.examples.fit_kl_envelope
+
+        def quartered(trajs, beta, **kw):
+            sigma = fit(trajs, beta, **kw)
+            return rfdestab.KlFn(lambda s, t: 0.25 * sigma(s, t), name="quarter-fitted")
+
+        monkeypatch.setattr(rfdestab.examples, "fit_kl_envelope", quartered)
+        rep = example_5_4().certificate("fitted-envelope-with-gain").runner(samples=8)
+        assert rep.verdict == "fail"
+        observed, allowed = rep.witness[2:]
+        assert observed > allowed
 
 
 class TestReportShape:

@@ -193,9 +193,11 @@ class TestAddConstant:
             seg.add_constant([1e308])
 
     def test_wrong_length_shift_rejected(self):
+        # a one-element shift would broadcast over every coordinate
         seg = HistorySegment.constant(1.0, [1.0, 2.0])
-        with pytest.raises(ValueError, match="shape"):
-            seg.add_constant(np.ones((3, 1, 2)))
+        for w in (np.ones((3, 1, 2)), [5.0], 5.0):
+            with pytest.raises(ValueError, match=r"shape \(2,\)"):
+                seg.add_constant(w)
 
 
 class TestSamplingHelpers:

@@ -375,6 +375,17 @@ class TestRazumikhinFalsifier:
             assert rep.first_failure["type"] == "ValueError"
             assert rep.first_failure["message"].endswith(f"got {shape}")
 
+    @pytest.mark.parametrize("guard", ["zeta", "delta"])
+    def test_a_lone_input_guard_function_is_refused(self, guard):
+        # a lone zeta used to die mid-sweep calling the missing delta, and a
+        # lone delta was dropped: the sweep drew no input
+        bundle = build_example("example-5.4")
+        with pytest.raises(ValueError, match="both or neither"):
+            check_razumikhin(
+                bundle.system, bundle.pointwise, linear(0.25), linear(2.0),
+                SamplerSpec(samples=200, seed=0), **{guard: power(4.0 / 3.0, 1.5)},
+            )
+
     def test_a_must_be_below_identity(self):
         Vr = RazumikhinFunction(evaluator=lambda t, x: float(x[0] ** 2))
         with pytest.raises(ValueError):

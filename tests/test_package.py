@@ -64,11 +64,19 @@ def test_every_exported_checker_is_reached():
 
 
 def test_readme_claims_table_names_the_bundles_certificates():
-    # a row: | claim | `bundle` `certificate` | `checker` ... | criterion |
-    row = re.compile(r"^\| [^|]+ \| `(example-[\d.]+)` `([\w-]+)` \| `(\w+)`", re.M)
+    # a row: | claim | `bundle` `certificate` | `checker` ... | criteria |
+    row = re.compile(r"^\| [^|]+ \| `(example-[\d.]+)` `([\w-]+)` \| `(\w+)`[^|]* \| ([^|]+) \|$", re.M)
     rows = row.findall((ROOT / "README.md").read_text())
     bundled = [(name, c.name, c.checker) for name in REGISTRY for c in build_example(name).certificates]
-    assert rows == bundled
+    assert [found[:3] for found in rows] == bundled
+    # each ;-separated part of the criteria that starts with a number names
+    # an acceptance criterion with a test of its own
+    held = set(re.findall(r"^def test_criterion_(\d+)_", (ROOT / "tests" / "test_acceptance.py").read_text(), re.M))
+    for *cert, criteria in rows:
+        for part in criteria.split(";"):
+            number = re.match(r"\s*(\d+)\b", part)
+            if number:
+                assert number[1] in held, f"{cert}: no test for criterion {number[1]}"
 
 
 def _unused_imports(path: Path) -> list:
