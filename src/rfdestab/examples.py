@@ -180,9 +180,18 @@ def example_4_8(r: float = 0.5, u_max: float = 1.0) -> ExampleBundle:
         integral = float(_trapezoid(x1 ** 4, seg.grid))
         return x1[-1], seg.values[-1, 1], math.exp(-8.0 * t), math.exp(-4.0 * t), integral
 
-    def v_eval(t, seg):
-        x10, x20, e8, e4, integral = v_terms(t, seg)
+    def energy(x10, x20, e8, e4, integral):
         return e8 * x10 ** 4 + e4 * x10 ** 2 + 0.5 * x20 ** 2 + 0.25 * e8 * integral
+
+    def v_eval(t, seg):
+        return energy(*v_terms(t, seg))
+
+    def v_many(t, grid, X):
+        """v_eval of each window (grid, X[i]), bitwise: the integrals are the
+        row sums of one trapezoid over the stack, the point terms Python floats."""
+        e8, e4 = math.exp(-8.0 * t), math.exp(-4.0 * t)
+        integrals = _trapezoid(X[:, :, 0] ** 4, grid).tolist()
+        return [energy(x10, x20, e8, e4, i) for (x10, x20), i in zip(X[:, -1].tolist(), integrals)]
 
     def v_dini(t, seg, v):
         x10, x20, e8, e4, integral = v_terms(t, seg)
@@ -200,6 +209,7 @@ def example_4_8(r: float = 0.5, u_max: float = 1.0) -> ExampleBundle:
         evaluator=v_eval,
         analytic_dini=v_dini,
         name="quartic-window-energy",
+        evaluator_many=v_many,
     )
 
     zeta = power(4.0, 0.5)        # s -> s^4 / 2

@@ -14,7 +14,6 @@ they check what their inputs decide and use the private builder ``_segment``.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +53,8 @@ class HistorySegment:
         values = np.asarray(self.values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]
+        if values.ndim != 2:
+            raise ValueError(f"values must be a (k,) or (k, n) array, got {values.ndim} dimensions")
         values = np.ascontiguousarray(values)
         if not np.isfinite(self.delay) or self.delay <= 0.0:
             raise ValueError(f"delay must be a positive real, got {self.delay!r}")
@@ -146,11 +147,12 @@ class HistorySegment:
     def add_constant(self, w) -> "HistorySegment":
         """Shift every value row by the constant vector ``w``."""
         w = np.atleast_1d(np.asarray(w, dtype=float))
-        if w.shape != (self.dim,):
-            raise ValueError(_OFFSET_ROWS.format(self.dim))
-        values = self.values + w
+        if w.shape != (self.dim,) or not np.isfinite(w).all():
+            raise ValueError(f"offset must be finite, of shape ({self.dim},)")
+        with np.errstate(over="ignore"):  # an overflow raises below
+            values = self.values + w
         if not np.isfinite(values).all():
-            raise ValueError(_OFFSET_ROWS.format(self.dim))
+            raise ValueError("the shift overflows: shifted values must be finite")
         return _segment(self.delay, self.grid, values)
 
     # -- serialization -------------------------------------------------------
@@ -179,24 +181,11 @@ def _segment(delay, grid: np.ndarray, values: np.ndarray) -> HistorySegment:
     return seg
 
 
-_OFFSET_ROWS = "offset rows must be finite, of shape ({},)"
-
-
-def _offset_windows(segment: HistorySegment, offsets: np.ndarray) -> Iterator[HistorySegment]:
-    """``segment.add_constant(w)`` for each row w of ``offsets``, bitwise, with
-    every window's rows from one broadcast add.  The windows come one at a
-    time, and one whose rows are not finite raises ``add_constant``'s
-    ValueError when it is reached, not before."""
-    for values in segment.values + offsets[:, None, :]:
-        if not np.isfinite(values).all():
-            raise ValueError(_OFFSET_ROWS.format(segment.dim))
-        yield _segment(segment.delay, segment.grid, values)
-
-
-def _trapezoid(y: np.ndarray, x: np.ndarray) -> np.float64:
-    """``np.trapezoid(y, x)`` for 1-D arrays, bitwise: its own arithmetic
-    without its argument handling."""
-    return ((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0).sum()
+def _trapezoid(y: np.ndarray, x: np.ndarray):
+    """``np.trapezoid(y, x)`` along the last axis of y for a 1-D x, bitwise:
+    its own arithmetic without its argument handling.  Row i of a 2-D y
+    gives what ``y[i]`` alone gives."""
+    return ((x[1:] - x[:-1]) * (y[..., 1:] + y[..., :-1]) / 2.0).sum(axis=-1)
 
 
 def _lerp(th: np.ndarray, lo: np.ndarray, hi: np.ndarray, lower: np.ndarray, upper: np.ndarray):

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .compfn import ComparisonFn, _guard_level
-from .history import HistorySegment, _draw_block, _offset_windows, extend, sup_norm
+from .history import HistorySegment, _draw_block, _segment, extend, sup_norm
 from .simulator import IntegrateOpts, RfdeSystem, _integrate_runs, output_norm
 
 __all__ = [
@@ -49,15 +49,36 @@ class LyapunovFunctional:
 
     ``analytic_dini(t, window, v)``, when given, returns the exact forward
     Dini derivative for the window sliding ahead with terminal slope v and is
-    used instead of the numeric ladder.
+    used instead of the numeric ladder.  ``evaluator_many(t, grid, X)``, when
+    given, evaluates at time t the windows that share ``grid`` and have the
+    rows ``X[i]`` (X of shape (m, k, n)) in one call, and each rung of the
+    numeric ladder makes one such call.  It must be row-wise and bitwise:
+    entry i of its result is exactly ``evaluator(t, window)`` on the window
+    with grid ``grid`` and rows ``X[i]``.
     """
 
     evaluator: Callable[[float, HistorySegment], float]
     analytic_dini: Callable | None = None
     name: str = "V"
+    evaluator_many: Callable | None = None
 
     def __call__(self, t: float, seg: HistorySegment) -> float:
         return float(self.evaluator(t, seg))
+
+    def stacked(self, t: float, grid: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """V at time t of each window ``(grid, X[i])``: one value per window,
+        or ValueError.  ``grid`` runs from exactly -delay to exactly 0 and the
+        rows are finite; without ``evaluator_many`` the windows are evaluated
+        one at a time, in order."""
+        if self.evaluator_many is None:
+            delay = float(-grid[0])
+            return np.array([float(self.evaluator(t, _segment(delay, grid, x))) for x in X])
+        out = np.asarray(self.evaluator_many(t, grid, X), dtype=float)
+        if out.shape != (len(X),):
+            raise ValueError(
+                f"evaluator_many must return one value per window, shape ({len(X)},); got {out.shape}"
+            )
+        return out
 
 
 @dataclass(frozen=True)
@@ -148,6 +169,11 @@ def _extrapolate(hs, qs) -> float:
     return float(q2 + (q2 - q1) * h2 / (h1 - h2))
 
 
+def _uses_analytic(V, opts: DiniOpts | None) -> bool:
+    """Whether the Dini derivative of ``V`` is its attached analytic term."""
+    return V.analytic_dini is not None and (opts or DiniOpts()).use_analytic
+
+
 def _analytic(dini: Callable, t: float, x, v) -> float:
     """An attached analytic derivative ``dini(t, x, v)``, which must be finite."""
     out = float(dini(t, x, np.asarray(v, dtype=float)))
@@ -181,24 +207,28 @@ def dini_functional(
 ) -> float:
     """Forward upper Dini derivative of a window functional.
 
-    The window slides ahead by h with terminal slope v; quotients
-    [V(t+h, slid window + h*y) - V(t, x)]/h are taken over the LADDER_STEPS
-    shorter than the window with y = 0 and LADDER_PROBES sphere probes of
-    radius h, and the largest quotient at the smallest step is returned.  An
-    analytic expression, when attached, wins.  A rung's probe windows come
-    from one broadcast add, each bitwise ``slid.add_constant((h*h)*dvec)``.
+    The window slides ahead by h with terminal slope v; at each of the
+    LADDER_STEPS shorter than the window, the largest of the quotients
+    [V(t+h, slid window + h*y) - V(t, x)]/h with y = 0 and LADDER_PROBES
+    sphere probes of radius h is a rung of the ladder that
+    :func:`_extrapolate` takes to step 0.  An analytic expression, when
+    attached and allowed by ``opts``, wins.  A rung evaluates the slid window
+    and its probe windows, each bitwise ``slid.add_constant((h*h)*dvec)``,
+    as one (1 + LADDER_PROBES, k, n) stack through :meth:`LyapunovFunctional.stacked`.
     """
-    opts = opts or DiniOpts()
-    if V.analytic_dini is not None and opts.use_analytic:
+    if _uses_analytic(V, opts):
         return _analytic(V.analytic_dini, t, x, v)
     v = np.asarray(v, dtype=float)
     base = float(V.evaluator(t, x))
     dirs = _probe_directions(x.dim)
 
-    def rung(h: float) -> list:
+    def rung(h: float) -> np.ndarray:
         slid = extend(x, v, h)
-        windows = itertools.chain([slid], _offset_windows(slid, (h * h) * dirs))
-        return [float(V.evaluator(t + h, seg)) for seg in windows]
+        stack = np.empty((1 + LADDER_PROBES, *slid.values.shape))
+        stack[0] = slid.values
+        # shifts of at most h^2 <= 1e-4 keep finite rows finite
+        np.add(slid.values, (h * h) * dirs[:, None, :], out=stack[1:])
+        return V.stacked(t + h, slid.grid, stack)
 
     return _ladder(_steps_below(x.delay), base, rung)
 
@@ -211,9 +241,8 @@ def dini_pointwise(
     opts: DiniOpts | None = None,
 ) -> float:
     """Forward upper Dini derivative of a pointwise function along v."""
-    opts = opts or DiniOpts()
     x = np.asarray(x, dtype=float)
-    if Vr.analytic_dini is not None and opts.use_analytic:
+    if _uses_analytic(Vr, opts):
         return _analytic(Vr.analytic_dini, t, x, v)
     v = np.asarray(v, dtype=float)
     return _ladder(LADDER_STEPS, float(Vr.evaluator(t, x)), lambda h: float(Vr.evaluator(t + h, x + h * v)))
@@ -399,7 +428,7 @@ def check_lyapunov_ios(
     and counted."""
     if sys.u_box is None:
         raise ValueError("system declares no input channel")
-    tol = _default_tol(V.analytic_dini is not None, tolerance)
+    tol = _default_tol(_uses_analytic(V, dini_opts), tolerance)
 
     def sample_fn(t, seg, u, d, _):
         val = float(V.evaluator(t, seg))
@@ -453,7 +482,7 @@ def check_razumikhin(
         rate = lambda t, val: float(rho(val))
     else:
         rate = lambda t, val: float(rho(t, val))
-    tol = _default_tol(Vr.analytic_dini is not None, tolerance)
+    tol = _default_tol(_uses_analytic(Vr, dini_opts), tolerance)
     draw_u = sys.u_box is not None and zeta is not None
 
     def screen(times, windows):

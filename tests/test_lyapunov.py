@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -136,6 +137,72 @@ class TestDiniFunctional:
                 slid = extend(seg, v, step)
                 digest.update(slid.grid.tobytes() + slid.values.tobytes())
         assert digest.hexdigest() == "64d8e2556c500f295e266fed45f0ee2c7f443c44b53778b45544732e9405ad43"
+
+
+    def test_window_at_a_time_is_bitwise_the_stacked_rung(self):
+        # without evaluator_many a rung evaluates its windows one at a time
+        V = build_example("example-4.8").functional
+        alone = replace(V, evaluator_many=None)
+        rng = np.random.default_rng(27)
+        for _ in range(2000):
+            t = float(rng.uniform(0.0, 5.0))
+            seg = sample_history(rng, 0.5, 2, 2.0)
+            v = rng.uniform(-4.0, 4.0, 2)
+            stacked = dini_functional(V, t, seg, v, NUMERIC)
+            assert np.float64(stacked).tobytes() == np.float64(dini_functional(alone, t, seg, v, NUMERIC)).tobytes()
+
+    def test_evaluator_many_must_give_one_value_per_window(self):
+        # a scalar or a first value alone would broadcast into the rung's
+        # largest energy and drop the probes
+        bundle = build_example("example-4.8")
+        V = bundle.functional
+        spec = SamplerSpec(0.0, 5.0, 2.0, 200, seed=0)
+
+        def sweep(many):
+            # positional (evaluator, analytic_dini, name) still construct it
+            swapped = LyapunovFunctional(V.evaluator, V.analytic_dini, V.name, many)
+            return check_lyapunov_ios(
+                bundle.system, swapped, power(4.0, 0.5), exp_weight(2.0), linear(0.5), spec,
+                tolerance=1e-3, dini_opts=NUMERIC,
+            )
+
+        rep = sweep(V.evaluator_many)
+        assert rep.eval_failures == 0 and rep.samples_tested > 0
+        grid, X = np.array([-0.5, 0.0]), np.ones((3, 2, 2))
+        for wrong, shape in [(lambda t, g, X: 0.0, "()"), (lambda t, g, X: V.evaluator_many(t, g, X)[:1], "(1,)")]:
+            with pytest.raises(ValueError, match=r"one value per window, shape \(3,\); got " + re.escape(shape)):
+                LyapunovFunctional(V.evaluator, evaluator_many=wrong).stacked(0.0, grid, X)
+            bad = sweep(wrong)
+            # the guard reads the scalar evaluator, so it skips the same samples
+            assert (bad.samples_tested, bad.guard_skipped) == (0, rep.guard_skipped)
+            assert bad.eval_failures == spec.samples - rep.guard_skipped
+            assert bad.verdict == "inconclusive"
+            assert bad.first_failure["type"] == "ValueError"
+            assert bad.first_failure["message"].endswith(f"got {shape}")
+
+
+class TestDefaultTolerance:
+    """With no tolerance given, a sweep's tolerance follows the derivative it
+    uses: 1e-9 for an attached analytic term, 1e-6 for the numeric ladder."""
+
+    @pytest.mark.parametrize("opts, tol", [(None, 1e-9), (NUMERIC, 1e-6)], ids=["analytic", "ladder"])
+    def test_functional_sweep(self, opts, tol):
+        bundle = build_example("example-4.8")
+        rep = check_lyapunov_ios(
+            bundle.system, bundle.functional, power(4.0, 0.5), exp_weight(2.0), linear(0.5),
+            SamplerSpec(samples=20, seed=0), dini_opts=opts,
+        )
+        assert rep.tolerance == tol
+
+    @pytest.mark.parametrize("opts, tol", [(None, 1e-9), (NUMERIC, 1e-6)], ids=["analytic", "ladder"])
+    def test_pointwise_sweep(self, opts, tol):
+        bundle = build_example("example-5.2")
+        rate = 4.0 * bundle.params["c"] / 33.0
+        rep = check_razumikhin(
+            bundle.system, bundle.pointwise, linear(0.5), lambda t, v: rate * math.exp(t) * v,
+            SamplerSpec(samples=20, seed=0), dini_opts=opts,
+        )
+        assert rep.tolerance == tol
 
 
 class TestDiniPointwise:

@@ -605,6 +605,32 @@ def _copied_window(dense, t, head=None):
     return grid, vals
 
 
+class TestStackedFunctional:
+    """example-4.8's window energy evaluates a stack of windows on one grid,
+    as each rung of the numeric Dini ladder does, bitwise window by window."""
+
+    V = build_example("example-4.8").functional
+
+    @SETTINGS
+    @given(
+        m=st.integers(1, 12),
+        cuts=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=38),
+        t=st.floats(0.0, 5.0),
+        data=st.data(),
+    )
+    def test_each_row_is_its_window_alone(self, m, cuts, t, data):
+        r = 0.5
+        grid = np.unique(np.concatenate([[-r], -r * np.asarray(cuts, dtype=float), [0.0]]))
+        assume(np.all(np.diff(grid) > 0.0))
+        rows = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=m * grid.size * 2, max_size=m * grid.size * 2))
+        X = np.reshape(rows, (m, grid.size, 2))
+        many = self.V.evaluator_many(t, grid, X)
+        assert len(many) == m
+        for i in range(m):
+            alone = self.V.evaluator(t, HistorySegment(r, grid, X[i]))
+            assert np.float64(many[i]).tobytes() == np.float64(alone).tobytes()
+
+
 class TestDenseWindows:
     @settings(max_examples=100, deadline=None)
     @given(**DENSE_RUNS)
