@@ -106,8 +106,9 @@ class HistorySegment:
 
     def integral(self) -> np.ndarray:
         """Trapezoid integral of each state column over the window; column j
-        is ``np.trapezoid(values[:, j], grid)``."""
-        return np.array([_trapezoid(col, self.grid) for col in self.values.T])
+        is ``np.trapezoid(values[:, j], grid)``: one call over the columns as
+        contiguous rows, each summed as that column alone is."""
+        return _trapezoid(np.ascontiguousarray(self.values.T), self.grid)
 
     # -- constructors --------------------------------------------------------
     @classmethod

@@ -18,12 +18,12 @@ outcome for the experiments this package runs.
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .history import (
     HistorySegment,
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 _EXP_CAP = 709.0  # largest safe argument for math.exp
-_AHEAD = 256  # most nodes, and midpoints, whose rows at -delay one pass evaluates
+_AHEAD = 256  # most steps whose stage windows' rows at -delay one pass evaluates
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,16 @@ class IntegrateOpts:
     record_output: bool = True
 
 
-_ROWS = ("V", "DIN", "DOUT", "CUM", "TAIL")  # the per-run row arrays of a store
+_ROWS = ("V", "DIN", "DOUT", "CUM", "TAIL", "TP")  # the per-run row arrays of a store
+
+
+def _tail_pieces(K: np.ndarray, V: np.ndarray, i0, taus, delay: float, tails: np.ndarray) -> np.ndarray:
+    """The trapezoid piece of each window [tau - delay, tau] from -delay to
+    its first inner knot ``K[i0]``: the width of the offset grid times the
+    mean of the row at -delay (one of ``tails``) and the knot's row, as
+    scalars would give it, row for row."""
+    widths = 0.5 * ((K[i0] - taus) + delay)
+    return widths.reshape((-1,) + (1,) * (tails.ndim - 1)) * (tails + V[i0])
 
 
 def _window_ends(K: np.ndarray, taus: np.ndarray, delay: float) -> tuple:
@@ -143,9 +152,13 @@ class _Dense:
     """Knot/value/slope store with cubic-Hermite evaluation.
 
     Its row arrays (``_ROWS``) fill up to ``count``: ``V``, ``DIN``,
-    ``DOUT`` and ``CUM`` are (knots, n), one row per knot of ``K``, and
-    ``TAIL`` is (nodes, n), the row at -delay of each node's window, whose
-    inner knots start at ``I0`` (see :meth:`group`).  A lock-step group of
+    ``DOUT`` and ``CUM`` are (knots, n), one row per knot of ``K``.
+    ``TAIL`` and ``TP`` have one row per stage window, in time order: node
+    k's at 2k and step k's midpoint's at 2k + 1.  They hold the window's
+    row at -delay and the tail piece of its quadrature
+    (:func:`_tail_pieces`), which the look-ahead sets; its inner knots
+    start at ``I0`` (see :meth:`group`).  ``FROZEN`` holds read-only views
+    of ``V``, ``TAIL`` and ``TP``, whose rows the windows hand out.  A lock-step group of
     m > 1 runs keeps one stack whose row arrays are (rows, m, n); each run's
     store holds the column views of the stack and shares its knots and lower
     ends.  The stack goes on writing the column of a run that stopped, but
@@ -160,10 +173,9 @@ class _Dense:
         initial windows' rows, slopes and running integral, and each store
         the ``close_knots`` of all of ``K`` (merging a window without a tie
         changes nothing).  The window of every stage time has its lower end
-        and row time at -delay fixed here (:func:`_window_ends`): the nodes'
-        lower ends are ``I0``, and the plan the steps fill the rows from is
-        returned with the stores: the step midpoints, their lower ends, and
-        the row times of the nodes and the midpoints."""
+        and row time at -delay fixed here (:func:`_window_ends`): the lower
+        ends are ``I0``, and the stage times and row times, which the steps
+        fill the rows from, are returned with the stores."""
         x0 = x0s[0]
         k0 = x0.grid.size
         V0 = x0.values if len(x0s) == 1 else np.stack([x.values for x in x0s], 1)
@@ -172,12 +184,14 @@ class _Dense:
         K = stack.K = np.concatenate((t0 + x0.grid, tgrid[1:]))
         ta, tb = tgrid[:-1], tgrid[1:]
         tm = ta + 0.5 * (tb - ta)
-        mids = np.where(tm == ta, tb, tm)  # a one-ulp step has no midpoint; its start belongs to the node
-        stack.I0, node_at = _window_ends(K, tgrid, x0.delay)
-        mid_i0, mid_at = _window_ends(K, mids, x0.delay)
+        # the stage times: the nodes and the step midpoints in turn; a one-ulp
+        # step has no midpoint, and its start belongs to the node
+        taus = np.empty(2 * tgrid.size - 1)
+        taus[0::2], taus[1::2] = tgrid, np.where(tm == ta, tb, tm)
+        stack.I0, at = _window_ends(K, taus, x0.delay)
         shape = K.shape + V0.shape[1:]
         stack.V, stack.CUM = np.empty(shape), np.empty(shape)
-        stack.TAIL = np.empty(tgrid.shape + V0.shape[1:])
+        stack.TAIL, stack.TP = np.empty(taus.shape + V0.shape[1:]), np.empty(taus.shape + V0.shape[1:])
         stack.DIN = np.zeros(shape)   # slope arriving at the knot
         stack.DOUT = np.zeros(shape)  # slope leaving the knot
         slopes = np.diff(V0, axis=0) / np.diff(x0.grid).reshape(per_knot)
@@ -190,15 +204,28 @@ class _Dense:
         # rounding K - tau (in [-delay, 0]) cannot merge knots further apart
         close = bool(np.diff(K).min() <= 4.0 * float(np.spacing(x0.delay)))
         stack.n, stack.delay, stack.count, stack.node0, stack.close_knots = x0.dim, x0.delay, k0, k0 - 1, close
-        plan = (mids, mid_i0, node_at, mid_at)
-        if len(x0s) == 1:
-            return stack, [stack], plan
-        stores = [cls.__new__(cls) for _ in x0s]
+        stores = [cls.__new__(cls) for _ in x0s] if len(x0s) > 1 else []
         for i, store in enumerate(stores):  # by setattr: a __dict__ update would slow every read of a store
             for name in ("K", "I0", "n", "delay", "count", "node0", "close_knots", *_ROWS):
                 value = getattr(stack, name)  # the stack's field, or its column of a row array
                 setattr(store, name, value[:, i] if name in _ROWS else value)
-        return stack, stores, plan
+        for store in (stack, *stores):
+            store._freeze()
+        return stack, stores or [stack], (taus, at)
+
+    def _freeze(self):
+        """Set ``FROZEN``: read-only views of ``V``, ``TAIL`` and ``TP`` that
+        see every later write, and whose rows no caller can make writeable
+        again (a plain view's flag can be set back while its owner's is set)."""
+        self.FROZEN = tuple(as_strided(getattr(self, name), writeable=False) for name in ("V", "TAIL", "TP"))
+
+    # a copy or pickle holds the row arrays once and makes its own read-only views of them
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items() if name != "FROZEN"}
+
+    def __setstate__(self, state: dict):
+        self.__dict__.update(state)
+        self._freeze()
 
     def append(self, x: np.ndarray):
         """Store the row of the next knot of ``K`` and its running integral;
@@ -211,10 +238,8 @@ class _Dense:
     def node_window(self, k: int) -> _Window:
         """The window the dynamics saw at node ``k`` (node 0 is t0)."""
         c = self.node0 + k
-        tail, head = self.TAIL[k], self.V[c]
-        tail.setflags(write=False)  # views: the store stays writeable
-        head.setflags(write=False)
-        return _Window(self, self.K.item(c), self.I0.item(k), c, tail, head)
+        V, TAIL, TP = self.FROZEN
+        return _Window(self, self.K.item(c), self.I0.item(2 * k), c, TAIL[2 * k], V[c], TP[2 * k])
 
     def eval_one(self, t: float) -> np.ndarray:
         return self.eval_many(np.array([t]))[0]
@@ -251,33 +276,41 @@ class _Dense:
         c, K = self.count, self.K
         (i0,), (at,) = _window_ends(K, np.array([tau]), self.delay)
         i1 = c if K.item(c - 1) < tau else int(np.searchsorted(K[:c], tau, side="left"))
-        tail, head = self.eval_many(np.array([at, tau]))
-        tail.setflags(write=False)  # freezes as flags.writeable = False does, at about half the cost
-        head.setflags(write=False)
-        return _Window(self, tau, int(i0), i1, tail, head)
+        rows = self.eval_many(np.array([at, tau]))
+        rows.setflags(write=False)  # freezes as flags.writeable = False does, at about half the cost
+        return _Window(self, tau, int(i0), i1, rows[0], rows[1])
 
 
 class _Window(HistorySegment):
     """The window [tau - delay, tau] of a dense store, without a copy.
 
-    It holds the store, the index range ``i0:i1`` of the inner knots and the
-    rows at -delay and 0.  A stage window's ``i0`` and row at -delay come
-    from the group's set-up and look-ahead (:meth:`_Dense.group`,
-    :func:`_lockstep`), any other's from :func:`_window_ends` and
-    :meth:`_Dense.eval_many` on the spot; both are the same search, fold
-    and Hermite.  ``head``, ``delayed`` and ``integral()`` cost O(1);
-    ``grid`` and ``values`` each cost one O(delay/step) copy on first read
-    and are kept.  The store only appends, so a window stays valid as it
-    grows.  ``_body`` is all of ``integral()`` but the head piece, computed
-    on first need; windows with the same time, inner knots and tail share it.
+    It holds the store, the index range ``i0:i1`` of the inner knots, the
+    rows at -delay and 0 and the tail piece ``tp`` of its quadrature.  A
+    stage or node window's ``i0``, row at -delay and tail piece come from
+    the group's set-up and look-ahead (:meth:`_Dense.group`,
+    :func:`_lockstep`); any other's ``i0`` and row from :func:`_window_ends`
+    and :meth:`_Dense.eval_many` on the spot, and its tail piece, when
+    ``tp`` is None, from :func:`_tail_pieces` on first need.  Both ways are
+    the same search, fold, Hermite and arithmetic.  ``head``, ``delayed``
+    and ``integral()`` cost O(1); ``grid`` and ``values`` each cost one
+    O(delay/step) copy on first read and are kept.  The store only appends,
+    so a window stays valid as it grows.  ``_body`` is all of
+    ``integral()`` but the head piece, computed on first need; windows with
+    the same time, inner knots and tail share it.
     """
 
-    def __init__(self, dense: _Dense, tau: float, i0: int, i1: int, tail, head, body=None):
+    def __init__(self, dense: _Dense, tau: float, i0: int, i1: int, tail, head, tp=None, body=None):
         # the builders freeze the two rows, often a whole stack of them at once
-        self.__dict__.update(
-            {"delay": dense.delay, "_dense": dense, "_tau": tau, "_i0": i0, "_i1": i1, "_tail": tail,
-             "_head": head, "_body": body}
-        )
+        d = self.__dict__
+        d["delay"] = dense.delay
+        d["_dense"] = dense
+        d["_tau"] = tau
+        d["_i0"] = i0
+        d["_i1"] = i1
+        d["_tail"] = tail
+        d["_head"] = head
+        d["_tp"] = tp
+        d["_body"] = body
 
     @property
     def dim(self) -> int:
@@ -300,8 +333,10 @@ class _Window(HistorySegment):
         if i0 == i1:
             return (0.5 * self.delay) * (self._tail + self._head)
         if self._body is None:  # the tail piece plus the running integral between the inner knots
-            tail_piece = (0.5 * ((K.item(i0) - tau) + self.delay)) * (self._tail + V[i0])
-            self.__dict__["_body"] = tail_piece + (C[i1 - 1] - C[i0])
+            tp = self._tp
+            if tp is None:
+                tp = _tail_pieces(K, V, i0, tau, self.delay, self._tail[None])[0]
+            self.__dict__["_body"] = tp + (C[i1 - 1] - C[i0])
         return self._body + (0.5 * (tau - K.item(i1 - 1))) * (V[i1 - 1] + self._head)
 
     # grid and values are built apart, each on its first read, and kept in
@@ -324,19 +359,30 @@ class _Window(HistorySegment):
         if vals is None:
             if d["_dense"].close_knots:
                 return self._merged()[1]
-            inner = d["_dense"].V[d["_i0"] : d["_i1"]]
-            vals = d["_values"] = np.concatenate((d["_tail"][None], inner, d["_head"][None]))
+            vals = d["_values"] = self._rows()
             vals.setflags(write=False)
         return vals
 
     def _offsets(self) -> np.ndarray:
-        return np.concatenate(([-self.delay], self._dense.K[self._i0 : self._i1] - self._tau, [0.0]))
+        """The offsets -delay, the inner knots' and 0, in one new array."""
+        inner = self._dense.K[self._i0 : self._i1]
+        grid = np.empty(inner.size + 2)
+        grid[0], grid[-1] = -self.delay, 0.0
+        np.subtract(inner, self._tau, out=grid[1:-1])
+        return grid
+
+    def _rows(self) -> np.ndarray:
+        """The row at -delay, the inner knots' rows and the head, in one new array."""
+        inner = self._dense.V[self._i0 : self._i1]
+        vals = np.empty((inner.shape[0] + 2,) + inner.shape[1:])
+        vals[0], vals[1:-1], vals[-1] = self._tail, inner, self._head
+        return vals
 
     def _merged(self) -> tuple:
         """Grid and values with the last knot of each run of knots that
         rounded onto one offset: the grid decides which rows stay."""
         grid = self._offsets()
-        vals = np.concatenate((self._tail[None], self._dense.V[self._i0 : self._i1], self._head[None]))
+        vals = self._rows()
         last = np.concatenate([[True], np.diff(grid[1:]) > 0.0, [True]])
         grid, vals = grid[last], vals[last]
         grid.setflags(write=False)
@@ -497,11 +543,14 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
     A stage at time tau reads its row at -delay on the knot interval that
     ends at its window's lower end, and tau - delay lies before the step's
     start ``K[count - 1]``, so every knot it reads is stored before its step.
-    When a step's rows are not there yet, ``rows_ahead`` evaluates every
-    row whose knots are stored (up to ``_AHEAD`` nodes and midpoints) in
-    one pass, into ``TAIL`` for the nodes and ``MID`` for the midpoints."""
+    When a step's rows are not there yet, ``rows_ahead`` evaluates the
+    next stage windows' rows whose knots are stored (up to ``_AHEAD``
+    steps' worth) in one pass, into ``TAIL``, and forms their tail pieces
+    of quadrature (:func:`_tail_pieces`) in the same pass, into ``TP``.
+    The stage windows take those rows and pieces, and their heads on
+    stored knots, from read-only views made once."""
     m = len(runs)
-    stack, stores, (mids, mid_i0, node_at, mid_at) = _Dense.group(t0, [run[0] for run in runs], tgrid)
+    stack, stores, (taus, at) = _Dense.group(t0, [run[0] for run in runs], tgrid)
     # run p's row of an (m, n) stack array is rows(a)[p]; a group of one's arrays are (n,)
     cols = range(m)
     rows = (lambda a: list(map(a.__getitem__, cols))) if m > 1 else (lambda a: (a,))
@@ -526,41 +575,36 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
     k2, k3, k4 = (np.empty(stack.V.shape[1:]) for _ in range(3))  # stage slopes, reused from step to step
     k2s, k3s, k4s = rows(k2), rows(k3), rows(k4)
 
-    MID = np.empty(mids.shape + stack.V.shape[1:])  # each step's midpoint row at -delay
+    V, TAIL, TP = stack.FROZEN
 
-    def rows_ahead(k: int, j: int) -> tuple:
-        """Store the rows at -delay of the nodes from ``k`` on and of the
-        midpoints from ``j`` on whose interval's right knot (the window's
-        lower end) is stored, in one pass; return the first node and midpoint
-        whose is not.  Steps of at most delay / 2 make that the next step's
-        stages and those of about a delay after them.  The rows of a run
-        that stops before it reads them may overflow: no warning."""
-        c = stack.count - 1
-        k1 = min(int(np.searchsorted(stack.I0, c, side="right")), k + _AHEAD)
-        j1 = min(int(np.searchsorted(mid_i0, c, side="right")), j + _AHEAD)
+    def rows_ahead(s: int) -> int:
+        """Store the rows at -delay of the stage windows from ``s`` on whose
+        interval's right knot (the window's lower end) is stored, and their
+        tail pieces, in one pass; return the first window whose is not.
+        Steps of at most delay / 2 make that the next step's stages and
+        those of about a delay after them.  The rows of a run that stops
+        before it reads them may overflow: no warning."""
+        s1 = min(int(np.searchsorted(stack.I0, stack.count - 1, side="right")), s + 2 * _AHEAD)
         with np.errstate(over="ignore", invalid="ignore"):
-            ahead = stack.eval_many(np.concatenate((node_at[k:k1], mid_at[j:j1])))
-        stack.TAIL[k:k1], MID[j:j1] = ahead[: k1 - k], ahead[k1 - k :]
-        return k1, j1
+            ahead = stack.eval_many(at[s:s1])
+            stack.TAIL[s:s1], stack.TP[s:s1] = ahead, _tail_pieces(
+                stack.K, stack.V, stack.I0[s:s1], taus[s:s1], stack.delay, ahead)
+        return s1
 
-    def tails(a: np.ndarray) -> list:
-        """Each run's row of the stack row ``a`` at -delay, read-only."""
-        a.setflags(write=False)  # freezes as flags.writeable = False does, at about half the cost
-        return rows(a)
-
-    def stage(outs, tau: float, i0: int, i1: int, tls, heads, like=None) -> dict:
+    def stage(outs, tau: float, i0: int, i1: int, tls, tps, heads, like=None) -> dict:
         """Each live run's window at ``tau``, after the dynamics saw it at
         the levels ``us``, ``ds``; ``outs[p]`` gets run p's slope.  The
         windows' inner knots are ``i0:i1``, and run p's rows at -delay and 0
-        are ``tls[p]`` and row p of ``heads``, which this freezes.  Windows
-        with the same time, inner knots and tail share the quadrature of all
-        but the head piece: run p's is ``like[p]``'s."""
+        are ``tls[p]`` and row p of ``heads``, which this freezes, and its
+        tail piece is ``tps[p]``.  Windows with the same time, inner knots
+        and tail share the quadrature of all but the head piece: run p's is
+        ``like[p]``'s."""
         heads.setflags(write=False)
-        heads = rows(heads)
+        heads = rows(heads) if m > 1 else (heads[...],)  # a view: the owner's own flag could be set back
         segs = {}
         for p in live:
             body = None if like is None else like[p]._body
-            seg = segs[p] = _Window(stores[p], tau, i0, i1, tls[p], heads[p], body)
+            seg = segs[p] = _Window(stores[p], tau, i0, i1, tls[p], heads[p], tps[p], body)
             outs[p][...] = f(tau, seg, us[p], ds[p])
         return segs
 
@@ -572,11 +616,12 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
             # its column still goes through the stack's arithmetic: keep it finite
             k2s[p][...] = k3s[p][...] = k4s[p][...] = 0.0
 
-    times = tgrid.tolist()  # Python floats: the step arithmetic is the same, with less overhead
-    nodes_ready, mids_ready = rows_ahead(0, 0)  # the nodes and midpoints whose rows at -delay are stored
+    # Python floats and ints: the step arithmetic is the same, with less overhead
+    times, stage_times, ends = tgrid.tolist(), taus.tolist(), stack.I0.tolist()
+    ready = rows_ahead(0)  # the stage windows before it have their rows at -delay stored
     c = stack.count - 1  # node 0
     us, ds = rows(U[0]), rows(D[0])
-    stage(rows(stack.DOUT[c]), times[0], stack.I0.item(0), c, tails(stack.TAIL[0]), stack.V[c])
+    stage(rows(stack.DOUT[c]), times[0], ends[0], c, rows(TAIL[0]), rows(TP[0]), V[c])
 
     for j in range(len(times) - 1):
         ta = times[j]
@@ -586,14 +631,15 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
         c = stack.count
         xk = stack.V[c - 1]
         k1 = stack.DOUT[c - 1]
-        if nodes_ready <= j + 1:  # node j + 1's lower end is at least its midpoint's
-            nodes_ready, mids_ready = rows_ahead(nodes_ready, mids_ready)
+        s = 2 * j + 1  # the step's stage windows: its midpoint's, then node j + 1's
+        if ready <= s + 1:
+            ready = rows_ahead(ready)
 
-        tm, i0, tls = mids.item(j), mid_i0.item(j), tails(MID[j])
-        seg_m = stage(k2s, tm, i0, c, tls, xk + (0.5 * hk) * k1)
-        stage(k3s, tm, i0, c, tls, xk + (0.5 * hk) * k2, seg_m)
-        i0, tls = stack.I0.item(j + 1), tails(stack.TAIL[j + 1])
-        seg_b = stage(k4s, tb, i0, c, tls, xk + hk * k3)
+        tm, i0, tls, tps = stage_times[s], ends[s], rows(TAIL[s]), rows(TP[s])
+        seg_m = stage(k2s, tm, i0, c, tls, tps, xk + (0.5 * hk) * k1)
+        stage(k3s, tm, i0, c, tls, tps, xk + (0.5 * hk) * k2, seg_m)
+        i0, tls, tps = ends[s + 1], rows(TAIL[s + 1]), rows(TP[s + 1])
+        seg_b = stage(k4s, tb, i0, c, tls, tps, xk + hk * k3)
         x_next = xk + (hk / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
         # hk > 0, so x_next is non-finite whenever a stage is; a finite norm
@@ -614,7 +660,7 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
         # the node window is k4's: appending at tb moves neither end of its inner knots
         f_end = stack.DOUT[c]
         fs = rows(f_end)
-        nodes = stage(fs, tb, i0, c, tls, stack.V[c], seg_b)
+        nodes = stage(fs, tb, i0, c, tls, tps, V[c], seg_b)
         stack.DIN[c] = f_end
         failed, blown = [], []
         for p in live:
@@ -652,17 +698,23 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
 
 
 def _trailing_window_max(ts: np.ndarray, vals: np.ndarray, width: float) -> np.ndarray:
-    """Running max of ``vals`` over the trailing time window ``[t - width, t]``."""
+    """Running max of ``vals`` over the trailing time window ``[t - width, t]``
+    of each of the increasing times ``ts``, whose knots are those at or after
+    ``t - width - 1e-12``; a NaN inside a window is its max, as in ``np.max``.
+    Each window is the union of two runs of 2**L values, L its largest such
+    that fits: level L of the doubling table holds the max of every run of
+    2**L values, and only one level is kept at a time."""
+    k = np.arange(vals.size)
+    lo = np.searchsorted(ts, ts - width - 1e-12, side="left")  # each window's first knot
+    size = k - lo + 1
     out = np.empty(vals.size)
-    dq: deque = deque()
-    for k in range(vals.size):
-        while dq and vals[dq[-1]] <= vals[k]:
-            dq.pop()
-        dq.append(k)
-        while ts[dq[0]] < ts[k] - width - 1e-12:
-            dq.popleft()
-        out[k] = vals[dq[0]]
-    return out
+    level, run = vals, 1  # level[i] = max(vals[i : i + run])
+    while True:
+        at = np.flatnonzero((size >= run) & (size < 2 * run))
+        out[at] = np.maximum(level[lo[at]], level[k[at] - run + 1])
+        if not (size >= 2 * run).any():
+            return out
+        level, run = np.maximum(level[:-run], level[run:]), 2 * run
 
 
 # -- empirical Lipschitz moduli -------------------------------------------------

@@ -84,6 +84,18 @@ class TestAccessors:
         for j in range(seg.dim):
             assert integral[j] == np.trapezoid(seg.values[:, j], seg.grid)
 
+    @SETTINGS
+    @given(st.integers(2, 600), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_long_windows_integrate_column_by_column(self, knots, dim, seed):
+        # past 8 and 128 terms NumPy's pairwise summation regroups a sum:
+        # each column must still sum as that column alone does
+        rng = np.random.default_rng(seed)
+        grid = np.concatenate([[-2.0], np.sort(rng.uniform(-2.0, 0.0, knots - 2)), [0.0]])
+        assume(np.all(np.diff(grid) > 0.0))
+        seg = HistorySegment(2.0, grid, rng.normal(size=(knots, dim)) * 10.0 ** rng.uniform(-3, 3, dim))
+        want = [np.trapezoid(seg.values[:, j], seg.grid) for j in range(dim)]
+        assert np.array_equal(seg.integral(), want)
+
 
 class TestTrapezoid:
     @SETTINGS
@@ -719,6 +731,8 @@ class TestDenseWindows:
             assert view == plain and plain == view
             for dup in copies:
                 assert dup == plain and plain == dup
+                node = dup._dense.node_window(0)  # a copied store still hands out frozen rows
+                assert not (node.head.flags.writeable or node.delayed.flags.writeable)
                 assert np.array_equal(dup.head, view.head)
                 assert np.array_equal(dup.delayed, view.delayed)
                 assert np.array_equal(dup.integral(), view.integral())
@@ -806,9 +820,20 @@ class TestStageWindows:
         self, r, steps_per_delay, t0, span, fracs, levels, queries, seed
     ):
         traj, seen = _stage_run(r, steps_per_delay, t0, span, fracs, levels, seed)
-        windows = [seg for _, seg, _, _, _ in seen] + [traj.history(t) for t in traj.times]
+        # the same dynamics, for a lock-step group of two members
+        runs = [(HistorySegment(r, traj.initial.grid, s * traj.initial.values), None, traj.d) for s in (1.0, 0.5)]
+        opts = IntegrateOpts(step_req=r / steps_per_delay)
+        group = _integrate_runs(traj.system, traj.t0, runs, traj.t_end, opts)
+        assert group[0]._dense.K is group[1]._dense.K
+        windows = [seg for _, seg, _, _, _ in seen]  # the stage windows of the run and of the group
+        for run in [traj, *group]:
+            windows += [run.history(t) for t in run.times]
+            windows += [run._dense.node_window(k) for k in range(run.times.size)]
         for seg in windows:
-            assert not (seg.head.flags.writeable or seg.delayed.flags.writeable)
+            for row in (seg.head, seg.delayed):
+                assert not row.flags.writeable
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    row.setflags(write=True)  # no handed-out row can be thawed
 
     @settings(max_examples=100, deadline=None)
     @given(**DENSE_RUNS)
@@ -1120,7 +1145,7 @@ class TestTrailingWindowMax:
     @SETTINGS
     @given(
         gaps=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=60),
-        vals=st.lists(finite, min_size=61, max_size=61),
+        vals=st.lists(finite | st.sampled_from([math.nan, math.inf, -math.inf]), min_size=61, max_size=61),
         width=st.floats(0.0, 5.0),
         start=st.floats(-1e3, 1e3),
     )
@@ -1131,4 +1156,5 @@ class TestTrailingWindowMax:
         got = _trailing_window_max(ts, vals, width)
         for k, t in enumerate(ts):
             inside = ts[: k + 1] >= t - width - 1e-12
-            assert got[k] == vals[: k + 1][inside].max()
+            # a NaN inside the window is the window's max, as in np.max
+            assert np.array_equal(got[k], vals[: k + 1][inside].max(), equal_nan=True), k

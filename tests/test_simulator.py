@@ -12,6 +12,7 @@ from rfdestab import (
     IntegrateOpts,
     KlFn,
     LipschitzModuli,
+    PiecewiseSignal,
     RegionSpec,
     RfdeSystem,
     SignalSpec,
@@ -31,7 +32,7 @@ from rfdestab import (
     trajectory_to_csv,
     verify_ios_envelope,
 )
-from rfdestab.simulator import _integrate_runs, _uniform_box
+from rfdestab.simulator import _AHEAD, _Dense, _integrate_runs, _uniform_box
 
 ZERO_D = np.array([[0.0, 0.0]])
 
@@ -129,8 +130,6 @@ class TestIntegrateBasics:
             output=lambda t, seg: seg.values[-1],
             d_box=np.array([[-1.0, 1.0]]),
         )
-        from rfdestab import PiecewiseSignal
-
         d_sig = PiecewiseSignal(
             np.array([0.7321]), np.array([[1.0], [-1.0]]), np.array([[-1.0, 1.0]])
         )
@@ -630,6 +629,11 @@ PINNED = {
         "b7a80a1def16cf763371e500889c89e38fca7f16f65471a643287d3fb1e0b2c4",
         "f6a2c3f7fee6b5f6af28fe609d15e65e1301f5979a4523cf291c9738af716e29",
     ],
+    "half-delay-group": [
+        "9e25355eec64256b097765481bc6b9cf3d4b58756635537cbfec6dfb2015f52b",
+        "b254d8db897036e1e2957032bb78791e1dbd73aa46c88443f54958ab904317cf",
+        "23f068933a4b843d81f75ea941cf1d81877193555816ee85843922d2526d97cf",
+    ],
 }
 
 
@@ -667,3 +671,44 @@ class TestPinnedBits:
         assert [t.status for t in trajs] == ["completed"] * 3
         assert trajs[0]._dense.K is trajs[2]._dense.K  # one group
         assert [_digest(t) for t in trajs] == PINNED["group"]
+
+    def test_half_delay_steps_group(self):
+        # r / h = 2: every step's stages read rows at -r that the step before
+        # stored, so the look-ahead runs at every step; the dynamics read
+        # the head, the row at -r and the window integral
+        A = np.array([[-1.0, 0.4], [-0.3, -0.6]])
+        box = np.array([[-1.0, 1.0]])
+        sys_ = RfdeSystem(
+            1.0, 2, lambda t, seg, u, d: A @ seg.head + d[0] * seg.delayed[::-1] - 0.25 * seg.integral(),
+            lambda t, seg: seg.head, box,
+        )
+        x0 = sample_history(np.random.default_rng(11), 1.0, 2, 1.0)
+        runs = [(x0, None, PiecewiseSignal([1.3], [[c], [-c]], box)) for c in (-0.5, 0.25, 0.8)]
+        trajs = _integrate_runs(sys_, 0.0, runs, 3.0, IntegrateOpts(step_req=0.5))
+        assert [t.status for t in trajs] == ["completed"] * 3
+        assert trajs[0]._dense.K is trajs[2]._dense.K  # one group
+        assert trajs[0].times.tolist() == [0.0, 0.5, 1.0, 1.3, 1.5, 2.0, 2.5, 3.0]
+        assert [_digest(t) for t in trajs] == PINNED["half-delay-group"]
+
+
+def test_look_ahead_passes_per_run(monkeypatch):
+    # the rows at -r (and their tail pieces) of up to _AHEAD nodes and
+    # midpoints come from one _Dense.eval_many pass: at 25 steps a delay a
+    # run of 7,000 steps makes ceil(7000 / 256) = 28 passes, and no other
+    # call evaluates the store while it integrates
+    calls = []
+    eval_many = _Dense.eval_many
+
+    def counted(self, ts):
+        calls.append(ts.size)
+        return eval_many(self, ts)
+
+    monkeypatch.setattr(_Dense, "eval_many", counted)
+    sys_ = build_example("example-5.2").system
+    rng = np.random.default_rng(0)
+    x0 = sample_history(rng, sys_.delay_r, sys_.dim_n, 1.0)
+    d = sample_signal(SignalSpec(sys_.d_box, 1.4, 0.4, seed=int(rng.integers(2**32))))
+    traj = integrate(sys_, 0.0, x0, None, d, 1.4, IntegrateOpts(step_req=2e-4))
+    steps = traj.times.size - 1
+    assert traj.status == "completed" and steps == 7002
+    assert len(calls) <= math.ceil(steps / _AHEAD) + 1

@@ -13,6 +13,7 @@ from rfdestab import (
     LyapunovFunctional,
     RfdeSystem,
     SignalSpec,
+    build_example,
     check_monotone_decay,
     constant,
     constant_signal,
@@ -301,3 +302,18 @@ class TestMonotoneDecay:
         assert check_monotone_decay([traj], values).verdict == "fail"
         rep = check_monotone_decay([traj], values, window_delay=4.0)
         assert rep.verdict == "pass"
+
+    @pytest.mark.parametrize("window_delay", [None, 0.5])
+    def test_nan_readings_fail_with_or_without_a_window(self, window_delay):
+        # a reading that turns NaN past t = 0.5 has no slack: the trailing
+        # window max of a window holding a NaN is NaN, so the windowed check
+        # fails at the first NaN node as the plain one does
+        sys_ = build_example("example-5.2").system
+        x0 = sample_history(np.random.default_rng(0), sys_.delay_r, sys_.dim_n, 1.0)
+        d = constant_signal([0.0], box=sys_.d_box)
+        traj = integrate(sys_, 0.0, x0, None, d, 1.0, IntegrateOpts(step_req=1e-2))
+        assert traj.status == "completed" and sys_.delay_r == 0.5
+        rep = check_monotone_decay([traj], lambda ts, xs: np.where(ts > 0.5, np.nan, np.exp(-ts)),
+                                   window_delay=window_delay)
+        assert rep.verdict == "fail" and math.isnan(rep.slacks[0])
+        assert rep.witness[1] == 0.51 and math.isnan(rep.witness[2])
