@@ -8,11 +8,13 @@ between.  Segments are immutable; every operation returns a new segment.
 
 User-built segments (constructor, JSON) are validated.  Windows built by
 ``sample_history``, ``extend`` and ``add_constant`` are valid by construction:
-they check what their inputs decide and use the private builder ``_segment``.
+they check what their inputs decide and use the private builders ``_segment``
+(one window) and ``_build_windows`` (a block of sampled windows).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -356,11 +358,13 @@ def _draw_block(
     A time is one ``random()`` read as ``uniform(*t_range)``; the points of
     ``boxes`` (each None or rows of [lo, hi]) are one ``random(rows)`` call
     over all their rows, read as ``uniform`` per row.  Only the generator
-    calls run per sample and per knot, in the documented order; the ball
-    points, the slope clip walk (one vector step per knot column), the box
-    points and the windows are computed once for the block.  Returns the
-    times (floats; empty without ``t_range``), the windows, and one
-    (count, rows) array of points per box.
+    calls run per sample and per knot, in the documented order, and the loop
+    around them only collects their values in flat lists; the ball points,
+    the slope clip walk (one vector step per knot column), the box points and
+    the windows are computed once for the block, from those lists converted
+    to float arrays.  Returns the times (floats; empty without ``t_range``),
+    the windows (see :func:`_build_windows`), and one (count, rows) array of
+    points per box.
     """
     if t_range is not None:
         t_lo, t_span = _box_range(np.array([t_range], dtype=float))
@@ -372,13 +376,13 @@ def _draw_block(
     ranges = [_box_range(b) for b in boxes]
     rows = sum(b.shape[0] for b in boxes)
 
-    random, normal = rng.random, rng.normal
+    random, normal, integers = rng.random, rng.normal, rng.integers
     inv_dim = 1.0 / max(dim, 1)  # a dimension-0 normal is zero: no radius is drawn
     times, knots, sizes, normals, radii, units = [], [], [], [], [], []
     for _ in range(count):
         if t_range is not None:
             times.append(random())
-        k = int(rng.integers(1, SAMPLE_MAX_KNOTS + 1))
+        k = int(integers(1, SAMPLE_MAX_KNOTS + 1))
         # delay * u - delay is uniform(-delay, 0)'s arithmetic; its values lie
         # in [-delay, 0] and are never -0.0: the set drops what np.unique would
         offsets = sorted({-delay, *[delay * u - delay for u in random(k).tolist()], 0.0})
@@ -389,7 +393,7 @@ def _draw_block(
             normals += z
             radii.append(norm_bound * random() ** inv_dim if any(z) else 0.0)
         if rows:
-            units.append(random(rows))
+            units += random(rows).tolist()
 
     # knot columns: line j holds window j's sizes[j] knots, then padding that
     # repeats its last offset 0 with a zero point, so it clips to a zero step
@@ -397,16 +401,16 @@ def _draw_block(
     width = SAMPLE_MAX_KNOTS + 2
     used = np.arange(width) < sizes[:, None]
     offsets = np.zeros((count, width))
-    offsets[used] = knots
+    offsets[used] = np.array(knots, dtype=float)
     lims = 8.0 * max(norm_bound, 1e-12) / delay * (offsets[:, 1:] - offsets[:, :-1])
-    z = np.array(normals).reshape(len(radii), dim)
+    z = np.array(normals, dtype=float).reshape(len(radii), dim)
     nz = np.sqrt(np.vecdot(z, z))  # bitwise math.sqrt(z.dot(z)) row by row
     # a zero normal's point is +0.0, as np.zeros(dim) was, whatever its zeros' signs
     zero = nz == 0.0
     z[zero] = 0.0
     nz[zero] = 1.0
     vals = np.zeros((count, width, dim))
-    vals[used] = z * (np.array(radii) / nz)[:, None]
+    vals[used] = z * (np.array(radii, dtype=float) / nz)[:, None]
     # the walk overwrites each column's ball points with its clipped values
     for c in range(1, sizes.max()):
         dv = vals[:, c] - vals[:, c - 1]
@@ -417,8 +421,8 @@ def _draw_block(
     windows = _build_windows(delay, offsets, vals, sizes)
 
     if t_range is not None:
-        times = (t_lo + t_span * np.array(times)).tolist()
-    units = np.array(units).reshape(count, rows)
+        times = (t_lo + t_span * np.array(times, dtype=float)).tolist()
+    units = np.array(units, dtype=float).reshape(count, rows)
     drawn, first = [], 0
     for box, (lo, span) in zip(boxes, ranges):
         drawn.append(lo + span * units[:, first:first + box.shape[0]])
@@ -434,7 +438,9 @@ def _build_windows(delay, offsets: np.ndarray, rows: np.ndarray, sizes: np.ndarr
     SAMPLE_DENSIFY evenly spaced offsets, and its rows interpolate the knot
     rows with :func:`_lerp`, as :func:`_interp` does, so they are bitwise what
     ``np.union1d`` and ``_interp`` give one window at a time.  All windows
-    are merged and interpolated in one pass; each segment views its rows.
+    are merged and interpolated in one pass, against the dense offsets of
+    ``delay`` from a bounded read-only cache.  The block's flat grid and rows
+    are frozen once, and each segment views its slice of them.
     """
     count, width = offsets.shape
     base = width * np.arange(count)  # each line's first knot in knots and rows
@@ -444,7 +450,7 @@ def _build_windows(delay, offsets: np.ndarray, rows: np.ndarray, sizes: np.ndarr
     # stable sort puts a knot before a dense offset equal to it, padding last
     lines = np.empty((count, width + SAMPLE_DENSIFY))
     lines[:, :width] = np.where(np.arange(width) < sizes[:, None], offsets, math.inf)
-    lines[:, width:] = np.linspace(-delay, 0.0, SAMPLE_DENSIFY)
+    lines[:, width:] = _dense_offsets(delay)
     order = np.argsort(lines, axis=1, kind="stable")
     lines = np.take_along_axis(lines, order, axis=1)
     # an offset's last knot at or below it, as _interp's searchsorted finds it
@@ -459,8 +465,23 @@ def _build_windows(delay, offsets: np.ndarray, rows: np.ndarray, sizes: np.ndarr
     values[ends - 1] = np.take(rows, base + sizes - 1, axis=0)  # each window's top offset 0
     if not np.isfinite(values).all():
         raise ValueError("history values must be finite")
-    ends = ends.tolist()
-    return [_segment(delay, grid[a:b], values[a:b]) for a, b in zip([0, *ends], ends)]
+    # views of a read-only array are read-only: no window sets its own flags
+    grid.flags.writeable = values.flags.writeable = False
+    new, windows, ends = object.__new__, [], ends.tolist()
+    for a, b in zip([0, *ends], ends):
+        seg = new(HistorySegment)
+        seg.__dict__.update(delay=delay, grid=grid[a:b], values=values[a:b])
+        windows.append(seg)
+    return windows
+
+
+@functools.lru_cache(maxsize=64)
+def _dense_offsets(delay: float) -> np.ndarray:
+    """The SAMPLE_DENSIFY evenly spaced offsets from -delay to 0, read-only
+    as every caller shares them."""
+    dense = np.linspace(-delay, 0.0, SAMPLE_DENSIFY)
+    dense.flags.writeable = False
+    return dense
 
 
 def clip_to_ball(segment: HistorySegment, norm_bound: float) -> HistorySegment:

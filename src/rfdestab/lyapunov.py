@@ -17,7 +17,6 @@ truncated-horizon converse energy :func:`converse_functional_uq`.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import asdict, dataclass
@@ -218,8 +217,14 @@ def dini_functional(
     """
     if _uses_analytic(V, opts):
         return _analytic(V.analytic_dini, t, x, v)
+    return _functional_ladder(V, t, x, v, float(V.evaluator(t, x)))
+
+
+def _functional_ladder(V: LyapunovFunctional, t: float, x: HistorySegment, v, base: float) -> float:
+    """:func:`dini_functional`'s numeric ladder from ``base``, the energy
+    V(t, x) now, which a caller that has it hands over instead of evaluating
+    it again."""
     v = np.asarray(v, dtype=float)
-    base = float(V.evaluator(t, x))
     dirs = _probe_directions(x.dim)
 
     def rung(h: float) -> np.ndarray:
@@ -244,8 +249,15 @@ def dini_pointwise(
     x = np.asarray(x, dtype=float)
     if _uses_analytic(Vr, opts):
         return _analytic(Vr.analytic_dini, t, x, v)
+    return _pointwise_ladder(Vr, t, x, v, float(Vr.evaluator(t, x)))
+
+
+def _pointwise_ladder(Vr: RazumikhinFunction, t: float, x: np.ndarray, v, base: float) -> float:
+    """:func:`dini_pointwise`'s numeric ladder from ``base``, the value
+    Vr(t, x) now, which a caller that has it hands over instead of
+    evaluating it again."""
     v = np.asarray(v, dtype=float)
-    return _ladder(LADDER_STEPS, float(Vr.evaluator(t, x)), lambda h: float(Vr.evaluator(t + h, x + h * v)))
+    return _ladder(LADDER_STEPS, base, lambda h: float(Vr.evaluator(t + h, x + h * v)))
 
 
 # -- sampling ---------------------------------------------------------------------
@@ -307,24 +319,27 @@ def _default_tol(has_analytic: bool, tolerance: float | None) -> float:
     return 1e-9 if has_analytic else 1e-6
 
 
-def _samples(sys: RfdeSystem, spec: SamplerSpec, draw_u: bool):
-    """Yield (t, window, u, d) for each of ``spec.samples`` samples of ``spec.seed``.
+def _sample_blocks(rng: np.random.Generator, sys: RfdeSystem, spec: SamplerSpec, draw_u: bool):
+    """Yield the ``spec.samples`` samples drawn from ``rng`` FALSIFY_BLOCK at
+    a time, each block as (times, windows, us, ds), one entry per sample;
+    ``zip(*block)`` gives its samples as (t, window, u, d).
 
-    Samples are drawn FALSIFY_BLOCK at a time by ``history._draw_block``:
-    its generator calls run sample by sample in the order t, window, u, d
-    (one ``random`` per box row), and its arithmetic runs once per block, so
-    every sample is the one that ``uniform``, ``sample_history`` and one
-    ``uniform`` per box row give, drawing one sample at a time.
+    A block is one ``history._draw_block`` call: its generator calls run
+    sample by sample in the order t, window, u, d (one ``random`` per box
+    row), and its arithmetic runs once per block, so every sample is the one
+    that ``uniform``, ``sample_history`` and one ``uniform`` per box row give,
+    drawing one sample at a time.  Without ``draw_u`` no input is drawn and
+    each u is the system's zero input.
     """
-    rng = np.random.default_rng(spec.seed)
     boxes = (sys.u_box if draw_u else None, sys.d_box)
     for start in range(0, spec.samples, FALSIFY_BLOCK):
         count = min(FALSIFY_BLOCK, spec.samples - start)
         times, windows, (us, ds) = _draw_block(
             rng, count, sys.delay_r, sys.dim_n, spec.norm_bound, (spec.t_lo, spec.t_hi), boxes
         )
-        for t, seg, u, d in zip(times, windows, us, ds):
-            yield t, seg, u if draw_u else sys.zero_input(), d
+        if not draw_u:
+            us = [sys.zero_input() for _ in range(count)]
+        yield times, windows, us, ds
 
 
 # the errors a sweep counts as a sample's failure to evaluate
@@ -339,7 +354,8 @@ def _falsify(
     sample_fn: Callable,
     screen: Callable | None = None,
 ) -> FalsificationReport:
-    """Shared sampling loop, over the samples of :func:`_samples` a block at a time.
+    """Shared sampling loop over the blocks of :func:`_sample_blocks`, drawn
+    from ``spec.seed``; ``spec.samples`` must be a positive integer.
 
     ``sample_fn(t, seg, u, d, mark)`` returns None for a sample its guard
     skips and (residual, derivative_scale) otherwise.  ``screen(times,
@@ -347,6 +363,9 @@ def _falsify(
     gives one ``mark`` per window (:func:`check_razumikhin` screens the
     block's window guards in one call); without it every mark is None.
     """
+    samples = spec.samples
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples!r}")
     worst = -math.inf
     worst_wit = None
     found = False
@@ -354,14 +373,9 @@ def _falsify(
     failures = 0
     first_failure = None
     tested = 0
-    samples = _samples(sys, spec, draw_u)
-    while block := list(itertools.islice(samples, FALSIFY_BLOCK)):
-        if screen is None:
-            marks = [None] * len(block)
-        else:
-            times, windows, _, _ = zip(*block)
-            marks = screen(times, windows)
-        for (t, seg, u, d), mark in zip(block, marks):
+    for times, windows, us, ds in _sample_blocks(np.random.default_rng(spec.seed), sys, spec, draw_u):
+        marks = [None] * len(times) if screen is None else screen(times, windows)
+        for t, seg, u, d, mark in zip(times, windows, us, ds, marks):
             try:
                 out = sample_fn(t, seg, u, d, mark)
             except _EVAL_ERRORS as err:
@@ -381,7 +395,7 @@ def _falsify(
                 found = True
     if found:
         verdict = "counterexample"
-    elif failures > max(1, spec.samples // 10) or tested == 0:
+    elif failures > max(1, samples // 10) or tested == 0:
         verdict = "inconclusive"
     else:
         verdict = "no_counterexample"
@@ -428,14 +442,16 @@ def check_lyapunov_ios(
     and counted."""
     if sys.u_box is None:
         raise ValueError("system declares no input channel")
-    tol = _default_tol(_uses_analytic(V, dini_opts), tolerance)
+    analytic = _uses_analytic(V, dini_opts)
+    tol = _default_tol(analytic, tolerance)
 
     def sample_fn(t, seg, u, d, _):
         val = float(V.evaluator(t, seg))
         if not _guard_level(zeta, delta, t, u) <= val:
             return None
         v = np.asarray(sys.dynamics(t, seg, u, d), dtype=float)
-        dv = dini_functional(V, t, seg, v, dini_opts)
+        # the guard's energy is the ladder's base: V is evaluated once a sample
+        dv = _analytic(V.analytic_dini, t, seg, v) if analytic else _functional_ladder(V, t, seg, v, val)
         return dv + float(rho(val)), dv
 
     return _falsify(sys, spec, tol, True, sample_fn)
@@ -482,7 +498,8 @@ def check_razumikhin(
         rate = lambda t, val: float(rho(val))
     else:
         rate = lambda t, val: float(rho(t, val))
-    tol = _default_tol(_uses_analytic(Vr, dini_opts), tolerance)
+    analytic = _uses_analytic(Vr, dini_opts)
+    tol = _default_tol(analytic, tolerance)
     draw_u = sys.u_box is not None and zeta is not None
 
     def screen(times, windows):
@@ -502,7 +519,8 @@ def check_razumikhin(
         if draw_u and _guard_level(zeta, delta, t, u) > v0:
             return None
         v = np.asarray(sys.dynamics(t, seg, u, d), dtype=float)
-        dv = dini_pointwise(Vr, t, x0, v, dini_opts)
+        # v0 is the ladder's base: Vr(t, x(0)) is evaluated once a sample
+        dv = _analytic(Vr.analytic_dini, t, x0, v) if analytic else _pointwise_ladder(Vr, t, x0, v, v0)
         return dv + rate(t, v0), dv
 
     return _falsify(sys, spec, tol, draw_u, sample_fn, screen)

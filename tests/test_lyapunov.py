@@ -491,32 +491,38 @@ def _counting(fn, calls):
 
 
 class TestOneEnergyCallPerSample:
-    """The guard's energy value is the residual's: one evaluator call for each
-    sample that does not fail, whether the guard skips it or not."""
+    """The guard's energy value is the residual's and the numeric ladder's
+    base: one evaluator call for each sample that does not fail, whether the
+    guard skips it or not, besides the ladder rungs' own calls."""
 
-    def test_guarded_functional_sweep(self):
+    @pytest.mark.parametrize("opts", [None, NUMERIC], ids=["analytic", "numeric"])
+    def test_guarded_functional_sweep(self, opts):
+        # the numeric ladder's base is the guard's energy, not a second call;
+        # its rungs go through evaluator_many
         bundle = build_example("example-4.8")
         V, calls = bundle.functional, [0]
-        counted = LyapunovFunctional(_counting(V.evaluator, calls), V.analytic_dini, V.name)
+        counted = replace(V, evaluator=_counting(V.evaluator, calls))
         rep = check_lyapunov_ios(
             bundle.system, counted, power(4.0, 0.5), exp_weight(2.0), linear(0.5),
-            SamplerSpec(t_lo=0.0, t_hi=5.0, norm_bound=2.0, samples=600, seed=0),
+            SamplerSpec(t_lo=0.0, t_hi=5.0, norm_bound=2.0, samples=600, seed=0), dini_opts=opts,
         )
         assert rep.guard_skipped > 0 and rep.samples_tested > 0
         assert calls[0] == 600 - rep.eval_failures
 
-    def test_razumikhin_sweep(self):
+    @pytest.mark.parametrize("opts", [None, NUMERIC], ids=["analytic", "numeric"])
+    def test_razumikhin_sweep(self, opts):
+        # the numeric ladder's base is the guard's Vr(t, x(0)); each of its
+        # rungs adds one call, at t + h
         bundle = build_example("example-5.2")
         Vr, calls = bundle.pointwise, [0]
-        counted = RazumikhinFunction(
-            _counting(Vr.evaluator, calls), Vr.analytic_dini, Vr.evaluator_many, Vr.name
-        )
+        counted = replace(Vr, evaluator=_counting(Vr.evaluator, calls))
         rep = check_razumikhin(
             bundle.system, counted, linear(0.5), linear(0.1),
-            SamplerSpec(t_lo=0.0, t_hi=2.0, norm_bound=2.0, samples=600, seed=0),
+            SamplerSpec(t_lo=0.0, t_hi=2.0, norm_bound=2.0, samples=600, seed=0), dini_opts=opts,
         )
         assert rep.guard_skipped > 0 and rep.samples_tested > 0
-        assert calls[0] == 600 - rep.eval_failures
+        rungs = 0 if opts is None else len(LADDER_STEPS) * rep.samples_tested
+        assert calls[0] == 600 - rep.eval_failures + rungs
 
 
 # sha256 of each report's sorted-key JSON, as the sweeps drew and built one
@@ -593,6 +599,30 @@ class TestSampleBlocks:
             "message": f"energy undefined at x(0)={heads[min(failing)]!r}",
         }
         assert rep.verdict == "no_counterexample"
+
+    @pytest.mark.parametrize("samples", [-3, 0, 2.5, 3.0, True, None], ids=repr)
+    def test_a_sample_count_that_is_not_a_positive_integer_raises_before_any_draw(self, samples):
+        # the t range is bad too: the count is refused first
+        calls = [0]
+        V = LyapunovFunctional(_counting(V_SQUARE.evaluator, calls))
+        Vr = RazumikhinFunction(_counting(lambda t, x: float(x @ x), calls))
+        sys_ = zero_input_system(_counting(lambda t, seg, u, d: -seg.head, calls))
+        spec = SamplerSpec(t_lo=5.0, t_hi=0.0, samples=samples, seed=0)
+        with pytest.raises(ValueError, match="samples must be a positive integer"):
+            check_lyapunov_ios(sys_, V, power(2.0), constant(1.0), linear(2.0), spec)
+        with pytest.raises(ValueError, match="samples must be a positive integer"):
+            check_razumikhin(sys_, Vr, linear(0.5), linear(1.0), spec)
+        assert calls[0] == 0
+
+    def test_a_numpy_integer_sample_count_is_a_count(self):
+        reps = [
+            check_lyapunov_ios(
+                zero_input_system(), V_SQUARE, power(2.0), constant(1.0), linear(2.0),
+                SamplerSpec(samples=samples, seed=0),
+            ).to_json_dict()
+            for samples in (np.int64(FALSIFY_BLOCK + 1), FALSIFY_BLOCK + 1)
+        ]
+        assert reps[0] == reps[1]
 
     @pytest.mark.parametrize("norm_bound", [-1.0, math.nan, math.inf])
     def test_a_bad_norm_bound_raises_before_any_evaluation(self, norm_bound):

@@ -38,7 +38,7 @@ from rfdestab import (
     verify_v_decay_estimate,
 )
 from rfdestab.history import _draw_block, _trapezoid
-from rfdestab.lyapunov import FALSIFY_BLOCK, _samples, _window_tops
+from rfdestab.lyapunov import FALSIFY_BLOCK, _sample_blocks, _window_tops
 from rfdestab.simulator import _integrate_runs, _trailing_window_max, _Window
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -254,6 +254,12 @@ def _scalar_samples(rng, sys_, spec, draw_u):
         yield t, seg, u, box_point(sys_.d_box)
 
 
+def _block_samples(rng, sys_, spec, draw_u):
+    """The falsifiers' samples drawn from ``rng``, block after block, as
+    (t, window, u, d)."""
+    return [sample for block in _sample_blocks(rng, sys_, spec, draw_u) for sample in zip(*block)]
+
+
 def _assert_same_window(seg, ref):
     assert seg.delay == ref.delay
     assert seg.grid.tobytes() == ref.grid.tobytes()
@@ -279,6 +285,25 @@ class _ZeroNormals:
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
+
+
+class _Recording:
+    """A generator that records each call it passes on to the wrapped one as
+    (method name, args, kwargs, result)."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def record(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.calls.append((name, args, kwargs, out))
+            return out
+
+        return record
 
 
 # a falsifier block's draws: its seed, window shape, norm bound and time range
@@ -329,14 +354,17 @@ class TestSampleHistory:
         # every (t, window, u, d) of the falsifiers' blocks is the scalar draw's
         sys_ = RfdeSystem(delay, dim, None, None, d_box, None if u_box is None else np.array(u_box))
         spec = SamplerSpec(t_lo, t_lo + t_width, norm_bound, count, seed)
-        got = list(_samples(sys_, spec, draw_u))
-        want = list(_scalar_samples(np.random.default_rng(seed), sys_, spec, draw_u))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _block_samples(rng, sys_, spec, draw_u)
+        want = list(_scalar_samples(ref_rng, sys_, spec, draw_u))
         assert len(got) == len(want) == count
         for (t, seg, u, d), (t_ref, ref, u_ref, d_ref) in zip(got, want):
             assert type(t) is float and t.hex() == t_ref.hex()
             _assert_same_window(seg, ref)
             assert u.shape == u_ref.shape and u.tobytes() == u_ref.tobytes()
             assert d.shape == d_ref.shape and d.tobytes() == d_ref.tobytes()
+        # and the block leaves the generator where the scalar draws do
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_a_zero_normal_gives_a_zero_knot_and_draws_no_radius(self, dim):
@@ -361,6 +389,32 @@ class TestSampleHistory:
         _assert_same_window(seg, _validated_sample(one_ref, 0.5, dim, 2.0))
         assert not seg.delayed.any()
         assert one.bit_generator.state == one_ref.bit_generator.state
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_a_block_makes_the_documented_calls_in_order(self, dim):
+        # per sample: t, the knot count, the offsets, then per knot a normal
+        # and, unless it is zero (every fourth here), a radius; then the box rows
+        rng = _Recording(_ZeroNormals(5, range(0, 100, 4)))
+        box = np.array([[0.3, 0.3], [-2.0, 2.0]])
+        _draw_block(rng, 3, 0.5, dim, 2.0, (0.0, 5.0), (box,))
+        calls = iter(rng.calls)
+        zero_normals = 0
+        for _ in range(3):
+            assert next(calls)[:3] == ("random", (), {})
+            name, args, kwargs, k = next(calls)
+            assert (name, args, kwargs) == ("integers", (1, 5), {})
+            name, args, kwargs, us = next(calls)
+            assert (name, args, kwargs) == ("random", (k,), {})
+            for _ in {-0.5, *(0.5 * us - 0.5).tolist(), 0.0}:
+                name, args, kwargs, z = next(calls)
+                assert (name, args, kwargs) == ("normal", (), {"size": dim})
+                if z.any():
+                    assert next(calls)[:3] == ("random", (), {})
+                else:
+                    zero_normals += 1
+            assert next(calls)[:3] == ("random", (2,), {})
+        assert next(calls, None) is None
+        assert zero_normals > 0
 
     @pytest.mark.parametrize("delay, dim, norm_bound, digest", [
         (0.5, 2, 2.0, "dd68b2dc2c3da1da28902dfdfb43114e62c5bc683cb0944f266f987910124c9e"),
@@ -411,7 +465,7 @@ def _razumikhin_by_window(sys_, Vr, a, rho, spec):
     window at a time, each window making its own ``Vr.along`` call."""
     tested = skipped = failures = 0
     first, found = None, False
-    for t, seg, u, d in _samples(sys_, spec, False):
+    for t, seg, u, d in _block_samples(np.random.default_rng(spec.seed), sys_, spec, False):
         try:
             x0 = seg.values[-1]
             v0 = float(Vr.evaluator(t, x0))
@@ -458,7 +512,7 @@ class TestWindowScreen:
         spec = SamplerSpec(t_lo, t_lo + t_width, norm_bound, count, seed)
         many = _screen_energy(nan_cut * norm_bound, math.inf, 10**9)
         Vr = RazumikhinFunction(lambda t, x: 0.0, evaluator_many=many)
-        times, windows, _, _ = zip(*_samples(sys_, spec, False))
+        times, windows, _, _ = zip(*_block_samples(np.random.default_rng(seed), sys_, spec, False))
         for t, seg, (top, finite) in zip(times, windows, _window_tops(Vr, times, windows)):
             vals = Vr.along(t + seg.grid, seg.values)
             assert type(top) is float and type(finite) is bool
