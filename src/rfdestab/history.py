@@ -14,7 +14,6 @@ they check what their inputs decide and use the private builders ``_segment``
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -257,7 +256,7 @@ def extend(segment: HistorySegment, v, step: float) -> HistorySegment:
     # knots moved back by step that survive inside [-r, -step)
     lo = step - r  # old offsets strictly above this survive; lo is in [-r, 0)
     i0 = int(np.searchsorted(grid, lo, side="right"))
-    keep = grid[i0:] - step          # in (-r, 0]; the 0 maps to -step
+    keep = grid[i0:] - step          # in [-r, -step], as rounding is monotone; the 0 maps to -step
     keep_vals = values[i0:]
     if (keep[1:] <= keep[:-1]).any():
         # neighbours closer than the rounding of the subtraction landed on
@@ -284,8 +283,6 @@ def extend(segment: HistorySegment, v, step: float) -> HistorySegment:
     new_grid[-1] = 0.0
     new_vals[head:-1] = keep_vals
     new_vals[-1] = values[-1] + step * v
-    if (new_grid[1:] <= new_grid[:-1]).any():
-        raise ValueError("grid offsets must be strictly increasing")
     if not np.isfinite(new_vals).all():
         raise ValueError("history values must be finite")
     return _segment(r, new_grid, new_vals)
@@ -439,8 +436,9 @@ def _build_windows(delay, offsets: np.ndarray, rows: np.ndarray, sizes: np.ndarr
     rows with :func:`_lerp`, as :func:`_interp` does, so they are bitwise what
     ``np.union1d`` and ``_interp`` give one window at a time.  All windows
     are merged and interpolated in one pass, against the dense offsets of
-    ``delay`` from a bounded read-only cache.  The block's flat grid and rows
-    are frozen once, and each segment views its slice of them.
+    ``delay``, which ``np.linspace`` writes into every line.  The block's
+    flat grid and rows are frozen once, and each segment views its slice of
+    them.
     """
     count, width = offsets.shape
     base = width * np.arange(count)  # each line's first knot in knots and rows
@@ -450,7 +448,7 @@ def _build_windows(delay, offsets: np.ndarray, rows: np.ndarray, sizes: np.ndarr
     # stable sort puts a knot before a dense offset equal to it, padding last
     lines = np.empty((count, width + SAMPLE_DENSIFY))
     lines[:, :width] = np.where(np.arange(width) < sizes[:, None], offsets, math.inf)
-    lines[:, width:] = _dense_offsets(delay)
+    lines[:, width:] = np.linspace(-delay, 0.0, SAMPLE_DENSIFY)
     order = np.argsort(lines, axis=1, kind="stable")
     lines = np.take_along_axis(lines, order, axis=1)
     # an offset's last knot at or below it, as _interp's searchsorted finds it
@@ -473,15 +471,6 @@ def _build_windows(delay, offsets: np.ndarray, rows: np.ndarray, sizes: np.ndarr
         seg.__dict__.update(delay=delay, grid=grid[a:b], values=values[a:b])
         windows.append(seg)
     return windows
-
-
-@functools.lru_cache(maxsize=64)
-def _dense_offsets(delay: float) -> np.ndarray:
-    """The SAMPLE_DENSIFY evenly spaced offsets from -delay to 0, read-only
-    as every caller shares them."""
-    dense = np.linspace(-delay, 0.0, SAMPLE_DENSIFY)
-    dense.flags.writeable = False
-    return dense
 
 
 def clip_to_ball(segment: HistorySegment, norm_bound: float) -> HistorySegment:

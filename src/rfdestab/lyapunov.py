@@ -314,9 +314,24 @@ def _witness_dict(t: float, seg: HistorySegment, u, d, residual: float) -> dict:
 
 
 def _default_tol(has_analytic: bool, tolerance: float | None) -> float:
-    if tolerance is not None:
-        return float(tolerance)
-    return 1e-9 if has_analytic else 1e-6
+    """A given ``tolerance``, which must be finite and >= 0; else 1e-9 for an
+    analytic derivative and 1e-6 for the numeric ladder."""
+    if tolerance is None:
+        return 1e-9 if has_analytic else 1e-6
+    tol = float(tolerance)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    return tol
+
+
+def _guard_holds(level: float, energy: float) -> bool:
+    """Whether the guard ``level <= energy`` holds; a NaN on either side
+    is the sample's failure to evaluate (ValueError)."""
+    if level <= energy:
+        return True
+    if level > energy:
+        return False
+    raise ValueError(f"guard compares NaN: level {level!r}, energy {energy!r}")
 
 
 def _sample_blocks(rng: np.random.Generator, sys: RfdeSystem, spec: SamplerSpec, draw_u: bool):
@@ -358,7 +373,8 @@ def _falsify(
     from ``spec.seed``; ``spec.samples`` must be a positive integer.
 
     ``sample_fn(t, seg, u, d, mark)`` returns None for a sample its guard
-    skips and (residual, derivative_scale) otherwise.  ``screen(times,
+    skips and (residual, derivative_scale) otherwise; a residual that is not
+    a finite number is a failure to evaluate.  ``screen(times,
     windows)``, when given, runs once for each block, before its samples, and
     gives one ``mark`` per window (:func:`check_razumikhin` screens the
     block's window guards in one call); without it every mark is None.
@@ -378,6 +394,8 @@ def _falsify(
         for t, seg, u, d, mark in zip(times, windows, us, ds, marks):
             try:
                 out = sample_fn(t, seg, u, d, mark)
+                if out is not None and not math.isfinite(out[0]):
+                    raise ValueError(f"residual evaluated to a non-finite value: {out[0]!r}")
             except _EVAL_ERRORS as err:
                 failures += 1
                 if first_failure is None:
@@ -439,7 +457,7 @@ def check_lyapunov_ios(
 ) -> FalsificationReport:
     """Falsify the guarded decay: whenever zeta(delta(t)|u|) <= V(t, window),
     derivative(V) + rho(V) must be <= 0.  Guard-failing samples are skipped
-    and counted."""
+    and counted; a guard that compares NaN fails to evaluate."""
     if sys.u_box is None:
         raise ValueError("system declares no input channel")
     analytic = _uses_analytic(V, dini_opts)
@@ -447,7 +465,7 @@ def check_lyapunov_ios(
 
     def sample_fn(t, seg, u, d, _):
         val = float(V.evaluator(t, seg))
-        if not _guard_level(zeta, delta, t, u) <= val:
+        if not _guard_holds(_guard_level(zeta, delta, t, u), val):
             return None
         v = np.asarray(sys.dynamics(t, seg, u, d), dtype=float)
         # the guard's energy is the ladder's base: V is evaluated once a sample
@@ -475,7 +493,7 @@ def check_razumikhin(
     zeta(delta(t)|u|) <= Vr(t, x(0)).  On guard-passing samples the residual
     derivative + rate(t, Vr(t, x(0))) must stay below tolerance.  ``rho`` is
     either a comparison function of V or a callable (t, V) for time-varying
-    rates.
+    rates.  A guard that compares NaN fails to evaluate.
 
     The window values of a block's guards come from one ``Vr.along`` call
     over all of the block's window rows (so ``evaluator_many`` must be
@@ -514,9 +532,9 @@ def check_razumikhin(
         top, finite = screened if screened is not None else _window_tops(Vr, [t], [seg])[0]
         if not finite:
             raise ValueError("window evaluation produced non-finite values")
-        if float(a(top)) > v0:
+        if not _guard_holds(float(a(top)), v0):
             return None
-        if draw_u and _guard_level(zeta, delta, t, u) > v0:
+        if draw_u and not _guard_holds(_guard_level(zeta, delta, t, u), v0):
             return None
         v = np.asarray(sys.dynamics(t, seg, u, d), dtype=float)
         # v0 is the ladder's base: Vr(t, x(0)) is evaluated once a sample

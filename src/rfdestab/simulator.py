@@ -241,9 +241,6 @@ class _Dense:
         V, TAIL, TP = self.FROZEN
         return _Window(self, self.K.item(c), self.I0.item(2 * k), c, TAIL[2 * k], V[c], TP[2 * k])
 
-    def eval_one(self, t: float) -> np.ndarray:
-        return self.eval_many(np.array([t]))[0]
-
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         """Dense values at the times ``ts``, none below K[0] = t0 - delay, one
         row (a stack's rows, one per run) each: a stored knot's row, else the
@@ -272,34 +269,36 @@ class _Dense:
 
     def window_segment(self, tau: float) -> _Window:
         """History snapshot on [tau - delay, tau], as a view of the store; its
-        row at offset 0 is the dense value at ``tau``."""
+        row at offset 0 is the dense value at ``tau``, and its tail piece is
+        formed as the look-ahead forms a stage window's."""
         c, K = self.count, self.K
         (i0,), (at,) = _window_ends(K, np.array([tau]), self.delay)
         i1 = c if K.item(c - 1) < tau else int(np.searchsorted(K[:c], tau, side="left"))
         rows = self.eval_many(np.array([at, tau]))
         rows.setflags(write=False)  # freezes as flags.writeable = False does, at about half the cost
-        return _Window(self, tau, int(i0), i1, rows[0], rows[1])
+        (tp,) = _tail_pieces(K, self.V, i0, tau, self.delay, rows[:1])
+        return _Window(self, tau, int(i0), i1, rows[0], rows[1], tp)
 
 
 class _Window(HistorySegment):
     """The window [tau - delay, tau] of a dense store, without a copy.
 
     It holds the store, the index range ``i0:i1`` of the inner knots, the
-    rows at -delay and 0 and the tail piece ``tp`` of its quadrature.  A
-    stage or node window's ``i0``, row at -delay and tail piece come from
-    the group's set-up and look-ahead (:meth:`_Dense.group`,
-    :func:`_lockstep`); any other's ``i0`` and row from :func:`_window_ends`
-    and :meth:`_Dense.eval_many` on the spot, and its tail piece, when
-    ``tp`` is None, from :func:`_tail_pieces` on first need.  Both ways are
-    the same search, fold, Hermite and arithmetic.  ``head``, ``delayed``
-    and ``integral()`` cost O(1); ``grid`` and ``values`` each cost one
-    O(delay/step) copy on first read and are kept.  The store only appends,
-    so a window stays valid as it grows.  ``_body`` is all of
+    rows at -delay and 0 and the tail piece ``tp`` of its quadrature, formed
+    with :func:`_tail_pieces` before the window is made.  A stage or node
+    window's ``i0``, row at -delay and tail piece come from the group's
+    set-up and look-ahead (:meth:`_Dense.group`, :func:`_lockstep`); any
+    other's from :func:`_window_ends`, :meth:`_Dense.eval_many` and
+    :func:`_tail_pieces` when :meth:`_Dense.window_segment` builds it.  Both
+    ways are the same search, fold, Hermite and arithmetic.  ``head``,
+    ``delayed`` and ``integral()`` cost O(1); ``grid`` and ``values`` each
+    cost one O(delay/step) copy on first read and are kept.  The store only
+    appends, so a window stays valid as it grows.  ``_body`` is all of
     ``integral()`` but the head piece, computed on first need; windows with
     the same time, inner knots and tail share it.
     """
 
-    def __init__(self, dense: _Dense, tau: float, i0: int, i1: int, tail, head, tp=None, body=None):
+    def __init__(self, dense: _Dense, tau: float, i0: int, i1: int, tail, head, tp, body=None):
         # the builders freeze the two rows, often a whole stack of them at once
         d = self.__dict__
         d["delay"] = dense.delay
@@ -333,10 +332,7 @@ class _Window(HistorySegment):
         if i0 == i1:
             return (0.5 * self.delay) * (self._tail + self._head)
         if self._body is None:  # the tail piece plus the running integral between the inner knots
-            tp = self._tp
-            if tp is None:
-                tp = _tail_pieces(K, V, i0, tau, self.delay, self._tail[None])[0]
-            self.__dict__["_body"] = tp + (C[i1 - 1] - C[i0])
+            self.__dict__["_body"] = self._tp + (C[i1 - 1] - C[i0])
         return self._body + (0.5 * (tau - K.item(i1 - 1))) * (V[i1 - 1] + self._head)
 
     # grid and values are built apart, each on its first read, and kept in
@@ -426,7 +422,8 @@ class Trajectory:
         return min(max(t, t0), t_end)
 
     def state(self, t: float) -> np.ndarray:
-        return np.array(self._dense.eval_one(self._clamped(t)))
+        """The dense state at ``t``, as a fresh row."""
+        return self._dense.eval_many(np.array([self._clamped(t)]))[0]
 
     def history(self, t: float) -> HistorySegment:
         """Window snapshot at ``t``, built from the dense store; exact at

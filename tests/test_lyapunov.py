@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from rfdestab import (
+    ComparisonFn,
     DiniOpts,
     HistorySegment,
     IntegrateOpts,
@@ -37,6 +38,7 @@ from rfdestab import (
     sample_history,
     sup_norm,
 )
+from rfdestab import lyapunov
 from rfdestab.lyapunov import FALSIFY_BLOCK, LADDER_STEPS, _extrapolate
 
 ZERO_D = np.array([[0.0, 0.0]])
@@ -183,7 +185,8 @@ class TestDiniFunctional:
 
 class TestDefaultTolerance:
     """With no tolerance given, a sweep's tolerance follows the derivative it
-    uses: 1e-9 for an attached analytic term, 1e-6 for the numeric ladder."""
+    uses: 1e-9 for an attached analytic term, 1e-6 for the numeric ladder.
+    A given tolerance must be finite and >= 0, as the CLI requires."""
 
     @pytest.mark.parametrize("opts, tol", [(None, 1e-9), (NUMERIC, 1e-6)], ids=["analytic", "ladder"])
     def test_functional_sweep(self, opts, tol):
@@ -203,6 +206,27 @@ class TestDefaultTolerance:
             SamplerSpec(samples=20, seed=0), dini_opts=opts,
         )
         assert rep.tolerance == tol
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1.0], ids=repr)
+    def test_a_tolerance_not_finite_and_nonnegative_raises_before_any_draw(self, tolerance, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(lyapunov, "_draw_block", no_draw)
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            build_example("example-4.8").certificate("unweighted-guard-fails").runner(tolerance=tolerance)
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            check_razumikhin(
+                CONTRACTION, RazumikhinFunction(lambda t, x: float(x @ x)), linear(0.5), linear(1.0),
+                SamplerSpec(samples=10, seed=0), tolerance=tolerance,
+            )
+
+    def test_a_zero_tolerance_is_a_tolerance(self):
+        rep = check_lyapunov_ios(
+            zero_input_system(), V_SQUARE, power(2.0), constant(1.0), linear(2.0),
+            SamplerSpec(samples=20, seed=0), tolerance=0.0,
+        )
+        assert (rep.tolerance, rep.samples_tested) == (0.0, 20)
 
 
 class TestDiniPointwise:
@@ -659,6 +683,72 @@ class TestSampleBlocks:
             check_lyapunov_ios(sys_, V, power(2.0), constant(1.0), linear(2.0), spec)
         assert calls[0] == 0
 
+
+def _guarded_52(rate, spec, Vr=None):
+    """example-5.2's guarded decay sweep with the time-varying rate ``rate``."""
+    bundle = build_example("example-5.2")
+    return check_razumikhin(bundle.system, Vr or bundle.pointwise, linear(0.5), rate, spec)
+
+
+def _weighted_48(spec, zeta=power(4.0, 0.5), rho=linear(0.5), V=None):
+    """example-4.8's weighted input-decay sweep, with its parts swappable."""
+    bundle = build_example("example-4.8")
+    return check_lyapunov_ios(bundle.system, V or bundle.functional, zeta, exp_weight(2.0), rho, spec)
+
+
+def _band_54(spec, zeta):
+    """example-5.4's band energy decay sweep with the input gain ``zeta``."""
+    bundle = build_example("example-5.4")
+    R = bundle.params["R"]
+    return check_razumikhin(
+        bundle.system, bundle.pointwise, linear(0.25), linear(2.0 * R), spec, zeta=zeta, delta=constant(1.0),
+    )
+
+
+class TestNonFiniteValues:
+    """A residual that is not a finite number and a guard comparison with
+    NaN on either side are failures to evaluate, counted in
+    ``eval_failures``; every report is strict JSON."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_a_non_finite_rate_fails_every_guarded_sample(self, value):
+        spec = SamplerSpec(samples=400, seed=0)
+        sweeps = [
+            (_guarded_52(lambda t, v: value, spec), _guarded_52(lambda t, v: 0.0, spec)),
+            (_weighted_48(spec, rho=ComparisonFn(lambda s: value)), _weighted_48(spec)),
+        ]
+        for rep, finite in sweeps:
+            assert finite.samples_tested > 0
+            assert (rep.samples_tested, rep.guard_skipped, rep.eval_failures) == (
+                0, finite.guard_skipped, finite.samples_tested)
+            assert rep.verdict == "inconclusive" and rep.witness is None
+            assert rep.first_failure["type"] == "ValueError"
+            assert rep.first_failure["message"].startswith("residual evaluated to a non-finite value")
+            json.dumps(rep.to_json_dict(), allow_nan=False)
+
+    def test_a_nan_guard_fails_the_sample_in_both_checkers(self):
+        # a NaN on either side of a guard: the input level, or the energy now
+        spec = SamplerSpec(samples=400, seed=0)
+        nan = ComparisonFn(lambda s: math.nan)
+        functional = build_example("example-4.8").functional
+        pointwise = build_example("example-5.2").pointwise
+        nan_now = RazumikhinFunction(lambda t, x: math.nan, pointwise.analytic_dini, pointwise.evaluator_many)
+        held = _band_54(spec, zeta=ComparisonFn(lambda s: 0.0 * s))  # an input guard that always holds
+        assert held.samples_tested > 0
+        cases = [
+            (_weighted_48(spec, zeta=nan), (0, 0, 400)),
+            (_weighted_48(spec, V=replace(functional, evaluator=lambda t, seg: math.nan)), (0, 0, 400)),
+            # the window guard's values stay finite: only the energy now is NaN
+            (_guarded_52(lambda t, v: 0.0, spec, nan_now), (0, 0, 400)),
+            # the samples that pass the window guard reach the NaN input level
+            (_band_54(spec, zeta=nan), (0, held.guard_skipped, held.samples_tested)),
+        ]
+        for rep, counts in cases:
+            assert (rep.samples_tested, rep.guard_skipped, rep.eval_failures) == counts
+            assert rep.verdict == "inconclusive"
+            assert rep.first_failure["type"] == "ValueError"
+            assert rep.first_failure["message"].startswith("guard compares NaN")
+            json.dumps(rep.to_json_dict(), allow_nan=False)
 
 class TestConverseEnergy:
     def test_zero_history_gives_zero(self):

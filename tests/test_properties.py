@@ -39,7 +39,7 @@ from rfdestab import (
 )
 from rfdestab.history import _draw_block, _trapezoid
 from rfdestab.lyapunov import FALSIFY_BLOCK, _sample_blocks, _window_tops
-from rfdestab.simulator import _integrate_runs, _trailing_window_max, _Window
+from rfdestab.simulator import _integrate_runs, _tail_pieces, _trailing_window_max, _Window
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -186,6 +186,41 @@ class TestExtend:
         out, ref = extend(seg, v, step), _extend_by_stacking(seg, v, step)
         assert out.grid.tobytes() == ref.grid.tobytes()
         assert out.values.tobytes() == ref.values.tobytes()
+
+    @SETTINGS
+    @given(st.data())
+    def test_the_grid_is_strictly_increasing_at_ulp_scale(self, data):
+        # steps a few ulps above 0 and below the delay, and runs of knots 1 ulp
+        # apart around -delay, the lower end step - delay, 0 and a few cuts:
+        # moved knots that round onto one offset fold into the last, and none
+        # lands below -delay, so no check of the grid is needed
+        delay = data.draw(st.floats(1e-3, 1e3))
+        ulps = data.draw(st.integers(1, 4))
+        below_delay = delay
+        for _ in range(ulps):
+            below_delay = math.nextafter(below_delay, 0.0)
+        step = data.draw(st.sampled_from([
+            ulps * math.ulp(0.0),
+            below_delay,
+            delay * data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        ]))
+        assume(0.0 < step < delay)
+        cuts = data.draw(st.lists(st.floats(0.0, 1.0), max_size=3))
+        knots = {-delay, 0.0}
+        for anchor in [-delay, step - delay, 0.0, *(-delay * c for c in cuts)]:
+            for toward in (-math.inf, math.inf):
+                x = anchor
+                for _ in range(data.draw(st.integers(0, 3))):
+                    x = math.nextafter(x, toward)
+                    knots.add(x)
+        grid = np.array(sorted(k for k in knots if -delay <= k <= 0.0))
+        rows = data.draw(st.lists(finite, min_size=grid.size, max_size=grid.size))
+        seg = HistorySegment(delay, grid, np.array(rows))
+        out = extend(seg, [data.draw(finite)], step)
+        assert out.grid[0] == -delay and out.grid[-1] == 0.0
+        assert (np.diff(out.grid) > 0.0).all()
+        assert out.grid[-2] == -step and np.array_equal(out.values[-2], seg.values[-1])
+        assert HistorySegment(out.delay, out.grid, out.values) == out
 
 
 def _extend_by_stacking(segment, v, step):
@@ -901,7 +936,8 @@ class TestStageWindows:
         windows = [(seg, integral) for _, seg, integral, _, _ in seen]
         windows += [(w, w.integral()) for w in map(traj.history, traj.times)]
         for seg, integral in windows:
-            fresh = _Window(dense, seg._tau, seg._i0, seg._i1, seg._tail.copy(), seg._head.copy())
+            tp = _tail_pieces(dense.K, dense.V, seg._i0, seg._tau, seg.delay, seg._tail[None])[0]
+            fresh = _Window(dense, seg._tau, seg._i0, seg._i1, seg._tail.copy(), seg._head.copy(), tp)
             assert np.array_equal(integral, fresh.integral())
             assert np.array_equal(seg.integral(), integral)
 

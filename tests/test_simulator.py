@@ -157,6 +157,19 @@ class TestTrajectoryAccessors:
             with pytest.raises(ValueError, match="outside"):
                 read(float("nan"))
 
+    def test_a_state_row_is_the_callers_own(self):
+        # on a node and between nodes, in a solo run and in a lock-step
+        # group's column of the stack: writing the row changes no later read
+        x0 = HistorySegment.constant(1.0, [1.0])
+        sys_, opts = delayed_negative_feedback(), IntegrateOpts(step_req=0.1)
+        group = _integrate_runs(sys_, 0.0, [(x0, None, None), (x0.add_constant([0.5]), None, None)], 2.0, opts)
+        for traj in [integrate(sys_, 0.0, x0, None, None, 2.0, opts), *group]:
+            for t in (0.0, 0.5, 0.55, 2.0):
+                row = traj.state(t)
+                kept = row.copy()
+                row[...] = -7.0
+                assert np.array_equal(traj.state(t), kept)
+
     def test_history_matches_state_samples(self):
         sys_ = delayed_negative_feedback()
         rng = np.random.default_rng(2)
@@ -693,9 +706,9 @@ class TestPinnedBits:
 
 def test_look_ahead_passes_per_run(monkeypatch):
     # the rows at -r (and their tail pieces) of up to _AHEAD nodes and
-    # midpoints come from one _Dense.eval_many pass: at 25 steps a delay a
-    # run of 7,000 steps makes ceil(7000 / 256) = 28 passes, and no other
-    # call evaluates the store while it integrates
+    # midpoints come from one _Dense.eval_many pass: at 2,500 steps a delay
+    # (r = 0.5, h = 2e-4) a run of 7,000 steps makes ceil(7000 / 256) = 28
+    # passes, and no other call evaluates the store while it integrates
     calls = []
     eval_many = _Dense.eval_many
 
