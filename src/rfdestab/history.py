@@ -185,9 +185,9 @@ def _segment(delay, grid: np.ndarray, values: np.ndarray) -> HistorySegment:
 
 def _trapezoid(y: np.ndarray, x: np.ndarray):
     """``np.trapezoid(y, x)`` along the last axis of y for a 1-D x, bitwise:
-    its own arithmetic without its argument handling.  Row i of a 2-D y
-    gives what ``y[i]`` alone gives."""
-    return ((x[1:] - x[:-1]) * (y[..., 1:] + y[..., :-1]) / 2.0).sum(axis=-1)
+    its own arithmetic and ``np.add.reduce`` without its argument handling.
+    Row i of a 2-D y gives what ``y[i]`` alone gives."""
+    return np.add.reduce((x[1:] - x[:-1]) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
 
 
 def _lerp(th: np.ndarray, lo: np.ndarray, hi: np.ndarray, lower: np.ndarray, upper: np.ndarray):

@@ -265,8 +265,12 @@ def _pointwise_ladder(Vr: RazumikhinFunction, t: float, x: np.ndarray, v, base: 
 # samples drawn together: the generator calls stay per knot, in the documented
 # order, and the arithmetic on their values runs once per block, so the stream
 # is a scalar draw's; the block's windows are alive at once, so the size
-# trades set-up per sample against memory
-FALSIFY_BLOCK = 64
+# trades set-up per sample against memory.  Drawing example-4.8's samples
+# cost 18.3 us each in blocks of 64, 16.0 in blocks of 128 and 15.4 in blocks
+# of 256 (CPU time, medians of 7 runs of 2,048 samples, 2-core x86 box), and
+# blocks of 256 raised the peak RSS of perfbench's falsify-sweep by 1.2-1.5 MB
+# over 128 (3 runs each).
+FALSIFY_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -313,15 +317,21 @@ def _witness_dict(t: float, seg: HistorySegment, u, d, residual: float) -> dict:
     }
 
 
+def _require_tolerance(value, name: str = "tolerance") -> float:
+    """``value`` as a float, which must be finite and >= 0 (ValueError
+    otherwise): the rule for every tolerance a check is given."""
+    tol = float(value)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return tol
+
+
 def _default_tol(has_analytic: bool, tolerance: float | None) -> float:
-    """A given ``tolerance``, which must be finite and >= 0; else 1e-9 for an
+    """A given ``tolerance`` (:func:`_require_tolerance`); else 1e-9 for an
     analytic derivative and 1e-6 for the numeric ladder."""
     if tolerance is None:
         return 1e-9 if has_analytic else 1e-6
-    tol = float(tolerance)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-    return tol
+    return _require_tolerance(tolerance)
 
 
 def _guard_holds(level: float, energy: float) -> bool:

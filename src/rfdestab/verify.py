@@ -21,7 +21,7 @@ import numpy as np
 
 from .compfn import ComparisonFn, KlFn, _guard_level, fading_sup
 from .history import sup_norm
-from .lyapunov import LyapunovFunctional
+from .lyapunov import LyapunovFunctional, _require_tolerance
 from .simulator import RfdeSystem, Trajectory, _trailing_window_max
 
 __all__ = [
@@ -96,8 +96,10 @@ def _envelope_check(trajs: Sequence[Trajectory], series: Callable, tolerance: fl
     allowed minus observed (NaN when a compared value is NaN); a trajectory
     that did not complete gets -inf at its truncation point.  The worst
     sample is the witness, kept only when the check fails: a NaN slack ranks
-    with -inf, and ties keep the first.
+    with -inf, and ties keep the first.  ``tolerance`` must be finite and
+    >= 0 (ValueError before any series is read).
     """
+    tolerance = _require_tolerance(tolerance)
     slacks = []
     reasons = {}
     witness = None
@@ -213,7 +215,9 @@ def check_monotone_decay(
     monotonicity test.  A step from w0 to w1 violates when
     ``w1 > w0 + rel_slack * (1 + |w0|)``; per-trajectory slacks record the
     worst margin and the report's witness is the worst offending node.
+    ``rel_slack`` must be finite and >= 0 (ValueError).
     """
+    rel_slack = _require_tolerance(rel_slack, "rel_slack")
 
     def readings(ts, states):
         w = np.asarray(values_fn(ts, states), dtype=float)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,77 @@ class TestBuiltins:
 
     def test_a_negative_exponential_rate_is_a_fading_weight(self):
         assert exp_weight(-1.0)(1.0) == pytest.approx(np.exp(-1.0))
+
+
+def _array_constant(c):
+    return lambda t: c * np.ones_like(np.asarray(t, dtype=float))
+
+
+def _array_exp_weight(c):
+    return lambda t: np.exp(c * np.asarray(t, dtype=float))
+
+
+def _same(ours, ref):
+    return (
+        type(ours) is type(ref)
+        and np.shape(ours) == np.shape(ref)
+        and np.asarray(ours).dtype == np.asarray(ref).dtype
+        and np.asarray(ours).tobytes() == np.asarray(ref).tobytes()
+    )
+
+
+def _calls_with_warnings(fn, ts):
+    """fn at each of ts, and the (category, message) of every warning raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = [fn(t) for t in ts]
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+class TestScalarTimeWeights:
+    """``constant`` and ``exp_weight`` take a scalar path for a float time:
+    each result has the value, type and shape of the array expression's."""
+
+    def test_every_kind_of_time_gives_the_array_expression(self):
+        times = [
+            1.5, -0.0, 0.0, 3, np.float64(2.25), np.float32(1.25), True, np.array(0.75),
+            np.array(-0.0), [0.5, -1.0], np.linspace(-2.0, 2.0, 6).reshape(2, 3),
+            np.asfortranarray(np.ones((3, 2))), np.array([]),
+        ]
+        cases = [(constant, _array_constant, c) for c in (1.0, 5.0, 2, np.float64(0.3))]
+        cases += [(exp_weight, _array_exp_weight, c) for c in (2.0, -1.0, 0.0, 3, np.float64(-0.7))]
+        differ = [
+            (build.__name__, c, t)
+            for build, array_form, c in cases
+            for t in times
+            if not _same(build(c)(t), array_form(c)(t))
+        ]
+        assert not differ, differ
+
+    def test_bitwise_over_many_float_times(self):
+        rng = np.random.default_rng(11)
+        ts = np.concatenate([
+            rng.uniform(-50.0, 50.0, 60_000),
+            rng.uniform(-1e3, 1e3, 20_000),  # exp overflows to inf, or underflows to 0
+            rng.integers(-2**20, 2**20, 20_000) * 5e-324,  # subnormals
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 354.9, 355.0, -372.0, 1e300],
+        ]).tolist()
+        for build, array_form, rates in [
+            (exp_weight, _array_exp_weight, (2.0, -1.0, 0.5, 0.0)),
+            (constant, _array_constant, (1.0, 7.5)),
+        ]:
+            for c in rates:
+                ours, ours_warned = _calls_with_warnings(build(c), ts)
+                ref, ref_warned = _calls_with_warnings(array_form(c), ts)
+                assert all(_same(a, b) for a, b in zip(ours, ref))
+                assert ours_warned == ref_warned
+        # 2.0 * 355.0 overflows exp, with NumPy's warning on both paths
+        _, warned = _calls_with_warnings(exp_weight(2.0), [355.0])
+        assert warned == [(RuntimeWarning, "overflow encountered in exp")]
+        # a product c * t beyond the float range is inf on both paths, and
+        # only the array path warns, about its multiply
+        _, warned = _calls_with_warnings(exp_weight(2.0), [1e308])
+        assert _same(exp_weight(2.0)(1e308), np.float64(np.inf)) and warned == []
 
 
 class TestGuardLevel:

@@ -550,25 +550,37 @@ class TestOneEnergyCallPerSample:
 
 
 # sha256 of each report's sorted-key JSON, as the sweeps drew and built one
-# window at a time; the sample counts straddle blocks of 64 samples
+# window at a time; the sample counts straddle blocks of 64 and of 128 samples
 BLOCK_REPORTS = {
     ("example-4.8", "unweighted-guard-fails"): {
         63: "3f6f3b4dfe948379ca006c3e3dfe21d953cc53cdcf3db5285b3a779d9f1aa104",
         64: "de86ff44876fa2b5a0e06af7b2efeacea16f00e1dc34f9d8d4c21aeb32cb1000",
         65: "fd0020e64725b62d629e2519a688a180d485cc3c29167ee1c972cdb6ff2c7ef8",
+        127: "bab23311917dd6ee4258fd013dbeda7ba788e8f23efc6c087526f99481abc1b9",
+        128: "bcbbb25a612a15334196520acae3988889b4857c0f78a393492d099a5c6c3d8e",
+        129: "ffcc44a99ad12db3b6ca2851aabcc29997d0063c0b8c2f5383756b4dec77a702",
         131: "27c73d6dc496cc6ea89b1d44dd4e3ef3519306ae31deada22424c698f9c873f9",
+        259: "d05ac55f65aa5a1ec02b051cbe800ff43ff368ce7c077f7a6d7619de03bea5b8",
     },
     ("example-5.4", "band-energy-decay"): {
         63: "298a00c85d645b0b4bee9ee9ebf01794644731dd29472e8f06d89f0c48616657",
         64: "e5b202842f27973d69815d71d2e576e7d99eab5968ceb31b8e4e1c0a734c9b3c",
         65: "8deeb0bb99787bfe2d88af077ac6967e826a038bc5bf19dcc1da893716728dcc",
+        127: "80ee8d60cffa1816239f8502c6d7b2ac98f6fa6731ddd70c756eeb856c4d51e2",
+        128: "ab3603be339ad63a43e350df9c2a3b3a847a2d5deab23269b5e8dafd02a9044f",
+        129: "cba91f170dca77a77c80ccd14822386468a4f8bcabc747a76762850c53719b48",
         131: "a526b4c9c9fa1249d575e3841a3a178968a71be0261d1826ed2289382bd62116",
+        259: "92185e8dc3e069c0404fb10e356d2ccb67ece65e66dc4ff695a90a70921b4136",
     },
     ("example-5.2", "guarded-exponential-decay"): {
         63: "b01cf86452442405ee43900372c4420930e237227690a2ed3f17ce42ba7f536f",
         64: "51334588ee058e5f3f8fa61d6f43753a92103fc1e23e3adbe50f256dabe9ec60",
         65: "4abec1946620817b918bb7d1a8da1433f9891966e1709857480850c5695078b8",
+        127: "3f55f6ad9c3b9b8c518d41ef61c58fa218b4e64f0e04ce784c7f626e88e2e7da",
+        128: "3c55018c461255f7254f31e378bac8efbaa3d4bb8ac25c07de5ee6a899d348f8",
+        129: "a192d0a7180d390ec5d2cab8aec1d6353ca38f488eb4284c76c9ce988fb53969",
         131: "52b9051ce8fadfb48b0c1efe9d7e5228692e6cc958980dd0ce6911982622525c",
+        259: "a17495e611f387f1af7b8475b603c313d261b724f7553f1bad92a46750e6e72c",
     },
 }
 
@@ -578,9 +590,10 @@ class TestSampleBlocks:
     block's windows at once; reports stay those of one-at-a-time sampling."""
 
     def test_recorded_counts_straddle_the_block(self):
-        assert sorted(BLOCK_REPORTS["example-4.8", "unweighted-guard-fails"]) == [
-            FALSIFY_BLOCK - 1, FALSIFY_BLOCK, FALSIFY_BLOCK + 1, 2 * FALSIFY_BLOCK + 3,
-        ]
+        # the counts straddle this block, and 63, 64, 65 and 131 a block of 64
+        straddle = {FALSIFY_BLOCK - 1, FALSIFY_BLOCK, FALSIFY_BLOCK + 1, 2 * FALSIFY_BLOCK + 3}
+        for hashes in BLOCK_REPORTS.values():
+            assert sorted(hashes) == sorted(straddle | {63, 64, 65, 131})
 
     @pytest.mark.parametrize("example, certificate, samples", [
         (example, certificate, samples)
@@ -593,6 +606,44 @@ class TestSampleBlocks:
             assert rep.verdict == "counterexample" and rep.witness is not None
         text = json.dumps(rep.to_json_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == BLOCK_REPORTS[example, certificate][samples]
+
+    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch):
+        bundles = {name: build_example(name) for name in ("example-4.8", "example-5.2", "example-5.4")}
+        certificates = [
+            ("example-4.8", "weighted-input-decay"), ("example-4.8", "unweighted-guard-fails"),
+            ("example-5.2", "guarded-exponential-decay"), ("example-5.4", "band-energy-decay"),
+        ]
+        # example-5.2's sweep with a batch energy that raises on any call holding
+        # the time of sample 150: its block's screen fails, and each of the
+        # block's samples makes its own window's call
+        b52 = bundles["example-5.2"]
+        spec = SamplerSpec(samples=300, seed=7)
+        blocks = lyapunov._sample_blocks(np.random.default_rng(spec.seed), b52.system, spec, False)
+        bad_t = np.concatenate([times for times, *_ in blocks])[150]
+        many = b52.pointwise.evaluator_many
+
+        def raising_many(ts, X):
+            if bad_t in ts:
+                raise ValueError(f"no energy at t={bad_t!r}")
+            return many(ts, X)
+
+        Vr = replace(b52.pointwise, evaluator_many=raising_many)
+        rate = 4.0 * b52.params["c"] / 33.0
+        runs = [
+            lambda example=example, certificate=certificate: bundles[example].certificate(certificate).runner(
+                samples=spec.samples, seed=spec.seed
+            )
+            for example, certificate in certificates
+        ] + [lambda: check_razumikhin(b52.system, Vr, linear(0.5), lambda t, v: rate * math.exp(t) * v, spec)]
+        reports = {}
+        for block in (1, 7, 64, 128):
+            monkeypatch.setattr(lyapunov, "FALSIFY_BLOCK", block)
+            reports[block] = [json.dumps(run().to_json_dict(), sort_keys=True) for run in runs]
+        assert all(texts == reports[1] for texts in reports.values())
+        unweighted, raising = json.loads(reports[1][1]), json.loads(reports[1][-1])
+        assert unweighted["verdict"] == "counterexample" and unweighted["witness"] is not None
+        assert raising["eval_failures"] == 1
+        assert raising["first_failure"] == {"type": "ValueError", "message": f"no energy at t={bad_t!r}"}
 
     def test_a_failure_in_a_later_block_is_reported_in_draw_order(self):
         spec = SamplerSpec(samples=2 * FALSIFY_BLOCK + 3, seed=0)

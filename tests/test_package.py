@@ -1,9 +1,10 @@
 """Source-level checks of the package: the package exports exactly its
 modules' public APIs, every exported checker is reached by a certificate, the
 command line or a demo (not by the benchmark), README's claims table names the
-bundles' certificates, no module keeps an import it does not use or imports
-SciPy, no private function or method keeps a parameter it does not read,
-and every private definition is referenced."""
+bundles' certificates and its module table states the falsifiers' block size,
+no module keeps an import it does not use or imports SciPy, no private
+function or method keeps a parameter it does not read, and every private
+definition is referenced."""
 
 import ast
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import rfdestab
 from rfdestab import REGISTRY, build_example
+from rfdestab.lyapunov import FALSIFY_BLOCK
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rfdestab"
@@ -77,6 +79,12 @@ def test_readme_claims_table_names_the_bundles_certificates():
             number = re.match(r"\s*(\d+)\b", part)
             if number:
                 assert number[1] in held, f"{cert}: no test for criterion {number[1]}"
+
+
+def test_readme_states_the_falsifier_block_size():
+    text = (ROOT / "README.md").read_text()
+    stated = re.findall(r"(\d+) samples at a time", text) + re.findall(r"(\d+)-sample blocks", text)
+    assert len(stated) == 2 and {int(n) for n in stated} == {FALSIFY_BLOCK}, stated
 
 
 def _unused_imports(path: Path) -> list:

@@ -111,6 +111,24 @@ class TestTrapezoid:
         assert np.array_equal(ours, ref, equal_nan=True) and type(ours) is type(ref)
 
 
+    @SETTINGS
+    @given(
+        st.lists(st.floats(1e-9, 1e3), min_size=1, max_size=60),
+        st.floats(-1e3, 1e3),
+        st.integers(1, 4),
+        st.data(),
+    )
+    def test_bitwise_np_trapezoid_on_increasing_grids(self, gaps, start, rows, data):
+        x = start + np.cumsum([0.0] + gaps)
+        assume(np.all(np.diff(x) > 0.0))
+        y = np.array(data.draw(st.lists(
+            st.lists(st.floats(-1e200, 1e200), min_size=x.size, max_size=x.size), min_size=rows, max_size=rows
+        )))
+        for values in (y[0], y):  # 1-D, and 2-D along the last axis
+            ours, ref = _trapezoid(values, x), np.trapezoid(values, x)
+            assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes() and type(ours) is type(ref)
+
+
 class TestSupNorm:
     @SETTINGS
     @given(segments(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))

@@ -317,3 +317,39 @@ class TestMonotoneDecay:
                                    window_delay=window_delay)
         assert rep.verdict == "fail" and math.isnan(rep.slacks[0])
         assert rep.witness[1] == 0.51 and math.isnan(rep.witness[2])
+
+
+class TestTolerance:
+    """Every envelope check refuses a tolerance that is not finite and >= 0,
+    before it reads a trajectory: an infinite one would pass any envelope."""
+
+    @staticmethod
+    def zero_envelope_run():
+        # example-5.2 from the constant window [1, 0.5]: against the all-zero
+        # envelope its output norm leaves a slack of -3.66
+        sys_ = build_example("example-5.2").system
+        x0 = HistorySegment.constant(sys_.delay_r, [1.0, 0.5])
+        d = constant_signal([0.0], box=sys_.d_box)
+        return sys_, integrate(sys_, 0.0, x0, None, d, 0.5, IntegrateOpts(step_req=1e-2))
+
+    def test_the_zero_envelope_fails_at_a_finite_tolerance(self):
+        _, traj = self.zero_envelope_run()
+        rep = verify_ios_envelope([traj], KlFn(fn=lambda s, t: 0.0), ONE, ONE, ONE, tolerance=0.0)
+        assert rep.verdict == "fail" and rep.slacks[0] == pytest.approx(-3.6643, abs=1e-4)
+        assert verify_ios_envelope([traj], KlFn(fn=lambda s, t: 0.0), ONE, ONE, ONE, tolerance=4.0).passed
+
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan, -math.inf, -1.0], ids=repr)
+    def test_a_tolerance_not_finite_and_nonnegative_raises(self, tolerance):
+        sys_, traj = self.zero_envelope_run()
+
+        def unread(*args):
+            raise AssertionError("read the envelope")
+
+        sigma = KlFn(fn=unread, flow=unread)
+        V = LyapunovFunctional(evaluator=unread)
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            verify_ios_envelope([traj], sigma, ONE, ONE, ONE, tolerance=tolerance)
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            verify_v_decay_estimate(sys_, V, ONE, ONE, None, None, sigma, [traj], tolerance=tolerance)
+        with pytest.raises(ValueError, match="rel_slack must be finite and >= 0"):
+            check_monotone_decay([traj], unread, rel_slack=tolerance)
