@@ -60,19 +60,29 @@ def linear(c: float) -> ComparisonFn:
     return ComparisonFn(lambda s: c * s, f"linear({c!r})")
 
 
+# The input guards (``_guard_level``) call a gain and a time weight once a
+# sample, so a float argument takes a scalar path.  Its result is the array
+# expression's, bitwise and of the same type and shape; only a power or a
+# product beyond the float range, which the array path warns about, turns
+# inf silently.
+
 def power(p: float, scale: float = 1.0) -> ComparisonFn:
     _require_positive(p=p, scale=scale)
+    # Python's float arithmetic is NumPy's float64 arithmetic only for these
+    scalar = isinstance(p, (int, float)) and isinstance(scale, (int, float))
+    f64 = np.float64
 
     def fn(s):
+        if scalar and isinstance(s, float):
+            try:
+                return f64(scale * abs(s) ** p)
+            except OverflowError:  # Python raises where NumPy's power warns
+                with np.errstate(over="ignore"):
+                    return scale * np.abs(s) ** p
         return scale * np.abs(s) ** p
 
     return ComparisonFn(fn, f"power(p={p!r}, scale={scale!r})")
 
-
-# The input guards (``_guard_level``) call a time weight once a sample, so a
-# float time takes a scalar path.  Its result is the array expression's,
-# bitwise and of the same type and shape; only a product c * t beyond the
-# float range, which the array path warns about, turns inf silently.
 
 def exp_weight(c: float) -> ComparisonFn:
     if not math.isfinite(c):

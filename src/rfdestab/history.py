@@ -350,18 +350,35 @@ def _draw_block(
     boxes: tuple = (),
 ) -> tuple:
     """``count`` samples of a time, a :func:`sample_history` window and a
-    point of each box, drawn sample by sample in that order.
+    point of each box: the times as floats, the windows and the box points of
+    :func:`_draw_points`' draw."""
+    times, offsets, rows, sizes, drawn = _draw_points(rng, count, delay, dim, norm_bound, t_range, boxes)
+    return times.tolist(), _build_windows(delay, offsets, rows, sizes), drawn
+
+
+def _draw_points(
+    rng: np.random.Generator,
+    count: int,
+    delay: float,
+    dim: int,
+    norm_bound: float,
+    t_range: tuple | None = None,
+    boxes: tuple = (),
+) -> tuple:
+    """The points of ``count`` samples of a time, a :func:`sample_history`
+    window and a point of each box, drawn sample by sample in that order.
 
     A time is one ``random()`` read as ``uniform(*t_range)``; the points of
     ``boxes`` (each None or rows of [lo, hi]) are one ``random(rows)`` call
     over all their rows, read as ``uniform`` per row.  Only the generator
     calls run per sample and per knot, in the documented order, and the loop
     around them only collects their values in flat lists; the ball points,
-    the slope clip walk (one vector step per knot column), the box points and
-    the windows are computed once for the block, from those lists converted
-    to float arrays.  Returns the times (floats; empty without ``t_range``),
-    the windows (see :func:`_build_windows`), and one (count, rows) array of
-    points per box.
+    the slope clip walk (one vector step per knot column) and the box points
+    are computed once for the block, from those lists converted to float
+    arrays.  Returns new arrays: the times (empty without ``t_range``), the
+    knot offsets and clipped knot rows of the windows with their knot counts
+    (what :func:`_build_windows` reads), and one (count, rows) array of points
+    per box.
     """
     if t_range is not None:
         t_lo, t_span = _box_range(np.array([t_range], dtype=float))
@@ -415,16 +432,16 @@ def _draw_block(
         lim = lims[:, c - 1]
         dv *= np.divide(lim, nd, out=np.ones(count), where=nd > lim)[:, None]
         np.add(vals[:, c - 1], dv, out=vals[:, c])
-    windows = _build_windows(delay, offsets, vals, sizes)
 
+    times = np.array(times, dtype=float)
     if t_range is not None:
-        times = (t_lo + t_span * np.array(times, dtype=float)).tolist()
+        times = t_lo + t_span * times
     units = np.array(units, dtype=float).reshape(count, rows)
     drawn, first = [], 0
     for box, (lo, span) in zip(boxes, ranges):
         drawn.append(lo + span * units[:, first:first + box.shape[0]])
         first += box.shape[0]
-    return times, windows, drawn
+    return times, offsets, vals, sizes, drawn
 
 
 def _build_windows(delay, offsets: np.ndarray, rows: np.ndarray, sizes: np.ndarray) -> list:

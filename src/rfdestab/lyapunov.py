@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .compfn import ComparisonFn, _guard_level
-from .history import HistorySegment, _draw_block, _segment, extend, sup_norm
+from .history import HistorySegment, _build_windows, _draw_points, _segment, extend, sup_norm
 from .simulator import IntegrateOpts, RfdeSystem, _integrate_runs, output_norm
 
 __all__ = [
@@ -271,6 +271,9 @@ def _pointwise_ladder(Vr: RazumikhinFunction, t: float, x: np.ndarray, v, base: 
 # blocks of 256 raised the peak RSS of perfbench's falsify-sweep by 1.2-1.5 MB
 # over 128 (3 runs each).
 FALSIFY_BLOCK = 128
+# the largest draw a sweep keeps for the next sweep on the same samples, in
+# bytes of its point arrays: 2,000 samples of example-4.8 take about 0.35 MB
+FALSIFY_KEEP_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -344,27 +347,99 @@ def _guard_holds(level: float, energy: float) -> bool:
     raise ValueError(f"guard compares NaN: level {level!r}, energy {energy!r}")
 
 
-def _sample_blocks(rng: np.random.Generator, sys: RfdeSystem, spec: SamplerSpec, draw_u: bool):
+def _sample_blocks(rng: np.random.Generator | None, sys: RfdeSystem, spec: SamplerSpec, draw_u: bool):
     """Yield the ``spec.samples`` samples drawn from ``rng`` FALSIFY_BLOCK at
     a time, each block as (times, windows, us, ds), one entry per sample;
     ``zip(*block)`` gives its samples as (t, window, u, d).
 
-    A block is one ``history._draw_block`` call: its generator calls run
-    sample by sample in the order t, window, u, d (one ``random`` per box
+    A block is one ``history._draw_points`` call and the windows
+    ``history._build_windows`` builds from its points: its generator calls
+    run sample by sample in the order t, window, u, d (one ``random`` per box
     row), and its arithmetic runs once per block, so every sample is the one
     that ``uniform``, ``sample_history`` and one ``uniform`` per box row give,
     drawing one sample at a time.  Without ``draw_u`` no input is drawn and
-    each u is the system's zero input.
+    each u is the system's zero input.  A given ``rng`` is always drawn from;
+    with None the samples are those of a generator seeded with ``spec.seed``,
+    and their points may come from a kept draw (:func:`_seeded_points`).
     """
     boxes = (sys.u_box if draw_u else None, sys.d_box)
+    blocks = _seeded_points(sys, spec, boxes) if rng is None else _draw_blocks(rng, sys, spec, boxes)
+    for times, offsets, rows, sizes, (us, ds) in blocks:
+        windows = _build_windows(sys.delay_r, offsets, rows, sizes)
+        if not draw_u:
+            us = [sys.zero_input() for _ in windows]
+        yield times.tolist(), windows, us, ds
+
+
+def _draw_blocks(rng: np.random.Generator, sys: RfdeSystem, spec: SamplerSpec, boxes: tuple):
+    """Yield the points of each block of :func:`_sample_blocks`' draw from
+    ``rng``, the box points from ``boxes`` (the input box, or None when no
+    input is drawn, and the disturbance box)."""
     for start in range(0, spec.samples, FALSIFY_BLOCK):
         count = min(FALSIFY_BLOCK, spec.samples - start)
-        times, windows, (us, ds) = _draw_block(
+        yield _draw_points(
             rng, count, sys.delay_r, sys.dim_n, spec.norm_bound, (spec.t_lo, spec.t_hi), boxes
         )
-        if not draw_u:
-            us = [sys.zero_input() for _ in range(count)]
-        yield times, windows, us, ds
+
+
+# the points of the last draw a sweep finished, as (key, blocks): at most
+# one draw, of at most FALSIFY_KEEP_BYTES, is kept per process
+_kept = None
+
+
+def _draw_key(sys: RfdeSystem, spec: SamplerSpec, boxes: tuple) -> tuple | None:
+    """Everything a draw from ``spec.seed`` reads, exactly: each number with
+    its type, a float by its bits (so 0.0 is not -0.0), and each box by its
+    shape and bytes.  None, and the draw is not kept, when a number is
+    neither an integer nor a float (a seed of None draws fresh entropy)."""
+    key = []
+    for value in (spec.t_lo, spec.t_hi, spec.norm_bound, spec.samples, spec.seed,
+                  sys.delay_r, sys.dim_n, FALSIFY_BLOCK):
+        if isinstance(value, float):
+            key.append((type(value), float.hex(value)))
+        elif isinstance(value, numbers.Integral):
+            key.append((type(value), int(value)))
+        else:
+            return None
+    return (*key, *[None if box is None else (box.shape, box.tobytes()) for box in boxes])
+
+
+def _seeded_points(sys: RfdeSystem, spec: SamplerSpec, boxes: tuple):
+    """Yield the points of each block of the draw from ``spec.seed``: the
+    kept ones, without a generator call, when the last draw a sweep finished
+    had the same :func:`_draw_key`; else drawn afresh, after the kept draw is
+    dropped, and kept once the sweep has consumed the last block, if their
+    arrays take at most FALSIFY_KEEP_BYTES.  Each block's box points are
+    copies, so no sweep sees what a callback wrote into another's."""
+    global _kept
+    key, kept = _draw_key(sys, spec, boxes), _kept  # one read: another thread may replace it
+    if kept is not None and kept[0] == key:
+        blocks = kept[1]
+    else:
+        _kept = None
+        blocks = _draw_blocks(np.random.default_rng(spec.seed), sys, spec, boxes)
+        if key is not None:
+            blocks = _keeping(key, blocks)
+    for times, offsets, rows, sizes, drawn in blocks:
+        yield times, offsets, rows, sizes, [points.copy() for points in drawn]
+
+
+def _keeping(key: tuple, blocks):
+    """Yield ``blocks``, and keep them under ``key`` once the last is
+    consumed, unless their arrays take more than FALSIFY_KEEP_BYTES;
+    collecting stops at the budget."""
+    global _kept
+    kept, size = [], 0
+    for block in blocks:
+        *arrays, drawn = block
+        size += sum(a.nbytes for a in (*arrays, *drawn))
+        if size <= FALSIFY_KEEP_BYTES:
+            kept.append(block)
+        else:
+            kept = None
+        yield block
+    if kept is not None:
+        _kept = key, kept
 
 
 # the errors a sweep counts as a sample's failure to evaluate
@@ -380,7 +455,10 @@ def _falsify(
     screen: Callable | None = None,
 ) -> FalsificationReport:
     """Shared sampling loop over the blocks of :func:`_sample_blocks`, drawn
-    from ``spec.seed``; ``spec.samples`` must be a positive integer.
+    from ``spec.seed``; ``spec.samples`` must be a positive integer.  The
+    points of a draw the sweep finishes are kept in-process for the next
+    sweep on the same samples (:func:`_seeded_points`), which rebuilds its
+    windows from them, so every report is that of a fresh draw.
 
     ``sample_fn(t, seg, u, d, mark)`` returns None for a sample its guard
     skips and (residual, derivative_scale) otherwise; a residual that is not
@@ -399,7 +477,7 @@ def _falsify(
     failures = 0
     first_failure = None
     tested = 0
-    for times, windows, us, ds in _sample_blocks(np.random.default_rng(spec.seed), sys, spec, draw_u):
+    for times, windows, us, ds in _sample_blocks(None, sys, spec, draw_u):
         marks = [None] * len(times) if screen is None else screen(times, windows)
         for t, seg, u, d, mark in zip(times, windows, us, ds, marks):
             try:

@@ -1,5 +1,6 @@
 """Comparison functions and KL envelopes built from decay rates."""
 
+import math
 import os
 import subprocess
 import sys
@@ -151,6 +152,57 @@ class TestScalarTimeWeights:
         # only the array path warns, about its multiply
         _, warned = _calls_with_warnings(exp_weight(2.0), [1e308])
         assert _same(exp_weight(2.0)(1e308), np.float64(np.inf)) and warned == []
+
+
+def _array_power(p, scale):
+    return lambda s: scale * np.abs(s) ** p
+
+
+class TestScalarPower:
+    """``power`` takes a scalar path for a float argument, in Python floats:
+    each result has the value, type and shape of the array expression's, and
+    a power beyond the float range is inf without the array path's warning."""
+
+    def test_every_kind_of_argument_gives_the_array_expression(self):
+        args = [
+            1.5, -0.0, 0.0, 3, np.float64(2.25), np.float32(1.25), True, np.array(0.75),
+            np.array(-2.0), [0.5, -1.0], np.linspace(-2.0, 2.0, 6).reshape(2, 3), np.array([]),
+        ]
+        # NumPy types of p or scale keep the array path, whose promotions differ
+        params = [
+            (4, 0.5), (4.0 / 3.0, 1.5), (2, 3), (np.float64(0.5), 2.0),
+            (np.float32(2.0), 1.0), (2.0, np.float32(0.5)), (np.int64(3), 1.0),
+        ]
+        differ = [(p, scale, s) for p, scale in params for s in args
+                  if not _same(power(p, scale)(s), _array_power(p, scale)(s))]
+        assert not differ, differ
+
+    def test_bitwise_over_many_float_arguments(self):
+        inf, nan = math.inf, math.nan
+        rng = np.random.default_rng(12)
+        ss = np.concatenate([
+            rng.uniform(0.0, 50.0, 40_000),
+            rng.uniform(-50.0, 0.0, 10_000),
+            10.0 ** rng.uniform(-300.0, 300.0, 30_000),  # powers past the float range both ways
+            [0.0, -0.0, 5e-324, 1e-160, 1e-200, 1e200, 1e300, inf, -inf, nan, -nan],
+        ]).tolist()
+        kinds = set()
+        for p, scale in [(4, 0.5), (4.0 / 3.0, 1.5), (2.0, 1.0), (0.5, 4.0), (2, 3), (1.5, 1e300)]:
+            ours, warned = _calls_with_warnings(power(p, scale), ss)
+            with np.errstate(over="ignore"):
+                ref = [_array_power(p, scale)(s) for s in ss]
+            assert not [s for s, a, b in zip(ss, ours, ref) if not _same(a, b)]
+            assert warned == []
+            values = np.array(ref)
+            kinds |= {
+                ("zero", (values == 0.0).any()), ("nan", np.isnan(values).any()),
+                ("inf", np.isinf(values).any()),
+                ("subnormal", ((values > 0.0) & (values < 2.2250738585072014e-308)).any()),
+            }
+        assert {kind for kind, seen in kinds if seen} == {"zero", "nan", "inf", "subnormal"}
+        # the array path warns where the power overflows
+        _, warned = _calls_with_warnings(_array_power(2, 1.0), [1e200])
+        assert warned == [(RuntimeWarning, "overflow encountered in scalar power")]
 
 
 class TestGuardLevel:

@@ -212,7 +212,8 @@ class TestDefaultTolerance:
         def no_draw(*args, **kwargs):
             raise AssertionError("drew a sample")
 
-        monkeypatch.setattr(lyapunov, "_draw_block", no_draw)
+        monkeypatch.setattr(lyapunov, "_draw_points", no_draw)
+        monkeypatch.setattr(lyapunov, "_kept", None)
         with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
             build_example("example-4.8").certificate("unweighted-guard-fails").runner(tolerance=tolerance)
         with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
@@ -607,7 +608,7 @@ class TestSampleBlocks:
         text = json.dumps(rep.to_json_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == BLOCK_REPORTS[example, certificate][samples]
 
-    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch):
+    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch, draws):
         bundles = {name: build_example(name) for name in ("example-4.8", "example-5.2", "example-5.4")}
         certificates = [
             ("example-4.8", "weighted-input-decay"), ("example-4.8", "unweighted-guard-fails"),
@@ -638,7 +639,11 @@ class TestSampleBlocks:
         reports = {}
         for block in (1, 7, 64, 128):
             monkeypatch.setattr(lyapunov, "FALSIFY_BLOCK", block)
+            del draws[:]
             reports[block] = [json.dumps(run().to_json_dict(), sort_keys=True) for run in runs]
+            # the block size is in a kept draw's key, so every size draws: four
+            # sweeps draw, and example-4.8's second certificate reuses the first's
+            assert draws == 4 * _blocks_of(spec.samples, block)
         assert all(texts == reports[1] for texts in reports.values())
         unweighted, raising = json.loads(reports[1][1]), json.loads(reports[1][-1])
         assert unweighted["verdict"] == "counterexample" and unweighted["witness"] is not None
@@ -733,6 +738,158 @@ class TestSampleBlocks:
         with pytest.raises(error, match="high - low"):
             check_lyapunov_ios(sys_, V, power(2.0), constant(1.0), linear(2.0), spec)
         assert calls[0] == 0
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The count of each draw of a block's points, the one call that makes
+    the falsifiers' generator calls, from no kept draw on."""
+    counts = []
+    draw = lyapunov._draw_points
+
+    def counted(rng, count, *args):
+        counts.append(count)
+        return draw(rng, count, *args)
+
+    monkeypatch.setattr(lyapunov, "_draw_points", counted)
+    monkeypatch.setattr(lyapunov, "_kept", None)
+    return counts
+
+
+def _blocks_of(samples, block):
+    """The sample counts of the blocks a draw of ``samples`` is made in."""
+    return [min(block, samples - start) for start in range(0, samples, block)]
+
+
+ZERO = ComparisonFn(lambda s: 0.0 * s, "zero")
+BOX = np.array([[-1.0, 1.0]])
+KEY_SYSTEM = RfdeSystem(1.0, 1, None, lambda t, seg: seg.head, BOX, BOX)
+KEY_SPEC = SamplerSpec(samples=2 * FALSIFY_BLOCK + 3, seed=0)
+
+
+def _seen_by_callbacks(sys_, spec, draw_u=True, dynamics=None):
+    """What a Razumikhin sweep hands its callbacks, sample by sample, as
+    exact bits: every guard passes, so the dynamics sees every sample's t,
+    window, u and d.  With ``draw_u`` the sweep draws u for an input guard;
+    ``dynamics(t, seg, u, d)``, when given, runs after the recording."""
+    seen = []
+
+    def recording(t, seg, u, d):
+        seen.append((t.hex(), seg.delay, seg.grid.tobytes(), seg.values.tobytes(),
+                     u.shape, u.tobytes(), d.shape, d.tobytes()))
+        if dynamics is not None:
+            dynamics(t, seg, u, d)
+        return -seg.head
+
+    Vr = RazumikhinFunction(lambda t, x: float(x @ x), analytic_dini=lambda t, x, v: 2.0 * float(x @ v))
+    guard = {"zeta": ZERO, "delta": constant(1.0)} if draw_u else {}
+    rep = check_razumikhin(replace(sys_, dynamics=recording), Vr, ZERO, linear(1.0), spec, **guard)
+    assert rep.samples_tested == spec.samples
+    return seen
+
+
+# (first sweep, second sweep): the second differs in one field of the key
+KEY_CHANGES = {
+    "seed": ((KEY_SYSTEM, KEY_SPEC), (KEY_SYSTEM, replace(KEY_SPEC, seed=1))),
+    "samples": ((KEY_SYSTEM, KEY_SPEC), (KEY_SYSTEM, replace(KEY_SPEC, samples=KEY_SPEC.samples + 1))),
+    "t_lo": ((KEY_SYSTEM, KEY_SPEC), (KEY_SYSTEM, replace(KEY_SPEC, t_lo=0.5))),
+    "t_hi": ((KEY_SYSTEM, KEY_SPEC), (KEY_SYSTEM, replace(KEY_SPEC, t_hi=4.0))),
+    # a zero bound's knot points are zeros with their normals' signs, flipped by -0.0
+    "norm_bound": (
+        (KEY_SYSTEM, replace(KEY_SPEC, norm_bound=0.0)), (KEY_SYSTEM, replace(KEY_SPEC, norm_bound=-0.0)),
+    ),
+    "delay": ((KEY_SYSTEM, KEY_SPEC), (replace(KEY_SYSTEM, delay_r=0.5), KEY_SPEC)),
+    "dim": ((KEY_SYSTEM, KEY_SPEC), (replace(KEY_SYSTEM, dim_n=2), KEY_SPEC)),
+    "box bytes": ((KEY_SYSTEM, KEY_SPEC), (replace(KEY_SYSTEM, d_box=np.array([[-1.0, 2.0]])), KEY_SPEC)),
+    # the same three rows drawn with the same calls, split between the boxes another way
+    "box shape": (
+        (replace(KEY_SYSTEM, d_box=np.vstack([BOX, BOX])), KEY_SPEC),
+        (replace(KEY_SYSTEM, u_box=np.vstack([BOX, BOX])), KEY_SPEC),
+    ),
+    "u drawn": ((KEY_SYSTEM, KEY_SPEC, True), (KEY_SYSTEM, KEY_SPEC, False)),
+}
+
+
+class TestKeptDraw:
+    """A sweep keeps the points it drew, and the next sweep that would draw
+    exactly the same samples builds its windows from them without a generator
+    call; every report is that of a fresh draw."""
+
+    def test_a_second_sweep_on_the_same_spec_makes_no_generator_call(self, draws):
+        bundle = build_example("example-4.8")
+        samples = FALSIFY_BLOCK + 1
+        texts = []
+        for name in ("weighted-input-decay", "weighted-input-decay", "unweighted-guard-fails"):
+            texts.append(json.dumps(bundle.certificate(name).runner(samples=samples).to_json_dict(), sort_keys=True))
+        assert draws == _blocks_of(samples, FALSIFY_BLOCK)
+        assert texts[1] == texts[0]
+        # the unweighted sweep on the weighted one's draw gives its pinned report
+        pinned = BLOCK_REPORTS["example-4.8", "unweighted-guard-fails"][samples]
+        assert hashlib.sha256(texts[2].encode()).hexdigest() == pinned
+
+    @pytest.mark.parametrize("first, second", KEY_CHANGES.values(), ids=KEY_CHANGES.keys())
+    def test_a_change_of_any_key_field_draws_afresh(self, draws, monkeypatch, first, second):
+        fresh = _seen_by_callbacks(*second)
+        monkeypatch.setattr(lyapunov, "_kept", None)
+        assert _seen_by_callbacks(*first) != fresh
+        del draws[:]
+        assert _seen_by_callbacks(*second) == fresh
+        assert draws
+
+    def test_a_change_of_the_block_size_draws_afresh(self, draws, monkeypatch):
+        seen = _seen_by_callbacks(KEY_SYSTEM, KEY_SPEC)
+        monkeypatch.setattr(lyapunov, "FALSIFY_BLOCK", 7)
+        del draws[:]
+        assert _seen_by_callbacks(KEY_SYSTEM, KEY_SPEC) == seen
+        assert draws == _blocks_of(KEY_SPEC.samples, 7)
+
+    def test_a_seed_of_none_is_never_reused(self, draws):
+        spec = replace(KEY_SPEC, seed=None)
+        assert _seen_by_callbacks(KEY_SYSTEM, spec) != _seen_by_callbacks(KEY_SYSTEM, spec)
+        assert draws == 2 * _blocks_of(spec.samples, FALSIFY_BLOCK)
+
+    def test_a_draw_over_the_byte_budget_is_not_kept(self, draws, monkeypatch):
+        fresh = _seen_by_callbacks(KEY_SYSTEM, KEY_SPEC)
+        size = sum(a.nbytes for *arrays, drawn in lyapunov._kept[1] for a in (*arrays, *drawn))
+        for budget, drawn_again in [(size - 1, True), (size, False)]:
+            monkeypatch.setattr(lyapunov, "FALSIFY_KEEP_BYTES", budget)
+            monkeypatch.setattr(lyapunov, "_kept", None)
+            _seen_by_callbacks(KEY_SYSTEM, KEY_SPEC)
+            del draws[:]
+            assert _seen_by_callbacks(KEY_SYSTEM, KEY_SPEC) == fresh
+            assert bool(draws) == drawn_again
+
+    def test_a_sweep_that_raises_an_uncounted_error_keeps_nothing(self, draws):
+        calls = [0]
+
+        def fails_in_the_second_block(t, seg, u, d):
+            calls[0] += 1
+            if calls[0] == FALSIFY_BLOCK + 2:
+                raise TypeError("not a sample's failure to evaluate")
+
+        # the kept draw is dropped when a new draw starts, and a sweep that
+        # raises keeps nothing, so each sweep after one that raised draws
+        other = replace(KEY_SPEC, seed=1)
+        for after in (other, KEY_SPEC):
+            _seen_by_callbacks(KEY_SYSTEM, other)
+            calls[0] = 0
+            with pytest.raises(TypeError):
+                _seen_by_callbacks(KEY_SYSTEM, KEY_SPEC, dynamics=fails_in_the_second_block)
+            del draws[:]
+            _seen_by_callbacks(KEY_SYSTEM, after)
+            assert draws == _blocks_of(KEY_SPEC.samples, FALSIFY_BLOCK)
+
+    @pytest.mark.parametrize("draw_u", [True, False], ids=["u drawn", "zero u"])
+    def test_a_callback_that_writes_into_u_and_d_does_not_change_a_later_sweep(self, draws, draw_u):
+        def scribble(t, seg, u, d):
+            u[...] = 7.0
+            d[...] = 7.0
+
+        fresh = _seen_by_callbacks(KEY_SYSTEM, KEY_SPEC, draw_u)
+        _seen_by_callbacks(KEY_SYSTEM, KEY_SPEC, draw_u, dynamics=scribble)
+        del draws[:]
+        assert _seen_by_callbacks(KEY_SYSTEM, KEY_SPEC, draw_u) == fresh
+        assert draws == []
 
 
 def _guarded_52(rate, spec, Vr=None):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import rfdestab
 from rfdestab import REGISTRY, build_example
-from rfdestab.lyapunov import FALSIFY_BLOCK
+from rfdestab.lyapunov import FALSIFY_BLOCK, FALSIFY_KEEP_BYTES
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rfdestab"
@@ -85,6 +85,11 @@ def test_readme_states_the_falsifier_block_size():
     text = (ROOT / "README.md").read_text()
     stated = re.findall(r"(\d+) samples at a time", text) + re.findall(r"(\d+)-sample blocks", text)
     assert len(stated) == 2 and {int(n) for n in stated} == {FALSIFY_BLOCK}, stated
+
+
+def test_readme_states_the_kept_draw_budget():
+    stated = re.findall(r"take at most (\d+) MiB", (ROOT / "README.md").read_text())
+    assert [int(n) * 2**20 for n in stated] == [FALSIFY_KEEP_BYTES], stated
 
 
 def _unused_imports(path: Path) -> list:
