@@ -23,10 +23,10 @@ import numpy as np
 
 from . import __version__
 from .compfn import constant
-from .examples import REGISTRY, ExampleBundle, _disturbed_runs, build_example
+from .examples import REGISTRY, ExampleBundle, build_example
 from .history import HistorySegment, sample_history
 from .signals import SignalSpec, constant_signal, sample_signal
-from .simulator import IntegrateOpts, integrate, output_norm, trajectory_to_csv
+from .simulator import IntegrateOpts, _draw_runs, _integrate_runs, integrate, output_norm, trajectory_to_csv
 from .verify import fit_kl_envelope
 
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
@@ -357,10 +357,9 @@ def _cmd_envelope(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter
     bins = setting("bins", 4, int, _AT_LEAST_1)
     s_points = setting("s_points", 8, int, _AT_LEAST_1)
     t_points = setting("t_points", 33, int, _AT_LEAST_1)
-    rng = np.random.default_rng(cfg.seed)
-    opts = IntegrateOpts(step_req=step)
     _signal_spec("envelope.mean_dwell", system.d_box, duration, mean_dwell, 0)  # rejects a dwell no run can draw
-    trajs = _disturbed_runs(system, rng, count, norm_bound, duration, mean_dwell, opts)
+    runs = _draw_runs(system, np.random.default_rng(cfg.seed), count, norm_bound, duration, mean_dwell)
+    trajs = _integrate_runs(system, 0.0, runs, duration, IntegrateOpts(step_req=step))
     completed = sum(tr.status == "completed" for tr in trajs)
     sigma = fit_kl_envelope(trajs, constant(1.0), bins=bins)
     s_vals = np.linspace(norm_bound / s_points, norm_bound, s_points)

@@ -36,7 +36,7 @@ from .compfn import (
     linear,
     power,
 )
-from .history import HistorySegment, _trapezoid, sample_history
+from .history import HistorySegment, _trapezoid
 from .lyapunov import (
     LyapunovFunctional,
     RazumikhinFunction,
@@ -44,8 +44,8 @@ from .lyapunov import (
     check_lyapunov_ios,
     check_razumikhin,
 )
-from .signals import _draw_signal, constant_signal
-from .simulator import IntegrateOpts, RfdeSystem, integrate
+from .signals import constant_signal
+from .simulator import IntegrateOpts, RfdeSystem, _draw_runs, _integrate_runs, integrate
 from .verify import (
     check_monotone_decay,
     fit_kl_envelope,
@@ -125,21 +125,6 @@ def _sweep(norm_bound: float, check: Callable) -> Callable:
         return check(spec, tolerance=tolerance)
 
     return run
-
-
-def _disturbed_runs(sys: RfdeSystem, rng, count: int, norm_bound: float, horizon: float,
-                    mean_dwell: float, opts: IntegrateOpts) -> list:
-    """``count`` runs from t = 0 with no input, each under a random disturbance.
-
-    Each run draws its initial window (norm at most ``norm_bound``) and then
-    its disturbance signal from ``rng``, in that order.
-    """
-    runs = []
-    for _ in range(count):
-        x0 = sample_history(rng, sys.delay_r, sys.dim_n, norm_bound)
-        d_sig = _draw_signal(rng, sys.d_box, horizon, mean_dwell)
-        runs.append(integrate(sys, 0.0, x0, None, d_sig, horizon, opts))
-    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +374,8 @@ def example_5_2(r: float = 0.5, eps: float = 1.0, L: float | None = None) -> Exa
     # the two trajectory certificates read the same ensemble, one after the other
     @functools.lru_cache(maxsize=1)
     def _ensemble(seed: int, step: float, horizon: float, count: int):
-        rng = np.random.default_rng(seed)
-        return _disturbed_runs(sys, rng, count, 1.0, horizon, 0.4, IntegrateOpts(step_req=step))
+        runs = _draw_runs(sys, np.random.default_rng(seed), count, 1.0, horizon, 0.4)
+        return _integrate_runs(sys, 0.0, runs, horizon, IntegrateOpts(step_req=step))
 
     hold = KlFn(fn=lambda s, t: float(s), name="hold")
 
@@ -537,16 +522,11 @@ def example_5_4(R: float = 1.0, r: float = 1.0, u_max: float = 1.0) -> ExampleBu
     def run_gain_envelope(seed=0, samples=24, tolerance=1e-9, step=4e-3, horizon=9.0):
         opts = IntegrateOpts(step_req=step)
         rng = np.random.default_rng(seed)
-        fit_trajs = _disturbed_runs(sys, rng, samples, 3.0, horizon, 0.5, opts)
+        fit_trajs = _integrate_runs(sys, 0.0, _draw_runs(sys, rng, samples, 3.0, horizon, 0.5), horizon, opts)
         sigma = fit_kl_envelope(fit_trajs, one, bins=4)
-        test_trajs = []
-        for k in range(max(6, samples // 2)):
-            x0 = sample_history(rng, r, 1, 2.8)
-            u_sig = None
-            if k % 3 != 0:
-                u_sig = _draw_signal(rng, sys.u_box, horizon, 1.0)
-            d_sig = _draw_signal(rng, sys.d_box, horizon, 0.5)
-            test_trajs.append(integrate(sys, 0.0, x0, u_sig, d_sig, horizon, opts))
+        u_boxes = [None if k % 3 == 0 else sys.u_box for k in range(max(6, samples // 2))]
+        test_runs = _draw_runs(sys, rng, len(u_boxes), 2.8, horizon, 0.5, u_boxes)
+        test_trajs = _integrate_runs(sys, 0.0, test_runs, horizon, opts)
         return verify_ios_envelope(test_trajs, sigma, one, gamma, one, tolerance=tolerance)
 
     certificates = (

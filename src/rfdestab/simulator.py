@@ -531,6 +531,23 @@ def _integrate_runs(
     return trajs
 
 
+def _draw_runs(system: RfdeSystem, rng: np.random.Generator, count: int, norm_bound: float,
+               horizon: float, d_dwell: float, u_boxes=None, windows=()) -> list:
+    """``count`` runs ``(x0, u, d)`` drawn from ``rng``, with signals on
+    [0, horizon]: the one ensemble draw of the trajectory checks.  Run k draws
+    1. its initial window, sup norm at most ``norm_bound``, unless ``windows[k]`` gives one;
+    2. its input from the box ``u_boxes[k]``, mean dwell 1 (none if it or ``u_boxes`` is None);
+    3. its disturbance from ``system.d_box``, mean dwell ``d_dwell``.
+    """
+    runs = []
+    for k in range(count):
+        x0 = windows[k] if k < len(windows) else sample_history(rng, system.delay_r, system.dim_n, norm_bound)
+        u_box = None if u_boxes is None else u_boxes[k]
+        u = None if u_box is None else _draw_signal(rng, u_box, horizon, 1.0)
+        runs.append((x0, u, _draw_signal(rng, system.d_box, horizon, d_dwell)))
+    return runs
+
+
 def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts: IntegrateOpts) -> list:
     """Trajectories of ``runs`` (x0, u, d), which share the node grid
     ``tgrid``, the initial grid and the delay, advanced together.  A run that
@@ -892,38 +909,39 @@ def check_rfc(
 ) -> RfcReport:
     """Ensemble boundedness experiment over start times and signals.
 
-    Draws initial windows with norm at most s, start times in [0, T], and
-    signals with mean dwell 1 over the horizon (inputs clipped to the ball of
-    radius s); the
-    first 2n ensemble members are the deterministic constant extremes
-    +/- s along each axis started at t0 = 0, so the ball boundary is always
-    probed.  The report carries the largest window norm seen and the first
-    blow-up witness, if any.
+    Refuses (ValueError), before any draw: ``n_traj`` not a positive integer,
+    ``s`` not finite and >= 0, ``T`` not finite and > 0, and an input box row
+    that [-s, s] misses; inputs are drawn from the box clipped to [-s, s]
+    coordinate by coordinate.  The first min(n_traj, 2n) runs start at t0 = 0
+    from the constant windows +/- s along each axis, so the ball's boundary
+    is always probed.  ``rng`` draws the other runs' t0s first, uniform on
+    [0, T] in one call, then every run in :func:`_draw_runs` order, with
+    windows of sup norm at most s and signals of mean dwell 1 on [0, 2T],
+    which covers each run's [t0, t0 + T].  The report carries the first
+    blow-up witness, if any, else the largest window norm seen
+    (``sup_norm_observed``): a lower bound on the forward-completeness gain
+    on the sampled ball, not a proof of robust forward completeness.
     """
+    if isinstance(n_traj, bool) or not isinstance(n_traj, (int, np.integer)) or n_traj < 1:
+        raise ValueError(f"n_traj must be a positive integer, got {n_traj!r}")
+    if not (math.isfinite(s) and s >= 0.0 and math.isfinite(T) and T > 0.0):
+        raise ValueError(f"s must be finite and >= 0 and T finite and > 0, got s = {s!r}, T = {T!r}")
+    u_boxes = None
+    if system.u_box is not None:
+        ubox = np.column_stack([np.maximum(system.u_box[:, 0], -s), np.minimum(system.u_box[:, 1], s)])
+        missed = np.flatnonzero(ubox[:, 0] > ubox[:, 1])
+        if missed.size:
+            raise ValueError(f"[-s, s] misses input box row {missed[0]}, {system.u_box[missed[0]].tolist()}, at s = {s!r}")
+        u_boxes = [ubox] * n_traj
     rng = rng or np.random.default_rng(0)
     opts = opts or IntegrateOpts()
-    r = system.delay_r
-    n = system.dim_n
+    axes = s * np.eye(system.dim_n)
+    corners = [HistorySegment.constant(system.delay_r, c) for e in axes for c in (e, -e)][:n_traj]
+    t0s = np.concatenate([np.zeros(len(corners)), rng.uniform(0.0, T, n_traj - len(corners))])
+    runs = _draw_runs(system, rng, n_traj, s, 2.0 * T, 1.0, u_boxes, corners)
     worst = 0.0
-    for i in range(n_traj):
-        if i < 2 * n:
-            t0 = 0.0
-            corner = np.zeros(n)
-            corner[i // 2] = s if i % 2 == 0 else -s
-            x0 = HistorySegment.constant(r, corner)
-        else:
-            t0 = float(rng.uniform(0.0, T))
-            x0 = sample_history(rng, r, n, s)
-        horizon = t0 + T
-        d_sig = _draw_signal(rng, system.d_box, horizon + 1.0, 1.0)
-        u_sig = None
-        if system.u_box is not None:
-            ubox = np.column_stack(
-                [np.maximum(system.u_box[:, 0], -s), np.minimum(system.u_box[:, 1], s)]
-            )
-            ubox[ubox[:, 0] > ubox[:, 1]] = 0.0
-            u_sig = _draw_signal(rng, ubox, horizon + 1.0, 1.0)
-        traj = integrate(system, t0, x0, u_sig, d_sig, horizon, opts)
+    for i, (t0, (x0, u, d)) in enumerate(zip(t0s.tolist(), runs)):
+        traj = integrate(system, t0, x0, u, d, t0 + T, opts)
         if traj.status != "completed":
             return RfcReport("blow_up_witness", float("inf"), i, traj.t_event, i + 1)
         norms = np.linalg.norm(traj._dense.V[: traj._dense.count], axis=1)

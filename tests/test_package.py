@@ -2,9 +2,9 @@
 modules' public APIs, every exported checker is reached by a certificate, the
 command line or a demo (not by the benchmark), README's claims table names the
 bundles' certificates and its module table states the falsifiers' block size,
-no module keeps an import it does not use or imports SciPy, no private
-function or method keeps a parameter it does not read, and every private
-definition is referenced."""
+no module keeps an import it does not use or imports SciPy, only `_draw_runs`
+draws an ensemble's signals, no private function or method keeps a parameter
+it does not read, and every private definition is referenced."""
 
 import ast
 import re
@@ -179,3 +179,22 @@ def test_no_unreferenced_private_definitions():
         and node.name not in referenced
     ]
     assert not unreferenced, unreferenced
+
+
+def test_only_draw_runs_draws_ensemble_signals():
+    # one ensemble draw: outside signals.py, which defines it, _draw_signal is
+    # called only inside simulator._draw_runs, so a new draw loop fails here
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "signals.py":
+            continue
+        tree = ast.parse(path.read_text())
+        functions = [fn for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            if "_draw_signal" in (getattr(call.func, "id", None), getattr(call.func, "attr", None)):
+                around = [fn for fn in functions if fn.lineno <= call.lineno <= fn.end_lineno]
+                inner = max(around, key=lambda fn: fn.lineno).name if around else "<module>"
+                callers.append(f"{path.stem}.{inner}")
+    assert callers and set(callers) == {"simulator._draw_runs"}, callers

@@ -32,7 +32,7 @@ from rfdestab import (
     trajectory_to_csv,
     verify_ios_envelope,
 )
-from rfdestab.simulator import _AHEAD, _Dense, _integrate_runs, _uniform_box
+from rfdestab.simulator import _AHEAD, _Dense, _draw_runs, _integrate_runs, _uniform_box
 
 ZERO_D = np.array([[0.0, 0.0]])
 
@@ -627,6 +627,99 @@ class TestRfc:
         rep = check_rfc(sys_, s=1.0, T=2.0, n_traj=10, rng=np.random.default_rng(9))
         assert rep.verdict == "no_counterexample"
         assert np.isfinite(rep.sup_norm_observed)
+
+    @pytest.mark.parametrize(
+        "s, T, n_traj, match",
+        [
+            (1.0, 1.0, 0, "n_traj"),  # no run would certify nothing
+            (1.0, 1.0, -2, "n_traj"),
+            (1.0, 1.0, 2.0, "n_traj"),
+            (1.0, 1.0, True, "n_traj"),
+            (-1.0, 1.0, 2, "s must"),  # only corners, at -/+1
+            (-1.0, 1.0, 5, "s must"),  # corners and drawn windows
+            (np.nan, 1.0, 2, "s must"),
+            (np.inf, 1.0, 2, "s must"),
+            (1.0, 0.0, 2, "T finite"),
+            (1.0, -1.0, 2, "T finite"),
+            (1.0, np.inf, 2, "T finite"),
+            (1.0, np.nan, 2, "T finite"),
+        ],
+    )
+    def test_invalid_arguments_refused_before_any_draw(self, s, T, n_traj, match):
+        calls = []
+        sys_ = scalar_system(lambda t, seg, u, d: calls.append(t) or np.zeros(1))
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=match):
+            check_rfc(sys_, s=s, T=T, n_traj=n_traj, rng=rng)
+        assert rng.bit_generator.state == state and not calls
+
+    def test_input_box_row_outside_the_ball_refused(self):
+        # [-1, 1] misses the input box [2, 3]: no input the system allows is in the ball
+        seen = []
+        sys_ = scalar_system(lambda t, seg, u, d: seen.append(float(u[0])) or np.zeros(1), u_box=[[2.0, 3.0]])
+        with pytest.raises(ValueError, match="row 0"):
+            check_rfc(sys_, s=1.0, T=1.0, n_traj=4, rng=np.random.default_rng(0))
+        assert not seen
+        # a ball that reaches the box clips the box to it, and inputs stay inside
+        rep = check_rfc(sys_, s=2.5, T=1.0, n_traj=4, rng=np.random.default_rng(0))
+        assert rep.verdict == "no_counterexample"
+        assert seen and 2.0 <= min(seen) and max(seen) <= 2.5
+
+
+def _draws_digest(runs) -> str:
+    """sha256 of each run's initial grid and values, then of its input's and
+    disturbance's switch times and values (b"none" for no signal), in order."""
+    h = hashlib.sha256()
+    for x0, u, d in runs:
+        h.update(x0.grid.tobytes())
+        h.update(x0.values.tobytes())
+        for sig in (u, d):
+            if sig is None:
+                h.update(b"none")
+            else:
+                h.update(sig.switch_times.tobytes())
+                h.update(sig.values.tobytes())
+    return h.hexdigest()
+
+
+class TestDrawRuns:
+    """The ensembles the trajectory checks draw, without integrating them:
+    digests recorded from the draw loops ``_draw_runs`` replaced, so each
+    caller's stream is kept bit for bit."""
+
+    def test_example_5_2_ensemble(self):
+        # energy-bounded-by-initial and window-sup-monotone at their defaults, seed 0
+        sys_ = build_example("example-5.2").system
+        runs = _draw_runs(sys_, np.random.default_rng(0), 20, 1.0, 1.4, 0.4)
+        assert _draws_digest(runs) == "9d3de045318f11406102034c98a516f0a078a1e5a35c207036a275e463e6c25c"
+
+    def test_example_5_4_fit_then_test_runs(self):
+        # fitted-envelope-with-gain at its defaults, seed 0: 24 fit runs, then
+        # 12 test runs on the same generator, with an input where k % 3 != 0
+        sys_ = build_example("example-5.4").system
+        rng = np.random.default_rng(0)
+        fit = _draw_runs(sys_, rng, 24, 3.0, 9.0, 0.5)
+        u_boxes = [None if k % 3 == 0 else sys_.u_box for k in range(12)]
+        test = _draw_runs(sys_, rng, 12, 2.8, 9.0, 0.5, u_boxes)
+        assert _draws_digest(fit) == "ac176181b7b5ccdf92f2cae8b691fa8fbce3cad4adfbc88281f218d84211ed2e"
+        assert _draws_digest(test) == "1054f4b329d5d62b73fefbaff36fbe98ef0b9dc626a622512cfc922c49f3eafc"
+        assert [u is None for _, u, _ in test] == [k % 3 == 0 for k in range(12)]
+
+    def test_envelope_command_defaults(self):
+        # rfdestab envelope example-5.4 --seed 0: 20 runs, norm bound 2, horizon 8, dwell 0.5
+        sys_ = build_example("example-5.4").system
+        runs = _draw_runs(sys_, np.random.default_rng(0), 20, 2.0, 8.0, 0.5)
+        assert _draws_digest(runs) == "bbb66e4960261d15a90e9c97906717e73271ce200e276321b8cc5db4cab03adb"
+
+    def test_a_given_window_takes_no_draw(self):
+        sys_ = build_example("example-5.2").system
+        corner = HistorySegment.constant(sys_.delay_r, [1.0, 0.0])
+        ((x0, u, d),) = _draw_runs(sys_, np.random.default_rng(4), 1, 1.0, 2.0, 1.0, windows=(corner,))
+        # the disturbance is the generator's first draw
+        first = sample_signal(SignalSpec(sys_.d_box, 2.0, 1.0, seed=int(np.random.default_rng(4).integers(2**32))))
+        assert x0 is corner and u is None
+        assert np.array_equal(d.switch_times, first.switch_times) and np.array_equal(d.values, first.values)
 
 
 def _digest(traj) -> str:
