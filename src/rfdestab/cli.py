@@ -361,6 +361,12 @@ def _cmd_envelope(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter
     runs = _draw_runs(system, np.random.default_rng(cfg.seed), count, norm_bound, duration, mean_dwell)
     trajs = _integrate_runs(system, 0.0, runs, duration, IntegrateOpts(step_req=step))
     completed = sum(tr.status == "completed" for tr in trajs)
+    if not completed:  # the fit needs a completed run
+        blown = sum(tr.status == "blew_up" for tr in trajs)
+        raise ConfigError(
+            f"no run completed: {blown} of {count} runs blew up, the first stop at "
+            f"t={min(tr.t_event for tr in trajs)!r}; shorten the horizon or lower envelope.norm_bound"
+        )
     sigma = fit_kl_envelope(trajs, constant(1.0), bins=bins)
     s_vals = np.linspace(norm_bound / s_points, norm_bound, s_points)
     t_vals = np.linspace(0.0, duration, t_points)

@@ -123,7 +123,7 @@ class DiniOpts:
     use_analytic: bool = True
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)  # one entry per dimension
 def _probe_directions(n: int) -> np.ndarray:
     rng = np.random.default_rng(20240901)
     dirs = rng.normal(size=(LADDER_PROBES, n))
@@ -271,8 +271,9 @@ def _pointwise_ladder(Vr: RazumikhinFunction, t: float, x: np.ndarray, v, base: 
 # blocks of 256 raised the peak RSS of perfbench's falsify-sweep by 1.2-1.5 MB
 # over 128 (3 runs each).
 FALSIFY_BLOCK = 128
-# the largest draw a sweep keeps for the next sweep on the same samples, in
-# bytes of its point arrays: 2,000 samples of example-4.8 take about 0.35 MB
+# the most the draws sweeps keep on one seed, for later sweeps on the same
+# samples, take together, in bytes of their point arrays: 2,000 samples of
+# example-4.8 take about 0.35 MB
 FALSIFY_KEEP_BYTES = 4 * 2**20
 
 
@@ -360,7 +361,8 @@ def _sample_blocks(rng: np.random.Generator | None, sys: RfdeSystem, spec: Sampl
     drawing one sample at a time.  Without ``draw_u`` no input is drawn and
     each u is the system's zero input.  A given ``rng`` is always drawn from;
     with None the samples are those of a generator seeded with ``spec.seed``,
-    and their points may come from a kept draw (:func:`_seeded_points`).
+    and their points may come from a draw kept on that seed
+    (:func:`_seeded_points`).
     """
     boxes = (sys.u_box if draw_u else None, sys.d_box)
     blocks = _seeded_points(sys, spec, boxes) if rng is None else _draw_blocks(rng, sys, spec, boxes)
@@ -382,8 +384,9 @@ def _draw_blocks(rng: np.random.Generator, sys: RfdeSystem, spec: SamplerSpec, b
         )
 
 
-# the points of the last draw a sweep finished, as (key, blocks): at most
-# one draw, of at most FALSIFY_KEEP_BYTES, is kept per process
+# None, or the points of the draws sweeps finished on one seed, as (seed,
+# {key: blocks}) with the newest draw first: replaced whole, never changed in
+# place, and at most FALSIFY_KEEP_BYTES of arrays in all
 _kept = None
 
 
@@ -406,17 +409,19 @@ def _draw_key(sys: RfdeSystem, spec: SamplerSpec, boxes: tuple) -> tuple | None:
 
 def _seeded_points(sys: RfdeSystem, spec: SamplerSpec, boxes: tuple):
     """Yield the points of each block of the draw from ``spec.seed``: the
-    kept ones, without a generator call, when the last draw a sweep finished
-    had the same :func:`_draw_key`; else drawn afresh, after the kept draw is
-    dropped, and kept once the sweep has consumed the last block, if their
-    arrays take at most FALSIFY_KEEP_BYTES.  Each block's box points are
-    copies, so no sweep sees what a callback wrote into another's."""
+    kept ones, without a generator call, when a draw a sweep finished on this
+    seed had the same :func:`_draw_key`; else drawn afresh, and kept once the
+    sweep has consumed the last block (:func:`_keeping`).  A fresh draw on
+    another seed, or one that is never kept, drops the kept draws first.
+    Each block's box points are copies, so no sweep sees what a callback
+    wrote into another's."""
     global _kept
     key, kept = _draw_key(sys, spec, boxes), _kept  # one read: another thread may replace it
-    if kept is not None and kept[0] == key:
-        blocks = kept[1]
+    if kept is not None and key in kept[1]:
+        blocks = kept[1][key]
     else:
-        _kept = None
+        if kept is not None and (key is None or kept[0] != key[4]):  # key[4] is the seed's entry
+            _kept = None
         blocks = _draw_blocks(np.random.default_rng(spec.seed), sys, spec, boxes)
         if key is not None:
             blocks = _keeping(key, blocks)
@@ -424,22 +429,35 @@ def _seeded_points(sys: RfdeSystem, spec: SamplerSpec, boxes: tuple):
         yield times, offsets, rows, sizes, [points.copy() for points in drawn]
 
 
+def _nbytes(block) -> int:
+    *arrays, drawn = block
+    return sum(a.nbytes for a in (*arrays, *drawn))
+
+
 def _keeping(key: tuple, blocks):
     """Yield ``blocks``, and keep them under ``key`` once the last is
-    consumed, unless their arrays take more than FALSIFY_KEEP_BYTES;
-    collecting stops at the budget."""
+    consumed, unless their arrays take more than FALSIFY_KEEP_BYTES
+    (collecting stops at the budget); the draws kept on the same seed stay,
+    newest first, as far as all fit in the budget together."""
     global _kept
     kept, size = [], 0
     for block in blocks:
-        *arrays, drawn = block
-        size += sum(a.nbytes for a in (*arrays, *drawn))
+        size += _nbytes(block)
         if size <= FALSIFY_KEEP_BYTES:
             kept.append(block)
         else:
             kept = None
         yield block
-    if kept is not None:
-        _kept = key, kept
+    if kept is None:
+        return
+    draws, old = {key: kept}, _kept  # one read: another thread may replace it
+    if old is not None and old[0] == key[4]:  # key[4] is the seed's entry
+        for other, other_blocks in old[1].items():
+            size += sum(map(_nbytes, other_blocks))
+            if size > FALSIFY_KEEP_BYTES:
+                break
+            draws.setdefault(other, other_blocks)
+    _kept = key[4], draws
 
 
 # the errors a sweep counts as a sample's failure to evaluate
@@ -456,9 +474,10 @@ def _falsify(
 ) -> FalsificationReport:
     """Shared sampling loop over the blocks of :func:`_sample_blocks`, drawn
     from ``spec.seed``; ``spec.samples`` must be a positive integer.  The
-    points of a draw the sweep finishes are kept in-process for the next
-    sweep on the same samples (:func:`_seeded_points`), which rebuilds its
-    windows from them, so every report is that of a fresh draw.
+    points of a draw the sweep finishes are kept in-process, beside the
+    other draws kept on the same seed, for a later sweep on the same samples
+    (:func:`_seeded_points`), which rebuilds its windows from them, so every
+    report is that of a fresh draw.
 
     ``sample_fn(t, seg, u, d, mark)`` returns None for a sample its guard
     skips and (residual, derivative_scale) otherwise; a residual that is not

@@ -359,6 +359,10 @@ class _Window(HistorySegment):
             vals.setflags(write=False)
         return vals
 
+    def __reduce__(self):
+        # a copy or pickle is a plain segment of the window's own rows, not its store
+        return HistorySegment, (self.delay, self.grid, self.values)
+
     def _offsets(self) -> np.ndarray:
         """The offsets -delay, the inner knots' and 0, in one new array."""
         inner = self._dense.K[self._i0 : self._i1]

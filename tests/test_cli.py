@@ -424,6 +424,16 @@ class TestEnvelope:
         assert report["bins"] == 4
         assert report["bins_fitted"] == 3  # one bin per run: three runs
 
+    def test_an_ensemble_with_no_completed_run_exits_2(self, tmp_path, capsys):
+        # both runs blow up before the horizon, so there is nothing to fit
+        argv = ["envelope", "example-5.2", "--seed", "0", "--samples", "2", "--step", "1e-2", "--horizon", "4"]
+        assert main(argv + ["--out", str(tmp_path / "art")]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: no run completed: 2 of 2 runs blew up, the first stop at t=2.61; "
+            "shorten the horizon or lower envelope.norm_bound\n"
+        )
+
 
 # ---------------------------------------------------------------------------
 # error paths

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfdestab import (
     ComparisonFn,
@@ -641,9 +643,10 @@ class TestSampleBlocks:
             monkeypatch.setattr(lyapunov, "FALSIFY_BLOCK", block)
             del draws[:]
             reports[block] = [json.dumps(run().to_json_dict(), sort_keys=True) for run in runs]
-            # the block size is in a kept draw's key, so every size draws: four
-            # sweeps draw, and example-4.8's second certificate reuses the first's
-            assert draws == 4 * _blocks_of(spec.samples, block)
+            # the block size is in a kept draw's key, so every size draws: three
+            # sweeps draw; example-4.8's second certificate reuses the first's
+            # draw, and the raising example-5.2 sweep its certificate's
+            assert draws == 3 * _blocks_of(spec.samples, block)
         assert all(texts == reports[1] for texts in reports.values())
         unweighted, raising = json.loads(reports[1][1]), json.loads(reports[1][-1])
         assert unweighted["verdict"] == "counterexample" and unweighted["witness"] is not None
@@ -810,10 +813,17 @@ KEY_CHANGES = {
 }
 
 
+def _points(blocks) -> list:
+    """The point arrays of a draw's blocks: times, knot offsets, knot rows,
+    knot counts and box points."""
+    return [a for *arrays, drawn in blocks for a in (*arrays, *drawn)]
+
+
 class TestKeptDraw:
-    """A sweep keeps the points it drew, and the next sweep that would draw
-    exactly the same samples builds its windows from them without a generator
-    call; every report is that of a fresh draw."""
+    """A sweep keeps the points it drew, beside the draws kept on its seed,
+    and a later sweep that would draw exactly the same samples builds its
+    windows from them without a generator call; every report is that of a
+    fresh draw."""
 
     def test_a_second_sweep_on_the_same_spec_makes_no_generator_call(self, draws):
         bundle = build_example("example-4.8")
@@ -826,6 +836,59 @@ class TestKeptDraw:
         # the unweighted sweep on the weighted one's draw gives its pinned report
         pinned = BLOCK_REPORTS["example-4.8", "unweighted-guard-fails"][samples]
         assert hashlib.sha256(texts[2].encode()).hexdigest() == pinned
+
+    def test_interleaved_specs_on_one_seed_keep_both_draws(self, draws, monkeypatch):
+        samples = FALSIFY_BLOCK + 1
+        a = build_example("example-4.8").certificate("weighted-input-decay").runner
+        b = build_example("example-5.2").certificate("guarded-exponential-decay").runner
+        texts, drawn = [], []
+        for run in (a, b, a):
+            del draws[:]
+            texts.append(json.dumps(run(samples=samples).to_json_dict(), sort_keys=True))
+            drawn.append(list(draws))
+        assert drawn == [_blocks_of(samples, FALSIFY_BLOCK)] * 2 + [[]]
+        monkeypatch.setattr(lyapunov, "_kept", None)
+        assert json.dumps(a(samples=samples).to_json_dict(), sort_keys=True) == texts[2]
+
+    def test_a_sweep_on_another_seed_drops_the_kept_draws(self, draws):
+        fresh = _seen_by_callbacks(KEY_SYSTEM, KEY_SPEC)
+        _seen_by_callbacks(KEY_SYSTEM, replace(KEY_SPEC, seed=1))
+        del draws[:]
+        assert _seen_by_callbacks(KEY_SYSTEM, KEY_SPEC) == fresh
+        assert draws == _blocks_of(KEY_SPEC.samples, FALSIFY_BLOCK)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        budget=st.integers(0, 40_000),
+        sweeps=st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.sampled_from([KEY_SYSTEM, replace(KEY_SYSTEM, delay_r=0.5), replace(KEY_SYSTEM, dim_n=2)]),
+                st.sampled_from([1, FALSIFY_BLOCK, FALSIFY_BLOCK + 1, 300]),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_the_kept_draws_fit_the_byte_budget_together(self, budget, sweeps):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lyapunov, "FALSIFY_KEEP_BYTES", budget)
+            mp.setattr(lyapunov, "_kept", None)
+            for seed, sys_, samples, draw_u in sweeps:
+                spec = replace(KEY_SPEC, seed=seed, samples=samples)
+                for _ in lyapunov._sample_blocks(None, sys_, spec, draw_u):
+                    pass
+                kept = {} if lyapunov._kept is None else lyapunov._kept[1]
+                assert sum(a.nbytes for blocks in kept.values() for a in _points(blocks)) <= budget
+                # the last sweep's draw is kept, as drawn, when it fits alone
+                boxes = (sys_.u_box if draw_u else None, sys_.d_box)
+                fresh = _points(lyapunov._draw_blocks(np.random.default_rng(seed), sys_, spec, boxes))
+                key = lyapunov._draw_key(sys_, spec, boxes)
+                assert (key in kept) == (sum(a.nbytes for a in fresh) <= budget)
+                if key in kept:
+                    got = _points(kept[key])
+                    assert len(got) == len(fresh) and all(map(np.array_equal, got, fresh))
 
     @pytest.mark.parametrize("first, second", KEY_CHANGES.values(), ids=KEY_CHANGES.keys())
     def test_a_change_of_any_key_field_draws_afresh(self, draws, monkeypatch, first, second):
@@ -850,7 +913,8 @@ class TestKeptDraw:
 
     def test_a_draw_over_the_byte_budget_is_not_kept(self, draws, monkeypatch):
         fresh = _seen_by_callbacks(KEY_SYSTEM, KEY_SPEC)
-        size = sum(a.nbytes for *arrays, drawn in lyapunov._kept[1] for a in (*arrays, *drawn))
+        (blocks,) = lyapunov._kept[1].values()
+        size = sum(a.nbytes for a in _points(blocks))
         for budget, drawn_again in [(size - 1, True), (size, False)]:
             monkeypatch.setattr(lyapunov, "FALSIFY_KEEP_BYTES", budget)
             monkeypatch.setattr(lyapunov, "_kept", None)

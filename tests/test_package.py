@@ -198,3 +198,37 @@ def test_only_draw_runs_draws_ensemble_signals():
                 inner = max(around, key=lambda fn: fn.lineno).name if around else "<module>"
                 callers.append(f"{path.stem}.{inner}")
     assert callers and set(callers) == {"simulator._draw_runs"}, callers
+
+
+def _unbounded_caches(path: Path) -> list:
+    """Each ``functools.cache`` in a module, and each ``functools.lru_cache``
+    not called with an integer ``maxsize`` (bare, ``maxsize=None`` or none
+    given), by the module's own names for them."""
+    tree = ast.parse(path.read_text())
+    modules, names = {"functools"}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names if alias.name == "functools")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update((alias.asname or alias.name, alias.name) for alias in node.names)
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            name = node.attr
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = names.get(node.id)
+        else:
+            continue
+        call = calls.get(id(node))
+        size = None if call is None else (call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"])
+        bounded = size and isinstance(size[0], ast.Constant) and type(size[0].value) is int
+        if name == "cache" or (name == "lru_cache" and not bounded):
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    return found
+
+
+def test_every_cache_is_bounded():
+    # memory stays bounded: a cache keeps at most an integer number of entries
+    found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in _unbounded_caches(path)]
+    assert not found, found

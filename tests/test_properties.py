@@ -832,17 +832,20 @@ class TestDenseWindows:
         off_nodes = traj.t0 + np.asarray(queries) * (traj.t_end - traj.t0)
         for t in np.concatenate([traj.times[-1:], off_nodes]):
             view = traj.history(t)
-            # copied before anything materializes the view's grid and values
+            # copied before anything materializes the view's grid and values:
+            # a copy is a plain segment of the view's own rows, not of its store
             copies = [copy.deepcopy(view), pickle.loads(pickle.dumps(view))]
             plain = HistorySegment(view.delay, view.grid, view.values)
             assert view == plain and plain == view
             for dup in copies:
-                assert dup == plain and plain == dup
-                node = dup._dense.node_window(0)  # a copied store still hands out frozen rows
-                assert not (node.head.flags.writeable or node.delayed.flags.writeable)
+                assert type(dup) is HistorySegment and dup == plain and plain == dup
+                assert np.array_equal(dup.grid, view.grid) and np.array_equal(dup.values, view.values)
                 assert np.array_equal(dup.head, view.head)
                 assert np.array_equal(dup.delayed, view.delayed)
-                assert np.array_equal(dup.integral(), view.integral())
+                assert np.array_equal(dup.integral(), plain.integral())
+        for store in (copy.deepcopy(traj._dense), pickle.loads(pickle.dumps(traj._dense))):
+            node = store.node_window(0)  # a copied store still hands out frozen rows
+            assert not (node.head.flags.writeable or node.delayed.flags.writeable)
 
     @pytest.mark.parametrize("blowup, t_stop", [(12.0, 0.45), (20.0, 0.62)])
     def test_a_run_that_stops_before_its_close_switches(self, blowup, t_stop):

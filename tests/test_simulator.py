@@ -1,7 +1,9 @@
 """Method-of-steps integration, moduli estimation, continuity bound, completeness probe."""
 
+import copy
 import hashlib
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -169,6 +171,16 @@ class TestTrajectoryAccessors:
                 kept = row.copy()
                 row[...] = -7.0
                 assert np.array_equal(traj.state(t), kept)
+
+    def test_a_pickled_or_copied_window_carries_its_own_rows(self):
+        system = build_example("example-5.2").system
+        runs = _draw_runs(system, np.random.default_rng(0), 1, 1.0, 1.0, 0.4)
+        (traj,) = _integrate_runs(system, 0.0, runs, 1.0, IntegrateOpts(step_req=1e-3))
+        window = traj._dense.node_window(traj.times.size - 1)
+        plain = HistorySegment(window.delay, window.grid, window.values)
+        assert len(pickle.dumps(window)) <= len(pickle.dumps(plain)) + 1024
+        for dup in (pickle.loads(pickle.dumps(window)), copy.copy(window), copy.deepcopy(window)):
+            assert type(dup) is HistorySegment and dup == plain
 
     def test_history_matches_state_samples(self):
         sys_ = delayed_negative_feedback()
