@@ -462,6 +462,11 @@ def main(argv=None) -> int:
         for key, value in vars(args).items():
             if key not in ("config", "system") and value is not None:
                 raw[key] = value
+        out = raw.get("out", "artifacts")
+        if isinstance(out, str) and out:
+            # the manifest is written last, so one in --out means that a run
+            # finished: a previous run's goes before this one can be refused
+            Path(out, "manifest.json").unlink(missing_ok=True)
         cfg = RunConfig.from_dict(raw)
         return run(cfg)
     except ConfigError as exc:

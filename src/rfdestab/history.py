@@ -127,14 +127,7 @@ class HistorySegment:
                 f"offset {theta!r} outside the window [{-self.delay!r}, 0]"
             )
         theta = min(max(theta, -self.delay), 0.0)
-        grid = self.grid
-        # the grid runs from exactly -delay to exactly 0, so i is in [0, size - 1],
-        # and i = size - 1 only at theta = 0, an exact knot
-        i = int(np.searchsorted(grid, theta, side="right")) - 1
-        if grid[i] == theta:
-            return self.values[i].copy()
-        w = (theta - grid[i]) / (grid[i + 1] - grid[i])
-        return (1.0 - w) * self.values[i] + w * self.values[i + 1]
+        return _interp(self.grid, self.values, np.array([theta], dtype=float))[0]
 
     def eval_many(self, thetas: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`eval`; rows of values for each offset."""
@@ -315,14 +308,16 @@ def sample_history(
     interior offsets (``random``, one call, read as ``uniform(-delay, 0)``),
     then for each knot a normal direction (``normal``) and, unless it is
     zero, a radius (``random``).  This is a block of one of the falsifiers'
-    block draw: the generator calls are made one knot at a time in that
-    order, and the arithmetic on the drawn values (ball points, slope clips,
-    densified rows) runs once for the block, so the stream and the window
-    are those of a scalar draw.  The window is valid by construction: after
-    ``delay`` and ``norm_bound`` are checked it is built by the private
-    ``_segment``, while segments users build are still validated.
+    block draw, :func:`_draw_points` without a time or box point: the
+    generator calls are made one knot at a time in that order, and the
+    arithmetic on the drawn values (ball points, slope clips, densified rows)
+    runs once for the block, so the stream and the window are those of a
+    scalar draw.  The window is valid by construction: after ``delay`` and
+    ``norm_bound`` are checked it is built by the private
+    :func:`_build_windows`, while segments users build are still validated.
     """
-    return _draw_block(rng, 1, delay, dim, norm_bound)[1][0]
+    _, offsets, rows, sizes, _ = _draw_points(rng, 1, delay, dim, norm_bound)
+    return _build_windows(delay, offsets, rows, sizes)[0]
 
 
 def _box_range(box: np.ndarray) -> tuple:
@@ -338,22 +333,6 @@ def _box_range(box: np.ndarray) -> tuple:
     if np.signbit(span).any():
         raise ValueError("high - low < 0")
     return lo, span
-
-
-def _draw_block(
-    rng: np.random.Generator,
-    count: int,
-    delay: float,
-    dim: int,
-    norm_bound: float,
-    t_range: tuple | None = None,
-    boxes: tuple = (),
-) -> tuple:
-    """``count`` samples of a time, a :func:`sample_history` window and a
-    point of each box: the times as floats, the windows and the box points of
-    :func:`_draw_points`' draw."""
-    times, offsets, rows, sizes, drawn = _draw_points(rng, count, delay, dim, norm_bound, t_range, boxes)
-    return times.tolist(), _build_windows(delay, offsets, rows, sizes), drawn
 
 
 def _draw_points(

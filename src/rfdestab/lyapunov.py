@@ -348,42 +348,6 @@ def _guard_holds(level: float, energy: float) -> bool:
     raise ValueError(f"guard compares NaN: level {level!r}, energy {energy!r}")
 
 
-def _sample_blocks(rng: np.random.Generator | None, sys: RfdeSystem, spec: SamplerSpec, draw_u: bool):
-    """Yield the ``spec.samples`` samples drawn from ``rng`` FALSIFY_BLOCK at
-    a time, each block as (times, windows, us, ds), one entry per sample;
-    ``zip(*block)`` gives its samples as (t, window, u, d).
-
-    A block is one ``history._draw_points`` call and the windows
-    ``history._build_windows`` builds from its points: its generator calls
-    run sample by sample in the order t, window, u, d (one ``random`` per box
-    row), and its arithmetic runs once per block, so every sample is the one
-    that ``uniform``, ``sample_history`` and one ``uniform`` per box row give,
-    drawing one sample at a time.  Without ``draw_u`` no input is drawn and
-    each u is the system's zero input.  A given ``rng`` is always drawn from;
-    with None the samples are those of a generator seeded with ``spec.seed``,
-    and their points may come from a draw kept on that seed
-    (:func:`_seeded_points`).
-    """
-    boxes = (sys.u_box if draw_u else None, sys.d_box)
-    blocks = _seeded_points(sys, spec, boxes) if rng is None else _draw_blocks(rng, sys, spec, boxes)
-    for times, offsets, rows, sizes, (us, ds) in blocks:
-        windows = _build_windows(sys.delay_r, offsets, rows, sizes)
-        if not draw_u:
-            us = [sys.zero_input() for _ in windows]
-        yield times.tolist(), windows, us, ds
-
-
-def _draw_blocks(rng: np.random.Generator, sys: RfdeSystem, spec: SamplerSpec, boxes: tuple):
-    """Yield the points of each block of :func:`_sample_blocks`' draw from
-    ``rng``, the box points from ``boxes`` (the input box, or None when no
-    input is drawn, and the disturbance box)."""
-    for start in range(0, spec.samples, FALSIFY_BLOCK):
-        count = min(FALSIFY_BLOCK, spec.samples - start)
-        yield _draw_points(
-            rng, count, sys.delay_r, sys.dim_n, spec.norm_bound, (spec.t_lo, spec.t_hi), boxes
-        )
-
-
 # None, or the points of the draws sweeps finished on one seed, as (seed,
 # {key: blocks}) with the newest draw first: replaced whole, never changed in
 # place, and at most FALSIFY_KEEP_BYTES of arrays in all
@@ -407,26 +371,49 @@ def _draw_key(sys: RfdeSystem, spec: SamplerSpec, boxes: tuple) -> tuple | None:
     return (*key, *[None if box is None else (box.shape, box.tobytes()) for box in boxes])
 
 
-def _seeded_points(sys: RfdeSystem, spec: SamplerSpec, boxes: tuple):
-    """Yield the points of each block of the draw from ``spec.seed``: the
-    kept ones, without a generator call, when a draw a sweep finished on this
-    seed had the same :func:`_draw_key`; else drawn afresh, and kept once the
-    sweep has consumed the last block (:func:`_keeping`).  A fresh draw on
-    another seed, or one that is never kept, drops the kept draws first.
-    Each block's box points are copies, so no sweep sees what a callback
-    wrote into another's."""
+def _sample_blocks(sys: RfdeSystem, spec: SamplerSpec, draw_u: bool):
+    """Yield the ``spec.samples`` samples of a generator seeded with
+    ``spec.seed``, FALSIFY_BLOCK at a time, each block as (times, windows,
+    us, ds), one entry per sample; ``zip(*block)`` gives its samples as (t,
+    window, u, d).  This is the falsifiers' one draw.
+
+    A block is one ``history._draw_points`` call and the windows
+    ``history._build_windows`` builds from its points: its generator calls
+    run sample by sample in the order t, window, u, d (one ``random`` per box
+    row), and its arithmetic runs once per block, so every sample is the one
+    that ``uniform``, ``sample_history`` and one ``uniform`` per box row give,
+    drawing one sample at a time.  Without ``draw_u`` no input is drawn and
+    each u is the system's zero input.
+
+    The points come without a generator call from a draw a sweep finished on
+    this seed when it had the same :func:`_draw_key`; else they are drawn
+    afresh, and kept once the sweep has consumed the last block
+    (:func:`_keeping`).  A fresh draw on another seed, or one that is never
+    kept, drops the kept draws first.  Each block's box points are copies,
+    so no sweep sees what a callback wrote into another's.
+    """
     global _kept
+    boxes = (sys.u_box if draw_u else None, sys.d_box)
     key, kept = _draw_key(sys, spec, boxes), _kept  # one read: another thread may replace it
     if kept is not None and key in kept[1]:
         blocks = kept[1][key]
     else:
         if kept is not None and (key is None or kept[0] != key[4]):  # key[4] is the seed's entry
             _kept = None
-        blocks = _draw_blocks(np.random.default_rng(spec.seed), sys, spec, boxes)
+        rng, t_range = np.random.default_rng(spec.seed), (spec.t_lo, spec.t_hi)
+        blocks = (
+            _draw_points(rng, min(FALSIFY_BLOCK, spec.samples - start), sys.delay_r, sys.dim_n,
+                         spec.norm_bound, t_range, boxes)
+            for start in range(0, spec.samples, FALSIFY_BLOCK)
+        )
         if key is not None:
             blocks = _keeping(key, blocks)
     for times, offsets, rows, sizes, drawn in blocks:
-        yield times, offsets, rows, sizes, [points.copy() for points in drawn]
+        windows = _build_windows(sys.delay_r, offsets, rows, sizes)
+        us, ds = [points.copy() for points in drawn]
+        if not draw_u:
+            us = [sys.zero_input() for _ in windows]
+        yield times.tolist(), windows, us, ds
 
 
 def _nbytes(block) -> int:
@@ -475,9 +462,9 @@ def _falsify(
     """Shared sampling loop over the blocks of :func:`_sample_blocks`, drawn
     from ``spec.seed``; ``spec.samples`` must be a positive integer.  The
     points of a draw the sweep finishes are kept in-process, beside the
-    other draws kept on the same seed, for a later sweep on the same samples
-    (:func:`_seeded_points`), which rebuilds its windows from them, so every
-    report is that of a fresh draw.
+    other draws kept on the same seed, for a later sweep on the same samples,
+    which :func:`_sample_blocks` rebuilds its windows from, so every report
+    is that of a fresh draw.
 
     ``sample_fn(t, seg, u, d, mark)`` returns None for a sample its guard
     skips and (residual, derivative_scale) otherwise; a residual that is not
@@ -496,7 +483,7 @@ def _falsify(
     failures = 0
     first_failure = None
     tested = 0
-    for times, windows, us, ds in _sample_blocks(None, sys, spec, draw_u):
+    for times, windows, us, ds in _sample_blocks(sys, spec, draw_u):
         marks = [None] * len(times) if screen is None else screen(times, windows)
         for t, seg, u, d, mark in zip(times, windows, us, ds, marks):
             try:

@@ -89,7 +89,7 @@ def test_criterion_1_quartic_energy_dissipation_residual():
     spec = SamplerSpec(0.0, 3.0, 2.0, 10_000, seed=1)
     # per sample, in this order: t ~ U(0, 3), a window of norm at most 2, u and d ~ U(-1, 1)
     asked = time.process_time()
-    for block in _sample_blocks(np.random.default_rng(spec.seed), sys_, spec, True):
+    for block in _sample_blocks(sys_, spec, True):
         draw_cpu += time.process_time() - asked
         for t, seg, u, d in zip(*block):
             v = np.asarray(sys_.dynamics(t, seg, u, d), dtype=float)

@@ -452,6 +452,27 @@ class TestErrorPaths:
         assert not (tmp_path / "bad.json").exists()
 
     @pytest.mark.parametrize(
+        "refused",
+        [
+            ["envelope", "example-5.2", "--seed", "0", "--samples", "2", "--step", "1e-2", "--horizon", "4"],
+            ["check", "example-5.2", "--certificate", "nope", "--seed", "0"],
+            ["check", "example-9.9", "--seed", "0"],
+            ["simulate", "example-5.4", "--seed", "0", "--samples", "0"],
+        ],
+        ids=["envelope-no-run-completed", "check-unknown-certificate", "unknown-system", "samples-below-1"],
+    )
+    def test_a_refused_command_leaves_no_manifest(self, tmp_path, capsys, refused):
+        # the manifest is written last, so one in --out means that a run
+        # finished: a refused command drops a previous run's
+        out = tmp_path / "art"
+        finished = ["envelope", "example-5.2", "--seed", "3", "--samples", "3", "--step", "1e-2", "--horizon", "2"]
+        assert main(finished + ["--out", str(out)]) == 0
+        assert load_json(out, "manifest.json")["exit_status"] == 0
+        assert main(refused + ["--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
         "argv, params, named",
         [
             (["simulate", "example-5.4", "--horizon", "-1"], None, "horizon must be finite"),

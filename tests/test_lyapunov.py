@@ -41,6 +41,7 @@ from rfdestab import (
     sup_norm,
 )
 from rfdestab import lyapunov
+from rfdestab.history import _draw_points
 from rfdestab.lyapunov import FALSIFY_BLOCK, LADDER_STEPS, _extrapolate
 
 ZERO_D = np.array([[0.0, 0.0]])
@@ -621,8 +622,10 @@ class TestSampleBlocks:
         # block's samples makes its own window's call
         b52 = bundles["example-5.2"]
         spec = SamplerSpec(samples=300, seed=7)
-        blocks = lyapunov._sample_blocks(np.random.default_rng(spec.seed), b52.system, spec, False)
+        blocks = lyapunov._sample_blocks(b52.system, spec, False)
         bad_t = np.concatenate([times for times, *_ in blocks])[150]
+        # the draw of that time is kept; the counts below start from none
+        monkeypatch.setattr(lyapunov, "_kept", None)
         many = b52.pointwise.evaluator_many
 
         def raising_many(ts, X):
@@ -819,6 +822,16 @@ def _points(blocks) -> list:
     return [a for *arrays, drawn in blocks for a in (*arrays, *drawn)]
 
 
+def _fresh_blocks(sys_, spec, boxes) -> list:
+    """The points of each block of a fresh draw from ``spec.seed``, drawn as
+    :func:`lyapunov._sample_blocks` draws them."""
+    rng = np.random.default_rng(spec.seed)
+    return [
+        _draw_points(rng, count, sys_.delay_r, sys_.dim_n, spec.norm_bound, (spec.t_lo, spec.t_hi), boxes)
+        for count in _blocks_of(spec.samples, FALSIFY_BLOCK)
+    ]
+
+
 class TestKeptDraw:
     """A sweep keeps the points it drew, beside the draws kept on its seed,
     and a later sweep that would draw exactly the same samples builds its
@@ -877,13 +890,13 @@ class TestKeptDraw:
             mp.setattr(lyapunov, "_kept", None)
             for seed, sys_, samples, draw_u in sweeps:
                 spec = replace(KEY_SPEC, seed=seed, samples=samples)
-                for _ in lyapunov._sample_blocks(None, sys_, spec, draw_u):
+                for _ in lyapunov._sample_blocks(sys_, spec, draw_u):
                     pass
                 kept = {} if lyapunov._kept is None else lyapunov._kept[1]
                 assert sum(a.nbytes for blocks in kept.values() for a in _points(blocks)) <= budget
                 # the last sweep's draw is kept, as drawn, when it fits alone
                 boxes = (sys_.u_box if draw_u else None, sys_.d_box)
-                fresh = _points(lyapunov._draw_blocks(np.random.default_rng(seed), sys_, spec, boxes))
+                fresh = _points(_fresh_blocks(sys_, spec, boxes))
                 key = lyapunov._draw_key(sys_, spec, boxes)
                 assert (key in kept) == (sum(a.nbytes for a in fresh) <= budget)
                 if key in kept:

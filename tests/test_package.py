@@ -3,7 +3,8 @@ modules' public APIs, every exported checker is reached by a certificate, the
 command line or a demo (not by the benchmark), README's claims table names the
 bundles' certificates and its module table states the falsifiers' block size,
 no module keeps an import it does not use or imports SciPy, only `_draw_runs`
-draws an ensemble's signals, no private function or method keeps a parameter
+draws an ensemble's signals, only `_sample_blocks` and `sample_history` draw
+sampled windows, no private function or method keeps a parameter
 it does not read, and every private definition is referenced."""
 
 import ast
@@ -181,23 +182,36 @@ def test_no_unreferenced_private_definitions():
     assert not unreferenced, unreferenced
 
 
-def test_only_draw_runs_draws_ensemble_signals():
-    # one ensemble draw: outside signals.py, which defines it, _draw_signal is
-    # called only inside simulator._draw_runs, so a new draw loop fails here
+def _callers(name: str) -> list:
+    """``module.function`` of each call of ``name`` in the package (as a
+    name or an attribute), by its innermost enclosing function."""
     callers = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "signals.py":
-            continue
         tree = ast.parse(path.read_text())
         functions = [fn for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
                 continue
-            if "_draw_signal" in (getattr(call.func, "id", None), getattr(call.func, "attr", None)):
+            if name in (getattr(call.func, "id", None), getattr(call.func, "attr", None)):
                 around = [fn for fn in functions if fn.lineno <= call.lineno <= fn.end_lineno]
                 inner = max(around, key=lambda fn: fn.lineno).name if around else "<module>"
                 callers.append(f"{path.stem}.{inner}")
+    return callers
+
+
+def test_only_draw_runs_draws_ensemble_signals():
+    # one ensemble draw: outside signals.py, which defines it, _draw_signal is
+    # called only inside simulator._draw_runs, so a new draw loop fails here
+    callers = [c for c in _callers("_draw_signal") if not c.startswith("signals.")]
     assert callers and set(callers) == {"simulator._draw_runs"}, callers
+
+
+def test_only_sample_blocks_and_sample_history_draw_points():
+    # one falsifier draw: _draw_points is called only by lyapunov._sample_blocks
+    # and by history.sample_history, its draw of one window, so a second
+    # block draw fails here
+    callers = _callers("_draw_points")
+    assert sorted(callers) == ["history.sample_history", "lyapunov._sample_blocks"], callers
 
 
 def _unbounded_caches(path: Path) -> list:

@@ -37,7 +37,8 @@ from rfdestab import (
     sup_norm,
     verify_v_decay_estimate,
 )
-from rfdestab.history import _draw_block, _trapezoid
+from rfdestab import lyapunov
+from rfdestab.history import _build_windows, _draw_points, _trapezoid
 from rfdestab.lyapunov import FALSIFY_BLOCK, _sample_blocks, _window_tops
 from rfdestab.simulator import _integrate_runs, _tail_pieces, _trailing_window_max, _Window
 
@@ -307,10 +308,13 @@ def _scalar_samples(rng, sys_, spec, draw_u):
         yield t, seg, u, box_point(sys_.d_box)
 
 
-def _block_samples(rng, sys_, spec, draw_u):
-    """The falsifiers' samples drawn from ``rng``, block after block, as
-    (t, window, u, d)."""
-    return [sample for block in _sample_blocks(rng, sys_, spec, draw_u) for sample in zip(*block)]
+def _block_samples(sys_, spec, draw_u):
+    """The falsifiers' samples drawn from ``spec.seed``, block after block,
+    as (t, window, u, d): a fresh draw, which leaves the kept draws as they
+    were."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lyapunov, "_kept", None)
+        return [sample for block in _sample_blocks(sys_, spec, draw_u) for sample in zip(*block)]
 
 
 def _assert_same_window(seg, ref):
@@ -407,8 +411,8 @@ class TestSampleHistory:
         # every (t, window, u, d) of the falsifiers' blocks is the scalar draw's
         sys_ = RfdeSystem(delay, dim, None, None, d_box, None if u_box is None else np.array(u_box))
         spec = SamplerSpec(t_lo, t_lo + t_width, norm_bound, count, seed)
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _block_samples(rng, sys_, spec, draw_u)
+        ref_rng = np.random.default_rng(seed)
+        got = _block_samples(sys_, spec, draw_u)
         want = list(_scalar_samples(ref_rng, sys_, spec, draw_u))
         assert len(got) == len(want) == count
         for (t, seg, u, d), (t_ref, ref, u_ref, d_ref) in zip(got, want):
@@ -416,7 +420,10 @@ class TestSampleHistory:
             _assert_same_window(seg, ref)
             assert u.shape == u_ref.shape and u.tobytes() == u_ref.tobytes()
             assert d.shape == d_ref.shape and d.tobytes() == d_ref.tobytes()
-        # and the block leaves the generator where the scalar draws do
+        # and the same blocks leave the generator where the scalar draws do
+        rng, boxes = np.random.default_rng(seed), (sys_.u_box if draw_u else None, sys_.d_box)
+        for start in range(0, count, FALSIFY_BLOCK):
+            _draw_points(rng, min(FALSIFY_BLOCK, count - start), delay, dim, norm_bound, (spec.t_lo, spec.t_hi), boxes)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("dim", [1, 3])
@@ -427,12 +434,13 @@ class TestSampleHistory:
         box = np.array([[0.3, 0.3], [-2.0, 2.0]])
         spec = SamplerSpec(norm_bound=2.0, samples=FALSIFY_BLOCK + 1)
         sys_ = RfdeSystem(0.5, dim, None, None, box)
-        times, windows, (points,) = _draw_block(
+        times, offsets, rows, sizes, (points,) = _draw_points(
             rng, spec.samples, 0.5, dim, 2.0, (spec.t_lo, spec.t_hi), (box,)
         )
+        windows = _build_windows(0.5, offsets, rows, sizes)
         want = list(_scalar_samples(ref, sys_, spec, False))
         assert not windows[0].delayed.any()
-        for t, seg, d, (t_ref, ref_seg, _, d_ref) in zip(times, windows, points, want):
+        for t, seg, d, (t_ref, ref_seg, _, d_ref) in zip(times.tolist(), windows, points, want):
             assert t.hex() == t_ref.hex()
             _assert_same_window(seg, ref_seg)
             assert d.tobytes() == d_ref.tobytes()
@@ -449,7 +457,7 @@ class TestSampleHistory:
         # and, unless it is zero (every fourth here), a radius; then the box rows
         rng = _Recording(_ZeroNormals(5, range(0, 100, 4)))
         box = np.array([[0.3, 0.3], [-2.0, 2.0]])
-        _draw_block(rng, 3, 0.5, dim, 2.0, (0.0, 5.0), (box,))
+        _draw_points(rng, 3, 0.5, dim, 2.0, (0.0, 5.0), (box,))
         calls = iter(rng.calls)
         zero_normals = 0
         for _ in range(3):
@@ -518,7 +526,7 @@ def _razumikhin_by_window(sys_, Vr, a, rho, spec):
     window at a time, each window making its own ``Vr.along`` call."""
     tested = skipped = failures = 0
     first, found = None, False
-    for t, seg, u, d in _block_samples(np.random.default_rng(spec.seed), sys_, spec, False):
+    for t, seg, u, d in _block_samples(sys_, spec, False):
         try:
             x0 = seg.values[-1]
             v0 = float(Vr.evaluator(t, x0))
@@ -565,7 +573,7 @@ class TestWindowScreen:
         spec = SamplerSpec(t_lo, t_lo + t_width, norm_bound, count, seed)
         many = _screen_energy(nan_cut * norm_bound, math.inf, 10**9)
         Vr = RazumikhinFunction(lambda t, x: 0.0, evaluator_many=many)
-        times, windows, _, _ = zip(*_block_samples(np.random.default_rng(seed), sys_, spec, False))
+        times, windows, _, _ = zip(*_block_samples(sys_, spec, False))
         for t, seg, (top, finite) in zip(times, windows, _window_tops(Vr, times, windows)):
             vals = Vr.along(t + seg.grid, seg.values)
             assert type(top) is float and type(finite) is bool
