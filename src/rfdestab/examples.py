@@ -164,10 +164,11 @@ def example_4_8(r: float = 0.5, u_max: float = 1.0) -> ExampleBundle:
     last = [None]
 
     def v_terms(t, seg):
-        """x1(0), x2(0), e^{-8t}, e^{-4t} and the window integral of x1^4."""
+        """x1(0), x2(0), e^{-8t}, e^{-4t} and the window integral of x1^4 as Python
+        floats; the integrand is two squarings, within an ulp or two of np.power."""
         x1 = seg.values[:, 0]
-        integral = float(_trapezoid(x1 ** 4, seg.grid))
-        return x1[-1], seg.values[-1, 1], math.exp(-8.0 * t), math.exp(-4.0 * t), integral
+        integral = float(_trapezoid(np.square(x1 * x1), seg.grid))
+        return (*seg.values[-1].tolist(), math.exp(-8.0 * t), math.exp(-4.0 * t), integral)
 
     def energy(x10, x20, e8, e4, integral):
         return e8 * x10 ** 4 + e4 * x10 ** 2 + 0.5 * x20 ** 2 + 0.25 * e8 * integral
@@ -178,10 +179,10 @@ def example_4_8(r: float = 0.5, u_max: float = 1.0) -> ExampleBundle:
         return energy(*terms)
 
     def v_many(t, grid, X):
-        """v_eval of each window (grid, X[i]), bitwise: the integrals are the
-        row sums of one trapezoid over the stack, the point terms Python floats."""
+        """v_eval of each window (grid, X[i]), bitwise row for row: the integrals are the
+        row sums of one trapezoid over the stack's two squarings, the point terms Python floats."""
         e8, e4 = math.exp(-8.0 * t), math.exp(-4.0 * t)
-        integrals = _trapezoid(X[:, :, 0] ** 4, grid).tolist()
+        integrals = _trapezoid(np.square(X[:, :, 0] * X[:, :, 0]), grid).tolist()
         return [energy(x10, x20, e8, e4, i) for (x10, x20), i in zip(X[:, -1].tolist(), integrals)]
 
     def v_dini(t, seg, v):
@@ -189,7 +190,7 @@ def example_4_8(r: float = 0.5, u_max: float = 1.0) -> ExampleBundle:
         # windows are immutable, so the same window at the same t has the same terms
         hit = memo is not None and memo[0] is seg and memo[1] == t
         x10, x20, e8, e4, integral = memo[2] if hit else v_terms(t, seg)
-        x1_back = seg.values[0, 0]
+        x1_back = seg.values.item(0, 0)
         return (
             -8.0 * e8 * x10 ** 4
             - 4.0 * e4 * x10 ** 2

@@ -240,9 +240,20 @@ def extend(segment: HistorySegment, v, step: float) -> HistorySegment:
         raise ValueError(
             f"step must lie inside [0, {segment.delay!r}), got {step!r}"
         )
+    return _slide(segment, _slope(segment, v), step)
+
+
+def _slope(segment: HistorySegment, v) -> np.ndarray:
+    """``v`` as a float slope of shape ``(segment.dim,)``, or ValueError."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.shape != (segment.dim,):
         raise ValueError(f"slope must have shape ({segment.dim},)")
+    return v
+
+
+def _slide(segment: HistorySegment, v: np.ndarray, step: float) -> HistorySegment:
+    """:func:`extend` after its checks: the caller gives ``0 < step < delay`` and a
+    slope from :func:`_slope`.  A slid row that is not finite raises ValueError."""
     r = segment.delay
     grid, values = segment.grid, segment.values
 

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .compfn import ComparisonFn, _guard_level
-from .history import HistorySegment, _build_windows, _draw_points, _segment, extend, sup_norm
+from .history import HistorySegment, _build_windows, _draw_points, _segment, _slide, _slope, sup_norm
 from .simulator import IntegrateOpts, RfdeSystem, _integrate_runs, output_norm
 
 __all__ = [
@@ -224,11 +224,11 @@ def _functional_ladder(V: LyapunovFunctional, t: float, x: HistorySegment, v, ba
     """:func:`dini_functional`'s numeric ladder from ``base``, the energy
     V(t, x) now, which a caller that has it hands over instead of evaluating
     it again."""
-    v = np.asarray(v, dtype=float)
+    v = _slope(x, v)
     dirs = _probe_directions(x.dim)
 
     def rung(h: float) -> np.ndarray:
-        slid = extend(x, v, h)
+        slid = _slide(x, v, h)  # _steps_below keeps 0 < h < x.delay
         stack = np.empty((1 + LADDER_PROBES, *slid.values.shape))
         stack[0] = slid.values
         # shifts of at most h^2 <= 1e-4 keep finite rows finite

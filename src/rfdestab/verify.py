@@ -215,9 +215,12 @@ def check_monotone_decay(
     monotonicity test.  A step from w0 to w1 violates when
     ``w1 > w0 + rel_slack * (1 + |w0|)``; per-trajectory slacks record the
     worst margin and the report's witness is the worst offending node.
-    ``rel_slack`` must be finite and >= 0 (ValueError).
+    ``rel_slack`` must be finite and >= 0, ``window_delay`` >= 0 (0 reads each
+    node alone, inf takes the running max); ValueError otherwise.
     """
     rel_slack = _require_tolerance(rel_slack, "rel_slack")
+    if window_delay is not None and not window_delay >= 0.0:
+        raise ValueError(f"window_delay must be >= 0, got {window_delay!r}")
 
     def readings(ts, states):
         w = np.asarray(values_fn(ts, states), dtype=float)

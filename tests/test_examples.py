@@ -219,3 +219,23 @@ class TestReportShape:
         rep = DemoReport(verdict="pass", details={"k": 1.5})
         d = rep.to_json_dict()
         assert d["verdict"] == "pass" and d["k"] == 1.5
+
+
+def test_the_falsification_certificates_hold_on_seeds_0_to_19():
+    # the falsifiers' seed table: every falsification certificate at its
+    # runner's defaults gives its expected verdict on each of 20 seeds; a
+    # seed that does not is a defect of the certificate, not a seed to drop
+    sweeps = [
+        (bundle.name, cert)
+        for bundle in (make() for make in REGISTRY.values())
+        for cert in bundle.certificates
+        if cert.checker in FALSIFIER_CHECKERS
+    ]
+    assert len(sweeps) == 4
+    wrong = [
+        (name, cert.name, seed, verdict)
+        for seed in range(20)
+        for name, cert in sweeps
+        if (verdict := cert.runner(seed=seed).verdict) != cert.expected
+    ]
+    assert wrong == []

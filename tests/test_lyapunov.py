@@ -122,27 +122,38 @@ class TestDiniFunctional:
         est = dini_functional(V, 0.0, seg, np.zeros(1))
         assert est == pytest.approx(-2 * 1.5 ** 2, abs=1e-5)
 
-    def test_numeric_ladders_and_slides_are_pinned(self):
-        # sha256 over 2,000 seeded numeric Dini values of example-4.8's window
-        # energy and the windows extend slides them to, recorded when each
-        # rung built its probes and each slide its rows one at a time
+    @staticmethod
+    def _ladder_cases():
+        """2,000 seeded (energy, t, window, slope, slides) of example-4.8: one
+        slide whose lower end lands on or next to a knot, and one anywhere"""
         bundle = build_example("example-4.8")
         sys_, V = bundle.system, bundle.functional
         r = sys_.delay_r
         rng = np.random.default_rng(48)
-        digest = hashlib.sha256()
         for _ in range(2000):
             t = float(rng.uniform(0.0, 5.0))
             seg = sample_history(rng, r, sys_.dim_n, 2.0)
             v = rng.uniform(-4.0, 4.0, sys_.dim_n)
-            digest.update(np.float64(dini_functional(V, t, seg, v, NUMERIC)).tobytes())
-            # a slide whose lower end lands on or next to a knot, and one anywhere
             knot = float(seg.grid[rng.integers(1, seg.grid.size - 1)])
-            for step in (knot + r, float(rng.uniform(0.0, r))):
+            yield V, t, seg, v, (knot + r, float(rng.uniform(0.0, r)))
+
+    def test_numeric_ladders_are_pinned(self):
+        # sha256 over 2,000 seeded numeric Dini values of example-4.8's window
+        # energy, recorded with its integrand x1^4 formed as (x1 * x1)^2
+        digest = hashlib.sha256()
+        for V, t, seg, v, _ in self._ladder_cases():
+            digest.update(np.float64(dini_functional(V, t, seg, v, NUMERIC)).tobytes())
+        assert digest.hexdigest() == "f1395f280922b864b5afeadb0fadaf483c8d294371cc7bf4d646249a6c4606aa"
+
+    def test_slides_are_pinned(self):
+        # sha256 over the 4,000 windows extend slides those windows to,
+        # recorded when each slide built its rows one at a time
+        digest = hashlib.sha256()
+        for _, _, seg, v, steps in self._ladder_cases():
+            for step in steps:
                 slid = extend(seg, v, step)
                 digest.update(slid.grid.tobytes() + slid.values.tobytes())
-        assert digest.hexdigest() == "64d8e2556c500f295e266fed45f0ee2c7f443c44b53778b45544732e9405ad43"
-
+        assert digest.hexdigest() == "29aa2839cf29192bb565f8cf8cfaa958f09b308f8916ce6b6b7d9bbb74fadb2c"
 
     def test_window_at_a_time_is_bitwise_the_stacked_rung(self):
         # without evaluator_many a rung evaluates its windows one at a time

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rfdestab import (
+    DiniOpts,
     HistorySegment,
     IntegrateOpts,
     KlFn,
@@ -25,6 +26,7 @@ from rfdestab import (
     build_example,
     check_razumikhin,
     constant_signal,
+    dini_functional,
     dini_pointwise,
     exp_weight,
     extend,
@@ -38,11 +40,12 @@ from rfdestab import (
     verify_v_decay_estimate,
 )
 from rfdestab import lyapunov
-from rfdestab.history import _build_windows, _draw_points, _trapezoid
+from rfdestab.history import _build_windows, _draw_points, _slide, _slope, _trapezoid
 from rfdestab.lyapunov import FALSIFY_BLOCK, _sample_blocks, _window_tops
 from rfdestab.simulator import _integrate_runs, _tail_pieces, _trailing_window_max, _Window
 
 SETTINGS = settings(max_examples=150, deadline=None)
+NUMERIC = DiniOpts(use_analytic=False)
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -240,6 +243,33 @@ class TestExtend:
         assert (np.diff(out.grid) > 0.0).all()
         assert out.grid[-2] == -step and np.array_equal(out.values[-2], seg.values[-1])
         assert HistorySegment(out.delay, out.grid, out.values) == out
+
+    @SETTINGS
+    @given(segments(), st.lists(finite, min_size=2, max_size=2), st.floats(0.0, 1.0), st.integers(0, 12))
+    @example(  # the lower end lands exactly on a knot
+        HistorySegment(2.0, np.array([-2.0, -1.5, 0.0]), np.array([[1.0, 2], [3, 4], [5, 6]])),
+        [1.0, -1.0],
+        0.25,
+        0,
+    )
+    def test_the_ladder_slide_is_bitwise_extend(self, seg, v, frac, knot):
+        # a numeric Dini ladder checks its slope once and slides each rung
+        # with _slide: one step anywhere, and one whose lower end is a knot
+        steps = [frac * seg.delay]
+        if seg.grid.size > 2:
+            steps.append(seg.grid[1 + knot % (seg.grid.size - 2)] + seg.delay)
+        slope = _slope(seg, v)
+        for step in steps:
+            if not 0.0 < step < seg.delay:
+                continue
+            out, ref = _slide(seg, slope, step), extend(seg, v, step)
+            assert out.grid.tobytes() == ref.grid.tobytes()
+            assert out.values.tobytes() == ref.values.tobytes()
+        # a wrong-shaped slope still raises rather than broadcast
+        V = LyapunovFunctional(evaluator=lambda t, x: float(x.head @ x.head))
+        for bad in ([1.0], [1.0, 2.0, 3.0], [[1.0], [2.0]]):
+            with pytest.raises(ValueError, match=r"slope must have shape \(2,\)"):
+                dini_functional(V, 0.0, seg, np.array(bad), NUMERIC)
 
 
 def _extend_by_stacking(segment, v, step):
@@ -756,6 +786,30 @@ class TestStackedFunctional:
         for i in range(m):
             alone = self.V.evaluator(t, HistorySegment(r, grid, X[i]))
             assert np.float64(many[i]).tobytes() == np.float64(alone).tobytes()
+
+    @SETTINGS
+    @given(
+        cuts=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=38),
+        t=st.floats(0.0, 5.0),
+        data=st.data(),
+    )
+    def test_the_energy_is_the_power_formula_to_a_few_ulps(self, cuts, t, data):
+        # the integrand (x1 * x1)^2 is within an ulp or two of np.power's x1 ** 4,
+        # and every term of the energy is nonnegative; below the smallest
+        # normal number the ulp no longer shrinks, hence the absolute floor
+        r = 0.5
+        grid = np.unique(np.concatenate([[-r], -r * np.asarray(cuts, dtype=float), [0.0]]))
+        assume(np.all(np.diff(grid) > 0.0))
+        rows = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=grid.size * 2, max_size=grid.size * 2))
+        seg = HistorySegment(r, grid, np.reshape(rows, (grid.size, 2)))
+        x1 = seg.values[:, 0]
+        x10, x20 = seg.values[-1]
+        e8, e4 = math.exp(-8.0 * t), math.exp(-4.0 * t)
+        power_formula = (
+            e8 * x10 ** 4 + e4 * x10 ** 2 + 0.5 * x20 ** 2 + 0.25 * e8 * float(np.trapezoid(x1 ** 4, grid))
+        )
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        assert abs(self.V.evaluator(t, seg) - power_formula) <= 8.0 * eps * power_formula + tiny
 
 
 class TestDenseWindows:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -317,6 +318,26 @@ class TestMonotoneDecay:
                                    window_delay=window_delay)
         assert rep.verdict == "fail" and math.isnan(rep.slacks[0])
         assert rep.witness[1] == 0.51 and math.isnan(rep.witness[2])
+
+    @pytest.mark.parametrize("window_delay", [-1.0, -math.inf, math.nan], ids=repr)
+    def test_a_negative_or_nan_window_raises_before_any_reading(self, window_delay):
+        # such a width leaves every trailing window empty, so the windowed
+        # series would be whatever the maximum's unwritten buffer held
+        traj = contraction_ensemble(count=1, horizon=0.5)[0]
+
+        def unread(ts, xs):
+            raise AssertionError("read the series")
+
+        with pytest.raises(ValueError, match=re.escape(f"window_delay must be >= 0, got {window_delay!r}")):
+            check_monotone_decay([traj], unread, window_delay=window_delay)
+
+    def test_a_zero_window_reads_each_node_alone_and_an_infinite_one_the_running_max(self):
+        trajs = contraction_ensemble(count=3, horizon=2.0)
+        values = lambda ts, xs: np.abs(xs[:, 0])
+        plain = check_monotone_decay(trajs, values)
+        assert check_monotone_decay(trajs, values, window_delay=0.0).slacks == plain.slacks
+        # the running max of |x| from the initial window never rises on a contraction
+        assert check_monotone_decay(trajs, values, window_delay=math.inf).verdict == "pass"
 
 
 class TestTolerance:
