@@ -26,7 +26,15 @@ from .compfn import constant
 from .examples import REGISTRY, ExampleBundle, build_example
 from .history import HistorySegment, sample_history
 from .signals import SignalSpec, constant_signal, sample_signal
-from .simulator import IntegrateOpts, _draw_runs, _integrate_runs, integrate, output_norm, trajectory_to_csv
+from .simulator import (
+    IntegrateOpts,
+    _draw_runs,
+    _integrate_runs,
+    _step_size,
+    integrate,
+    output_norm,
+    trajectory_to_csv,
+)
 from .verify import fit_kl_envelope
 
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
@@ -216,6 +224,18 @@ def _signal_spec(key: str, box: np.ndarray, horizon: float, mean_dwell: float, s
         raise ConfigError(f"{key} is too short for the horizon: {exc}") from exc
 
 
+def _integrate_opts(system, t0: float, duration: float, step: float) -> IntegrateOpts:
+    """The options of runs from t0 over ``duration`` at the step request
+    ``step``; a horizon or step the integrator refuses is a ConfigError on
+    both, raised before any signal is drawn."""
+    opts = IntegrateOpts(step_req=step)
+    try:
+        _step_size(system.delay_r, t0, t0 + duration, opts)
+    except ValueError as exc:
+        raise ConfigError(f"horizon {duration!r} at step {step!r}: {exc}") from exc
+    return opts
+
+
 def _initial_from(spec, delay: float, dim: int, rng) -> HistorySegment:
     if spec is None:
         spec = {"kind": "zero"}
@@ -242,6 +262,7 @@ def _cmd_simulate(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter
     t0 = _number("simulate.t0", sc.get("t0", 0.0), float, _FINITE)
     duration = cfg.horizon if cfg.horizon is not None else 5.0
     step = cfg.step if cfg.step is not None else 1e-3
+    opts = _integrate_opts(system, t0, duration, step)
     rng = np.random.default_rng(cfg.seed)
     x0 = _initial_from(sc.get("initial"), system.delay_r, system.dim_n, rng)
     t_end = t0 + duration
@@ -249,7 +270,7 @@ def _cmd_simulate(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter
     u_sig = _signal_from(sc, "input", system.u_box, t_end, cfg.seed * 2 + 2)
     if t0 < 0.0 and (d_sig is not None or u_sig is not None):
         raise ConfigError(f"simulate.t0 must be nonnegative with a signal, got {t0!r}")
-    traj = integrate(system, t0, x0, u_sig, d_sig, t_end, IntegrateOpts(step_req=step))
+    traj = integrate(system, t0, x0, u_sig, d_sig, t_end, opts)
     outputs = list(traj.outputs)  # the output map runs once per node
     writer.write_text("trajectory.csv", trajectory_to_csv(traj, outputs))
     report = {
@@ -357,9 +378,10 @@ def _cmd_envelope(cfg: RunConfig, bundle: ExampleBundle, writer: _ArtifactWriter
     bins = setting("bins", 4, int, _AT_LEAST_1)
     s_points = setting("s_points", 8, int, _AT_LEAST_1)
     t_points = setting("t_points", 33, int, _AT_LEAST_1)
+    opts = _integrate_opts(system, 0.0, duration, step)
     _signal_spec("envelope.mean_dwell", system.d_box, duration, mean_dwell, 0)  # rejects a dwell no run can draw
     runs = _draw_runs(system, np.random.default_rng(cfg.seed), count, norm_bound, duration, mean_dwell)
-    trajs = _integrate_runs(system, 0.0, runs, duration, IntegrateOpts(step_req=step))
+    trajs = _integrate_runs(system, 0.0, runs, duration, opts)
     completed = sum(tr.status == "completed" for tr in trajs)
     if not completed:  # the fit needs a completed run
         blown = sum(tr.status == "blew_up" for tr in trajs)

@@ -227,14 +227,6 @@ class _Dense:
         self.__dict__.update(state)
         self._freeze()
 
-    def append(self, x: np.ndarray):
-        """Store the row of the next knot of ``K`` and its running integral;
-        the caller writes its slopes."""
-        c = self.count
-        self.V[c] = x
-        self.CUM[c] = self.CUM[c - 1] + (0.5 * (self.K.item(c) - self.K.item(c - 1))) * (x + self.V[c - 1])
-        self.count = c + 1
-
     def node_window(self, k: int) -> _Window:
         """The window the dynamics saw at node ``k`` (node 0 is t0)."""
         c = self.node0 + k
@@ -287,8 +279,10 @@ class _Window(HistorySegment):
     rows at -delay and 0 and the tail piece ``tp`` of its quadrature, formed
     with :func:`_tail_pieces` before the window is made.  A stage or node
     window's ``i0``, row at -delay and tail piece come from the group's
-    set-up and look-ahead (:meth:`_Dense.group`, :func:`_lockstep`); any
-    other's from :func:`_window_ends`, :meth:`_Dense.eval_many` and
+    set-up and look-ahead (:meth:`_Dense.group`, :func:`_lockstep`), and
+    the step loop builds it (:func:`_march_one` for a group of one,
+    :func:`_march_group` for a larger one); any other's from
+    :func:`_window_ends`, :meth:`_Dense.eval_many` and
     :func:`_tail_pieces` when :meth:`_Dense.window_segment` builds it.  Both
     ways are the same search, fold, Hermite and arithmetic.  ``head``,
     ``delayed`` and ``integral()`` cost O(1); ``grid`` and ``values`` each
@@ -460,6 +454,34 @@ def _grid_for(t0: float, t_end: float, h: float, switches: np.ndarray) -> np.nda
     return np.union1d(special, base)
 
 
+def _step_size(r: float, t0: float, t_end: float, opts: IntegrateOpts) -> float:
+    """The step of a run of delay ``r`` from t0 to t_end at ``opts`` (see
+    :func:`integrate`).  A ValueError that names the value refuses a
+    non-finite t0 or t_end, t_end <= t0, a step request or blow-up level that
+    is not positive, and a step count (t_end - t0) / step that is not finite
+    or too large for the grid's arrays."""
+    for name, value in (("t0", t0), ("t_end", t_end)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if t_end <= t0:
+        raise ValueError("t_end must exceed t0")
+    for name in ("step_req", "blowup_norm"):
+        value = getattr(opts, name)
+        if not value > 0:  # NaN fails too; inf is no blow-up guard
+            raise ValueError(f"IntegrateOpts.{name} must be positive, got {value!r}")
+    per_delay = r / opts.step_req - 1e-12
+    h = r / max(2, math.ceil(per_delay)) if math.isfinite(per_delay) else 0.0
+    steps = (t_end - t0) / h if h > 0.0 else math.inf
+    # the stage times hold two float64s a step, and NumPy sizes no array
+    # whose bytes an index cannot count
+    if not steps <= np.iinfo(np.intp).max / 16:
+        raise ValueError(
+            f"step count (t_end - t0) / step = {steps!r} (t0={t0!r}, t_end={t_end!r}, "
+            f"step={h!r}) is too large for the grid's arrays"
+        )
+    return h
+
+
 def integrate(
     system: RfdeSystem,
     t0: float,
@@ -476,12 +498,15 @@ def integrate(
     at -delay_r then always lies inside the dense store.  Signal switch times
     inside the horizon are inserted as grid nodes.  Blow-up (state norm above
     opts.blowup_norm) and non-finite dynamics truncate the run and are
-    reported through the status field.
+    reported through the status field.  A horizon :func:`_step_size` refuses
+    is a ValueError before any signal is read.
 
     This is the one-run case of :func:`_integrate_runs`, which advances runs
     whose knots coincide (same initial grid and delay, same switch times) in
-    lock-step.  A run there is bitwise this one; the dynamics are called in
-    (step, stage, run) order, so they must not depend on the call order.
+    lock-step.  A run alone is a group of one, which steps in its own loop
+    on (n,) rows (:func:`_march_one`).  A run in a larger group is bitwise
+    this one; the dynamics are called in (step, stage, run) order, so they
+    must not depend on the call order.
     """
     return _integrate_runs(system, t0, [(x0, u, d)], t_end, opts)[0]
 
@@ -498,10 +523,11 @@ def _integrate_runs(
     set-up; its row at -delay is the dense value at a time before the step's
     start (steps are at most delay / 2), so the rows of about a delay of
     steps are evaluated at once, in one Hermite pass, as soon as the knots
-    they read are stored.  The RK4 arithmetic and the store writes are done
-    once per step on (m, n) stacks.  Element-wise NumPy with scalar or
-    per-row coefficients rounds each row as it rounds an (n,) array, so
-    every run is bitwise its solo run.
+    they read are stored.  A group of one steps in its own loop on (n,)
+    rows; a larger group does the RK4 arithmetic and the store writes once
+    per step on (m, n) stacks (:func:`_lockstep`).  Element-wise NumPy with
+    scalar or per-row coefficients rounds each row as it rounds an (n,)
+    array, so every run is bitwise its solo run.
     A run that stops (``blew_up`` or ``step_failure``) is not called again;
     the rest of its group carries on.  Groups run one after another, in the
     order of their first run.  Within a step the right-hand side is called
@@ -509,13 +535,7 @@ def _integrate_runs(
     """
     opts = opts or IntegrateOpts()
     r = system.delay_r
-    if t_end <= t0:
-        raise ValueError("t_end must exceed t0")
-    for name in ("step_req", "blowup_norm"):
-        value = getattr(opts, name)
-        if not value > 0:  # NaN fails too; inf is no blow-up guard
-            raise ValueError(f"IntegrateOpts.{name} must be positive, got {value!r}")
-    h = r / max(2, int(math.ceil(r / opts.step_req - 1e-12)))
+    h = _step_size(r, t0, t_end, opts)
     groups: dict = {}
     for k, (x0, u, d) in enumerate(runs):
         if abs(x0.delay - r) > 1e-12:
@@ -554,9 +574,10 @@ def _draw_runs(system: RfdeSystem, rng: np.random.Generator, count: int, norm_bo
 
 def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts: IntegrateOpts) -> list:
     """Trajectories of ``runs`` (x0, u, d), which share the node grid
-    ``tgrid``, the initial grid and the delay, advanced together.  A run that
-    stops keeps its column of the stack: it is not called again, its stage
-    slopes are zero from then on, and its store reads no row past its count.
+    ``tgrid``, the initial grid and the delay, advanced together.  A group
+    of one steps in its own loop on (n,) rows (:func:`_march_one`); a larger
+    group on (m, n) stacks (:func:`_march_group`).  Both make the same calls
+    with the same windows and store the same bits for a run.
 
     A stage at time tau reads its row at -delay on the knot interval that
     ends at its window's lower end, and tau - delay lies before the step's
@@ -569,9 +590,6 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
     stored knots, from read-only views made once."""
     m = len(runs)
     stack, stores, (taus, at) = _Dense.group(t0, [run[0] for run in runs], tgrid)
-    # run p's row of an (m, n) stack array is rows(a)[p]; a group of one's arrays are (n,)
-    cols = range(m)
-    rows = (lambda a: list(map(a.__getitem__, cols))) if m > 1 else (lambda a: (a,))
 
     def levels(width: int, signals: list) -> np.ndarray:
         per_run = [np.zeros((tgrid.size, width)) if s is None else s.eval_many(tgrid) for s in signals]
@@ -585,15 +603,6 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
     switched = np.any(U[1:] != U[:-1], axis=-1) | np.any(D[1:] != D[:-1], axis=-1)
     switched[-1] = False  # the run ends at the last node: no slope leaves it
     switched = switched.reshape(-1, m).T.tolist()  # switched[p][j]: run p's levels change at node j + 1
-
-    f = system.dynamics
-    status, t_event = ["completed"] * m, [None] * m
-    live = list(range(m))  # the runs still advancing
-    norms = [0.0] * m  # np.linalg.norm(x_next) per run
-    k2, k3, k4 = (np.empty(stack.V.shape[1:]) for _ in range(3))  # stage slopes, reused from step to step
-    k2s, k3s, k4s = rows(k2), rows(k3), rows(k4)
-
-    V, TAIL, TP = stack.FROZEN
 
     def rows_ahead(s: int) -> int:
         """Store the rows at -delay of the stage windows from ``s`` on whose
@@ -609,6 +618,116 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
                 stack.K, stack.V, stack.I0[s:s1], taus[s:s1], stack.delay, ahead)
         return s1
 
+    # Python floats and ints: the step arithmetic is the same, with less overhead
+    plan = (tgrid.tolist(), taus.tolist(), stack.I0.tolist(), rows_ahead, opts.blowup_norm)
+    if m == 1:
+        status, t_event = _march_one(system.dynamics, stack, U, D, switched[0], *plan)
+    else:
+        status, t_event = _march_group(system.dynamics, stack, stores, U, D, switched, *plan)
+    return [
+        Trajectory(
+            system=system,
+            t0=t0,
+            times=store.K[store.node0 : store.count].copy(),
+            states=store.V[store.node0 : store.count].copy(),
+            initial=x0,
+            u=u,
+            d=d,
+            status=st,
+            t_event=te,
+            _dense=store,
+        )
+        for store, (x0, u, d), st, te in zip(stores, runs, status, t_event)
+    ]
+
+
+def _march_one(f, stack: _Dense, U, D, switched: list, times: list, stage_times: list, ends: list,
+               rows_ahead, blowup: float) -> tuple:
+    """The steps of a group of one (see :func:`_lockstep`): the statuses and
+    event times of its one run.  Stage s's window has the time
+    ``stage_times[s]``, the inner knots from ``ends[s]`` to the step's start,
+    and the row at -delay and tail piece ``TAIL[s]`` and ``TP[s]``.  Each
+    node's row and running integral are written from the step's own start,
+    length and end row: ``K[c] - K[c - 1]`` is ``hk`` and ``V[c - 1]`` is
+    ``xk``, exactly."""
+    V, TAIL, TP = stack.FROZEN
+    X, CUM, DIN, DOUT = stack.V, stack.CUM, stack.DIN, stack.DOUT
+    k2, k3, k4 = (np.empty(stack.n) for _ in range(3))  # stage slopes, reused from step to step
+    ready = rows_ahead(0)  # the stage windows before it have their rows at -delay stored
+    c = stack.count - 1  # node 0
+    DOUT[c] = f(times[0], _Window(stack, times[0], ends[0], c, TAIL[0], V[c], TP[0]), U[0], D[0])
+
+    for j in range(len(times) - 1):
+        ta = times[j]
+        tb = times[j + 1]
+        hk = tb - ta
+        u, d = U[j], D[j]
+        c += 1
+        xk = X[c - 1]
+        k1 = DOUT[c - 1]
+        s = 2 * j + 1  # the step's stage windows: its midpoint's, then node j + 1's
+        if ready <= s + 1:
+            ready = rows_ahead(ready)
+
+        # each head is frozen and handed out as a view: the owner's own flag could be set back
+        tm, i0, tail, tp = stage_times[s], ends[s], TAIL[s], TP[s]
+        head = xk + (0.5 * hk) * k1
+        head.setflags(write=False)
+        seg_m = _Window(stack, tm, i0, c, tail, head[...], tp)
+        k2[...] = f(tm, seg_m, u, d)
+        head = xk + (0.5 * hk) * k2
+        head.setflags(write=False)
+        k3[...] = f(tm, _Window(stack, tm, i0, c, tail, head[...], tp, seg_m._body), u, d)
+        i0, tail, tp = ends[s + 1], TAIL[s + 1], TP[s + 1]
+        head = xk + hk * k3
+        head.setflags(write=False)
+        seg_b = _Window(stack, tb, i0, c, tail, head[...], tp)
+        k4[...] = f(tb, seg_b, u, d)
+        x_next = xk + (hk / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        # hk > 0, so x_next is non-finite whenever a stage is; a finite norm
+        # has finite entries, an overflowed one may still
+        norm = _norm(x_next)
+        if not math.isfinite(norm) and not np.isfinite(x_next).all():
+            return ["step_failure"], [tb]
+        X[c] = x_next
+        CUM[c] = CUM[c - 1] + (0.5 * hk) * (x_next + xk)
+        stack.count = c + 1
+        # the node window is k4's: storing the node at tb moves neither end of its inner knots
+        node = _Window(stack, tb, i0, c, tail, V[c], tp, seg_b._body)
+        f_end = DOUT[c]
+        f_end[...] = f(tb, node, u, d)
+        DIN[c] = f_end
+        if not math.isfinite(math.hypot(*f_end.tolist())) and not np.isfinite(f_end).all():
+            DIN[c], f_end[...] = k4, 0.0  # the failed run keeps k4 arriving and no slope leaving
+            return ["step_failure"], [tb]
+        if switched[j]:  # new levels leave the node with a slope of their own
+            f_end[...] = f(tb, node, U[j + 1], D[j + 1])
+        if norm > blowup:
+            return ["blew_up"], [tb]
+    return ["completed"], [None]
+
+
+def _march_group(f, stack: _Dense, stores: list, U, D, switched: list, times: list, stage_times: list,
+                 ends: list, rows_ahead, blowup: float) -> tuple:
+    """The steps of a group of m > 1 runs (see :func:`_lockstep` and
+    :func:`_march_one`, whose windows, calls and writes these are, run by
+    run): the statuses and event times of its runs.  The RK4 arithmetic and
+    the store writes are done once per step on (m, n) stacks.  A run that
+    stops keeps its column of the stack: it is not called again, its stage
+    slopes are zero from then on, and its store reads no row past its count."""
+    m = len(stores)
+    # run p's row of an (m, n) stack array is rows(a)[p]
+    cols = range(m)
+    rows = lambda a: list(map(a.__getitem__, cols))
+    status, t_event = ["completed"] * m, [None] * m
+    live = list(cols)  # the runs still advancing
+    norms = [0.0] * m  # np.linalg.norm(x_next) per run
+    k2, k3, k4 = (np.empty(stack.V.shape[1:]) for _ in range(3))  # stage slopes, reused from step to step
+    k2s, k3s, k4s = rows(k2), rows(k3), rows(k4)
+
+    V, TAIL, TP = stack.FROZEN
+
     def stage(outs, tau: float, i0: int, i1: int, tls, tps, heads, like=None) -> dict:
         """Each live run's window at ``tau``, after the dynamics saw it at
         the levels ``us``, ``ds``; ``outs[p]`` gets run p's slope.  The
@@ -618,7 +737,7 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
         and tail share the quadrature of all but the head piece: run p's is
         ``like[p]``'s."""
         heads.setflags(write=False)
-        heads = rows(heads) if m > 1 else (heads[...],)  # a view: the owner's own flag could be set back
+        heads = rows(heads)  # views: the owner's own flag could be set back
         segs = {}
         for p in live:
             body = None if like is None else like[p]._body
@@ -634,8 +753,6 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
             # its column still goes through the stack's arithmetic: keep it finite
             k2s[p][...] = k3s[p][...] = k4s[p][...] = 0.0
 
-    # Python floats and ints: the step arithmetic is the same, with less overhead
-    times, stage_times, ends = tgrid.tolist(), taus.tolist(), stack.I0.tolist()
     ready = rows_ahead(0)  # the stage windows before it have their rows at -delay stored
     c = stack.count - 1  # node 0
     us, ds = rows(U[0]), rows(D[0])
@@ -674,8 +791,10 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
                 break
             x_next[failed] = xk[failed]  # a stopped run stays at its last node
 
-        stack.append(x_next)
-        # the node window is k4's: appending at tb moves neither end of its inner knots
+        stack.V[c] = x_next
+        stack.CUM[c] = stack.CUM[c - 1] + (0.5 * hk) * (x_next + xk)
+        stack.count = c + 1
+        # the node window is k4's: storing the node at tb moves neither end of its inner knots
         f_end = stack.DOUT[c]
         fs = rows(f_end)
         nodes = stage(fs, tb, i0, c, tls, tps, V[c], seg_b)
@@ -688,7 +807,7 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
                 continue
             if switched[p][j]:  # new levels leave the node with a slope of their own
                 fs[p][...] = f(tb, nodes[p], rows(U[j + 1])[p], rows(D[j + 1])[p])
-            if norms[p] > opts.blowup_norm:
+            if norms[p] > blowup:
                 blown.append(p)
         if failed or blown:
             stop(failed, "step_failure", tb)
@@ -698,21 +817,7 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
 
     for p in live:
         stores[p].count = stack.count
-    return [
-        Trajectory(
-            system=system,
-            t0=t0,
-            times=store.K[store.node0 : store.count].copy(),
-            states=store.V[store.node0 : store.count].copy(),
-            initial=x0,
-            u=u,
-            d=d,
-            status=st,
-            t_event=te,
-            _dense=store,
-        )
-        for store, (x0, u, d), st, te in zip(stores, runs, status, t_event)
-    ]
+    return status, t_event
 
 
 def _trailing_window_max(ts: np.ndarray, vals: np.ndarray, width: float) -> np.ndarray:

@@ -473,6 +473,22 @@ class TestErrorPaths:
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["simulate", "example-4.8", "--horizon", "1e308"], "horizon 1e+308 at step 0.001: step count"),
+            (["envelope", "example-4.8", "--step", "1e-300"], "horizon 8.0 at step 1e-300: step count"),
+        ],
+        ids=["simulate-horizon", "envelope-step"],
+    )
+    def test_a_horizon_no_grid_can_hold_exits_2(self, tmp_path, capsys, argv, named):
+        # the step count overflowed an integer, or asked NumPy for 1e303 nodes, in a traceback
+        out = tmp_path / "a"
+        assert main(argv + ["--seed", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {named}") and err.count("\n") == 1
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
         "argv, params, named",
         [
             (["simulate", "example-5.4", "--horizon", "-1"], None, "horizon must be finite"),

@@ -1086,6 +1086,13 @@ MEMBERS = st.lists(
     st.tuples(st.floats(0.1, 3.0), st.booleans(), st.none() | st.integers(1, 40)), min_size=1, max_size=4
 )
 GROUP_BLOWUP = 20.0
+# member 0 of members [(2.0, False, None), ...] first passes GROUP_BLOWUP at
+# the node t = 0.9, where its levels switch: the new levels' slope leaves
+# that node before the run stops blew_up
+SWITCH_AT_BLOWUP = dict(
+    r=1.0, steps_per_delay=10, t0=0.0, span=2.0, fracs=[0.45],
+    levels=[0.5, -0.5, 0.0, 0.0, 0.0], queries=[], seed=0,
+)
 
 
 def _tagged_runs(r, steps_per_delay, t0, span, fracs, levels, seed, members):
@@ -1120,7 +1127,8 @@ def _tagged_runs(r, steps_per_delay, t0, span, fracs, levels, seed, members):
 
 class TestLockStep:
     """Runs that share their knots advance together; each must be bitwise
-    the run ``integrate`` gives it alone."""
+    the run ``integrate`` gives it alone.  A group of one steps in its own
+    loop, so these check that loop against the group loop."""
 
     @staticmethod
     def _assert_same_run(run, alone):
@@ -1141,6 +1149,7 @@ class TestLockStep:
     @example(**CLOSE_SWITCH, members=[(0.5, False, None), (2.5, False, None), (1.0, False, 7)])
     @example(**ULP_STEP, members=[(0.5, False, 13), (0.7, True, None), (3.0, False, None)])
     @example(**WHOLE_DELAY_STEP, members=[(3.0, False, None), (0.2, False, 4), (0.4, False, None)])
+    @example(**SWITCH_AT_BLOWUP, members=[(2.0, False, None), (0.5, False, None)])
     def test_each_member_is_its_solo_run(
         self, r, steps_per_delay, t0, span, fracs, levels, queries, seed, members
     ):

@@ -107,6 +107,29 @@ class TestIntegrateBasics:
         with pytest.raises(ValueError):
             integrate(sys_, 1.0, HistorySegment.constant(1.0, [0.0]), None, None, 0.5)
 
+    @pytest.mark.parametrize(
+        "t0, t_end, named",
+        [
+            (0.0, math.nan, "t_end must be finite, got nan"),
+            (0.0, math.inf, "t_end must be finite, got inf"),
+            (math.nan, 1.0, "t0 must be finite, got nan"),
+            (0.0, 1e308, "step count (t_end - t0) / step = inf"),
+            (0.0, 1e300, "step count (t_end - t0) / step = 1e+303"),
+        ],
+    )
+    def test_a_horizon_no_grid_can_hold_is_refused(self, t0, t_end, named):
+        # NaN failed on its way to an integer, inf and 1e308 overflowed it,
+        # and 1e300 asked NumPy for 1e303 nodes: each is refused before a
+        # signal is read
+        class Unread:
+            def __getattr__(self, name):
+                raise AssertionError(f"signal read: {name}")
+
+        x0 = HistorySegment.constant(1.0, [1.0])
+        with pytest.raises(ValueError) as refused:
+            integrate(contraction(), t0, x0, None, Unread(), t_end, IntegrateOpts(step_req=1e-3))
+        assert named in str(refused.value)
+
     def test_signal_before_time_zero_rejected(self):
         # signals are defined on [0, inf); a run without one may start earlier
         sys_ = contraction()
