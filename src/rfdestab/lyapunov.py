@@ -348,9 +348,9 @@ def _guard_holds(level: float, energy: float) -> bool:
     raise ValueError(f"guard compares NaN: level {level!r}, energy {energy!r}")
 
 
-# None, or the points of the draws sweeps finished on one seed, as (seed,
-# {key: blocks}) with the newest draw first: replaced whole, never changed in
-# place, and at most FALSIFY_KEEP_BYTES of arrays in all
+# None, or the draws sweeps finished on one seed, as (seed, {key: draw}) with
+# the newest draw first, a draw being the list of its blocks' points: replaced
+# whole, never changed in place, and at most FALSIFY_KEEP_BYTES of arrays in all
 _kept = None
 
 
@@ -385,66 +385,46 @@ def _sample_blocks(sys: RfdeSystem, spec: SamplerSpec, draw_u: bool):
     drawing one sample at a time.  Without ``draw_u`` no input is drawn and
     each u is the system's zero input.
 
-    The points come without a generator call from a draw a sweep finished on
-    this seed when it had the same :func:`_draw_key`; else they are drawn
-    afresh, and kept once the sweep has consumed the last block
-    (:func:`_keeping`).  A fresh draw on another seed, or one that is never
-    kept, drops the kept draws first.  Each block's box points are copies,
+    The draw, the list of its blocks' points, is made whole before the first
+    block is yielded, or read from a draw a sweep finished on this seed with
+    the same :func:`_draw_key`.  A fresh draw drops the kept draws if they are
+    on another seed or its key is None, and is filed once the sweep has
+    consumed the last block, with the newest other draws of its seed, as far
+    as all fit in FALSIFY_KEEP_BYTES.  Each block's box points are copies,
     so no sweep sees what a callback wrote into another's.
     """
     global _kept
     boxes = (sys.u_box if draw_u else None, sys.d_box)
     key, kept = _draw_key(sys, spec, boxes), _kept  # one read: another thread may replace it
-    if kept is not None and key in kept[1]:
-        blocks = kept[1][key]
+    hit = kept is not None and key in kept[1]
+    if hit:
+        draw = kept[1][key]
     else:
         if kept is not None and (key is None or kept[0] != key[4]):  # key[4] is the seed's entry
             _kept = None
         rng, t_range = np.random.default_rng(spec.seed), (spec.t_lo, spec.t_hi)
-        blocks = (
+        draw = [
             _draw_points(rng, min(FALSIFY_BLOCK, spec.samples - start), sys.delay_r, sys.dim_n,
                          spec.norm_bound, t_range, boxes)
             for start in range(0, spec.samples, FALSIFY_BLOCK)
-        )
-        if key is not None:
-            blocks = _keeping(key, blocks)
-    for times, offsets, rows, sizes, drawn in blocks:
+        ]
+    for times, offsets, rows, sizes, drawn in draw:
         windows = _build_windows(sys.delay_r, offsets, rows, sizes)
         us, ds = [points.copy() for points in drawn]
         if not draw_u:
             us = [sys.zero_input() for _ in windows]
         yield times.tolist(), windows, us, ds
-
-
-def _nbytes(block) -> int:
-    *arrays, drawn = block
-    return sum(a.nbytes for a in (*arrays, *drawn))
-
-
-def _keeping(key: tuple, blocks):
-    """Yield ``blocks``, and keep them under ``key`` once the last is
-    consumed, unless their arrays take more than FALSIFY_KEEP_BYTES
-    (collecting stops at the budget); the draws kept on the same seed stay,
-    newest first, as far as all fit in the budget together."""
-    global _kept
-    kept, size = [], 0
-    for block in blocks:
-        size += _nbytes(block)
-        if size <= FALSIFY_KEEP_BYTES:
-            kept.append(block)
-        else:
-            kept = None
-        yield block
-    if kept is None:
+    if hit or key is None:
         return
-    draws, old = {key: kept}, _kept  # one read: another thread may replace it
-    if old is not None and old[0] == key[4]:  # key[4] is the seed's entry
-        for other, other_blocks in old[1].items():
-            size += sum(map(_nbytes, other_blocks))
-            if size > FALSIFY_KEEP_BYTES:
-                break
-            draws.setdefault(other, other_blocks)
-    _kept = key[4], draws
+    old, draws, size = _kept, {}, 0  # one read: another thread may replace it
+    others = old[1].items() if old is not None and old[0] == key[4] else ()
+    for other, other_draw in ((key, draw), *others):
+        size += sum(a.nbytes for *arrays, points in other_draw for a in (*arrays, *points))
+        if size > FALSIFY_KEEP_BYTES:
+            break
+        draws.setdefault(other, other_draw)
+    if draws:
+        _kept = key[4], draws
 
 
 # the errors a sweep counts as a sample's failure to evaluate
@@ -461,10 +441,10 @@ def _falsify(
 ) -> FalsificationReport:
     """Shared sampling loop over the blocks of :func:`_sample_blocks`, drawn
     from ``spec.seed``; ``spec.samples`` must be a positive integer.  The
-    points of a draw the sweep finishes are kept in-process, beside the
-    other draws kept on the same seed, for a later sweep on the same samples,
-    which :func:`_sample_blocks` rebuilds its windows from, so every report
-    is that of a fresh draw.
+    draw is one value, made whole before the first sample; a sweep that
+    finishes files it in-process, beside the other draws kept on its seed,
+    for a later sweep on the same samples, which rebuilds its windows from
+    it, so every report is that of a fresh draw.
 
     ``sample_fn(t, seg, u, d, mark)`` returns None for a sample its guard
     skips and (residual, derivative_scale) otherwise; a residual that is not
@@ -662,10 +642,14 @@ def converse_functional_uq(
     that stopped.  The members start from one window on one horizon, so the
     ones with the same switch times (all constant disturbances, say) advance
     in lock-step, each bitwise its solo run; every member is integrated
-    before any output is read.
+    before any output is read.  An empty ensemble is a ValueError before
+    any run.
     """
     if isinstance(q, bool) or not isinstance(q, numbers.Integral) or q < 1:
         raise ValueError(f"q must be a positive integer, got {q!r}")
+    runs = [(x, None, dsig) for dsig in disturbance_ensemble]
+    if not runs:
+        raise ValueError("empty ensemble")
     opts = opts or IntegrateOpts(step_req=1e-2)
     R = max(float(t), sup_norm(x))
     arg = 1.0 + q * float(a2(float(beta(R)) * R))
@@ -673,7 +657,6 @@ def converse_functional_uq(
     base_term = max(0.0, float(a1(output_norm(sys.output(t, x)))) - 1.0 / q)
     best = base_term
     if horizon > 0.0:
-        runs = [(x, None, dsig) for dsig in disturbance_ensemble]
         for traj in _integrate_runs(sys, t, runs, t + horizon, opts):
             if traj.status != "completed":
                 raise RuntimeError(

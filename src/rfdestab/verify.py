@@ -96,10 +96,14 @@ def _envelope_check(trajs: Sequence[Trajectory], series: Callable, tolerance: fl
     allowed minus observed (NaN when a compared value is NaN); a trajectory
     that did not complete gets -inf at its truncation point.  The worst
     sample is the witness, kept only when the check fails: a NaN slack ranks
-    with -inf, and ties keep the first.  ``tolerance`` must be finite and
-    >= 0 (ValueError before any series is read).
+    with -inf, and ties keep the first.  ``trajs`` must not be empty and
+    ``tolerance`` must be finite and >= 0 (ValueError before any series is
+    read).
     """
     tolerance = _require_tolerance(tolerance)
+    trajs = list(trajs)
+    if not trajs:
+        raise ValueError("empty ensemble")
     slacks = []
     reasons = {}
     witness = None
@@ -153,7 +157,7 @@ def verify_ios_envelope(
     only an envelope that goes negative, and so is no KL function, is
     raised to 0.
     A trajectory that did not complete fails with its truncation point as
-    witness.
+    witness.  An empty ``trajs`` is a ValueError.
     """
 
     def series(traj):
@@ -184,7 +188,8 @@ def verify_v_decay_estimate(
     ``kl_from_rate``: it reads the running sup through :func:`fading_sup`,
     which uses the flow's semigroup property.  Without inputs (or without
     ``zeta`` and ``delta``) any :class:`KlFn` works, such as
-    ``energy-bounded-by-initial``'s ``hold``, sigma(s, t) = s.
+    ``energy-bounded-by-initial``'s ``hold``, sigma(s, t) = s.  An empty
+    ``trajs`` is a ValueError.
     """
 
     def series(traj):
@@ -215,8 +220,9 @@ def check_monotone_decay(
     monotonicity test.  A step from w0 to w1 violates when
     ``w1 > w0 + rel_slack * (1 + |w0|)``; per-trajectory slacks record the
     worst margin and the report's witness is the worst offending node.
-    ``rel_slack`` must be finite and >= 0, ``window_delay`` >= 0 (0 reads each
-    node alone, inf takes the running max); ValueError otherwise.
+    ``trajs`` must not be empty, ``rel_slack`` must be finite and >= 0,
+    ``window_delay`` >= 0 (0 reads each node alone, inf takes the running
+    max); ValueError otherwise.
     """
     rel_slack = _require_tolerance(rel_slack, "rel_slack")
     if window_delay is not None and not window_delay >= 0.0:
@@ -243,11 +249,13 @@ def check_monotone_decay(
 
 # -- empirical envelope fitting ------------------------------------------------------
 
+FIT_INFLATE = 1.05
+
+
 def fit_kl_envelope(
     trajs: Sequence[Trajectory],
     beta: ComparisonFn,
     bins: int = 8,
-    inflate: float = 1.05,
 ) -> KlFn:
     """Fit a tabulated two-argument decay envelope from an ensemble.
 
@@ -284,7 +292,7 @@ def fit_kl_envelope(
         tables.append((grid, acc))
     # enforce: nondecreasing in s across bins (cumulative max on a merged grid)
     t_grid = np.unique(np.concatenate([g for g, _ in tables]))
-    table = np.maximum.accumulate(np.vstack([np.interp(t_grid, g, a) for g, a in tables]), axis=0) * inflate
+    table = np.maximum.accumulate(np.vstack([np.interp(t_grid, g, a) for g, a in tables]), axis=0) * FIT_INFLATE
     edges_arr = np.asarray(edges)
 
     def evaluate(s: float, t: float) -> float:

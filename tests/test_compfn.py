@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -479,6 +480,18 @@ class TestKlFromRate:
         sigma = KlFn(fn=lambda s, t: s * np.exp(-t), name="exp")
         with pytest.raises(ValueError, match="flow-backed"):
             fading_sup(sigma, np.ones(3), np.arange(3.0))
+
+    @pytest.mark.parametrize("s_shape, t_shape", [
+        ((4,), (3,)), ((2,), (3,)), ((0,), (3,)), ((3,), (0,)), ((3, 1), (3, 1)),
+    ], ids=str)
+    def test_fading_sup_refuses_series_that_are_not_1d_of_one_length(self, s_shape, t_shape):
+        sigma = kl_from_rate(linear(1.0))
+        with pytest.raises(ValueError, match=re.escape(f"s_series shape {s_shape} and times shape {t_shape}")):
+            fading_sup(sigma, np.ones(s_shape), np.zeros(t_shape))
+
+    def test_fading_sup_of_empty_series_is_empty(self):
+        out = fading_sup(kl_from_rate(linear(1.0)), [], np.array([]))
+        assert out.shape == (0,) and out.dtype == float
 
     def test_import_leaves_the_ode_suite_unloaded(self):
         # the rate flows step themselves: no query loads SciPy

@@ -849,6 +849,14 @@ class TestKeptDraw:
     windows from them without a generator call; every report is that of a
     fresh draw."""
 
+    def test_the_whole_draw_is_made_before_the_first_sample(self, draws):
+        sweep = lyapunov._sample_blocks(KEY_SYSTEM, KEY_SPEC, True)
+        next(sweep)
+        assert draws == _blocks_of(KEY_SPEC.samples, FALSIFY_BLOCK)
+        # a sweep left before its last block files nothing
+        sweep.close()
+        assert lyapunov._kept is None
+
     def test_a_second_sweep_on_the_same_spec_makes_no_generator_call(self, draws):
         bundle = build_example("example-4.8")
         samples = FALSIFY_BLOCK + 1
@@ -1062,6 +1070,18 @@ class TestConverseEnergy:
                 CONTRACTION, q=q, a1=identity(), a2=identity(), beta=constant(1.0),
                 disturbance_ensemble=[constant_signal([0.0])],
                 t=0.0, x=HistorySegment.constant(1.0, [0.5]),
+            )
+
+    @pytest.mark.parametrize("empty", [list, tuple, iter], ids=["list", "tuple", "iterator"])
+    def test_an_empty_ensemble_raises_before_any_run(self, empty):
+        # with one run this is 1.5: the tau = t term of the window 2 at q = 2
+        def unrun(t, seg, u, d):
+            raise AssertionError("ran the dynamics")
+
+        with pytest.raises(ValueError, match="empty ensemble"):
+            converse_functional_uq(
+                replace(CONTRACTION, dynamics=unrun), q=2, a1=identity(), a2=identity(), beta=constant(1.0),
+                disturbance_ensemble=empty(()), t=0.0, x=HistorySegment.constant(1.0, [2.0]),
             )
 
     def test_a_numpy_integer_q_is_an_integer(self):

@@ -5,10 +5,12 @@ bundles' certificates and its module table states the falsifiers' block size,
 no module keeps an import it does not use or imports SciPy, only `_draw_runs`
 draws an ensemble's signals, only `_sample_blocks` and `sample_history` draw
 sampled windows, no private function or method keeps a parameter
-it does not read, and every private definition is referenced."""
+it does not read, every private definition is referenced, and CI tests the
+lowest Python the package declares."""
 
 import ast
 import re
+import tomllib
 from pathlib import Path
 
 import rfdestab
@@ -246,3 +248,12 @@ def test_every_cache_is_bounded():
     # memory stays bounded: a cache keeps at most an integer number of entries
     found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in _unbounded_caches(path)]
     assert not found, found
+
+
+def test_ci_runs_the_lowest_declared_python():
+    # the workflow is read with a regex: PyYAML is not a test dependency
+    declared = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["requires-python"]
+    (lowest,) = re.fullmatch(r">=(\d+\.\d+)", declared).groups()
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    versions = re.findall(r"python-version:\s*[\"']?([\d.]+)[\"']?", workflow)
+    assert versions == [lowest], (declared, versions)

@@ -374,3 +374,28 @@ class TestTolerance:
             verify_v_decay_estimate(sys_, V, ONE, ONE, None, None, sigma, [traj], tolerance=tolerance)
         with pytest.raises(ValueError, match="rel_slack must be finite and >= 0"):
             check_monotone_decay([traj], unread, rel_slack=tolerance)
+
+
+class TestEmptyEnsemble:
+    """An empty ensemble is refused before any series is read: a check over
+    no trajectory would pass with no slacks."""
+
+    @staticmethod
+    def unread(*args):
+        raise AssertionError("read the envelope")
+
+    @pytest.mark.parametrize("checker", ["ios", "v_decay", "monotone", "windowed monotone", "fit"])
+    @pytest.mark.parametrize("empty", [list, tuple, iter], ids=["list", "tuple", "iterator"])
+    def test_every_check_refuses_an_empty_ensemble(self, checker, empty):
+        sys_ = build_example("example-5.2").system
+        sigma = KlFn(fn=self.unread, flow=self.unread)
+        V = LyapunovFunctional(evaluator=self.unread)
+        run = {
+            "ios": lambda trajs: verify_ios_envelope(trajs, sigma, ONE, ONE, ONE),
+            "v_decay": lambda trajs: verify_v_decay_estimate(sys_, V, ONE, ONE, None, None, sigma, trajs),
+            "monotone": lambda trajs: check_monotone_decay(trajs, self.unread),
+            "windowed monotone": lambda trajs: check_monotone_decay(trajs, self.unread, window_delay=1.0),
+            "fit": lambda trajs: fit_kl_envelope(trajs, ONE),
+        }[checker]
+        with pytest.raises(ValueError, match="empty ensemble"):
+            run(empty(()))
