@@ -253,7 +253,8 @@ def _slope(segment: HistorySegment, v) -> np.ndarray:
 
 def _slide(segment: HistorySegment, v: np.ndarray, step: float) -> HistorySegment:
     """:func:`extend` after its checks: the caller gives ``0 < step < delay`` and a
-    slope from :func:`_slope`.  A slid row that is not finite raises ValueError."""
+    slope from :func:`_slope`.  A new row, at -delay or the head, that is not
+    finite raises ValueError; the kept rows come from the finite window."""
     r = segment.delay
     grid, values = segment.grid, segment.values
 
@@ -287,7 +288,7 @@ def _slide(segment: HistorySegment, v: np.ndarray, step: float) -> HistorySegmen
     new_grid[-1] = 0.0
     new_vals[head:-1] = keep_vals
     new_vals[-1] = values[-1] + step * v
-    if not np.isfinite(new_vals).all():
+    if not np.isfinite(new_vals[:: size - 1]).all():  # the first and last rows
         raise ValueError("history values must be finite")
     return _segment(r, new_grid, new_vals)
 

@@ -157,12 +157,14 @@ class _Dense:
     k's at 2k and step k's midpoint's at 2k + 1.  They hold the window's
     row at -delay and the tail piece of its quadrature
     (:func:`_tail_pieces`), which the look-ahead sets; its inner knots
-    start at ``I0`` (see :meth:`group`).  ``FROZEN`` holds read-only views
-    of ``V``, ``TAIL`` and ``TP``, whose rows the windows hand out.  A lock-step group of
-    m > 1 runs keeps one stack whose row arrays are (rows, m, n); each run's
-    store holds the column views of the stack and shares its knots and lower
-    ends.  The stack goes on writing the column of a run that stopped, but
-    its store reads no row past its own ``count``.
+    start at ``I0``, and ``ON_KNOT`` marks the windows whose row at -delay
+    is the stored knot ``V[I0 - 1]`` (see :meth:`group`).  ``FROZEN`` holds
+    read-only views of ``V``, ``TAIL`` and ``TP``, whose rows the windows
+    hand out.  A lock-step group of m > 1 runs keeps one stack whose row
+    arrays are (rows, m, n); each run's store holds the column views of the
+    stack and shares its knots and lower ends.  The stack goes on writing
+    the column of a run that stopped, but its store reads no row past its
+    own ``count``.
     """
 
     @classmethod
@@ -174,8 +176,10 @@ class _Dense:
         the ``close_knots`` of all of ``K`` (merging a window without a tie
         changes nothing).  The window of every stage time has its lower end
         and row time at -delay fixed here (:func:`_window_ends`): the lower
-        ends are ``I0``, and the stage times and row times, which the steps
-        fill the rows from, are returned with the stores."""
+        ends are ``I0``, ``ON_KNOT`` marks the row times on the knot
+        ``K[I0 - 1]``, where the dense value is that knot's row, and the
+        stage times and row times, which the steps fill the rows from, are
+        returned with the stores."""
         x0 = x0s[0]
         k0 = x0.grid.size
         V0 = x0.values if len(x0s) == 1 else np.stack([x.values for x in x0s], 1)
@@ -189,6 +193,7 @@ class _Dense:
         taus = np.empty(2 * tgrid.size - 1)
         taus[0::2], taus[1::2] = tgrid, np.where(tm == ta, tb, tm)
         stack.I0, at = _window_ends(K, taus, x0.delay)
+        stack.ON_KNOT = at == K[stack.I0 - 1]
         shape = K.shape + V0.shape[1:]
         stack.V, stack.CUM = np.empty(shape), np.empty(shape)
         stack.TAIL, stack.TP = np.empty(taus.shape + V0.shape[1:]), np.empty(taus.shape + V0.shape[1:])
@@ -206,7 +211,7 @@ class _Dense:
         stack.n, stack.delay, stack.count, stack.node0, stack.close_knots = x0.dim, x0.delay, k0, k0 - 1, close
         stores = [cls.__new__(cls) for _ in x0s] if len(x0s) > 1 else []
         for i, store in enumerate(stores):  # by setattr: a __dict__ update would slow every read of a store
-            for name in ("K", "I0", "n", "delay", "count", "node0", "close_knots", *_ROWS):
+            for name in ("K", "I0", "ON_KNOT", "n", "delay", "count", "node0", "close_knots", *_ROWS):
                 value = getattr(stack, name)  # the stack's field, or its column of a row array
                 setattr(store, name, value[:, i] if name in _ROWS else value)
         for store in (stack, *stores):
@@ -231,7 +236,8 @@ class _Dense:
         """The window the dynamics saw at node ``k`` (node 0 is t0)."""
         c = self.node0 + k
         V, TAIL, TP = self.FROZEN
-        return _Window(self, self.K.item(c), self.I0.item(2 * k), c, TAIL[2 * k], V[c], TP[2 * k])
+        return _Window(self, self.K.item(c), self.I0.item(2 * k), c, TAIL[2 * k], V[c], TP[2 * k],
+                       lend=self.ON_KNOT.item(2 * k))
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         """Dense values at the times ``ts``, none below K[0] = t0 - delay, one
@@ -285,14 +291,18 @@ class _Window(HistorySegment):
     :func:`_window_ends`, :meth:`_Dense.eval_many` and
     :func:`_tail_pieces` when :meth:`_Dense.window_segment` builds it.  Both
     ways are the same search, fold, Hermite and arithmetic.  ``head``,
-    ``delayed`` and ``integral()`` cost O(1); ``grid`` and ``values`` each
-    cost one O(delay/step) copy on first read and are kept.  The store only
-    appends, so a window stays valid as it grows.  ``_body`` is all of
-    ``integral()`` but the head piece, computed on first need; windows with
-    the same time, inner knots and tail share it.
+    ``delayed`` and ``integral()`` cost O(1); ``grid`` and ``values`` are
+    built on first read and kept, read-only.  ``grid`` is one O(delay/step)
+    copy.  ``values`` of a window that ``lend`` marks, a node window whose
+    row at -delay is the stored knot before its inner knots, is a read-only
+    slice of the store, no copy; any other window's is a copy of the store's
+    rows with its two end rows put in.  The store only appends, so a window
+    stays valid as it grows.  ``_body`` is all of ``integral()`` but the
+    head piece, computed on first need; windows with the same time, inner
+    knots and tail share it.
     """
 
-    def __init__(self, dense: _Dense, tau: float, i0: int, i1: int, tail, head, tp, body=None):
+    def __init__(self, dense: _Dense, tau: float, i0: int, i1: int, tail, head, tp, body=None, lend=False):
         # the builders freeze the two rows, often a whole stack of them at once
         d = self.__dict__
         d["delay"] = dense.delay
@@ -304,6 +314,7 @@ class _Window(HistorySegment):
         d["_head"] = head
         d["_tp"] = tp
         d["_body"] = body
+        d["_lend"] = lend
 
     @property
     def dim(self) -> int:
@@ -350,12 +361,12 @@ class _Window(HistorySegment):
             if d["_dense"].close_knots:
                 return self._merged()[1]
             vals = d["_values"] = self._rows()
-            vals.setflags(write=False)
         return vals
 
     def __reduce__(self):
-        # a copy or pickle is a plain segment of the window's own rows, not its store
-        return HistorySegment, (self.delay, self.grid, self.values)
+        # a copy or pickle is a plain segment of the window's own rows, not
+        # its store: a contiguous slice of the store would pass as it is
+        return HistorySegment, (self.delay, self.grid, self.values.copy())
 
     def _offsets(self) -> np.ndarray:
         """The offsets -delay, the inner knots' and 0, in one new array."""
@@ -366,11 +377,17 @@ class _Window(HistorySegment):
         return grid
 
     def _rows(self) -> np.ndarray:
-        """The row at -delay, the inner knots' rows and the head, in one new array."""
-        inner = self._dense.V[self._i0 : self._i1]
-        vals = np.empty((inner.shape[0] + 2,) + inner.shape[1:])
-        vals[0], vals[1:-1], vals[-1] = self._tail, inner, self._head
-        return vals
+        """The row at -delay, the inner knots' rows and the head, read-only:
+        the store's rows ``i0 - 1`` to ``i1`` when the window lends them,
+        else a copy of those rows with the two end rows put in.  A copy is
+        handed out as a view, since its owner's flag could be set back."""
+        rows = self._dense.FROZEN[0][self._i0 - 1 : self._i1 + 1]
+        if self._lend:
+            return rows
+        vals = rows.copy()
+        vals[0], vals[-1] = self._tail, self._head
+        vals.setflags(write=False)
+        return vals[...]
 
     def _merged(self) -> tuple:
         """Grid and values with the last knot of each run of knots that
@@ -381,6 +398,7 @@ class _Window(HistorySegment):
         grid, vals = grid[last], vals[last]
         grid.setflags(write=False)
         vals.setflags(write=False)
+        vals = vals[...]  # a view, as _rows hands out
         self.__dict__.update(_grid=grid, _values=vals)
         return grid, vals
 
@@ -619,7 +637,7 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
         return s1
 
     # Python floats and ints: the step arithmetic is the same, with less overhead
-    plan = (tgrid.tolist(), taus.tolist(), stack.I0.tolist(), rows_ahead, opts.blowup_norm)
+    plan = (tgrid.tolist(), taus.tolist(), stack.I0.tolist(), stack.ON_KNOT.tolist(), rows_ahead, opts.blowup_norm)
     if m == 1:
         status, t_event = _march_one(system.dynamics, stack, U, D, switched[0], *plan)
     else:
@@ -642,11 +660,12 @@ def _lockstep(system: RfdeSystem, t0: float, runs: list, tgrid: np.ndarray, opts
 
 
 def _march_one(f, stack: _Dense, U, D, switched: list, times: list, stage_times: list, ends: list,
-               rows_ahead, blowup: float) -> tuple:
+               lend: list, rows_ahead, blowup: float) -> tuple:
     """The steps of a group of one (see :func:`_lockstep`): the statuses and
     event times of its one run.  Stage s's window has the time
     ``stage_times[s]``, the inner knots from ``ends[s]`` to the step's start,
-    and the row at -delay and tail piece ``TAIL[s]`` and ``TP[s]``.  Each
+    and the row at -delay and tail piece ``TAIL[s]`` and ``TP[s]``; a node
+    window lends its rows from the store where ``lend[s]`` is set.  Each
     node's row and running integral are written from the step's own start,
     length and end row: ``K[c] - K[c - 1]`` is ``hk`` and ``V[c - 1]`` is
     ``xk``, exactly."""
@@ -655,7 +674,7 @@ def _march_one(f, stack: _Dense, U, D, switched: list, times: list, stage_times:
     k2, k3, k4 = (np.empty(stack.n) for _ in range(3))  # stage slopes, reused from step to step
     ready = rows_ahead(0)  # the stage windows before it have their rows at -delay stored
     c = stack.count - 1  # node 0
-    DOUT[c] = f(times[0], _Window(stack, times[0], ends[0], c, TAIL[0], V[c], TP[0]), U[0], D[0])
+    DOUT[c] = f(times[0], _Window(stack, times[0], ends[0], c, TAIL[0], V[c], TP[0], None, lend[0]), U[0], D[0])
 
     for j in range(len(times) - 1):
         ta = times[j]
@@ -694,7 +713,7 @@ def _march_one(f, stack: _Dense, U, D, switched: list, times: list, stage_times:
         CUM[c] = CUM[c - 1] + (0.5 * hk) * (x_next + xk)
         stack.count = c + 1
         # the node window is k4's: storing the node at tb moves neither end of its inner knots
-        node = _Window(stack, tb, i0, c, tail, V[c], tp, seg_b._body)
+        node = _Window(stack, tb, i0, c, tail, V[c], tp, seg_b._body, lend[s + 1])
         f_end = DOUT[c]
         f_end[...] = f(tb, node, u, d)
         DIN[c] = f_end
@@ -709,7 +728,7 @@ def _march_one(f, stack: _Dense, U, D, switched: list, times: list, stage_times:
 
 
 def _march_group(f, stack: _Dense, stores: list, U, D, switched: list, times: list, stage_times: list,
-                 ends: list, rows_ahead, blowup: float) -> tuple:
+                 ends: list, lend: list, rows_ahead, blowup: float) -> tuple:
     """The steps of a group of m > 1 runs (see :func:`_lockstep` and
     :func:`_march_one`, whose windows, calls and writes these are, run by
     run): the statuses and event times of its runs.  The RK4 arithmetic and
@@ -728,20 +747,20 @@ def _march_group(f, stack: _Dense, stores: list, U, D, switched: list, times: li
 
     V, TAIL, TP = stack.FROZEN
 
-    def stage(outs, tau: float, i0: int, i1: int, tls, tps, heads, like=None) -> dict:
+    def stage(outs, tau: float, i0: int, i1: int, tls, tps, heads, like=None, on_knot=False) -> dict:
         """Each live run's window at ``tau``, after the dynamics saw it at
         the levels ``us``, ``ds``; ``outs[p]`` gets run p's slope.  The
         windows' inner knots are ``i0:i1``, and run p's rows at -delay and 0
         are ``tls[p]`` and row p of ``heads``, which this freezes, and its
         tail piece is ``tps[p]``.  Windows with the same time, inner knots
         and tail share the quadrature of all but the head piece: run p's is
-        ``like[p]``'s."""
+        ``like[p]``'s.  Node windows lend their rows where ``on_knot`` is set."""
         heads.setflags(write=False)
         heads = rows(heads)  # views: the owner's own flag could be set back
         segs = {}
         for p in live:
             body = None if like is None else like[p]._body
-            seg = segs[p] = _Window(stores[p], tau, i0, i1, tls[p], heads[p], tps[p], body)
+            seg = segs[p] = _Window(stores[p], tau, i0, i1, tls[p], heads[p], tps[p], body, on_knot)
             outs[p][...] = f(tau, seg, us[p], ds[p])
         return segs
 
@@ -756,7 +775,7 @@ def _march_group(f, stack: _Dense, stores: list, U, D, switched: list, times: li
     ready = rows_ahead(0)  # the stage windows before it have their rows at -delay stored
     c = stack.count - 1  # node 0
     us, ds = rows(U[0]), rows(D[0])
-    stage(rows(stack.DOUT[c]), times[0], ends[0], c, rows(TAIL[0]), rows(TP[0]), V[c])
+    stage(rows(stack.DOUT[c]), times[0], ends[0], c, rows(TAIL[0]), rows(TP[0]), V[c], None, lend[0])
 
     for j in range(len(times) - 1):
         ta = times[j]
@@ -797,7 +816,7 @@ def _march_group(f, stack: _Dense, stores: list, U, D, switched: list, times: li
         # the node window is k4's: storing the node at tb moves neither end of its inner knots
         f_end = stack.DOUT[c]
         fs = rows(f_end)
-        nodes = stage(fs, tb, i0, c, tls, tps, V[c], seg_b)
+        nodes = stage(fs, tb, i0, c, tls, tps, V[c], seg_b, lend[s + 1])
         stack.DIN[c] = f_end
         failed, blown = [], []
         for p in live:

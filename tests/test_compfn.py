@@ -410,6 +410,44 @@ class TestKlFromRate:
             assert np.max(np.abs(sigma.eval_t_array(s, ts) - oracle(s, ts))) <= 1e-12
             assert calls["flow"] == calls["rk45"]  # the same steps, accepted and rejected
 
+    @pytest.mark.parametrize("rate", [identity(), power(2.0)], ids=["identity", "square"])
+    def test_a_float_time_is_bitwise_a_one_time_array_query(self, rate):
+        # the scalar path and the array path, each on a flow of its own
+        def rhs(y):
+            return 0.0 if y <= 0.0 else -float(rate(y))
+
+        full = compfn._SteppedFlow(rhs, 1.5)
+        full(np.array([FLOW_T_MAX]))
+        ends = [row[0] for row in full.rows[1:]] + [full.t]
+        inside = [row[0] + 0.5 * row[1] for row in full.rows]
+        times = [0.02, *ends, *inside, FLOW_T_MAX, 75.0, 130.0, 0.0, -0.0, -1.0, math.nan]
+        for s in (1.5, 0.0, 4.0):
+            scalar, array = kl_from_rate(rate), kl_from_rate(rate)
+            for t in times:
+                got = scalar.flow(s, t)
+                assert type(got) is np.float64
+                assert got.tobytes() == array.eval_t_array(s, np.array([t]))[0].tobytes(), (s, t)
+                assert scalar(s, t) == float(got) or math.isnan(t)
+
+    @pytest.mark.parametrize(
+        "rate",
+        [lambda y: y if y > 0.5 else 1e300, lambda y: np.nan if 0.32 < y < 0.5 else y],
+        ids=["stiff", "nan"],
+    )
+    def test_a_float_time_raises_as_a_one_time_array_query(self, rate):
+        def outcome(query):
+            try:
+                return np.asarray(query()).tobytes()
+            except RuntimeError as exc:
+                return str(exc)
+
+        scalar, array = kl_from_rate(rate), kl_from_rate(rate)
+        for s in (1.0, 0.4):
+            for t in (0.1, 1.0, 0.8, 5.0, 1.0, 100.0, 0.3, FLOW_T_MAX):
+                got = outcome(lambda: scalar.flow(s, t))
+                assert got == outcome(lambda: array.eval_t_array(s, np.array([t]))[0]), (s, t)
+        assert "comparison flow failed" in outcome(lambda: scalar.flow(1.0, 1.0))
+
     def test_query_order_does_not_change_the_bits(self):
         rate = identity()
         ts = np.concatenate([np.linspace(-1.0, 130.0, 41), [0.02, FLOW_T_MAX]])

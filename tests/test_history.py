@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from rfdestab import (
+    DiniOpts,
     HistorySegment,
+    LyapunovFunctional,
     clip_to_ball,
+    dini_functional,
     extend,
     history_distance,
     sample_history,
@@ -181,6 +184,16 @@ class TestExtend:
         seg = sample_history(np.random.default_rng(4), 1.0, 2, 1.0)
         with pytest.raises(ValueError, match="finite"):
             extend(seg, [0.0, np.nan], 0.25)
+
+    @pytest.mark.parametrize("slope", [[0.0, np.nan], [np.inf, 0.0], [-np.inf, np.nan]], ids=str)
+    def test_a_non_finite_slope_raises_through_extend_and_the_numeric_ladder(self, slope):
+        # a slide checks only its new rows, the head and the row at -delay
+        seg = sample_history(np.random.default_rng(4), 1.0, 2, 1.0)
+        V = LyapunovFunctional(evaluator=lambda t, w: float(w.values[-1] @ w.values[-1]))
+        with pytest.raises(ValueError, match="^history values must be finite$"):
+            extend(seg, slope, 0.25)
+        with pytest.raises(ValueError, match="^history values must be finite$"):
+            dini_functional(V, 0.0, seg, slope, DiniOpts(use_analytic=False))
 
 
 class TestAddConstant:

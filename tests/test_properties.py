@@ -1260,6 +1260,61 @@ class TestLockStep:
             self._assert_same_run(run, integrate(system, t0, x0, u, d, t_end, opts))
 
 
+class TestWindowRows:
+    """A stage or node window's ``values`` are its row at -r, its inner
+    knots' rows and its head (the last of each run of knots that rounded
+    onto one offset), read-only for good; a node window whose row at -r is
+    the stored knot before its inner knots lends them from the store."""
+
+    @staticmethod
+    def _check(seg):
+        dense = seg._dense
+        offsets = np.concatenate([[-seg.delay], dense.K[seg._i0 : seg._i1] - seg._tau, [0.0]])
+        rows = np.concatenate([seg.delayed[None], dense.V[seg._i0 : seg._i1], seg.head[None]])
+        last = np.concatenate([[True], np.diff(offsets[1:]) > 0.0, [True]])
+        assert last.all() or dense.close_knots
+        values = seg.values
+        assert values.shape == rows[last].shape and values.tobytes() == rows[last].tobytes()
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values.setflags(write=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**DENSE_RUNS, members=MEMBERS)
+    @example(**CLOSE_SWITCH, members=[(0.5, False, None), (2.5, False, None), (1.0, False, 7)])
+    @example(**CLOSE_SWITCH, members=[(0.5, False, None)])
+    @example(**ULP_STEP, members=[(0.5, False, 13), (0.7, True, None), (3.0, False, None)])
+    @example(**WHOLE_DELAY_STEP, members=[(0.4, False, None)])
+    @example(**SWITCH_AT_BLOWUP, members=[(2.0, False, None), (0.5, False, None)])
+    def test_values_are_the_assembled_rows_and_stay_read_only(
+        self, r, steps_per_delay, t0, span, fracs, levels, queries, seed, members
+    ):
+        system, runs, t_end, _ = _tagged_runs(r, steps_per_delay, t0, span, fracs, levels, seed, members)
+
+        def dynamics(t, seg, u, d, f=system.dynamics):
+            self._check(seg)  # while the step runs: a stage window's head is not stored yet
+            return f(t, seg, u, d)
+
+        opts = IntegrateOpts(step_req=r / steps_per_delay, blowup_norm=GROUP_BLOWUP)
+        for run in _integrate_runs(replace(system, dynamics=dynamics), t0, runs, t_end, opts):
+            for k in range(run.times.size):
+                self._check(run._dense.node_window(k))
+
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_a_node_window_on_a_uniform_grid_lends_the_stores_rows(self, members):
+        # r = 1 and h = 1/8: every node's t - r is a stored knot, exactly
+        x0 = HistorySegment(1.0, np.linspace(-1.0, 0.0, 9), np.linspace(0.5, 1.5, 9)[:, None])
+        system = RfdeSystem(1.0, 1, lambda t, seg, u, d: -seg.values[-1], lambda t, seg: seg.head, np.zeros((0, 2)))
+        runs = [(HistorySegment(1.0, x0.grid, (k + 1.0) * x0.values), None, None) for k in range(members)]
+        for run in _integrate_runs(system, 0.0, runs, 3.0, IntegrateOpts(step_req=0.125)):
+            dense = run._dense
+            assert run.times.size == 25 and dense.ON_KNOT[::2].all()
+            for k in range(run.times.size):
+                window = dense.node_window(k)
+                assert np.shares_memory(window.values, dense.V)
+                self._check(window)
+
+
 def _whole_window_dynamics(bundle):
     """The bundle's dynamics as written before the O(1) accessors: every read
     goes through ``seg.values`` and ``seg.grid``."""

@@ -200,10 +200,13 @@ class TestTrajectoryAccessors:
         runs = _draw_runs(system, np.random.default_rng(0), 1, 1.0, 1.0, 0.4)
         (traj,) = _integrate_runs(system, 0.0, runs, 1.0, IntegrateOpts(step_req=1e-3))
         window = traj._dense.node_window(traj.times.size - 1)
+        # its row at -r, at t = 0, is a stored knot: the window lends the store's rows
+        assert np.shares_memory(window.values, traj._dense.V)
         plain = HistorySegment(window.delay, window.grid, window.values)
         assert len(pickle.dumps(window)) <= len(pickle.dumps(plain)) + 1024
         for dup in (pickle.loads(pickle.dumps(window)), copy.copy(window), copy.deepcopy(window)):
             assert type(dup) is HistorySegment and dup == plain
+            assert not np.shares_memory(dup.values, traj._dense.V)
 
     def test_history_matches_state_samples(self):
         sys_ = delayed_negative_feedback()
